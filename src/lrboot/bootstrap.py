@@ -2,14 +2,16 @@
 classical residual bootstrap, and the parametric/pairwise/wild/multiplier
 comparison methods.
 
+Every method draws responses y* or weights w* on the one fitted design, so
+replicates are refit in fixed blocks of 64 by the vectorized kernel
+`glm.fit_design_batch` (ordinal rows by `fit_ordinal_design`, row by row).
 Replicate b always consumes the substream (seed, b) with per-observation
-draws in observation order, so outcomes are bit-identical regardless of how
-many worker threads execute the replicates.
+draws in observation order, and the blocks do not depend on how many worker
+threads run them, so outcomes are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +31,8 @@ from .errors import (
 from .glm import (
     FitOptions,
     FitResult,
-    fit_design,
+    _ordinal_pack,
+    fit_design_batch,
     fit_ordinal,
     fit_ordinal_design,
     fit_qmle,
@@ -61,6 +64,9 @@ METHOD_KINDS = (
 RESPONSE_RECREATING = ("lrb", "local_response", "classical_residual", "parametric")
 
 _FAILURE_SHARE = 0.2
+
+# replicates per refit block; fixed, so outputs do not depend on n_threads
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -217,19 +223,6 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
         raise IncompatibleResidual("wild bootstrap is not defined for ordinal models")
 
 
-def _refit(Xd, y_star, fit: FitResult, options, phi0) -> np.ndarray:
-    if fit.spec.is_ordinal:
-        alpha, beta, *_ = fit_ordinal_design(
-            Xd, y_star, fit.spec.n_categories, options, phi0=phi0
-        )
-        return np.concatenate([alpha, beta])
-    family = get_family(fit.spec.family, fit.spec.link)
-    beta, *_ = fit_design(
-        Xd, y_star, family, options, check_rank=False, beta0=fit.beta_hat
-    )
-    return beta
-
-
 def _draw_indices(rng, nb_matrix, nb_sets, lengths, n):
     """One neighbor pick per observation, consuming the stream in obs order."""
     if nb_matrix is not None:
@@ -238,6 +231,104 @@ def _draw_indices(rng, nb_matrix, nb_sets, lengths, n):
     u = rng.random(n)
     k = np.floor(u * lengths).astype(int)
     return np.array([nb_sets[i][k[i]] for i in range(n)])
+
+
+def _sampler(data, spec, method, fit, seed, neighborhoods):
+    """Method-specific draw of one replicate's (y*, w*) from its substream.
+
+    Every method refits on the same design: the resampling methods vary the
+    responses y* (w* is None), the multiplier and pairwise methods vary only
+    the weights w* (pairwise as the multinomial counts of its row draws).
+    """
+    n = data.n
+    y = data.y
+    kind = method.kind
+    if kind == "pairwise":
+        return lambda rng: (y, np.bincount(rng.integers(0, n, size=n), minlength=n))
+    if kind == "multiplier":
+        return lambda rng: (y, rng.standard_exponential(n))
+    if kind == "parametric":
+        if spec.is_ordinal:
+            param_cum = np.cumsum(fit.mu_hat, axis=1)
+
+            def draw(rng):
+                u = rng.random(n)
+                return (1 + (u[:, None] > param_cum).sum(axis=1)).astype(float), None
+
+            return draw
+        dispersion = None
+        if spec.family in ("gaussian", "gamma"):
+            dof = max(n - fit.design.q, 1)
+            if spec.family == "gaussian":
+                dispersion = float(np.sum((y - fit.mu_hat) ** 2) / dof)
+            else:
+                pr = (y - fit.mu_hat) / np.sqrt(fit.var_hat)
+                dispersion = float(np.sum(pr**2) / dof)
+        family = get_family(spec.family, spec.link)
+        return lambda rng: (family.simulate(rng, fit.mu_hat, dispersion), None)
+    if kind == "wild":
+        family = get_family(spec.family, spec.link)
+        wild_resid = y - fit.mu_hat
+
+        def draw(rng):
+            w = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            return family.clamp_response(fit.mu_hat + w * wild_resid), None
+
+        return draw
+    if kind == "classical_residual":
+        pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
+        return lambda rng: (
+            res.recreate(fit, data, pool[rng.integers(0, n, size=n)], method.residual_kind),
+            None,
+        )
+    # lrb and local_response pick one neighbor per observation
+    nb = neighborhoods if neighborhoods is not None else build_neighborhoods(data, method.l)
+    nb_matrix = nb.as_matrix()
+    nb_sets = lengths = None
+    if nb_matrix is None:
+        nb_sets = nb.sets
+        lengths = np.array([len(s) for s in nb.sets], dtype=float)
+    if kind == "local_response":
+        return lambda rng: (y[_draw_indices(rng, nb_matrix, nb_sets, lengths, n)], None)
+    pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
+
+    def draw(rng):
+        idx = _draw_indices(rng, nb_matrix, nb_sets, lengths, n)
+        return res.recreate(fit, data, pool[idx], method.residual_kind), None
+
+    return draw
+
+
+def _block_refit(fit: FitResult, options):
+    """Refit function for one block: (Y*, W*) -> (coefficients, ok per row)."""
+    Xd = fit.design.matrix
+    spec = fit.spec
+    if not spec.is_ordinal:
+        family = get_family(spec.family, spec.link)
+
+        def refit(Y, W):
+            out = fit_design_batch(Xd, Y, family, options, weights=W, beta0=fit.beta_hat)
+            return out.beta, out.ok
+
+        return refit
+    phi0 = _ordinal_pack(fit.alpha_hat, fit.beta_hat)
+
+    def refit_ordinal(Y, W):
+        coefs = np.full((Y.shape[0], phi0.shape[0]), np.nan)
+        ok = np.zeros(Y.shape[0], dtype=bool)
+        for r in range(Y.shape[0]):
+            try:
+                a, bet, *_ = fit_ordinal_design(
+                    Xd, Y[r], spec.n_categories, options,
+                    weights=None if W is None else W[r], phi0=phi0,
+                )
+            except FitError:
+                continue
+            coefs[r] = np.concatenate([a, bet])
+            ok[r] = True
+        return coefs, ok
+
+    return refit_ordinal
 
 
 def run(
@@ -256,135 +347,44 @@ def run(
 ) -> BootstrapOutcome:
     """Run B bootstrap replicates and assemble SE/CI estimates.
 
-    Failed replicate fits are dropped and counted; more than 20% failures
-    aborts. Identical inputs give bit-identical outcomes for any n_threads.
+    Replicates are drawn and refit in fixed blocks of 64 on the fitted
+    design; n_threads workers take whole blocks. Failed replicate fits are
+    dropped and counted; more than 20% failures aborts. Identical inputs give
+    bit-identical outcomes for any n_threads.
     """
     _validate(data, spec, method)
+    if keep_responses and not method.recreates_responses:
+        raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")
     if fit is None:
         fit = fit_ordinal(data, spec, options) if spec.is_ordinal else fit_qmle(
             data, spec, options
         )
-    Xd = fit.design.matrix
-    n = data.n
-    y = data.y
-    family = None if spec.is_ordinal else get_family(spec.family, spec.link)
+    draw = _sampler(data, spec, method, fit, seed, neighborhoods)
+    refit = _block_refit(fit, options)
 
-    # method-specific, replicate-independent preparation
-    pool = None
-    nb_matrix = None
-    nb_sets = None
-    lengths = None
-    dispersion = None
-    wild_resid = None
-    if method.kind in ("lrb", "classical_residual"):
-        rkind = method.residual_kind
-        rng0 = substream(seed, 0)
-        pool = res.compute(fit, data, rkind, rng=rng0).values
-    if method.kind in ("lrb", "local_response"):
-        nb = neighborhoods if neighborhoods is not None else build_neighborhoods(
-            data, method.l
-        )
-        nb_matrix = nb.as_matrix()
-        if nb_matrix is None:
-            nb_sets = nb.sets
-            lengths = np.array([len(s) for s in nb.sets], dtype=float)
-    if method.kind == "parametric":
-        if spec.family == "gaussian":
-            dof = max(n - fit.design.q, 1)
-            dispersion = float(np.sum((y - fit.mu_hat) ** 2) / dof)
-        elif spec.family == "gamma":
-            dof = max(n - fit.design.q, 1)
-            pr = (y - fit.mu_hat) / np.sqrt(fit.var_hat)
-            dispersion = float(np.sum(pr**2) / dof)
-        if spec.is_ordinal:
-            dispersion = None
-            param_cum = np.cumsum(fit.mu_hat, axis=1)
-    if method.kind == "wild":
-        wild_resid = y - fit.mu_hat
+    def replicate_block(first: int):
+        bs = range(first, min(first + _BLOCK, B + 1))
+        Y, W = zip(*(draw(substream(seed, b)) for b in bs))
+        Y = np.vstack(Y)
+        W = None if W[0] is None else np.vstack(W)
+        coefs, ok = refit(Y, W)
+        return coefs, ok, Y if keep_responses else None
 
-    def make_response(rng) -> np.ndarray:
-        if method.kind == "lrb":
-            idx = _draw_indices(rng, nb_matrix, nb_sets, lengths, n)
-            return res.recreate(fit, data, pool[idx], method.residual_kind)
-        if method.kind == "classical_residual":
-            idx = rng.integers(0, n, size=n)
-            return res.recreate(fit, data, pool[idx], method.residual_kind)
-        if method.kind == "local_response":
-            idx = _draw_indices(rng, nb_matrix, nb_sets, lengths, n)
-            return y[idx]
-        if method.kind == "parametric":
-            if spec.is_ordinal:
-                u = rng.random(n)
-                codes = 1 + (u[:, None] > param_cum).sum(axis=1)
-                return codes.astype(float)
-            return family.simulate(rng, fit.mu_hat, dispersion)
-        if method.kind == "wild":
-            w = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            return family.clamp_response(fit.mu_hat + w * wild_resid)
-        raise UnsupportedKind(method.kind)
-
-    phi0 = None
-    if spec.is_ordinal:
-        from .glm import _ordinal_pack
-
-        phi0 = _ordinal_pack(fit.alpha_hat, fit.beta_hat)
-
-    def replicate(b: int):
-        rng = substream(seed, b)
-        try:
-            if method.kind == "pairwise":
-                rows = rng.integers(0, n, size=n)
-                if spec.is_ordinal:
-                    a, bet, *_ = fit_ordinal_design(
-                        Xd[rows], y[rows], spec.n_categories, options, phi0=phi0
-                    )
-                    return np.concatenate([a, bet]), None
-                beta, *_ = fit_design(
-                    Xd[rows], y[rows], family, options,
-                    check_rank=False, beta0=fit.beta_hat,
-                )
-                return beta, None
-            if method.kind == "multiplier":
-                w = rng.standard_exponential(n)
-                if spec.is_ordinal:
-                    a, bet, *_ = fit_ordinal_design(
-                        Xd, y, spec.n_categories, options, weights=w, phi0=phi0
-                    )
-                    return np.concatenate([a, bet]), None
-                beta, *_ = fit_design(
-                    Xd, y, family, options, weights=w,
-                    check_rank=False, beta0=fit.beta_hat,
-                )
-                return beta, None
-            y_star = make_response(rng)
-            return _refit(Xd, y_star, fit, options, phi0), y_star
-        except FitError:
-            return None, None
-
-    results: list = [None] * B
-    if n_threads > 1:
+    starts = range(1, B + 1, _BLOCK)
+    if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            for b, out in zip(range(1, B + 1), ex.map(replicate, range(1, B + 1))):
-                results[b - 1] = out
+            blocks = list(ex.map(replicate_block, starts))
     else:
-        for b in range(1, B + 1):
-            results[b - 1] = replicate(b)
-
-    coefs = [r[0] for r in results if r[0] is not None]
-    n_failed = B - len(coefs)
+        blocks = [replicate_block(first) for first in starts]
+    ok = np.concatenate([blk[1] for blk in blocks])
+    n_failed = B - int(ok.sum())
     if n_failed > _FAILURE_SHARE * B:
         raise TooManyFailures(
             f"{n_failed}/{B} replicate fits failed "
             f"(method={method.label}, family={spec.family})"
         )
-    replicates = np.vstack(coefs)
-    responses = None
-    if keep_responses:
-        if not method.recreates_responses:
-            raise UnsupportedKind(
-                f"{method.label} does not recreate responses; none to keep"
-            )
-        responses = np.vstack([r[1] for r in results if r[0] is not None])
+    replicates = np.vstack([blk[0] for blk in blocks])[ok]
+    responses = np.vstack([blk[2] for blk in blocks])[ok] if keep_responses else None
 
     estimate = fit.coef
     se = se_estimate(replicates)
@@ -412,13 +412,3 @@ def run(
         provenance=provenance,
         responses=responses,
     )
-
-
-def outcome_to_json(outcome: BootstrapOutcome, path, include_replicates=False) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            outcome.to_json_dict(include_replicates=include_replicates),
-            fh,
-            indent=2,
-            sort_keys=True,
-        )

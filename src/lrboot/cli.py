@@ -1,9 +1,11 @@
 """Command-line front end: CSV ingestion and the fit / bootstrap / select-l /
 select-model / simulate pipelines with machine-readable, re-runnable outputs.
 
-Every artifact embeds the effective configuration, seed, and tool version
-(and nothing volatile), so identical invocations produce byte-identical
-files regardless of --threads.
+JSON artifacts embed the effective configuration, seed, and tool version.
+The CSV tables carry less: the `simulate` CSV has the seed as its last
+column but no version column yet, and the `bootstrap --format csv` summary
+has neither. No artifact holds anything volatile, so identical invocations
+produce byte-identical files regardless of --threads.
 """
 
 from __future__ import annotations

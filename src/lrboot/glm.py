@@ -2,8 +2,11 @@
 ordinal model.
 
 The solver is Fisher-scoring Newton on the quasi-score with step-halving;
-convergence is declared on the max-abs score component. The ordinal model is
-maximized over (alpha_1, log-gaps, beta) so the cutpoints stay increasing.
+convergence is declared on the max-abs score component. `fit_design` fits one
+response vector; `fit_design_batch` fits a block of response vectors on the
+same design with one vectorized loop that applies the same rules row by row.
+The ordinal model is maximized over (alpha_1, log-gaps, beta) so the
+cutpoints stay increasing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .data import Dataset, DesignInfo, ModelSpec, build_design
 from .errors import (
     DimensionMismatch,
     EmptyCategory,
+    FitError,
     NonConvergence,
     RankDeficient,
     SeparationDetected,
@@ -26,9 +30,11 @@ from .errors import (
 __all__ = [
     "FitOptions",
     "FitResult",
+    "BatchFit",
     "fit_qmle",
     "fit_ordinal",
     "fit_design",
+    "fit_design_batch",
     "fit_ordinal_design",
     "predict_mean",
     "get_family",
@@ -107,8 +113,10 @@ class _BaseFamily:
     def initial_beta(self, Xd, y):
         return np.zeros(Xd.shape[1])
 
-    def valid_eta(self, eta) -> bool:
-        return True
+    def valid_eta(self, eta):
+        """Whether each linear-predictor vector (last axis) lies in the
+        link's domain: a bool for 1-D eta, one bool per row for 2-D eta."""
+        return np.ones(np.shape(eta)[:-1], dtype=bool)
 
     def clamp_response(self, vals):
         return vals
@@ -128,6 +136,9 @@ class BinomialProbit(_BaseFamily):
         return mu * (1.0 - mu)
 
     def loglik_terms(self, y, eta):
+        if np.all((y == 0.0) | (y == 1.0)):
+            # one log_ndtr per observation; bit-identical to the two-term form
+            return log_ndtr(np.where(y == 1.0, eta, -eta))
         return y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
 
     def clamp_response(self, vals):
@@ -190,8 +201,8 @@ class GammaInverse(_BaseFamily):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -y * eta + np.log(eta)
 
-    def valid_eta(self, eta) -> bool:
-        return bool(np.all(eta > 0))
+    def valid_eta(self, eta):
+        return np.all(eta > 0, axis=-1)
 
     def clamp_response(self, vals):
         return np.maximum(vals, 1e-12)
@@ -342,6 +353,178 @@ def fit_design(
     return beta, mu, V, ll, iterations, grad_norm, path
 
 
+@dataclass
+class BatchFit:
+    """Row-wise result of `fit_design_batch`.
+
+    `errors[r]` is the FitError `fit_design` raises for row r, or None when
+    the row converged; failed rows hold NaN coefficients.
+    """
+
+    beta: np.ndarray  # b x q
+    iterations: np.ndarray  # b, accepted Newton steps
+    grad_norm: np.ndarray  # b, max-abs score at exit
+    errors: list
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+
+def _newton_steps(H: np.ndarray, g: np.ndarray):
+    """Solve H[r] s[r] = g[r] for a stack of systems; returns (steps, singular)."""
+    try:
+        return np.linalg.solve(H, g[:, :, None])[:, :, 0], np.zeros(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(g)
+        singular = np.zeros(len(g), dtype=bool)
+        for r in range(len(g)):
+            try:
+                steps[r] = np.linalg.solve(H[r], g[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        return steps, singular
+
+
+def fit_design_batch(
+    Xd: np.ndarray,
+    Y: np.ndarray,
+    family,
+    options: FitOptions | None = None,
+    weights: np.ndarray | None = None,
+    beta0: np.ndarray | None = None,
+) -> BatchFit:
+    """Fisher scoring for a block of response vectors on one prebuilt design.
+
+    `Y` is b x n with one replicate per row; `weights` is None or b x n.
+    `beta0` is one start for every row (q,) or one per row (b x q); None
+    starts each row where `fit_design` would. Every row follows the rules of
+    `fit_design`: the score test max|g| <= tol, step-halving with the
+    few-ulp plateau slack, the link-domain check and, after each accepted
+    step, the separation bound. A row that fails records the error
+    `fit_design` raises (NonConvergence, SeparationDetected, or
+    RankDeficient for a singular information matrix) and the other rows
+    carry on. The design rank is not checked.
+
+    The block stays row-major so that each row's log-likelihood is summed in
+    the same pairwise order as `fit_design`'s 1-D sum; summing an n x b
+    block down its columns adds in sequence, and that rounding noise flips
+    plateau acceptances. The information matrices come from one product with
+    the column products Xd[:, i] * Xd[:, j] (i <= j), so nothing of size
+    n x b x q is allocated.
+    """
+    opts = options or FitOptions()
+    Xd = np.asarray(Xd, dtype=float)
+    Y = np.ascontiguousarray(Y, dtype=float)
+    n, q = Xd.shape
+    if Y.ndim != 2 or Y.shape[1] != n:
+        raise DimensionMismatch(f"expected a b x {n} response block, got {Y.shape}")
+    W = None if weights is None else np.ascontiguousarray(weights, dtype=float)
+    if W is not None and W.shape != Y.shape:
+        raise DimensionMismatch(f"weights {W.shape} do not match responses {Y.shape}")
+    b = Y.shape[0]
+    XdT = np.ascontiguousarray(Xd.T)
+    iu, ju = np.triu_indices(q)
+    Z = Xd[:, iu] * Xd[:, ju]
+
+    def loglik(rows, eta):
+        terms = family.loglik_terms(Y[rows], eta)
+        s = np.sum(terms if W is None else W[rows] * terms, axis=1)
+        s[~np.isfinite(s)] = -np.inf
+        return s
+
+    def score(rows, eta):
+        mu = family.mean(eta)
+        D = family.mean_deriv(eta)
+        V = family.variance(mu)
+        u = D / V * (Y[rows] - mu)
+        return (u if W is None else W[rows] * u) @ Xd, D, V
+
+    def not_converged(r):
+        return NonConvergence(
+            f"score norm {grad_norm[r]:.3e} above tolerance "
+            f"after {iterations[r]} iterations"
+        )
+
+    errors: list = [None] * b
+    beta = np.zeros((b, q))
+    if beta0 is not None:
+        beta[:] = beta0
+    else:
+        for r in range(b):
+            try:
+                beta[r] = family.initial_beta(Xd, Y[r])
+            except FitError as exc:
+                errors[r] = exc
+    eta = beta @ XdT
+    for r in np.flatnonzero(~family.valid_eta(eta)):
+        if errors[r] is None:
+            errors[r] = NonConvergence("starting point outside the link's domain")
+    ll = loglik(np.arange(b), eta)
+    iterations = np.zeros(b, dtype=int)
+    grad_norm = np.full(b, np.nan)
+    act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
+    eps4 = 4.0 * np.finfo(float).eps
+    for _ in range(opts.max_iter):
+        if not act.size:
+            break
+        g, D, V = score(act, eta[act])
+        grad_norm[act] = np.max(np.abs(g), axis=1)
+        go = ~(grad_norm[act] <= opts.tol)
+        act, g, D, V = act[go], g[go], D[go], V[go]
+        if not act.size:
+            break
+        wk = D * D / V if W is None else W[act] * D * D / V
+        H = np.empty((act.size, q, q))
+        H[:, iu, ju] = H[:, ju, iu] = wk @ Z
+        step, singular = _newton_steps(H, g)
+        for r in act[singular]:
+            errors[r] = RankDeficient("singular information matrix")
+        act, step = act[~singular], step[~singular]
+
+        # step-halving per row; `pend` indexes the rows still searching
+        base, ll0 = beta[act], ll[act]
+        bound = 1e-6 * (1.0 + np.max(np.abs(base), axis=1))
+        plateau = eps4 * (1.0 + np.abs(ll0))
+        t = np.ones(act.size)
+        pend = np.arange(act.size)
+        for _ in range(opts.max_halvings + 1):
+            ts = t[pend, None] * step[pend]
+            cand = base[pend] + ts
+            eta_c = cand @ XdT
+            rows = act[pend]
+            ll_c = loglik(rows, eta_c)
+            tiny = np.max(np.abs(ts), axis=1) <= bound[pend]
+            slack = np.where(tiny, plateau[pend], 0.0)
+            acc = family.valid_eta(eta_c) & (ll_c >= ll0[pend] - slack)
+            hit = rows[acc]
+            beta[hit], eta[hit], ll[hit] = cand[acc], eta_c[acc], ll_c[acc]
+            pend = pend[~acc]
+            if not pend.size:
+                break
+            t[pend] *= 0.5
+        for r in act[pend]:
+            errors[r] = not_converged(r)
+        act = np.delete(act, pend)
+        iterations[act] += 1
+        if family.check_separation:
+            sep = np.max(np.abs(beta[act]), axis=1) > opts.separation_bound
+            for r in act[sep]:
+                errors[r] = SeparationDetected(
+                    f"|beta| exceeded {opts.separation_bound:g}; data may be separated"
+                )
+            act = act[~sep]
+    if act.size:
+        # the iteration cap was reached: a final score test decides
+        g, _, _ = score(act, eta[act])
+        grad_norm[act] = np.max(np.abs(g), axis=1)
+        for r in act[grad_norm[act] > opts.tol]:
+            errors[r] = not_converged(r)
+    out = BatchFit(beta, iterations, grad_norm, errors)
+    beta[~out.ok] = np.nan
+    return out
+
+
 def fit_qmle(
     data: Dataset,
     spec: ModelSpec,
@@ -451,15 +634,17 @@ def fit_ordinal_design(
     y_idx = y_codes.astype(int) - 1
     if y_idx.min() < 0 or y_idx.max() > J - 1:
         raise UnsupportedKind(f"ordinal responses must lie in 1..{J}")
-    counts = np.bincount(y_idx, minlength=J)
+    n, p = Xd.shape
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    # a category whose rows all carry zero weight is empty too (a pairwise
+    # resample expressed as multinomial counts)
+    counts = np.bincount(y_idx, weights=w, minlength=J)
     if np.any(counts == 0):
         missing = int(np.argmin(counts)) + 1
         raise EmptyCategory(f"category {missing} has no observations")
-    n, p = Xd.shape
-    w = None if weights is None else np.asarray(weights, dtype=float)
 
     if phi0 is None:
-        cum = np.cumsum(counts)[: J - 1] / n
+        cum = np.cumsum(counts)[: J - 1] / np.sum(counts)
         phi = _ordinal_pack(ndtri(cum), np.zeros(p))
     else:
         phi = np.array(phi0, dtype=float)

@@ -92,28 +92,54 @@ def _smallest_l(d_row: np.ndarray, i: int, l: int) -> np.ndarray:
     return chosen
 
 
+# rows of a distance matrix partitioned at once by _knn_rows
+_CHUNK = 256
+
+
+def _knn_rows(D: np.ndarray, ls: list) -> dict:
+    """{l: l nearest indices per row of D} for each size in ls, equal to
+    `_smallest_l` row by row.
+
+    A row whose l-th smallest distance bounds exactly l entries has one
+    nearest set whatever the tie rule; only rows with a tie at that boundary
+    fall back to the full (distance, self, index) sort.
+    """
+    n = D.shape[0]
+    L = max(ls)
+    out: dict = {l: [] for l in ls}
+    for start in range(0, n, _CHUNK):
+        Dc = D[start : start + _CHUNK]
+        # the L smallest entries of each row hold every untied nearest set
+        cand = np.argpartition(Dc, L - 1, axis=1)[:, :L]
+        cand_d = np.take_along_axis(Dc, cand, axis=1)
+        head = np.sort(cand_d, axis=1)
+        for l in ls:
+            kth = head[:, l - 1 : l]
+            untied = np.count_nonzero(Dc <= kth, axis=1) == l
+            chosen = cand[untied][cand_d[untied] <= kth[untied]].reshape(-1, l)
+            picks = iter(np.sort(chosen, axis=1))
+            out[l].extend(
+                next(picks) if untied[r] else _smallest_l(Dc[r], start + r, l)
+                for r in range(Dc.shape[0])
+            )
+    return out
+
+
 def knn_sets(D: np.ndarray, l: int, metric: str = "euclidean") -> NeighborhoodMap:
     """l nearest indices per row of a distance matrix (self always included)."""
     n = D.shape[0]
     if not 1 <= l <= n:
         raise InvalidSize(f"neighborhood size {l} outside [1, {n}]")
-    sets = [_smallest_l(D[i], i, l) for i in range(n)]
-    return NeighborhoodMap(sets=sets, l=l, metric=metric)
+    return NeighborhoodMap(sets=_knn_rows(D, [l])[l], l=l, metric=metric)
 
 
 def knn_sets_multi(D: np.ndarray, ls, metric: str = "euclidean") -> dict:
-    """knn_sets for several sizes at once, sorting each row only once."""
+    """knn_sets for several sizes at once, partitioning each row only once."""
     n = D.shape[0]
     ls = sorted(set(int(l) for l in ls))
-    if not 1 <= ls[0] and ls[-1] <= n:
+    if not (1 <= ls[0] and ls[-1] <= n):
         raise InvalidSize(f"neighborhood sizes {ls} outside [1, {n}]")
-    idx = np.arange(n)
-    per_l: dict[int, list] = {l: [] for l in ls}
-    for i in range(n):
-        not_self = idx != i
-        order = np.lexsort((idx, not_self, D[i]))
-        for l in ls:
-            per_l[l].append(np.sort(order[:l]))
+    per_l = _knn_rows(D, ls)
     return {
         l: NeighborhoodMap(sets=per_l[l], l=l, metric=metric) for l in ls
     }
@@ -169,8 +195,7 @@ def categorical_sets(data: Dataset, l: int | None = None) -> NeighborhoodMap:
             warnings.append(f"cell {key} has {size} rows; l capped at {l_eff}")
         A = data.X[np.ix_(members_arr, np.flatnonzero(cont))]
         D = np.sqrt(np.maximum(_pairwise_sq(A), 0.0))
-        for local_i, i in enumerate(members):
-            chosen = _smallest_l(D[local_i], local_i, l_eff)
+        for i, chosen in zip(members, _knn_rows(D, [l_eff])[l_eff]):
             sets[i] = np.sort(members_arr[chosen])
     return NeighborhoodMap(sets=sets, l=l, metric="categorical_exact", warnings=warnings)
 

@@ -46,8 +46,6 @@ _MIN_MASS = 1e-300
 class ResidualSet:
     values: np.ndarray
     kind: str
-    latent_seed: int | None = None  # surrogate only
-    fit_ref: FitResult | None = None
 
 
 def supports(family: str, kind: str) -> bool:
@@ -72,12 +70,12 @@ def pearson(fit: FitResult, data: Dataset) -> ResidualSet:
     """(y - mu) / sqrt(V(mu))."""
     check_supported(fit.spec.family, "pearson")
     values = (data.y - fit.mu_hat) / np.sqrt(fit.var_hat)
-    return ResidualSet(values=values, kind="pearson", fit_ref=fit)
+    return ResidualSet(values=values, kind="pearson")
 
 
 def raw(fit: FitResult, data: Dataset) -> ResidualSet:
     check_supported(fit.spec.family, "raw")
-    return ResidualSet(values=data.y - fit.mu_hat, kind="raw", fit_ref=fit)
+    return ResidualSet(values=data.y - fit.mu_hat, kind="raw")
 
 
 def _xlogy(x, y):
@@ -100,7 +98,7 @@ def deviance(fit: FitResult, data: Dataset) -> ResidualSet:
     else:  # gamma
         d = -np.log(y / mu) + (y - mu) / mu
     values = np.sign(y - mu) * np.sqrt(2.0 * np.clip(d, 0.0, None))
-    return ResidualSet(values=values, kind="deviance", fit_ref=fit)
+    return ResidualSet(values=values, kind="deviance")
 
 
 def _cumulative(fit: FitResult) -> np.ndarray:
@@ -128,7 +126,7 @@ def sbs(fit: FitResult, data: Dataset) -> ResidualSet:
     codes = _codes(fit, data.y)
     rows = np.arange(data.n)
     values = cum[rows, codes - 1] + cum[rows, codes] - 1.0
-    return ResidualSet(values=values, kind="sbs", fit_ref=fit)
+    return ResidualSet(values=values, kind="sbs")
 
 
 # -- truncated latent sampling ------------------------------------------------
@@ -196,12 +194,10 @@ def surrogate(fit: FitResult, data: Dataset, rng) -> ResidualSet:
     """Latent-variable residual s - x'beta, s drawn from the link's latent
     distribution truncated to the interval implied by the observed category."""
     check_supported(fit.spec.family, "surrogate")
-    seed = None
     if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = substream(seed)
+        rng = substream(int(rng))
     values = surrogate_values(fit, data.y, rng)
-    return ResidualSet(values=values, kind="surrogate", latent_seed=seed, fit_ref=fit)
+    return ResidualSet(values=values, kind="surrogate")
 
 
 _DISPATCH = {

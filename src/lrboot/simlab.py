@@ -773,10 +773,6 @@ class MethodStats:
         """mean(se_hat) / psi; identical to the mean of per-replication ratios."""
         return self.mean_se / self.psi
 
-    @property
-    def mean_of_ratios(self) -> float:
-        return float((self.se_hats / self.psi).mean())
-
 
 @dataclass
 class ExperimentReport:

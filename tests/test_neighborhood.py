@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrboot as lb
@@ -12,6 +12,7 @@ from lrboot.neighborhood import (
     categorical_sets,
     distance_matrix,
     knn_sets,
+    knn_sets_multi,
     linear_predictor_distances,
     select_size,
 )
@@ -115,6 +116,30 @@ def test_knn_always_contains_self(n, l, seed):
         assert len(s) == l == len(set(s.tolist()))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=300),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=10_000),
+)
+@example(n=300, ls=[1, 10, 37], seed=1)  # spans two row chunks
+def test_knn_matches_tie_rule_oracle(n, ls, seed):
+    # coordinates on a 0.1 grid force distance ties and duplicate rows
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)), 1)
+    D = distance_matrix(lb.make_dataset(np.zeros(n), X, standardize=False))
+    ls = [min(l, n) for l in ls]
+    multi = knn_sets_multi(D, ls)
+    idx = np.arange(n)
+    for l in ls:
+        single = knn_sets(D, l)
+        for i in range(n):
+            # (distance, self first, index) order
+            expected = np.sort(np.lexsort((idx, idx != i, D[i]))[:l])
+            assert np.array_equal(single.sets[i], expected)
+            assert np.array_equal(multi[l].sets[i], expected)
+
+
 def test_streaming_knn_matches_dense(monkeypatch):
     import lrboot.neighborhood as nb_mod
 
@@ -134,6 +159,10 @@ def test_knn_invalid_size():
         knn_sets(D, 0)
     with pytest.raises(InvalidSize):
         knn_sets(D, 4)
+    with pytest.raises(InvalidSize):
+        knn_sets_multi(D, [0])
+    with pytest.raises(InvalidSize):
+        knn_sets_multi(D, [4])
 
 
 def test_linear_predictor_metric():
