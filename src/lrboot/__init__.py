@@ -19,9 +19,7 @@ from .glm import FitOptions, FitResult, fit_ordinal, fit_qmle, predict_mean
 from .neighborhood import (
     NeighborhoodMap,
     SizeSelectionTrace,
-    categorical_sets,
-    distance_matrix,
-    knn_sets,
+    build_neighborhoods,
     select_size,
 )
 from .residuals import ResidualSet, deviance, pearson, recreate, sbs, surrogate

@@ -223,14 +223,18 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
         raise IncompatibleResidual("wild bootstrap is not defined for ordinal models")
 
 
-def _draw_indices(rng, nb_matrix, nb_sets, lengths, n):
-    """One neighbor pick per observation, consuming the stream in obs order."""
+def _draw_indices(rng, nb_matrix, flat, offsets, lengths, n):
+    """One neighbor pick per observation, consuming the stream in obs order.
+
+    Unequal sets are read from `flat`, their concatenation, where set i
+    starts at offsets[i].
+    """
     if nb_matrix is not None:
         k = rng.integers(0, nb_matrix.shape[1], size=n)
         return nb_matrix[np.arange(n), k]
     u = rng.random(n)
     k = np.floor(u * lengths).astype(int)
-    return np.array([nb_sets[i][k[i]] for i in range(n)])
+    return flat[offsets + k]
 
 
 def _sampler(data, spec, method, fit, seed, neighborhoods):
@@ -284,16 +288,18 @@ def _sampler(data, spec, method, fit, seed, neighborhoods):
     # lrb and local_response pick one neighbor per observation
     nb = neighborhoods if neighborhoods is not None else build_neighborhoods(data, method.l)
     nb_matrix = nb.as_matrix()
-    nb_sets = lengths = None
+    flat = offsets = lengths = None
     if nb_matrix is None:
-        nb_sets = nb.sets
-        lengths = np.array([len(s) for s in nb.sets], dtype=float)
+        flat = np.concatenate(nb.sets)
+        lengths = np.array([len(s) for s in nb.sets])
+        offsets = np.cumsum(lengths) - lengths
+    picks = (nb_matrix, flat, offsets, lengths, n)
     if kind == "local_response":
-        return lambda rng: (y[_draw_indices(rng, nb_matrix, nb_sets, lengths, n)], None)
+        return lambda rng: (y[_draw_indices(rng, *picks)], None)
     pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
 
     def draw(rng):
-        idx = _draw_indices(rng, nb_matrix, nb_sets, lengths, n)
+        idx = _draw_indices(rng, *picks)
         return res.recreate(fit, data, pool[idx], method.residual_kind), None
 
     return draw

@@ -1,8 +1,21 @@
-"""Covariate neighborhoods: distances, k-nearest-neighbor index sets, exact
-categorical cells, and iterative neighborhood-size selection.
+"""Covariate neighborhoods and iterative neighborhood-size selection.
 
-Ties are broken deterministically: the observation itself ranks first among
-equal distances (so i is always in N_i), then ascending index.
+One rule defines every neighborhood, whoever asks for it (`run`,
+`select_size`, `simulate`):
+
+1. Rows are grouped into exact cells on the categorical columns; without a
+   categorical column all rows form one cell.
+2. Inside a cell, N_i holds the l rows nearest to i in Euclidean distance
+   over the continuous columns. A cell smaller than l caps l at its size
+   (a warning records each cap). A cell on data without a continuous column
+   is the whole cell, whatever l.
+3. Ties are broken deterministically: the observation itself ranks first
+   among equal distances (so i is always in N_i), then ascending index.
+
+The nearest rows come from one k-d tree query per cell (Friedman, Bentley &
+Finkel 1977), so memory is O(n·l). Only rows whose l-th and (l+1)-th tree
+distances tie are re-ranked, by brute-force distances to the rows inside
+that distance.
 """
 
 from __future__ import annotations
@@ -11,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .data import Dataset
 from .errors import InvalidSize
@@ -19,17 +33,16 @@ from .rng import derive_seed, substream
 __all__ = [
     "NeighborhoodMap",
     "SizeSelectionTrace",
-    "distance_matrix",
-    "linear_predictor_distances",
-    "knn_sets",
-    "categorical_sets",
+    "build_neighborhoods",
     "select_size",
 ]
 
 TIE_RULE = "self_first_then_index"
 
-# full distance matrices above this row count are replaced by streaming rows
-_DENSE_LIMIT = 20000
+# The tree sums squared differences in another order than the brute-force row
+# (for p >= 4), so distances can differ by a few ulps: boundary gaps this
+# small are sent to the repair too, which keeps the sets equal to the rule.
+_TIE_RTOL = 1e-10
 
 
 @dataclass
@@ -57,155 +70,76 @@ class NeighborhoodMap:
         return np.vstack(self.sets)
 
 
-def _pairwise_sq(A: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", A, A)
-    G = A @ A.T
-    D2 = sq[:, None] + sq[None, :] - 2.0 * G
-    np.maximum(D2, 0.0, out=D2)
-    np.fill_diagonal(D2, 0.0)
-    return D2
+def _smallest_l(cand: np.ndarray, d: np.ndarray, i: int, l: int) -> np.ndarray:
+    """The l candidates first in (distance, self first, index) order, sorted."""
+    order = np.lexsort((cand, cand != i, d))
+    return np.sort(cand[order[:l]])
 
 
-def distance_matrix(data: Dataset) -> np.ndarray:
-    """Euclidean distances over the continuous covariate columns."""
-    mask = data.continuous_columns()
-    A = data.X[:, mask] if mask.any() else np.zeros((data.n, 1))
-    D2 = _pairwise_sq(A)
-    D = np.sqrt(0.5 * (D2 + D2.T))
-    np.fill_diagonal(D, 0.0)
-    return D
-
-
-def linear_predictor_distances(eta: np.ndarray) -> np.ndarray:
-    """|eta_i - eta_j| distances for the fitted-index metric."""
-    eta = np.asarray(eta, dtype=float)
-    return np.abs(eta[:, None] - eta[None, :])
-
-
-def _smallest_l(d_row: np.ndarray, i: int, l: int) -> np.ndarray:
-    n = d_row.shape[0]
-    idx = np.arange(n)
-    not_self = idx != i
-    order = np.lexsort((idx, not_self, d_row))
-    chosen = order[:l]
-    chosen.sort()
-    return chosen
-
-
-# rows of a distance matrix partitioned at once by _knn_rows
-_CHUNK = 256
-
-
-def _knn_rows(D: np.ndarray, ls: list) -> dict:
-    """{l: l nearest indices per row of D} for each size in ls, equal to
-    `_smallest_l` row by row.
-
-    A row whose l-th smallest distance bounds exactly l entries has one
-    nearest set whatever the tie rule; only rows with a tie at that boundary
-    fall back to the full (distance, self, index) sort.
-    """
-    n = D.shape[0]
-    L = max(ls)
-    out: dict = {l: [] for l in ls}
-    for start in range(0, n, _CHUNK):
-        Dc = D[start : start + _CHUNK]
-        # the L smallest entries of each row hold every untied nearest set
-        cand = np.argpartition(Dc, L - 1, axis=1)[:, :L]
-        cand_d = np.take_along_axis(Dc, cand, axis=1)
-        head = np.sort(cand_d, axis=1)
-        for l in ls:
-            kth = head[:, l - 1 : l]
-            untied = np.count_nonzero(Dc <= kth, axis=1) == l
-            chosen = cand[untied][cand_d[untied] <= kth[untied]].reshape(-1, l)
-            picks = iter(np.sort(chosen, axis=1))
-            out[l].extend(
-                next(picks) if untied[r] else _smallest_l(Dc[r], start + r, l)
-                for r in range(Dc.shape[0])
-            )
+def _cell_sets(A: np.ndarray, ls: list) -> dict:
+    """{l: s x l sorted within-cell indices} for the s rows of A, each l < s."""
+    s = A.shape[0]
+    k = ls[-1] + 1
+    tree = cKDTree(A)
+    d, nn = tree.query(A, k=k)
+    d, nn = d.reshape(s, k), nn.reshape(s, k)
+    out = {}
+    for l in ls:
+        chosen = nn[:, :l].copy()
+        radius = d[:, l - 1] * (1.0 + _TIE_RTOL)
+        tied = np.flatnonzero(d[:, l] <= radius)
+        # the rule picks only rows inside the ball of the l-th tree distance
+        balls = tree.query_ball_point(A[tied], radius[tied]) if tied.size else []
+        for r, ball in zip(tied, balls):
+            cand = np.array(ball)
+            d_row = np.sqrt(((A[cand] - A[r]) ** 2).sum(axis=1))
+            chosen[r] = _smallest_l(cand, d_row, r, l)
+        chosen.sort(axis=1)
+        out[l] = chosen
     return out
 
 
-def knn_sets(D: np.ndarray, l: int, metric: str = "euclidean") -> NeighborhoodMap:
-    """l nearest indices per row of a distance matrix (self always included)."""
-    n = D.shape[0]
-    if not 1 <= l <= n:
-        raise InvalidSize(f"neighborhood size {l} outside [1, {n}]")
-    return NeighborhoodMap(sets=_knn_rows(D, [l])[l], l=l, metric=metric)
-
-
-def knn_sets_multi(D: np.ndarray, ls, metric: str = "euclidean") -> dict:
-    """knn_sets for several sizes at once, partitioning each row only once."""
-    n = D.shape[0]
-    ls = sorted(set(int(l) for l in ls))
+def _neighbor_sets(data: Dataset, ls) -> dict:
+    """{l: NeighborhoodMap} for each size in ls, all from one query per cell."""
+    n = data.n
+    ls = sorted({int(l) for l in ls})
     if not (1 <= ls[0] and ls[-1] <= n):
         raise InvalidSize(f"neighborhood sizes {ls} outside [1, {n}]")
-    per_l = _knn_rows(D, ls)
+    cat = np.array([m == "categorical" for m in data.column_meta])
+    cont = np.flatnonzero(data.continuous_columns())
+    cells: dict = {}
+    for i, key in enumerate(map(tuple, data.X_raw[:, cat])):
+        cells.setdefault(key, []).append(i)
+    singletons = [
+        f"singleton cell {key}: local resampling is degenerate"
+        for key, rows in cells.items()
+        if cat.any() and len(rows) == 1
+    ]
+    sets = {l: [None] * n for l in ls}
+    warnings = {l: list(singletons) for l in ls}
+    for key, rows in cells.items():
+        rows = np.array(rows)
+        size = rows.shape[0]
+        inner = [l for l in ls if l < size] if cont.size else []
+        per_l = _cell_sets(data.X[np.ix_(rows, cont)], inner) if inner else {}
+        for l in ls:
+            if cont.size and l > size:
+                warnings[l].append(f"cell {key} has {size} rows; l capped at {size}")
+            chosen = rows[per_l[l]] if l in per_l else [rows] * size
+            for i, nb in zip(rows, chosen):
+                sets[l][i] = nb
+    metric = "categorical_exact" if cat.any() else "euclidean"
     return {
-        l: NeighborhoodMap(sets=per_l[l], l=l, metric=metric) for l in ls
+        l: NeighborhoodMap(sets=sets[l], l=l, metric=metric, warnings=warnings[l])
+        for l in ls
     }
 
 
-def knn_sets_from_data(data: Dataset, l: int) -> NeighborhoodMap:
-    """Like knn_sets but streams rows when n is too large for a dense matrix."""
-    if data.n <= _DENSE_LIMIT:
-        return knn_sets(distance_matrix(data), l)
-    n = data.n
-    if not 1 <= l <= n:
-        raise InvalidSize(f"neighborhood size {l} outside [1, {n}]")
-    mask = data.continuous_columns()
-    A = data.X[:, mask] if mask.any() else np.zeros((n, 1))
-    sq = np.einsum("ij,ij->i", A, A)
-    sets = []
-    for i in range(n):
-        d2 = np.maximum(sq + sq[i] - 2.0 * (A @ A[i]), 0.0)
-        d2[i] = 0.0
-        sets.append(_smallest_l(np.sqrt(d2), i, l))
-    return NeighborhoodMap(sets=sets, l=l, metric="euclidean")
-
-
-def categorical_sets(data: Dataset, l: int | None = None) -> NeighborhoodMap:
-    """Exact-match cells on categorical columns; optionally intersected with
-    Euclidean k-NN on the continuous columns inside each cell.
-
-    Cell size caps l (a warning records each cap); singleton cells make the
-    local resampling degenerate and are surfaced as warnings too.
-    """
-    cat = np.array([m == "categorical" for m in data.column_meta])
-    if not cat.any():
-        raise InvalidSize("categorical_sets requires at least one categorical column")
-    cont = data.continuous_columns()
-    keys = [tuple(row) for row in data.X_raw[:, cat]]
-    cells: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        cells.setdefault(key, []).append(i)
-    warnings = []
-    for key, members in cells.items():
-        if len(members) == 1:
-            warnings.append(f"singleton cell {key}: local resampling is degenerate")
-    sets: list = [None] * data.n
-    for key, members in cells.items():
-        members_arr = np.array(members)
-        size = members_arr.shape[0]
-        if l is None or not cont.any():
-            for i in members:
-                sets[i] = members_arr.copy()
-            continue
-        l_eff = min(l, size)
-        if l_eff < l:
-            warnings.append(f"cell {key} has {size} rows; l capped at {l_eff}")
-        A = data.X[np.ix_(members_arr, np.flatnonzero(cont))]
-        D = np.sqrt(np.maximum(_pairwise_sq(A), 0.0))
-        for i, chosen in zip(members, _knn_rows(D, [l_eff])[l_eff]):
-            sets[i] = np.sort(members_arr[chosen])
-    return NeighborhoodMap(sets=sets, l=l, metric="categorical_exact", warnings=warnings)
-
-
 def build_neighborhoods(data: Dataset, l: int) -> NeighborhoodMap:
-    """Default neighborhood construction: categorical cells when categorical
-    columns exist, otherwise Euclidean k-NN."""
-    if any(m == "categorical" for m in data.column_meta):
-        return categorical_sets(data, l)
-    return knn_sets_from_data(data, l)
+    """The l-nearest-neighbor sets of every observation under the module's
+    one rule: exact categorical cells, then Euclidean k-NN on the continuous
+    columns inside each cell."""
+    return _neighbor_sets(data, [l])[l]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +214,10 @@ def select_size(
     best match the full-data estimate, iterating the n^(1/3) rescaling until
     the selected size stabilizes (change <= delta) or the iteration cap.
 
-    Hitting the cap is not an error: the trace returns flagged unconverged.
+    Subsample and full-data runs use the neighborhoods `run` builds itself
+    (`build_neighborhoods`). Data without a continuous column is rejected:
+    its neighborhoods are whole categorical cells for every l. Hitting the
+    cap is not an error: the trace returns flagged unconverged.
     """
     from .bootstrap import BootstrapMethod, run  # local import to avoid a cycle
 
@@ -293,6 +230,11 @@ def select_size(
         raise InvalidSize("subsample size m must satisfy 1 < m < n")
     if K < 2:
         raise InvalidSize("need at least K=2 subsamples")
+    if not data.continuous_columns().any():
+        raise InvalidSize(
+            "size selection needs a continuous column: without one every "
+            "neighborhood is a whole categorical cell, whatever l"
+        )
     grid = tuple(int(g) for g in grid)
     Q = len(grid)
 
@@ -300,15 +242,13 @@ def select_size(
     if target_coef is None:
         target_coef = fit0.first_slope
 
-    D_full = distance_matrix(data)
     subsample_se = np.empty((K, Q))
     for k in range(K):
         rows = substream(seed, k).choice(n, size=m, replace=False)
         rows.sort()
         sub = data.with_rows(rows)
-        D_sub = D_full[np.ix_(rows, rows)]
         fit_k = _fit_for(sub, spec, options)
-        nb_by_l = knn_sets_multi(D_sub, [min(l_q, m) for l_q in grid])
+        nb_by_l = _neighbor_sets(sub, [min(l_q, m) for l_q in grid])
         for q, l_q in enumerate(grid):
             out = run(
                 sub,
@@ -327,7 +267,7 @@ def select_size(
 
     def full_psi(l_val: int) -> float:
         if l_val not in full_cache:
-            nb = knn_sets(D_full, min(l_val, n))
+            nb = build_neighborhoods(data, min(l_val, n))
             out = run(
                 data,
                 spec,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
-from scipy.stats import ks_2samp
 
 from .bootstrap import ci_percentile, run
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
@@ -998,6 +997,8 @@ def theorem1_ks(
     """Two-sample KS distance between one round of locally resampled
     surrogate residuals and surrogate residuals drawn under the pseudo-true
     parameters (fresh response from the true process)."""
+    from scipy.stats import ks_2samp  # scipy.stats alone takes most of a CLI import
+
     scn = get_scenario(scenario_id)
     merged = truth.params
     n = truth.n

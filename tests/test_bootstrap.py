@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import lrboot as lb
-from lrboot.bootstrap import BootstrapMethod, ci_percentile, p_value, run, se_estimate
+from lrboot.bootstrap import (
+    BootstrapMethod,
+    _sampler,
+    ci_percentile,
+    p_value,
+    run,
+    se_estimate,
+)
 from lrboot.errors import (
     IncompatibleResidual,
     MethodCannotRecreate,
@@ -16,6 +23,8 @@ from lrboot.errors import (
     TooManyFailures,
     UnsupportedKind,
 )
+from lrboot.neighborhood import build_neighborhoods
+from lrboot.rng import substream
 
 RESIDUAL_KINDS_BINARY = ("pearson", "sbs", "surrogate")
 
@@ -162,6 +171,28 @@ def test_ci_normal_midpoint_and_width_exact():
     width = out.ci_normal[:, 1] - out.ci_normal[:, 0]
     z = norm.ppf(0.95)
     assert np.allclose(width, 2 * z * out.se_hat, atol=1e-12)
+
+
+def test_unequal_neighbor_sets_draw_as_per_observation_loop():
+    # categorical cells of 3 and n-3 rows cap l=7 in one cell: unequal set sizes
+    rng = np.random.default_rng(6)
+    n = 90
+    x = rng.uniform(-1, 1, n)
+    g = (np.arange(n) >= 3).astype(float)
+    y = np.arange(n, dtype=float)  # distinct responses identify the drawn rows
+    ds = lb.make_dataset(y, np.column_stack([x, g]), column_meta=("continuous", "categorical"))
+    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
+    nb = build_neighborhoods(ds, 7)
+    assert nb.as_matrix() is None
+    method = BootstrapMethod.local_response(7)
+    draw = _sampler(ds, spec, method, lb.fit_qmle(ds, spec), 3, nb)
+    lengths = np.array([len(s) for s in nb.sets], dtype=float)
+    for b in range(1, 40):
+        u = substream(3, b).random(n)
+        k = np.floor(u * lengths).astype(int)
+        expected = np.array([nb.sets[i][k[i]] for i in range(n)])
+        y_star, w_star = draw(substream(3, b))
+        assert np.array_equal(y_star, y[expected]) and w_star is None
 
 
 def test_pairwise_never_fabricates_rows():

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -428,3 +431,13 @@ def test_error_stream_carries_module_error_name(tmp_path, binary_csv, capsys):
     )
     err = capsys.readouterr().err
     assert "IncompatibleResidual" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold `import lrboot.cli`; only the KS check needs it
+    probe = "import sys, lrboot.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,7 @@
-"""Distance structures, k-NN sets, categorical cells, size selection."""
+"""Neighbor sets under the one rule (categorical cells, then Euclidean k-NN
+with self-first/index tie-breaking), and size selection."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,94 +9,91 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrboot as lb
+from lrboot.bootstrap import BootstrapMethod, run
 from lrboot.errors import InvalidSize
-from lrboot.neighborhood import (
-    build_neighborhoods,
-    categorical_sets,
-    distance_matrix,
-    knn_sets,
-    knn_sets_multi,
-    linear_predictor_distances,
-    select_size,
-)
+from lrboot.neighborhood import _neighbor_sets, build_neighborhoods, select_size
+from lrboot.rng import derive_seed, substream
 
 
-def _data(X, meta=None, y=None):
+def _raw(X, meta=None):
+    X = np.asarray(X, dtype=float)
+    X = X[:, None] if X.ndim == 1 else X
+    return lb.make_dataset(np.zeros(X.shape[0]), X, column_meta=meta, standardize=False)
+
+
+def _oracle_sets(X, l, cells=None):
+    """Brute-force rule: inside i's cell, the l rows first in (distance,
+    self first, index) order."""
     n = X.shape[0]
-    return lb.make_dataset(
-        y if y is not None else np.zeros(n), X, column_meta=meta
-    )
+    idx = np.arange(n)
+    cells = np.zeros(n) if cells is None else cells
+    out = []
+    for i in range(n):
+        d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        d[cells != cells[i]] = np.inf
+        m = min(l, int(np.sum(cells == cells[i])))
+        out.append(np.sort(np.lexsort((idx, idx != i, d))[:m]))
+    return out
 
 
 def test_distance_simple():
-    X = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    ds = _data(X)
-    ds = lb.make_dataset(np.zeros(3), X, standardize=False)
-    D = distance_matrix(ds)
-    assert np.isclose(D[0, 1], 5.0)
-    assert np.allclose(D, D.T)
-    assert np.all(np.diag(D) == 0)
+    ds = _raw([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    nb = build_neighborhoods(ds, 2)
+    # |x1 - x0| = 5 and |x1 - x2| = sqrt(13): row 2 is everyone's nearest
+    for s, e in zip(nb.sets, [[0, 2], [1, 2], [0, 2]]):
+        assert np.array_equal(s, e)
 
 
 def test_distance_duplicate_rows():
-    X = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-    D = distance_matrix(lb.make_dataset(np.zeros(3), X, standardize=False))
-    assert D[0, 1] == 0.0
+    ds = _raw([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+    pair = build_neighborhoods(ds, 2)
+    assert np.array_equal(pair.sets[0], [0, 1])
+    assert np.array_equal(pair.sets[1], [0, 1])
 
 
 def test_distance_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((10, 3))
-    ds = lb.make_dataset(np.zeros(10), X, standardize=False)
-    D = distance_matrix(ds)
     brute = np.zeros((10, 10))
     for i in range(10):
         for j in range(10):
             brute[i, j] = np.sqrt(np.sum((X[i] - X[j]) ** 2))
-    assert np.abs(D - brute).max() < 1e-12
+    for l in range(1, 11):
+        nb = build_neighborhoods(_raw(X), l)
+        for i in range(10):
+            assert np.array_equal(nb.sets[i], np.sort(np.argsort(brute[i])[:l]))
 
 
 def test_distance_translation_invariant():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((15, 2))
-    d1 = distance_matrix(lb.make_dataset(np.zeros(15), X, standardize=False))
-    d2 = distance_matrix(lb.make_dataset(np.zeros(15), X + 7.3, standardize=False))
-    assert np.allclose(d1, d2, atol=1e-12)
-    nb1 = knn_sets(d1, 4)
-    nb2 = knn_sets(d2, 4)
+    nb1 = build_neighborhoods(_raw(X), 4)
+    nb2 = build_neighborhoods(_raw(X + 7.3), 4)
     for a, b in zip(nb1.sets, nb2.sets):
         assert np.array_equal(a, b)
 
 
 def test_knn_full_size_is_everyone():
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((12, 2))
-    D = distance_matrix(lb.make_dataset(np.zeros(12), X, standardize=False))
-    nb = knn_sets(D, 12)
+    nb = build_neighborhoods(_raw(rng.standard_normal((12, 2))), 12)
     for s in nb.sets:
         assert np.array_equal(s, np.arange(12))
 
 
 def test_knn_size_one_is_self():
-    X = np.array([[0.0], [0.0], [1.0]])  # duplicate rows: self must still win
-    D = distance_matrix(lb.make_dataset(np.zeros(3), X, standardize=False))
-    nb = knn_sets(D, 1)
+    nb = build_neighborhoods(_raw([0.0, 0.0, 1.0]), 1)  # duplicates: self still wins
     for i, s in enumerate(nb.sets):
         assert np.array_equal(s, [i])
 
 
 def test_knn_tie_rule_ascending_index():
-    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    D = distance_matrix(lb.make_dataset(np.zeros(5), x[:, None], standardize=False))
-    nb = knn_sets(D, 2)
+    nb = build_neighborhoods(_raw([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
     # row 3 (0-based 2) ties between neighbors 2 and 4; ascending index wins
     assert np.array_equal(nb.sets[2], [1, 2])
 
 
 def test_knn_exhaustive_tiny_instance():
-    x = np.array([0.0, 1.0, 3.0, 6.0])
-    D = distance_matrix(lb.make_dataset(np.zeros(4), x[:, None], standardize=False))
-    nb = knn_sets(D, 2)
+    nb = build_neighborhoods(_raw([0.0, 1.0, 3.0, 6.0]), 2)
     expected = [[0, 1], [0, 1], [1, 2], [2, 3]]
     for s, e in zip(nb.sets, expected):
         assert np.array_equal(s, e)
@@ -109,66 +109,60 @@ def test_knn_always_contains_self(n, l, seed):
     l = min(l, n)
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, size=(n, 2)).astype(float)  # many exact ties
-    D = distance_matrix(lb.make_dataset(np.zeros(n), X, standardize=False))
-    nb = knn_sets(D, l)
+    nb = build_neighborhoods(_raw(X), l)
     for i, s in enumerate(nb.sets):
         assert i in s
         assert len(s) == l == len(set(s.tolist()))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    st.integers(min_value=3, max_value=300),
+    st.integers(min_value=5, max_value=300),
+    st.integers(min_value=1, max_value=3),
     st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+    st.booleans(),
     st.integers(min_value=0, max_value=10_000),
 )
-@example(n=300, ls=[1, 10, 37], seed=1)  # spans two row chunks
-def test_knn_matches_tie_rule_oracle(n, ls, seed):
+@example(n=300, p=2, ls=[1, 10, 37], with_cells=False, seed=1)
+@example(n=300, p=1, ls=[1, 10, 37], with_cells=True, seed=2)
+def test_knn_matches_tie_rule_oracle(n, p, ls, with_cells, seed):
     # coordinates on a 0.1 grid force distance ties and duplicate rows
     rng = np.random.default_rng(seed)
-    X = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)), 1)
-    D = distance_matrix(lb.make_dataset(np.zeros(n), X, standardize=False))
+    X = np.round(rng.uniform(-1.0, 1.0, size=(n, p)), 1)
+    cells = rng.integers(0, 3, size=n).astype(float) if with_cells else None
+    if with_cells:
+        ds = _raw(np.column_stack([cells, X]), ("categorical",) + ("continuous",) * p)
+    else:
+        ds = _raw(X)
     ls = [min(l, n) for l in ls]
-    multi = knn_sets_multi(D, ls)
-    idx = np.arange(n)
+    multi = _neighbor_sets(ds, ls)
     for l in ls:
-        single = knn_sets(D, l)
-        for i in range(n):
-            # (distance, self first, index) order
-            expected = np.sort(np.lexsort((idx, idx != i, D[i]))[:l])
+        single = build_neighborhoods(ds, l)
+        for i, expected in enumerate(_oracle_sets(X, l, cells)):
             assert np.array_equal(single.sets[i], expected)
             assert np.array_equal(multi[l].sets[i], expected)
 
 
-def test_streaming_knn_matches_dense(monkeypatch):
-    import lrboot.neighborhood as nb_mod
-
-    rng = np.random.default_rng(12)
-    X = rng.standard_normal((60, 2))
-    ds = lb.make_dataset(np.zeros(60), X)
-    dense = nb_mod.knn_sets(distance_matrix(ds), 7)
-    monkeypatch.setattr(nb_mod, "_DENSE_LIMIT", 10)  # force the streaming path
-    streamed = nb_mod.knn_sets_from_data(ds, 7)
-    for a, b in zip(dense.sets, streamed.sets):
-        assert np.array_equal(a, b)
-
-
 def test_knn_invalid_size():
-    D = np.zeros((3, 3))
-    with pytest.raises(InvalidSize):
-        knn_sets(D, 0)
-    with pytest.raises(InvalidSize):
-        knn_sets(D, 4)
-    with pytest.raises(InvalidSize):
-        knn_sets_multi(D, [0])
-    with pytest.raises(InvalidSize):
-        knn_sets_multi(D, [4])
+    ds = _raw([0.0, 1.0, 2.0])
+    for bad in (0, 4):
+        with pytest.raises(InvalidSize):
+            build_neighborhoods(ds, bad)
+        with pytest.raises(InvalidSize):
+            _neighbor_sets(ds, [2, bad])
 
 
-def test_linear_predictor_metric():
-    eta = np.array([0.0, 1.0, -2.0])
-    D = linear_predictor_distances(eta)
-    assert D[1, 2] == 3.0 and D[0, 1] == 1.0
+def test_build_neighborhoods_scales_to_20000_rows():
+    rng = np.random.default_rng(20)
+    ds = lb.make_dataset(np.zeros(20_000), rng.standard_normal((20_000, 2)))
+    tracemalloc.start()
+    try:
+        nb = build_neighborhoods(ds, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # a dense 20,000 x 20,000 distance matrix is 3.2 GB
+    assert nb.as_matrix().shape == (20_000, 10)
 
 
 def test_categorical_cells_partition():
@@ -177,12 +171,13 @@ def test_categorical_cells_partition():
         [rng.integers(0, 2, 40), rng.integers(0, 2, 40)]
     ).astype(float)
     ds = lb.make_dataset(np.zeros(40), X, column_meta=("categorical", "categorical"))
-    nb = categorical_sets(ds)
     keys = {tuple(X[i]) for i in range(40)}
     assert len(keys) == 4
-    for i, s in enumerate(nb.sets):
-        members = {j for j in range(40) if tuple(X[j]) == tuple(X[i])}
-        assert set(s.tolist()) == members
+    for l in (1, 5, 40):  # without a continuous column a cell ignores l
+        nb = build_neighborhoods(ds, l)
+        for i, s in enumerate(nb.sets):
+            members = {j for j in range(40) if tuple(X[j]) == tuple(X[i])}
+            assert set(s.tolist()) == members
 
 
 def test_categorical_cell_caps_l_with_warning():
@@ -193,7 +188,7 @@ def test_categorical_cell_caps_l_with_warning():
         np.column_stack([X_cat, X_cont]),
         column_meta=("categorical", "continuous"),
     )
-    nb = categorical_sets(ds, l=5)
+    nb = build_neighborhoods(ds, 5)
     assert len(nb.sets[0]) == 3  # cell of size 3 caps requested l=5
     assert any("capped" in w for w in nb.warnings)
 
@@ -201,7 +196,7 @@ def test_categorical_cell_caps_l_with_warning():
 def test_categorical_singleton_cell_warns():
     X = np.array([[0.0], [1.0], [1.0], [1.0]])
     ds = lb.make_dataset(np.zeros(4), X, column_meta=("categorical",))
-    nb = categorical_sets(ds)
+    nb = build_neighborhoods(ds, 2)
     assert any("singleton" in w for w in nb.warnings)
     assert np.array_equal(nb.sets[0], [0])
 
@@ -257,3 +252,35 @@ def test_select_size_scaled_membership():
     scale = (150 / 130) ** (1 / 3)
     allowed = {max(2, round(scale * g)) for g in trace.grid}
     assert trace.final_l in allowed
+
+
+def test_select_size_uses_the_neighborhoods_run_builds():
+    rng = np.random.default_rng(41)
+    n = 120
+    x = rng.uniform(0, 1, n)
+    g = rng.integers(0, 2, n).astype(float)
+    y = 1.0 + x + g + rng.standard_normal(n) * (0.1 + 0.5 * x)
+    ds = lb.make_dataset(y, np.column_stack([x, g]), column_meta=("continuous", "categorical"))
+    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0), lb.Term("raw", 1)))
+    seed, grid, m, B_inner = 4, (2, 6), 100, 30
+    trace = select_size(ds, spec, "raw", grid=grid, K=2, m=m, B_inner=B_inner, seed=seed)
+    for k in range(2):
+        rows = substream(seed, k).choice(n, size=m, replace=False)
+        rows.sort()
+        sub = ds.with_rows(rows)
+        fit_k = lb.fit_qmle(sub, spec)
+        for q, l_q in enumerate(grid):
+            out = run(
+                sub, spec, BootstrapMethod.lrb("raw", l_q), B=B_inner,
+                seed=derive_seed(seed, k, q), fit=fit_k,
+            )
+            assert trace.subsample_se[k, q] == out.se_hat[trace.target_coef]
+
+
+def test_select_size_needs_a_continuous_column():
+    rng = np.random.default_rng(42)
+    g = rng.integers(0, 2, (60, 1)).astype(float)
+    ds = lb.make_dataset(g[:, 0] + rng.standard_normal(60), g, column_meta=("categorical",))
+    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
+    with pytest.raises(InvalidSize):
+        select_size(ds, spec, "raw", grid=(2, 4), K=2, m=50, B_inner=20)

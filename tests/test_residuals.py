@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 from scipy.stats import kstest, norm
 
 import lrboot as lb
@@ -223,6 +226,69 @@ def test_recreate_pearson_round_trip_where_no_clamp():
     back = res.recreate(fit, ds, r, "pearson")
     no_clamp = back > 0
     assert np.allclose(back[no_clamp], y[no_clamp], atol=1e-10)
+
+
+def _random_categorical_fit(rng, link, J, n, scale):
+    """Hand-assembled binary (J=0) or J-category ordinal fit at random
+    linear predictors, with a response drawn uniformly over the categories."""
+    cdf = norm.cdf if link == "probit" else expit
+    eta = rng.uniform(-scale, scale, n)
+    if J == 0:
+        mu = cdf(eta)
+        fit = _manual_fit("binomial", link, eta, mu=mu, var=mu * (1 - mu))
+        return fit, rng.integers(0, 2, n).astype(float)
+    alpha = np.cumsum(rng.uniform(0.2, 1.5, J - 1)) - 0.7 * (J - 1)
+    cum = cdf(alpha[None, :] - eta[:, None])
+    probs = np.diff(np.column_stack([np.zeros(n), cum, np.ones(n)]), axis=1)
+    fit = _manual_fit("ordinal", link, eta, mu=probs, alpha=alpha, J=J)
+    return fit, rng.integers(1, J + 1, n).astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["surrogate", "sbs"]),
+    st.sampled_from([("probit", 0), ("logit", 0), ("probit", 3), ("probit", 5)]),
+    st.floats(min_value=0.1, max_value=8.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_recreate_inverts_categorical_residuals(kind, link_J, scale, seed):
+    link, J = link_J
+    rng = np.random.default_rng(seed)
+    fit, y = _random_categorical_fit(rng, link, J, 200, scale)
+    ds = _ds(y)
+    r = res.compute(fit, ds, kind, rng=substream(seed)).values
+    back = res.recreate(fit, ds, r, kind)
+    keep = np.ones(y.shape[0], dtype=bool)
+    if kind == "sbs" and J:
+        # far in the tails two categories' SBS values round to the same float
+        cum = np.cumsum(np.column_stack([np.zeros(y.shape[0]), fit.mu_hat]), axis=1)
+        keep = np.all(np.diff(cum[:, :-1] + cum[:, 1:] - 1.0, axis=1) > 0, axis=1)
+    assert np.array_equal(back[keep], y[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["binomial", "poisson", "gamma", "gaussian"]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_recreate_inverts_pearson_where_no_clamp(family, seed):
+    rng = np.random.default_rng(seed)
+    n = 200
+    mu = rng.uniform(0.05, 0.95, n) if family == "binomial" else rng.uniform(0.2, 8.0, n)
+    if family == "binomial":
+        y, var = rng.integers(0, 2, n).astype(float), mu * (1 - mu)
+    elif family == "poisson":
+        y, var = rng.poisson(mu).astype(float), mu
+    elif family == "gamma":
+        y, var = rng.gamma(2.0, mu / 2.0), mu**2
+    else:
+        y, var = mu + rng.standard_normal(n), np.ones(n)
+    link = {"binomial": "probit", "poisson": "log", "gamma": "inverse"}.get(family, "identity")
+    fit = _manual_fit(family, link, np.zeros(n), mu=mu, var=var)
+    ds = _ds(y)
+    back = res.recreate(fit, ds, res.pearson(fit, ds).values, "pearson")
+    # mu + sqrt(V) (y - mu) / sqrt(V) rounds twice; no clamp moves a value here
+    assert np.allclose(back, y, rtol=1e-13, atol=1e-13)
 
 
 def test_recreate_sbs_ordinal_monotone_pseudo_inverse():
