@@ -3,11 +3,12 @@ classical residual bootstrap, and the parametric/pairwise/wild/multiplier
 comparison methods.
 
 Every method draws responses y* or weights w* on the one fitted design, so
-replicates are refit in fixed blocks of 64 by the vectorized kernel
-`glm.fit_design_batch` (ordinal rows by `fit_ordinal_design`, row by row).
-Replicate b always consumes the substream (seed, b) with per-observation
-draws in observation order, and the blocks do not depend on how many worker
-threads run them, so outcomes are bit-identical for any thread count.
+replicates are refit in blocks by the Newton driver `glm.fit_design_batch`,
+ordinal models included. A block holds `family.block_rows(n)` replicates, a
+fixed budget of response cells. Replicate b always consumes the substream
+(seed, b) with per-observation draws in observation order, and the blocks do
+not depend on how many worker threads run them, so outcomes are
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from scipy.special import ndtri
 from . import residuals as res
 from .data import Dataset, ModelSpec
 from .errors import (
-    FitError,
     IncompatibleResidual,
     InvalidSize,
     TooFewReplicates,
@@ -31,10 +31,8 @@ from .errors import (
 from .glm import (
     FitOptions,
     FitResult,
-    _ordinal_pack,
+    family_for,
     fit_design_batch,
-    fit_ordinal,
-    fit_ordinal_design,
     fit_qmle,
     get_family,
 )
@@ -64,9 +62,6 @@ METHOD_KINDS = (
 RESPONSE_RECREATING = ("lrb", "local_response", "classical_residual", "parametric")
 
 _FAILURE_SHARE = 0.2
-
-# replicates per refit block; fixed, so outputs do not depend on n_threads
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -305,38 +300,6 @@ def _sampler(data, spec, method, fit, seed, neighborhoods):
     return draw
 
 
-def _block_refit(fit: FitResult, options):
-    """Refit function for one block: (Y*, W*) -> (coefficients, ok per row)."""
-    Xd = fit.design.matrix
-    spec = fit.spec
-    if not spec.is_ordinal:
-        family = get_family(spec.family, spec.link)
-
-        def refit(Y, W):
-            out = fit_design_batch(Xd, Y, family, options, weights=W, beta0=fit.beta_hat)
-            return out.beta, out.ok
-
-        return refit
-    phi0 = _ordinal_pack(fit.alpha_hat, fit.beta_hat)
-
-    def refit_ordinal(Y, W):
-        coefs = np.full((Y.shape[0], phi0.shape[0]), np.nan)
-        ok = np.zeros(Y.shape[0], dtype=bool)
-        for r in range(Y.shape[0]):
-            try:
-                a, bet, *_ = fit_ordinal_design(
-                    Xd, Y[r], spec.n_categories, options,
-                    weights=None if W is None else W[r], phi0=phi0,
-                )
-            except FitError:
-                continue
-            coefs[r] = np.concatenate([a, bet])
-            ok[r] = True
-        return coefs, ok
-
-    return refit_ordinal
-
-
 def run(
     data: Dataset,
     spec: ModelSpec,
@@ -353,30 +316,31 @@ def run(
 ) -> BootstrapOutcome:
     """Run B bootstrap replicates and assemble SE/CI estimates.
 
-    Replicates are drawn and refit in fixed blocks of 64 on the fitted
-    design; n_threads workers take whole blocks. Failed replicate fits are
-    dropped and counted; more than 20% failures aborts. Identical inputs give
-    bit-identical outcomes for any n_threads.
+    Replicates are drawn and refit in blocks of `family.block_rows(n)` on
+    the fitted design; n_threads workers take whole blocks. Failed replicate
+    fits are dropped and counted; more than 20% failures aborts. Identical
+    inputs give bit-identical outcomes for any n_threads.
     """
     _validate(data, spec, method)
     if keep_responses and not method.recreates_responses:
         raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")
     if fit is None:
-        fit = fit_ordinal(data, spec, options) if spec.is_ordinal else fit_qmle(
-            data, spec, options
-        )
+        fit = fit_qmle(data, spec, options)
     draw = _sampler(data, spec, method, fit, seed, neighborhoods)
-    refit = _block_refit(fit, options)
+    family = family_for(spec)
+    rows = family.block_rows(data.n)
 
     def replicate_block(first: int):
-        bs = range(first, min(first + _BLOCK, B + 1))
+        bs = range(first, min(first + rows, B + 1))
         Y, W = zip(*(draw(substream(seed, b)) for b in bs))
         Y = np.vstack(Y)
         W = None if W[0] is None else np.vstack(W)
-        coefs, ok = refit(Y, W)
-        return coefs, ok, Y if keep_responses else None
+        out = fit_design_batch(
+            fit.design.matrix, Y, family, options, weights=W, beta0=fit.coef
+        )
+        return out.beta, out.ok, Y if keep_responses else None
 
-    starts = range(1, B + 1, _BLOCK)
+    starts = range(1, B + 1, rows)
     if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as ex:
             blocks = list(ex.map(replicate_block, starts))

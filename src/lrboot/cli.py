@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .glm import fit_ordinal, fit_qmle
+from .glm import fit_qmle
 from .neighborhood import select_size
 from .rng import substream
 from .selection import CandidateSet, rank_models
@@ -438,7 +438,7 @@ def _fit_payload(fit, info, args, command):
 
 def _cmd_fit(args) -> int:
     ds, spec, info = _load_dataset(args)
-    fit = fit_ordinal(ds, spec) if spec.is_ordinal else fit_qmle(ds, spec)
+    fit = fit_qmle(ds, spec)
     _write_json(args.output, _fit_payload(fit, info, args, "fit"))
     return 0
 

@@ -1,12 +1,16 @@
 """Quasi-maximum-likelihood fitting for GLM families and the cumulative-link
 ordinal model.
 
-The solver is Fisher-scoring Newton on the quasi-score with step-halving;
-convergence is declared on the max-abs score component. `fit_design` fits one
-response vector; `fit_design_batch` fits a block of response vectors on the
-same design with one vectorized loop that applies the same rules row by row.
-The ordinal model is maximized over (alpha_1, log-gaps, beta) so the
-cutpoints stay increasing.
+Every fit runs one driver, `fit_design_batch`: Fisher scoring on the
+quasi-score for a block of response vectors on one prebuilt design, with
+step-halving, convergence declared on the max-abs score component, and a
+failure class recorded per row. `fit_qmle` is a one-row call of it. A family
+supplies what the driver needs for a block: per-row screens and cold starts,
+log-likelihood terms, and the score with a positive semi-definite
+information. The cumulative-probit model (`CumulativeProbit`) is maximized
+over (alpha_1, log-gaps, beta), so the cutpoints stay increasing, with its
+analytic Fisher information (McCullagh 1980, JRSS-B). Callers that fit many
+response vectors take `family.block_rows(n)` rows per block.
 """
 
 from __future__ import annotations
@@ -31,24 +35,36 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "BatchFit",
+    "CumulativeProbit",
     "fit_qmle",
     "fit_ordinal",
-    "fit_design",
     "fit_design_batch",
-    "fit_ordinal_design",
     "predict_mean",
     "get_family",
+    "family_for",
     "ordinal_probs",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _MU_EPS = 1e-12
+_P_MIN = 1e-300  # floor of an ordinal category probability inside the log
+
+# Response cells (rows x observations x categories) per refit block. A
+# block's working arrays grow with its cells, so a fixed budget keeps refit
+# memory flat in n and in the number of categories, while each block still
+# spreads the driver's per-iteration Python work over many rows (16 GLM rows
+# at n=2000).
+_REFIT_CELLS = 2**15
 
 
 def _npdf(z):
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(-0.5 * np.square(z)) / _SQRT2PI
     return np.nan_to_num(out, nan=0.0, posinf=0.0)
+
+
+def _constant_columns(Xd):
+    return np.all(Xd == Xd[0:1], axis=0) & (Xd[0] != 0)
 
 
 @dataclass(frozen=True)
@@ -84,10 +100,8 @@ class FitResult:
 
     @property
     def coef_names(self) -> tuple[str, ...]:
-        if self.alpha_hat is None:
-            return self.design.coef_names
-        alphas = tuple(f"alpha_{j + 1}" for j in range(len(self.alpha_hat)))
-        return alphas + self.design.coef_names
+        n_cut = 0 if self.alpha_hat is None else len(self.alpha_hat)
+        return _coef_names(self.design, n_cut)
 
     @property
     def first_slope(self) -> int:
@@ -101,17 +115,62 @@ class FitResult:
         return self.design.matrix @ self.beta_hat
 
 
+def _coef_names(design: DesignInfo, n_cut: int) -> tuple[str, ...]:
+    """Names of (cutpoints, design coefficients) with n_cut cutpoints."""
+    return tuple(f"alpha_{j + 1}" for j in range(n_cut)) + design.coef_names
+
+
+class _Design:
+    """A prebuilt design with the column products its information needs."""
+
+    def __init__(self, Xd):
+        self.X = Xd
+        self.XT = np.ascontiguousarray(Xd.T)
+        self.iu, self.ju = np.triu_indices(Xd.shape[1])
+        self.Z = Xd[:, self.iu] * Xd[:, self.ju]
+
+    def gram(self, wk):
+        """X' diag(wk[r]) X for each row r of wk, from one product with the
+        column products X[:, i] * X[:, j] (i <= j): nothing of size
+        b x n x q is allocated."""
+        q = self.X.shape[1]
+        H = np.empty((wk.shape[0], q, q))
+        H[:, self.iu, self.ju] = H[:, self.ju, self.iu] = wk @ self.Z
+        return H
+
+
 # ---------------------------------------------------------------------------
 # families
 
 
 class _BaseFamily:
+    """A GLM family: mean, variance and log-likelihood per observation, and
+    the hooks `fit_design_batch` calls for a block of rows. The driver's
+    parameter vector theta is the coefficient vector itself."""
+
     name = ""
     link = ""
     check_separation = False
+    cells = 1  # response cells per observation
+    n_cut = 0  # entries of theta ahead of the slopes
 
-    def initial_beta(self, Xd, y):
+    def block_rows(self, n: int) -> int:
+        """Rows per refit block for n observations, within the cell budget."""
+        return max(1, _REFIT_CELLS // (n * self.cells))
+
+    def screen(self, Xd, Y, W):
+        """Per-row errors known before fitting; None where a row can be fit."""
+        return [None] * Y.shape[0]
+
+    def start(self, Xd, y, w):
+        """Cold start for one response vector."""
         return np.zeros(Xd.shape[1])
+
+    def to_theta(self, coef):
+        return coef
+
+    def to_coef(self, theta):
+        return theta
 
     def valid_eta(self, eta):
         """Whether each linear-predictor vector (last axis) lies in the
@@ -120,6 +179,22 @@ class _BaseFamily:
 
     def clamp_response(self, vals):
         return vals
+
+    def score(self, design, Y, W, theta, eta):
+        """Quasi-score per row, and a function giving the Fisher information
+        X' diag(w D^2 / V) X of the rows a mask selects."""
+        mu = self.mean(eta)
+        D = self.mean_deriv(eta)
+        V = self.variance(mu)
+        u = D / V * (Y - mu)
+        g = (u if W is None else W * u) @ design.X
+        wk = D * D / V if W is None else W * D * D / V
+        return g, lambda sel: design.gram(wk[sel])
+
+    def fitted(self, Xd, coef):
+        """(cutpoints, slopes, fitted means, variances) at one coefficient vector."""
+        mu = self.mean(Xd @ coef)
+        return None, coef, mu, self.variance(mu)
 
 
 class BinomialProbit(_BaseFamily):
@@ -135,11 +210,24 @@ class BinomialProbit(_BaseFamily):
     def variance(self, mu):
         return mu * (1.0 - mu)
 
-    def loglik_terms(self, y, eta):
+    def loglik_terms(self, y, eta, theta=None):
         if np.all((y == 0.0) | (y == 1.0)):
             # one log_ndtr per observation; bit-identical to the two-term form
             return log_ndtr(np.where(y == 1.0, eta, -eta))
         return y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
+
+    def screen(self, Xd, Y, W):
+        # with a constant column, responses that are all 0 or all 1 are
+        # fitted better by every larger intercept: no MLE exists
+        errors = super().screen(Xd, Y, W)
+        if _constant_columns(Xd).any():
+            dead = np.zeros(Y.shape, dtype=bool) if W is None else W <= 0.0
+            constant = np.all((Y == 0.0) | dead, axis=1) | np.all((Y == 1.0) | dead, axis=1)
+            for r in np.flatnonzero(constant):
+                errors[r] = SeparationDetected(
+                    "responses are all 0 or all 1; the data are separated"
+                )
+        return errors
 
     def clamp_response(self, vals):
         return np.clip(vals, 0.0, 1.0)
@@ -158,7 +246,7 @@ class BinomialLogit(BinomialProbit):
         mu = expit(eta)
         return mu * (1.0 - mu)
 
-    def loglik_terms(self, y, eta):
+    def loglik_terms(self, y, eta, theta=None):
         return y * eta - np.logaddexp(0.0, eta)
 
 
@@ -175,7 +263,7 @@ class PoissonLog(_BaseFamily):
     def variance(self, mu):
         return np.maximum(mu, _MU_EPS)
 
-    def loglik_terms(self, y, eta):
+    def loglik_terms(self, y, eta, theta=None):
         return y * eta - self.mean(eta)
 
     def clamp_response(self, vals):
@@ -197,7 +285,7 @@ class GammaInverse(_BaseFamily):
     def variance(self, mu):
         return np.square(mu)
 
-    def loglik_terms(self, y, eta):
+    def loglik_terms(self, y, eta, theta=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -y * eta + np.log(eta)
 
@@ -207,11 +295,10 @@ class GammaInverse(_BaseFamily):
     def clamp_response(self, vals):
         return np.maximum(vals, 1e-12)
 
-    def initial_beta(self, Xd, y):
+    def start(self, Xd, y, w):
         # eta must start positive; beta = 0 is inadmissible for this link
-        is_intercept = np.all(Xd == Xd[0:1], axis=0) & (Xd[0] != 0)
         beta = np.zeros(Xd.shape[1])
-        if is_intercept[0]:
+        if _constant_columns(Xd)[0]:
             beta[0] = 1.0 / (Xd[0, 0] * max(float(np.mean(y)), 1e-8))
             return beta
         target = 1.0 / np.clip(y, 1e-8, None)
@@ -240,12 +327,148 @@ class GaussianIdentity(_BaseFamily):
     def variance(self, mu):
         return np.ones_like(mu)
 
-    def loglik_terms(self, y, eta):
+    def loglik_terms(self, y, eta, theta=None):
         return -0.5 * np.square(y - eta)
 
     def simulate(self, rng, mu, dispersion=None):
         sd = np.sqrt(dispersion) if dispersion else 1.0
         return mu + sd * rng.standard_normal(mu.shape[0])
+
+
+class CumulativeProbit(_BaseFamily):
+    """Cumulative-link probit model for responses coded 1..J:
+    P(Y <= j) = Phi(alpha_j - eta) with increasing cutpoints alpha.
+
+    Coefficients are (alpha_1..alpha_{J-1}, beta); the driver's theta is
+    (alpha_1, log-gaps, beta), so every theta gives increasing cutpoints.
+    """
+
+    name, link = "ordinal", "probit"
+
+    def __init__(self, J: int):
+        self.cells = J
+        self.n_cut = J - 1
+
+    def _counts(self, Y, W):
+        """Weighted count of each category per row (b x J)."""
+        return np.stack(
+            [
+                np.sum(Y == c, axis=1) if W is None else np.sum(W * (Y == c), axis=1)
+                for c in range(1, self.cells + 1)
+            ],
+            axis=1,
+        )
+
+    def screen(self, Xd, Y, W):
+        J = self.cells
+        if not np.all((Y == np.round(Y)) & (Y >= 1) & (Y <= J)):
+            raise UnsupportedKind(f"ordinal responses must be integer codes in 1..{J}")
+        # a category whose rows all carry zero weight is empty too (a pairwise
+        # resample expressed as multinomial counts)
+        counts = self._counts(Y, W)
+        errors = [None] * Y.shape[0]
+        for r in np.flatnonzero(np.any(counts == 0, axis=1)):
+            missing = int(np.argmin(counts[r])) + 1
+            errors[r] = EmptyCategory(f"category {missing} has no observations")
+        return errors
+
+    def start(self, Xd, y, w):
+        counts = self._counts(y[None], None if w is None else w[None])[0]
+        cum = np.cumsum(counts)[: self.n_cut] / np.sum(counts)
+        return self.to_theta(np.concatenate([ndtri(cum), np.zeros(Xd.shape[1])]))
+
+    def cutpoints(self, theta):
+        """Cutpoints (b x (J-1)) and gaps exp(log-gaps) of each row of theta."""
+        with np.errstate(over="ignore"):
+            gaps = np.exp(theta[:, 1 : self.n_cut])
+        rise = np.concatenate([np.zeros((len(theta), 1)), np.cumsum(gaps, axis=1)], axis=1)
+        return theta[:, :1] + rise, gaps
+
+    def to_theta(self, coef):
+        K = self.n_cut
+        return np.concatenate(
+            [coef[..., :1], np.log(np.diff(coef[..., :K], axis=-1)), coef[..., K:]],
+            axis=-1,
+        )
+
+    def to_coef(self, theta):
+        return np.concatenate([self.cutpoints(theta)[0], theta[:, self.n_cut :]], axis=1)
+
+    def loglik_terms(self, y, eta, theta):
+        alpha, _ = self.cutpoints(theta)
+        side = np.full((len(theta), 1), np.inf)
+        edges = np.concatenate([-side, alpha, side], axis=1)
+        k = y.astype(int)
+        upper = np.take_along_axis(edges, k, axis=1) - eta
+        lower = np.take_along_axis(edges, k - 1, axis=1) - eta
+        return np.log(np.maximum(ndtr(upper) - ndtr(lower), _P_MIN))
+
+    def score(self, design, Y, W, theta, eta):
+        """Score and expected information sum_i w_i sum_c dP_ic dP_ic' / P_ic,
+        computed one category plane (b x n) at a time in (alpha, beta) and
+        carried to theta by the Jacobian of alpha_a = alpha_1 + sum gaps."""
+        K = self.n_cut
+        b, p = len(theta), design.X.shape[1]
+        alpha, gaps = self.cutpoints(theta)
+        wsum = (lambda a: a.sum(axis=1)) if W is None else (lambda a: (W * a).sum(axis=1))
+        g_alpha = np.zeros((b, K))
+        h_diag = np.zeros((b, K))
+        h_next = np.zeros((b, K - 1))  # information of (alpha_a, alpha_{a+1})
+        h_cross = np.zeros((b, K, p))  # information of (alpha_a, beta)
+        u = np.zeros_like(eta)  # d loglik / d eta per observation
+        e = np.zeros_like(eta)  # expected information of eta per observation
+        F0, f0, r0 = 0.0, 0.0, 0.0
+        for c in range(K + 1):
+            # category c + 1 lies between cutpoints c - 1 and c (0-based)
+            if c < K:
+                z = alpha[:, c : c + 1] - eta
+                F1, f1 = ndtr(z), _npdf(z)
+            else:
+                F1, f1 = 1.0, 0.0
+            P = F1 - F0
+            # the log-likelihood is flat where it clips P at _P_MIN, so those
+            # cells add nothing; this also keeps categories whose probability
+            # rounds to 0 in a tail out of the information
+            inv = np.divide(1.0, P, out=np.zeros_like(P), where=P > _P_MIN)
+            r = (f1 - f0) * inv  # -(dP/deta) / P
+            obs = Y == c + 1
+            seen = inv * obs
+            u -= r * obs
+            e += (f1 - f0) * r
+            if c < K:
+                g_alpha[:, c] += wsum(seen * f1)
+                h_diag[:, c] += wsum(f1 * f1 * inv)
+            if c > 0:
+                g_alpha[:, c - 1] -= wsum(seen * f0)
+                h_diag[:, c - 1] += wsum(f0 * f0 * inv)
+                cross = f0 * (r - r0)
+                h_cross[:, c - 1] = (cross if W is None else W * cross) @ design.X
+                if c < K:
+                    h_next[:, c - 1] = -wsum(f0 * f1 * inv)
+            F0, f0, r0 = F1, f1, r
+        H = np.zeros((b, K + p, K + p))
+        H[:, K:, K:] = design.gram(e if W is None else W * e)
+        H[:, :K, K:] = h_cross
+        H[:, K:, :K] = h_cross.transpose(0, 2, 1)
+        a = np.arange(K)
+        H[:, a, a] = h_diag
+        H[:, a[:-1], a[1:]] = H[:, a[1:], a[:-1]] = h_next
+        g = np.concatenate([g_alpha, (u if W is None else W * u) @ design.X], axis=1)
+        # Jacobian d(alpha, beta) / d theta: d alpha_a / d theta_k is 1 for
+        # k = 0 and gap k for 1 <= k <= a
+        T = np.zeros((b, K + p, K + p))
+        T[:, :K, :K] = np.tril(np.ones((K, K))) * np.concatenate(
+            [np.ones((b, 1)), gaps], axis=1
+        )[:, None, :]
+        T[:, K:, K:] = np.eye(p)
+        Tt = T.transpose(0, 2, 1)
+        H = Tt @ H @ T
+        g = (Tt @ g[:, :, None])[:, :, 0]
+        return g, lambda sel: H[sel]
+
+    def fitted(self, Xd, coef):
+        alpha, beta = coef[: self.n_cut], coef[self.n_cut :]
+        return alpha, beta, ordinal_probs(alpha, Xd @ beta), None
 
 
 _FAMILIES = {
@@ -264,107 +487,43 @@ def get_family(family: str, link: str):
     return fam
 
 
+def family_for(spec: ModelSpec):
+    """The family that fits `spec`: a GLM family or CumulativeProbit(J)."""
+    if spec.is_ordinal:
+        return CumulativeProbit(spec.n_categories)
+    return get_family(spec.family, spec.link)
+
+
+def ordinal_probs(alpha: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Category probabilities, n x J, under P(Y <= j) = Phi(alpha_j - eta)."""
+    edges = ndtr(alpha[None, :] - eta[:, None])
+    edges = np.concatenate(
+        [np.zeros((eta.shape[0], 1)), edges, np.ones((eta.shape[0], 1))], axis=1
+    )
+    return np.diff(edges, axis=1)
+
+
 # ---------------------------------------------------------------------------
-# Newton solver (non-ordinal)
-
-
-def fit_design(
-    Xd: np.ndarray,
-    y: np.ndarray,
-    family,
-    options: FitOptions | None = None,
-    weights: np.ndarray | None = None,
-    check_rank: bool = True,
-    beta0: np.ndarray | None = None,
-):
-    """Fisher-scoring Newton on the quasi-score for a prebuilt design.
-
-    Returns (beta, mu, var, loglik, iterations, grad_norm, path).
-    """
-    opts = options or FitOptions()
-    Xd = np.asarray(Xd, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, q = Xd.shape
-    if check_rank and np.linalg.matrix_rank(Xd) < q:
-        raise RankDeficient("design matrix is rank deficient")
-    w = None if weights is None else np.asarray(weights, dtype=float)
-
-    def total_ll(eta):
-        terms = family.loglik_terms(y, eta)
-        s = float(np.sum(terms) if w is None else np.sum(w * terms))
-        return s if np.isfinite(s) else -np.inf
-
-    beta = family.initial_beta(Xd, y) if beta0 is None else np.array(beta0, dtype=float)
-    eta = Xd @ beta
-    if not family.valid_eta(eta):
-        raise NonConvergence("starting point outside the link's domain")
-    ll = total_ll(eta)
-    path = [ll] if opts.track_loglik else None
-    iterations = 0
-    for _ in range(opts.max_iter):
-        mu = family.mean(eta)
-        D = family.mean_deriv(eta)
-        V = family.variance(mu)
-        u = D / V * (y - mu)
-        g = Xd.T @ (u if w is None else w * u)
-        if np.max(np.abs(g)) <= opts.tol:
-            break
-        wk = D * D / V if w is None else w * D * D / V
-        H = (Xd * wk[:, None]).T @ Xd
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient("singular information matrix") from exc
-        t = 1.0
-        accepted = False
-        for _ in range(opts.max_halvings + 1):
-            cand = beta + t * step
-            eta_c = Xd @ cand
-            if family.valid_eta(eta_c):
-                ll_c = total_ll(eta_c)
-                # near the optimum the objective sits on a float plateau; a
-                # few-ulp slack lets the (tiny) final Newton step through
-                tiny = np.max(np.abs(t * step)) <= 1e-6 * (1.0 + np.max(np.abs(beta)))
-                slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll)) if tiny else 0.0
-                if ll_c >= ll - slack:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            break
-        beta, eta, ll = cand, eta_c, ll_c
-        iterations += 1
-        if path is not None:
-            path.append(ll)
-        if family.check_separation and np.max(np.abs(beta)) > opts.separation_bound:
-            raise SeparationDetected(
-                f"|beta| exceeded {opts.separation_bound:g}; data may be separated"
-            )
-    mu = family.mean(eta)
-    D = family.mean_deriv(eta)
-    V = family.variance(mu)
-    u = D / V * (y - mu)
-    g = Xd.T @ (u if w is None else w * u)
-    grad_norm = float(np.max(np.abs(g)))
-    if grad_norm > opts.tol:
-        raise NonConvergence(
-            f"score norm {grad_norm:.3e} above tolerance after {iterations} iterations"
-        )
-    return beta, mu, V, ll, iterations, grad_norm, path
+# Newton driver
 
 
 @dataclass
 class BatchFit:
     """Row-wise result of `fit_design_batch`.
 
-    `errors[r]` is the FitError `fit_design` raises for row r, or None when
-    the row converged; failed rows hold NaN coefficients.
+    `beta[r]` holds row r's coefficients (ordinal: cutpoints, then slopes).
+    `errors[r]` is the FitError that row r failed with, or None when it
+    converged; failed rows hold NaN coefficients. `loglik_path[r]` lists the
+    log-likelihood at the start and after each accepted step, when
+    `FitOptions.track_loglik` is set.
     """
 
-    beta: np.ndarray  # b x q
+    beta: np.ndarray  # b x m
     iterations: np.ndarray  # b, accepted Newton steps
     grad_norm: np.ndarray  # b, max-abs score at exit
     errors: list
+    loglik: np.ndarray  # b
+    loglik_path: list | None = None
 
     @property
     def ok(self) -> np.ndarray:
@@ -396,22 +555,22 @@ def fit_design_batch(
 ) -> BatchFit:
     """Fisher scoring for a block of response vectors on one prebuilt design.
 
-    `Y` is b x n with one replicate per row; `weights` is None or b x n.
-    `beta0` is one start for every row (q,) or one per row (b x q); None
-    starts each row where `fit_design` would. Every row follows the rules of
-    `fit_design`: the score test max|g| <= tol, step-halving with the
-    few-ulp plateau slack, the link-domain check and, after each accepted
-    step, the separation bound. A row that fails records the error
-    `fit_design` raises (NonConvergence, SeparationDetected, or
-    RankDeficient for a singular information matrix) and the other rows
-    carry on. The design rank is not checked.
+    `Y` is b x n with one response vector per row; `weights` is None or
+    b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
+    the family's coefficients; None starts each row at the family's cold
+    start. Rows the family screens out (constant binary responses, an empty
+    ordinal category) fail before any step. Every other row follows the same
+    rules: the score test max|g| <= tol, step-halving with a few-ulp plateau
+    slack, the link-domain check and, after each accepted step, the
+    separation bound. A row that fails records its error (NonConvergence,
+    SeparationDetected, EmptyCategory, or RankDeficient for a singular
+    information matrix) and the other rows carry on. The design rank is not
+    checked.
 
     The block stays row-major so that each row's log-likelihood is summed in
-    the same pairwise order as `fit_design`'s 1-D sum; summing an n x b
-    block down its columns adds in sequence, and that rounding noise flips
-    plateau acceptances. The information matrices come from one product with
-    the column products Xd[:, i] * Xd[:, j] (i <= j), so nothing of size
-    n x b x q is allocated.
+    the same pairwise order as a 1-D sum; summing an n x b block down its
+    columns adds in sequence, and that rounding noise flips plateau
+    acceptances.
     """
     opts = options or FitOptions()
     Xd = np.asarray(Xd, dtype=float)
@@ -423,22 +582,17 @@ def fit_design_batch(
     if W is not None and W.shape != Y.shape:
         raise DimensionMismatch(f"weights {W.shape} do not match responses {Y.shape}")
     b = Y.shape[0]
-    XdT = np.ascontiguousarray(Xd.T)
-    iu, ju = np.triu_indices(q)
-    Z = Xd[:, iu] * Xd[:, ju]
+    design = _Design(Xd)
+    k = family.n_cut
 
-    def loglik(rows, eta):
-        terms = family.loglik_terms(Y[rows], eta)
+    def rows_of(A, rows):
+        return None if A is None else A[rows]
+
+    def loglik(rows, theta, eta):
+        terms = family.loglik_terms(Y[rows], eta, theta)
         s = np.sum(terms if W is None else W[rows] * terms, axis=1)
         s[~np.isfinite(s)] = -np.inf
         return s
-
-    def score(rows, eta):
-        mu = family.mean(eta)
-        D = family.mean_deriv(eta)
-        V = family.variance(mu)
-        u = D / V * (Y[rows] - mu)
-        return (u if W is None else W[rows] * u) @ Xd, D, V
 
     def not_converged(r):
         return NonConvergence(
@@ -446,44 +600,44 @@ def fit_design_batch(
             f"after {iterations[r]} iterations"
         )
 
-    errors: list = [None] * b
-    beta = np.zeros((b, q))
+    errors = family.screen(Xd, Y, W)
+    theta = np.zeros((b, k + q))
     if beta0 is not None:
-        beta[:] = beta0
+        theta[:] = family.to_theta(np.asarray(beta0, dtype=float))
     else:
         for r in range(b):
-            try:
-                beta[r] = family.initial_beta(Xd, Y[r])
-            except FitError as exc:
-                errors[r] = exc
-    eta = beta @ XdT
+            if errors[r] is None:
+                try:
+                    theta[r] = family.start(Xd, Y[r], rows_of(W, r))
+                except FitError as exc:
+                    errors[r] = exc
+    eta = theta[:, k:] @ design.XT
     for r in np.flatnonzero(~family.valid_eta(eta)):
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the link's domain")
-    ll = loglik(np.arange(b), eta)
+    act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
+    ll = np.full(b, -np.inf)
+    ll[act] = loglik(act, theta[act], eta[act])
+    paths = [[float(v)] for v in ll] if opts.track_loglik else None
     iterations = np.zeros(b, dtype=int)
     grad_norm = np.full(b, np.nan)
-    act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
     eps4 = 4.0 * np.finfo(float).eps
     for _ in range(opts.max_iter):
         if not act.size:
             break
-        g, D, V = score(act, eta[act])
+        g, info = family.score(design, Y[act], rows_of(W, act), theta[act], eta[act])
         grad_norm[act] = np.max(np.abs(g), axis=1)
         go = ~(grad_norm[act] <= opts.tol)
-        act, g, D, V = act[go], g[go], D[go], V[go]
+        act, g = act[go], g[go]
         if not act.size:
             break
-        wk = D * D / V if W is None else W[act] * D * D / V
-        H = np.empty((act.size, q, q))
-        H[:, iu, ju] = H[:, ju, iu] = wk @ Z
-        step, singular = _newton_steps(H, g)
+        step, singular = _newton_steps(info(go), g)
         for r in act[singular]:
             errors[r] = RankDeficient("singular information matrix")
         act, step = act[~singular], step[~singular]
 
         # step-halving per row; `pend` indexes the rows still searching
-        base, ll0 = beta[act], ll[act]
+        base, ll0 = theta[act], ll[act]
         bound = 1e-6 * (1.0 + np.max(np.abs(base), axis=1))
         plateau = eps4 * (1.0 + np.abs(ll0))
         t = np.ones(act.size)
@@ -491,14 +645,16 @@ def fit_design_batch(
         for _ in range(opts.max_halvings + 1):
             ts = t[pend, None] * step[pend]
             cand = base[pend] + ts
-            eta_c = cand @ XdT
+            eta_c = cand[:, k:] @ design.XT
             rows = act[pend]
-            ll_c = loglik(rows, eta_c)
+            ll_c = loglik(rows, cand, eta_c)
+            # near the optimum the objective sits on a float plateau; a
+            # few-ulp slack lets the (tiny) final Newton step through
             tiny = np.max(np.abs(ts), axis=1) <= bound[pend]
             slack = np.where(tiny, plateau[pend], 0.0)
             acc = family.valid_eta(eta_c) & (ll_c >= ll0[pend] - slack)
             hit = rows[acc]
-            beta[hit], eta[hit], ll[hit] = cand[acc], eta_c[acc], ll_c[acc]
+            theta[hit], eta[hit], ll[hit] = cand[acc], eta_c[acc], ll_c[acc]
             pend = pend[~acc]
             if not pend.size:
                 break
@@ -507,8 +663,11 @@ def fit_design_batch(
             errors[r] = not_converged(r)
         act = np.delete(act, pend)
         iterations[act] += 1
+        if paths is not None:
+            for r in act:
+                paths[r].append(float(ll[r]))
         if family.check_separation:
-            sep = np.max(np.abs(beta[act]), axis=1) > opts.separation_bound
+            sep = np.max(np.abs(theta[act]), axis=1) > opts.separation_bound
             for r in act[sep]:
                 errors[r] = SeparationDetected(
                     f"|beta| exceeded {opts.separation_bound:g}; data may be separated"
@@ -516,13 +675,22 @@ def fit_design_batch(
             act = act[~sep]
     if act.size:
         # the iteration cap was reached: a final score test decides
-        g, _, _ = score(act, eta[act])
+        g, _ = family.score(design, Y[act], rows_of(W, act), theta[act], eta[act])
         grad_norm[act] = np.max(np.abs(g), axis=1)
         for r in act[grad_norm[act] > opts.tol]:
             errors[r] = not_converged(r)
-    out = BatchFit(beta, iterations, grad_norm, errors)
-    beta[~out.ok] = np.nan
+    out = BatchFit(family.to_coef(theta), iterations, grad_norm, errors, ll, paths)
+    out.beta[~out.ok] = np.nan
     return out
+
+
+def _check_rank(family, Xd) -> None:
+    """Raise RankDeficient for a GLM design without full column rank. An
+    ordinal design is not checked: its cutpoints act as its intercept, so
+    its rank alone does not decide identifiability, and a singular
+    information fails the fit at its first step."""
+    if family.n_cut == 0 and np.linalg.matrix_rank(Xd) < Xd.shape[1]:
+        raise RankDeficient("design matrix is rank deficient")
 
 
 def fit_qmle(
@@ -531,182 +699,33 @@ def fit_qmle(
     options: FitOptions | None = None,
     design: DesignInfo | None = None,
 ) -> FitResult:
-    """QMLE for binomial/poisson/gamma/gaussian models.
+    """QMLE of any supported model: one row of `fit_design_batch` after the
+    design rank check; the row's fit error is raised.
 
     Accepts any response the quasi-score admits: binomial y in [0,1],
-    poisson y >= 0, gamma y > 0.
+    poisson y >= 0, gamma y > 0, ordinal codes 1..J.
     """
-    if spec.is_ordinal:
-        return fit_ordinal(data, spec, options, design)
-    family = get_family(spec.family, spec.link)
+    family = family_for(spec)
     design = design or build_design(data, spec)
-    beta, mu, var, ll, iters, gnorm, path = fit_design(
-        design.matrix, data.y, family, options
-    )
+    Xd = design.matrix
+    _check_rank(family, Xd)
+    out = fit_design_batch(Xd, data.y[None, :], family, options)
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    alpha, beta, mu, var = family.fitted(Xd, out.beta[0])
     return FitResult(
         beta_hat=beta,
-        alpha_hat=None,
+        alpha_hat=alpha,
         mu_hat=mu,
         var_hat=var,
-        loglik=ll,
-        iterations=iters,
+        loglik=float(out.loglik[0]),
+        iterations=int(out.iterations[0]),
         converged=True,
-        grad_norm=gnorm,
+        grad_norm=float(out.grad_norm[0]),
         spec=spec,
         design=design,
-        loglik_path=path,
+        loglik_path=None if out.loglik_path is None else out.loglik_path[0],
     )
-
-
-# ---------------------------------------------------------------------------
-# ordinal cumulative-link (probit) model
-
-
-def ordinal_probs(alpha: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Category probabilities, n x J, under P(Y <= j) = Phi(alpha_j - eta)."""
-    edges = ndtr(alpha[None, :] - eta[:, None])
-    edges = np.concatenate(
-        [np.zeros((eta.shape[0], 1)), edges, np.ones((eta.shape[0], 1))], axis=1
-    )
-    return np.diff(edges, axis=1)
-
-
-def _ordinal_unpack(phi: np.ndarray, J: int):
-    alpha1 = phi[0]
-    gaps = np.exp(phi[1 : J - 1])
-    alpha = alpha1 + np.concatenate([[0.0], np.cumsum(gaps)])
-    return alpha, phi[J - 1 :]
-
-
-def _ordinal_pack(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    gaps = np.diff(alpha)
-    return np.concatenate([[alpha[0]], np.log(gaps), beta])
-
-
-def _ordinal_ll_grad(phi, Xd, y_idx, J, w):
-    """Log-likelihood and analytic gradient in the (alpha_1, log-gaps, beta)
-    parameterization."""
-    n, p = Xd.shape
-    alpha, beta = _ordinal_unpack(phi, J)
-    eta = Xd @ beta
-    ext = np.concatenate([[-np.inf], alpha, [np.inf]])
-    upper = ext[y_idx + 1] - eta
-    lower = ext[y_idx] - eta
-    P = np.clip(ndtr(upper) - ndtr(lower), 1e-300, None)
-    wt = np.ones(n) if w is None else w
-    ll = float(np.sum(wt * np.log(P)))
-    dldu = _npdf(upper) / P * wt
-    dldv = -_npdf(lower) / P * wt
-    grad_alpha = np.zeros(J - 1)
-    has_upper = y_idx <= J - 2  # upper bound is alpha_{y}
-    np.add.at(grad_alpha, y_idx[has_upper], dldu[has_upper])
-    has_lower = y_idx >= 1  # lower bound is alpha_{y-1}
-    np.add.at(grad_alpha, y_idx[has_lower] - 1, dldv[has_lower])
-    grad_beta = Xd.T @ (-(dldu + dldv))
-    # chain rule: alpha_j = alpha_1 + sum_{k<=j} exp(g_k)
-    grad_phi = np.empty(J - 1 + p)
-    grad_phi[0] = grad_alpha.sum()
-    if J > 2:
-        gaps = np.exp(phi[1 : J - 1])
-        tail = np.cumsum(grad_alpha[::-1])[::-1]  # sum_{j>=k} grad_alpha_j
-        grad_phi[1 : J - 1] = gaps * tail[1:]
-    grad_phi[J - 1 :] = grad_beta
-    return ll, grad_phi
-
-
-def fit_ordinal_design(
-    Xd: np.ndarray,
-    y_codes: np.ndarray,
-    J: int,
-    options: FitOptions | None = None,
-    weights: np.ndarray | None = None,
-    phi0: np.ndarray | None = None,
-):
-    """Newton with finite-difference Hessian of the analytic gradient.
-
-    Returns (alpha, beta, probs, loglik, iterations, grad_norm, path).
-    """
-    opts = options or FitOptions()
-    Xd = np.asarray(Xd, dtype=float)
-    y_codes = np.asarray(y_codes)
-    if not np.all(y_codes == np.round(y_codes)):
-        raise UnsupportedKind("ordinal responses must be integer-coded 1..J")
-    y_idx = y_codes.astype(int) - 1
-    if y_idx.min() < 0 or y_idx.max() > J - 1:
-        raise UnsupportedKind(f"ordinal responses must lie in 1..{J}")
-    n, p = Xd.shape
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    # a category whose rows all carry zero weight is empty too (a pairwise
-    # resample expressed as multinomial counts)
-    counts = np.bincount(y_idx, weights=w, minlength=J)
-    if np.any(counts == 0):
-        missing = int(np.argmin(counts)) + 1
-        raise EmptyCategory(f"category {missing} has no observations")
-
-    if phi0 is None:
-        cum = np.cumsum(counts)[: J - 1] / np.sum(counts)
-        phi = _ordinal_pack(ndtri(cum), np.zeros(p))
-    else:
-        phi = np.array(phi0, dtype=float)
-    m = phi.shape[0]
-
-    def ll_grad(ph):
-        return _ordinal_ll_grad(ph, Xd, y_idx, J, w)
-
-    ll, grad = ll_grad(phi)
-    path = [ll] if opts.track_loglik else None
-    iterations = 0
-    for _ in range(opts.max_iter):
-        if np.max(np.abs(grad)) <= opts.tol:
-            break
-        # central-difference Hessian of the analytic gradient (small m)
-        H = np.empty((m, m))
-        for k in range(m):
-            h = 1e-6 * max(1.0, abs(phi[k]))
-            up = phi.copy()
-            up[k] += h
-            dn = phi.copy()
-            dn[k] -= h
-            H[:, k] = (ll_grad(up)[1] - ll_grad(dn)[1]) / (2.0 * h)
-        H = 0.5 * (H + H.T)
-        ridge = 0.0
-        step = None
-        for _ in range(8):
-            try:
-                step = np.linalg.solve(-(H - ridge * np.eye(m)), grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and grad @ step > 0:
-                break
-            ridge = 1e-8 if ridge == 0.0 else ridge * 100.0
-        if step is None or grad @ step <= 0:
-            step = grad  # gradient ascent fallback
-        t = 1.0
-        accepted = False
-        for _ in range(opts.max_halvings + 1):
-            cand = phi + t * step
-            ll_c, grad_c = ll_grad(cand)
-            tiny = np.max(np.abs(t * step)) <= 1e-6 * (1.0 + np.max(np.abs(phi)))
-            slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll)) if tiny else 0.0
-            if np.isfinite(ll_c) and ll_c >= ll - slack:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        phi, ll, grad = cand, ll_c, grad_c
-        iterations += 1
-        if path is not None:
-            path.append(ll)
-    grad_norm = float(np.max(np.abs(grad)))
-    if grad_norm > opts.tol:
-        raise NonConvergence(
-            f"ordinal score norm {grad_norm:.3e} above tolerance "
-            f"after {iterations} iterations"
-        )
-    alpha, beta = _ordinal_unpack(phi, J)
-    probs = ordinal_probs(alpha, Xd @ beta)
-    return alpha, beta, probs, ll, iterations, grad_norm, path
 
 
 def fit_ordinal(
@@ -718,23 +737,7 @@ def fit_ordinal(
     """Cumulative-link probit fit over increasing cutpoints and slopes."""
     if not spec.is_ordinal:
         raise UnsupportedKind("fit_ordinal requires an ordinal ModelSpec")
-    design = design or build_design(data, spec)
-    alpha, beta, probs, ll, iters, gnorm, path = fit_ordinal_design(
-        design.matrix, data.y, spec.n_categories, options
-    )
-    return FitResult(
-        beta_hat=beta,
-        alpha_hat=alpha,
-        mu_hat=probs,
-        var_hat=None,
-        loglik=ll,
-        iterations=iters,
-        converged=True,
-        grad_norm=gnorm,
-        spec=spec,
-        design=design,
-        loglik_path=path,
-    )
+    return fit_qmle(data, spec, options, design)
 
 
 def predict_mean(fit: FitResult, spec: ModelSpec, X_new: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .data import Dataset
 from .errors import InvalidSize
+from .glm import fit_qmle
 from .rng import derive_seed, substream
 
 __all__ = [
@@ -238,7 +239,7 @@ def select_size(
     grid = tuple(int(g) for g in grid)
     Q = len(grid)
 
-    fit0 = _fit_for(data, spec, options)
+    fit0 = fit_qmle(data, spec, options)
     if target_coef is None:
         target_coef = fit0.first_slope
 
@@ -247,7 +248,7 @@ def select_size(
         rows = substream(seed, k).choice(n, size=m, replace=False)
         rows.sort()
         sub = data.with_rows(rows)
-        fit_k = _fit_for(sub, spec, options)
+        fit_k = fit_qmle(sub, spec, options)
         nb_by_l = _neighbor_sets(sub, [min(l_q, m) for l_q in grid])
         for q, l_q in enumerate(grid):
             out = run(
@@ -319,10 +320,3 @@ def select_size(
         target_coef=target_coef,
     )
 
-
-def _fit_for(data, spec, options):
-    from .glm import fit_ordinal, fit_qmle
-
-    if spec.is_ordinal:
-        return fit_ordinal(data, spec, options)
-    return fit_qmle(data, spec, options)

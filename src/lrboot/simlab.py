@@ -21,7 +21,15 @@ from scipy.special import expit, ndtr, ndtri
 from .bootstrap import ci_percentile, run
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import TooManyFailures, UnknownScenario
-from .glm import FitOptions, FitResult, fit_ordinal, fit_qmle, get_family
+from .glm import (
+    FitOptions,
+    FitResult,
+    _check_rank,
+    _coef_names,
+    family_for,
+    fit_design_batch,
+    fit_qmle,
+)
 from .neighborhood import build_neighborhoods
 from .residuals import surrogate_values
 from .rng import derive_seed, stable_int, substream
@@ -642,13 +650,14 @@ def _cache_key(scenario_id, n, reps, seed, params) -> str:
     return f"{scenario_id}|n={n}|reps={reps}|seed={seed}|params={sorted(params.items())}"
 
 
-def _raw_coefs(fit: FitResult) -> np.ndarray:
-    """Coefficients on the raw predictor scale (cutpoints shifted for ordinal)."""
-    design = fit.design
-    if fit.alpha_hat is None:
-        return back_transform(fit.coef.copy(), design)
-    shift = float(np.sum(fit.beta_hat * design.means / design.sds))
-    return np.concatenate([fit.alpha_hat + shift, fit.beta_hat / design.sds])
+def _raw_coefs(coefs: np.ndarray, design, n_cut: int) -> np.ndarray:
+    """Coefficient rows on the raw predictor scale; the n_cut leading
+    cutpoints (ordinal) are shifted by the centering of the slopes."""
+    if not n_cut:
+        return back_transform(coefs, design)
+    beta = coefs[:, n_cut:]
+    shift = np.sum(beta * design.means / design.sds, axis=1)
+    return np.concatenate([coefs[:, :n_cut] + shift[:, None], beta / design.sds], axis=1)
 
 
 def pseudo_truth(
@@ -690,51 +699,45 @@ def pseudo_truth(
     X_full = _frozen_x(scn, n, seed, merged)
     spec = scn.assumed(merged)
     y0 = _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, 0)
-    ds0 = _dataset_from(scn, X_full, y0, merged)
-    design = build_design(ds0, spec)
-    fam = None if spec.is_ordinal else get_family(spec.family, spec.link)
-    coefs, coefs_raw = [], []
+    design = build_design(_dataset_from(scn, X_full, y0, merged), spec)
+    family = family_for(spec)
+    _check_rank(family, design.matrix)
+    rows = family.block_rows(n)
+    coefs = []
     n_failed = 0
-    first_slope = None
-    for r in range(reps):
-        y = _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, r)
-        ds = ds0.with_response(y)
-        try:
-            if spec.is_ordinal:
-                fit = fit_ordinal(ds, spec, options, design=design)
-            else:
-                fit = fit_qmle(ds, spec, options, design=design)
-        except Exception as exc:
-            from .errors import FitError
-
-            if isinstance(exc, FitError):
-                n_failed += 1
-                if n_failed > 0.05 * reps:
-                    raise TooManyFailures(
-                        f"{n_failed} pseudo-truth fits failed out of {r + 1}"
-                    ) from exc
-                continue
-            raise
-        first_slope = fit.first_slope
-        coefs.append(fit.coef)
-        coefs_raw.append(_raw_coefs(fit))
+    for first in range(0, reps, rows):
+        last = min(first + rows, reps)
+        Y = np.vstack(
+            [
+                _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, r)
+                for r in range(first, last)
+            ]
+        )
+        out = fit_design_batch(design.matrix, Y, family, options)
+        ok = out.ok
+        n_failed += int(np.sum(~ok))
+        if n_failed > 0.05 * reps:
+            cause = next(e for e in out.errors if e is not None)
+            raise TooManyFailures(
+                f"{n_failed} pseudo-truth fits failed out of {last}"
+            ) from cause
+        coefs.append(out.beta[ok])
     coefs = np.vstack(coefs)
-    coefs_raw = np.vstack(coefs_raw)
+    n_cut = family.n_cut
+    coefs_raw = _raw_coefs(coefs, design, n_cut)
     truth = PseudoTruth(
         scenario=scenario_id,
         n=n,
         reps=reps,
         seed=seed,
         params=merged,
-        coef_names=tuple(
-            fit.coef_names
-        ),
+        coef_names=_coef_names(design, n_cut),
         beta_dagger=coefs.mean(axis=0),
         psi=coefs.std(axis=0, ddof=0),
         beta_dagger_raw=coefs_raw.mean(axis=0),
         psi_raw=coefs_raw.std(axis=0, ddof=0),
         n_failed=n_failed,
-        first_slope=first_slope,
+        first_slope=n_cut + design.first_slope,
     )
     if cache_path:
         cache = {}
@@ -842,10 +845,7 @@ def run_experiment(
     for r in range(replications):
         y = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_EXPERIMENT, r)
         ds = ds0.with_response(y)
-        if spec.is_ordinal:
-            fit = fit_ordinal(ds, spec, options, design=design)
-        else:
-            fit = fit_qmle(ds, spec, options, design=design)
+        fit = fit_qmle(ds, spec, options, design=design)
         for method in methods:
             lab = method.label
             out = run(

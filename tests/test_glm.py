@@ -191,6 +191,16 @@ def test_separation_detected():
         )
 
 
+def test_constant_binary_responses_have_no_mle():
+    # all-ones probit data: the score falls below tol long before |beta|
+    # reaches the separation bound, so without the screen the fit would
+    # report convergence
+    x = np.linspace(-1.0, 1.0, 60)
+    ds = lb.make_dataset(np.ones(60), x[:, None])
+    with pytest.raises(SeparationDetected):
+        lb.fit_qmle(ds, _spec("binomial", "probit"))
+
+
 def test_nonconvergence_when_iteration_cap_hits():
     rng = np.random.default_rng(41)
     x = rng.uniform(-2, 2, 80)

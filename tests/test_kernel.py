@@ -1,5 +1,9 @@
-"""Batched refit kernel: row-by-row agreement with the scalar fitter, failure
-classes per row, and thread invariance of the block driver for every method."""
+"""The Newton driver: row-by-row agreement with the scalar Fisher-scoring loop
+and the finite-difference ordinal fitter it replaced (both kept here as
+oracles), the exact ordinal information, failure classes per row, and thread
+invariance and memory of the block refits for every method."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy.special import log_ndtr
 from scipy.stats import norm
 
 import lrboot as lb
+from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod, run
 from lrboot.errors import (
     EmptyCategory,
@@ -17,7 +22,13 @@ from lrboot.errors import (
     RankDeficient,
     SeparationDetected,
 )
-from lrboot.glm import fit_design, fit_design_batch, fit_ordinal_design, get_family
+from lrboot.glm import (
+    CumulativeProbit,
+    _Design,
+    fit_design_batch,
+    get_family,
+    ordinal_probs,
+)
 
 FAMILIES = [
     ("binomial", "probit"),
@@ -26,6 +37,163 @@ FAMILIES = [
     ("gamma", "inverse"),
     ("gaussian", "identity"),
 ]
+
+
+# -- oracles: the scalar fitters the driver replaced ---------------------------
+
+
+def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
+    """Scalar Fisher scoring with step-halving; returns the coefficients."""
+    opts = options or lb.FitOptions()
+    w = weights
+
+    def total_ll(eta):
+        terms = family.loglik_terms(y, eta)
+        s = float(np.sum(terms) if w is None else np.sum(w * terms))
+        return s if np.isfinite(s) else -np.inf
+
+    beta = family.start(Xd, y, None) if beta0 is None else np.array(beta0, dtype=float)
+    eta = Xd @ beta
+    if not family.valid_eta(eta):
+        raise NonConvergence("starting point outside the link's domain")
+    ll = total_ll(eta)
+    for _ in range(opts.max_iter):
+        mu = family.mean(eta)
+        D = family.mean_deriv(eta)
+        V = family.variance(mu)
+        u = D / V * (y - mu)
+        g = Xd.T @ (u if w is None else w * u)
+        if np.max(np.abs(g)) <= opts.tol:
+            break
+        wk = D * D / V if w is None else w * D * D / V
+        H = (Xd * wk[:, None]).T @ Xd
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient("singular information matrix") from exc
+        t = 1.0
+        accepted = False
+        for _ in range(opts.max_halvings + 1):
+            cand = beta + t * step
+            eta_c = Xd @ cand
+            if family.valid_eta(eta_c):
+                ll_c = total_ll(eta_c)
+                tiny = np.max(np.abs(t * step)) <= 1e-6 * (1.0 + np.max(np.abs(beta)))
+                slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll)) if tiny else 0.0
+                if ll_c >= ll - slack:
+                    accepted = True
+                    break
+            t *= 0.5
+        if not accepted:
+            break
+        beta, eta, ll = cand, eta_c, ll_c
+        if family.check_separation and np.max(np.abs(beta)) > opts.separation_bound:
+            raise SeparationDetected("|beta| exceeded the separation bound")
+    mu = family.mean(eta)
+    D = family.mean_deriv(eta)
+    V = family.variance(mu)
+    u = D / V * (y - mu)
+    g = Xd.T @ (u if w is None else w * u)
+    if np.max(np.abs(g)) > opts.tol:
+        raise NonConvergence("score norm above tolerance")
+    return beta
+
+
+def _ordinal_unpack(phi, J):
+    gaps = np.exp(phi[1 : J - 1])
+    return phi[0] + np.concatenate([[0.0], np.cumsum(gaps)]), phi[J - 1 :]
+
+
+def _ordinal_pack(alpha, beta):
+    return np.concatenate([[alpha[0]], np.log(np.diff(alpha)), beta])
+
+
+def _ordinal_ll_grad(phi, Xd, y_idx, J, w):
+    """Log-likelihood and analytic gradient in (alpha_1, log-gaps, beta)."""
+    n, p = Xd.shape
+    alpha, beta = _ordinal_unpack(phi, J)
+    eta = Xd @ beta
+    ext = np.concatenate([[-np.inf], alpha, [np.inf]])
+    upper = ext[y_idx + 1] - eta
+    lower = ext[y_idx] - eta
+    P = np.clip(norm.cdf(upper) - norm.cdf(lower), 1e-300, None)
+    wt = np.ones(n) if w is None else w
+    ll = float(np.sum(wt * np.log(P)))
+    dldu = norm.pdf(upper) / P * wt
+    dldv = -norm.pdf(lower) / P * wt
+    grad_alpha = np.zeros(J - 1)
+    has_upper = y_idx <= J - 2
+    np.add.at(grad_alpha, y_idx[has_upper], dldu[has_upper])
+    has_lower = y_idx >= 1
+    np.add.at(grad_alpha, y_idx[has_lower] - 1, dldv[has_lower])
+    grad_phi = np.empty(J - 1 + p)
+    grad_phi[0] = grad_alpha.sum()
+    gaps = np.exp(phi[1 : J - 1])
+    tail = np.cumsum(grad_alpha[::-1])[::-1]
+    grad_phi[1 : J - 1] = gaps * tail[1:]
+    grad_phi[J - 1 :] = Xd.T @ (-(dldu + dldv))
+    return ll, grad_phi
+
+
+def _fd_ordinal_fit(Xd, y, J, options=None, weights=None, phi0=None):
+    """Newton on a central-difference Hessian of the analytic gradient, with
+    a ridge loop and a gradient-ascent fallback: returns (alpha, beta)."""
+    opts = options or lb.FitOptions()
+    y_idx = y.astype(int) - 1
+    counts = np.bincount(y_idx, weights=weights, minlength=J)
+    if np.any(counts == 0):
+        raise EmptyCategory("empty category")
+    if phi0 is None:
+        cum = np.cumsum(counts)[: J - 1] / np.sum(counts)
+        phi = _ordinal_pack(norm.ppf(cum), np.zeros(Xd.shape[1]))
+    else:
+        phi = np.array(phi0, dtype=float)
+    m = phi.shape[0]
+
+    def ll_grad(ph):
+        return _ordinal_ll_grad(ph, Xd, y_idx, J, weights)
+
+    ll, grad = ll_grad(phi)
+    for _ in range(opts.max_iter):
+        if np.max(np.abs(grad)) <= opts.tol:
+            break
+        H = np.empty((m, m))
+        for k in range(m):
+            h = 1e-6 * max(1.0, abs(phi[k]))
+            up, dn = phi.copy(), phi.copy()
+            up[k] += h
+            dn[k] -= h
+            H[:, k] = (ll_grad(up)[1] - ll_grad(dn)[1]) / (2.0 * h)
+        H = 0.5 * (H + H.T)
+        ridge = 0.0
+        step = None
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(-(H - ridge * np.eye(m)), grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and grad @ step > 0:
+                break
+            ridge = 1e-8 if ridge == 0.0 else ridge * 100.0
+        if step is None or grad @ step <= 0:
+            step = grad
+        t = 1.0
+        accepted = False
+        for _ in range(opts.max_halvings + 1):
+            cand = phi + t * step
+            ll_c, grad_c = ll_grad(cand)
+            tiny = np.max(np.abs(t * step)) <= 1e-6 * (1.0 + np.max(np.abs(phi)))
+            slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll)) if tiny else 0.0
+            if np.isfinite(ll_c) and ll_c >= ll - slack:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        phi, ll, grad = cand, ll_c, grad_c
+    if np.max(np.abs(grad)) > opts.tol:
+        raise NonConvergence("ordinal score norm above tolerance")
+    return _ordinal_unpack(phi, J)
 
 
 def _responses(family, eta, rng, b):
@@ -45,15 +213,14 @@ def _design(rng, n):
 
 
 def _scalar_rows(Xd, Y, family, options=None, W=None, beta0=None):
-    """Per-row fit_design: (coefficients or None, error class or None)."""
+    """Per-row scalar oracle: (coefficients or None, error class or None)."""
     starts = None if beta0 is None else np.broadcast_to(beta0, (Y.shape[0], Xd.shape[1]))
     out = []
     for r in range(Y.shape[0]):
         try:
-            beta, *_ = fit_design(
+            beta = _scalar_fit(
                 Xd, Y[r], family, options,
                 weights=None if W is None else W[r],
-                check_rank=False,
                 beta0=None if starts is None else starts[r],
             )
             out.append((beta, None))
@@ -78,7 +245,7 @@ def test_batch_matches_scalar_per_row(family_name, link, weighted, warm, seed):
     W = rng.standard_exponential((b, n)) if weighted else None
     beta0 = None
     if warm:
-        beta0, *_ = fit_design(Xd, Y[0], family, check_rank=False)
+        beta0 = _scalar_fit(Xd, Y[0], family)
     out = fit_design_batch(Xd, Y, family, weights=W, beta0=beta0)
     ref = _scalar_rows(Xd, Y, family, W=W, beta0=beta0)
     for r, (beta, err) in enumerate(ref):
@@ -144,8 +311,112 @@ def test_ordinal_zero_weight_category_is_empty():
     y = np.repeat([1.0, 2.0, 3.0], 10)
     w = np.ones(30)
     w[10:20] = 0.0
+    out = fit_design_batch(x[:, None], y[None], CumulativeProbit(3), weights=w[None])
+    assert isinstance(out.errors[0], EmptyCategory)
+    assert out.iterations[0] == 0
     with pytest.raises(EmptyCategory):
-        fit_ordinal_design(x[:, None], y, 3, weights=w)
+        _fd_ordinal_fit(x[:, None], y, 3, weights=w)
+
+
+def _ordinal_block(rng, J, n, b):
+    """A design with two covariates and b response rows in 1..J, every
+    category present in each row."""
+    Xd = rng.uniform(-1.0, 1.0, size=(n, 2))
+    eta = Xd @ np.array([0.8, -0.5])
+    cuts = np.linspace(-1.0, 1.0, J - 1)
+    while True:
+        z = eta + rng.standard_normal((b, n))
+        Y = 1.0 + (z[:, :, None] > cuts).sum(axis=2)
+        if all(len(np.unique(row)) == J for row in Y):
+            return Xd, Y
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4, 5]), st.booleans(), st.integers(min_value=0, max_value=10_000))
+def test_ordinal_driver_matches_finite_difference_oracle(weighted, J, warm, seed):
+    rng = np.random.default_rng(seed)
+    Xd, Y = _ordinal_block(rng, J, n=90, b=5)
+    W = rng.standard_exponential(Y.shape) if weighted else None
+    family = CumulativeProbit(J)
+    beta0 = phi0 = None
+    if warm:
+        alpha, beta = _fd_ordinal_fit(Xd, Y[0], J)
+        beta0, phi0 = np.concatenate([alpha, beta]), _ordinal_pack(alpha, beta)
+    out = fit_design_batch(Xd, Y, family, weights=W, beta0=beta0)
+    assert out.ok.all(), out.errors
+    for r in range(len(Y)):
+        alpha, beta = _fd_ordinal_fit(
+            Xd, Y[r], J, weights=None if W is None else W[r], phi0=phi0
+        )
+        assert np.max(np.abs(out.beta[r] - np.concatenate([alpha, beta]))) <= 1e-8
+
+
+@pytest.mark.parametrize("J", [3, 4, 5])
+def test_ordinal_information_is_exact_expectation(J):
+    # sum_i w_i sum_j P_ij s_ij s_ij' over every category j, with s_ij the
+    # oracle's gradient of log P(Y_i = j) in (alpha_1, log-gaps, beta)
+    rng = np.random.default_rng(J)
+    n, b = 40, 3
+    Xd, Y = _ordinal_block(rng, J, n, b)
+    W = rng.standard_exponential((b, n))
+    family = CumulativeProbit(J)
+    theta = np.column_stack(
+        [rng.normal(-0.8, 0.2, b), rng.normal(-0.5, 0.3, (b, J - 2)), rng.normal(0, 0.5, (b, 2))]
+    )
+    eta = theta[:, J - 1 :] @ Xd.T
+    g, info = family.score(_Design(Xd), Y, W, theta, eta)
+    H = info(np.ones(b, dtype=bool))
+    for r in range(b):
+        alpha, _ = _ordinal_unpack(theta[r], J)
+        P = ordinal_probs(alpha, eta[r])
+        expected = np.zeros((len(theta[r]), len(theta[r])))
+        for i in range(n):
+            for j in range(J):
+                _, s = _ordinal_ll_grad(theta[r], Xd[i : i + 1], np.array([j]), J, None)
+                expected += W[r, i] * P[i, j] * np.outer(s, s)
+        assert np.max(np.abs(H[r] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        _, grad = _ordinal_ll_grad(theta[r], Xd, Y[r].astype(int) - 1, J, W[r])
+        assert np.max(np.abs(g[r] - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+def test_constant_binary_rows_fail_before_fitting():
+    # with an intercept, responses that are all 0 or all 1 (among rows of
+    # positive weight) have no MLE: the row fails without a Newton step
+    rng = np.random.default_rng(3)
+    n = 50
+    Xd = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
+    good = (rng.random(n) < 0.5).astype(float)
+    mostly_ones = np.ones(n)
+    mostly_ones[:5] = 0.0
+    Y = np.vstack([good, np.ones(n), np.zeros(n), mostly_ones])
+    W = np.ones_like(Y)
+    W[3, :5] = 0.0  # the zeros of row 3 carry no weight
+    for name, link in FAMILIES[:2]:
+        out = fit_design_batch(Xd, Y, get_family(name, link), weights=W)
+        assert [type(e) if e else None for e in out.errors] == [
+            None, SeparationDetected, SeparationDetected, SeparationDetected,
+        ]
+        assert list(out.iterations[1:]) == [0, 0, 0]
+    # without a constant column the screen does not apply
+    out = fit_design_batch(Xd[:, 1:], Y[:1], get_family("binomial", "probit"))
+    assert out.ok.all()
+
+
+def test_ordinal_block_refit_memory_is_bounded():
+    # 64-row ordinal blocks peak near 19 MB traced here; the cell budget
+    # keeps the blocks (4 rows at n=2000, J=4) and this peak small
+    with np.errstate(all="ignore"):
+        ds = sl.generate("SC1_ordinal", n=2000, seed=4)
+    spec = sl.get_scenario("SC1_ordinal").assumed({"beta2": -1.0})
+    tracemalloc.start()
+    try:
+        out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=100, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.n_failed == 0
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def _probit_data(n=150, seed=7):

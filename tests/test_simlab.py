@@ -9,7 +9,12 @@ from scipy.special import ndtr
 import lrboot as lb
 from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod
-from lrboot.errors import UnknownScenario
+from lrboot.errors import (
+    NonConvergence,
+    SeparationDetected,
+    TooManyFailures,
+    UnknownScenario,
+)
 
 ALL_IDS = sl.scenario_ids()
 
@@ -111,6 +116,59 @@ def test_pseudo_truth_deterministic_and_cached(tmp_path):
     c = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3)
     assert np.array_equal(a.beta_dagger, c.beta_dagger)
     assert np.all(a.psi > 0)
+
+
+def _per_redraw_truth(scenario_id, n, reps, seed):
+    """(beta_dagger, psi) from one fit_qmle per response redraw."""
+    scn = sl.get_scenario(scenario_id)
+    params = dict(scn.defaults)
+    X_full = sl._frozen_x(scn, n, seed, params)
+    spec = scn.assumed(params)
+    coefs = []
+    for r in range(reps):
+        y = sl._draw_response(scn, X_full, n, seed, params, sl._PURPOSE_PSEUDO, r)
+        coefs.append(lb.fit_qmle(sl._dataset_from(scn, X_full, y, params), spec).coef)
+    coefs = np.vstack(coefs)
+    return coefs.mean(axis=0), coefs.std(axis=0)
+
+
+@pytest.mark.parametrize("scenario_id,reps", [("SC2", 200), ("SC1_ordinal", 300)])
+def test_pseudo_truth_blocks_match_per_redraw_fits(scenario_id, reps):
+    truth = sl.pseudo_truth(scenario_id, n=2000, reps=reps, seed=5)
+    beta, psi = _per_redraw_truth(scenario_id, 2000, reps, 5)
+    assert truth.n_failed == 0
+    assert np.max(np.abs(truth.beta_dagger - beta)) <= 1e-12
+    assert np.max(np.abs(truth.psi - psi)) <= 1e-12
+
+
+def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
+    # three failures in each block: the 5% cap of 100 redraws is first
+    # exceeded by the second block, which raises once it is fit
+    real = sl.fit_design_batch
+    blocks = []
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        blocks.append(len(out.errors))
+        for r in range(3):
+            out.errors[r] = NonConvergence("injected")
+        return out
+
+    monkeypatch.setattr(sl, "fit_design_batch", failing)
+    with pytest.raises(TooManyFailures) as info:
+        sl.pseudo_truth("GaussianCheck", n=2000, reps=100, seed=3)
+    assert len(blocks) == 2 and blocks[0] < 50
+    assert str(info.value) == f"6 pseudo-truth fits failed out of {2 * blocks[0]}"
+
+
+def test_pseudo_truth_constant_responses_fail_in_first_block():
+    # at beta2 = +2 the success index exceeds 11 everywhere, so every SC1
+    # probit response is 1 and no redraw has an MLE: the cap of 150 failures
+    # is exceeded by the tenth block of 16
+    with pytest.raises(TooManyFailures) as info:
+        sl.pseudo_truth("SC1_probit", n=2000, reps=3000, seed=99, params={"beta2": 2.0})
+    assert str(info.value) == "160 pseudo-truth fits failed out of 160"
+    assert isinstance(info.value.__cause__, SeparationDetected)
 
 
 def test_run_experiment_degenerate_method():
