@@ -28,14 +28,7 @@ from .errors import (
     TooManyFailures,
     UnsupportedKind,
 )
-from .glm import (
-    FitOptions,
-    FitResult,
-    family_for,
-    fit_design_batch,
-    fit_qmle,
-    get_family,
-)
+from .glm import FitOptions, FitResult, fit_design_batch, fit_qmle
 from .neighborhood import NeighborhoodMap, build_neighborhoods
 from .rng import substream
 
@@ -64,6 +57,12 @@ RESPONSE_RECREATING = ("lrb", "local_response", "classical_residual", "parametri
 _FAILURE_SHARE = 0.2
 
 
+def _size(l) -> int:
+    if l is None:
+        raise InvalidSize("local methods need a neighborhood size l")
+    return int(l)
+
+
 @dataclass(frozen=True)
 class BootstrapMethod:
     kind: str
@@ -76,11 +75,11 @@ class BootstrapMethod:
 
     @classmethod
     def lrb(cls, residual_kind: str, l: int) -> "BootstrapMethod":
-        return cls("lrb", residual_kind=residual_kind, l=int(l))
+        return cls("lrb", residual_kind=residual_kind, l=_size(l))
 
     @classmethod
     def local_response(cls, l: int) -> "BootstrapMethod":
-        return cls("local_response", l=int(l))
+        return cls("local_response", l=_size(l))
 
     @classmethod
     def classical_residual(cls, residual_kind: str) -> "BootstrapMethod":
@@ -232,7 +231,7 @@ def _draw_indices(rng, nb_matrix, flat, offsets, lengths, n):
     return flat[offsets + k]
 
 
-def _sampler(data, spec, method, fit, seed, neighborhoods):
+def _sampler(data, method, fit, seed, neighborhoods):
     """Method-specific draw of one replicate's (y*, w*) from its substream.
 
     Every method refits on the same design: the resampling methods vary the
@@ -241,32 +240,16 @@ def _sampler(data, spec, method, fit, seed, neighborhoods):
     """
     n = data.n
     y = data.y
+    family = fit.family
     kind = method.kind
     if kind == "pairwise":
         return lambda rng: (y, np.bincount(rng.integers(0, n, size=n), minlength=n))
     if kind == "multiplier":
         return lambda rng: (y, rng.standard_exponential(n))
     if kind == "parametric":
-        if spec.is_ordinal:
-            param_cum = np.cumsum(fit.mu_hat, axis=1)
-
-            def draw(rng):
-                u = rng.random(n)
-                return (1 + (u[:, None] > param_cum).sum(axis=1)).astype(float), None
-
-            return draw
-        dispersion = None
-        if spec.family in ("gaussian", "gamma"):
-            dof = max(n - fit.design.q, 1)
-            if spec.family == "gaussian":
-                dispersion = float(np.sum((y - fit.mu_hat) ** 2) / dof)
-            else:
-                pr = (y - fit.mu_hat) / np.sqrt(fit.var_hat)
-                dispersion = float(np.sum(pr**2) / dof)
-        family = get_family(spec.family, spec.link)
+        dispersion = family.dispersion(y, fit)
         return lambda rng: (family.simulate(rng, fit.mu_hat, dispersion), None)
     if kind == "wild":
-        family = get_family(spec.family, spec.link)
         wild_resid = y - fit.mu_hat
 
         def draw(rng):
@@ -326,8 +309,8 @@ def run(
         raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")
     if fit is None:
         fit = fit_qmle(data, spec, options)
-    draw = _sampler(data, spec, method, fit, seed, neighborhoods)
-    family = family_for(spec)
+    draw = _sampler(data, method, fit, seed, neighborhoods)
+    family = fit.family
     rows = family.block_rows(data.n)
 
     def replicate_block(first: int):

@@ -208,8 +208,22 @@ def base_names_of(spec_str: str, categorical: set) -> list:
 # method tokens
 
 
-def parse_method(token: str, residual: str | None, l: int | None) -> BootstrapMethod:
+def _method_token(token: str) -> str:
+    """Lower-case method token, with local_response spelled local-response."""
     token = token.strip().lower()
+    return "local-response" if token == "local_response" else token
+
+
+def _size_flag(args) -> int | None:
+    """--l as an integer, or None when it is not given."""
+    try:
+        return None if args.l is None else int(args.l)
+    except ValueError as exc:
+        raise UsageError(f"--l must be an integer, got {args.l!r}") from exc
+
+
+def parse_method(token: str, residual: str | None, l: int | None) -> BootstrapMethod:
+    token = _method_token(token)
     if token.startswith("lrb-"):
         return BootstrapMethod.lrb(token[4:], l)
     if token == "lrb":
@@ -222,7 +236,7 @@ def parse_method(token: str, residual: str | None, l: int | None) -> BootstrapMe
         if residual is None:
             raise UsageError("classical needs --residual")
         return BootstrapMethod.classical_residual(residual)
-    if token in ("local-response", "local_response"):
+    if token == "local-response":
         return BootstrapMethod.local_response(l)
     if token == "parametric":
         return BootstrapMethod.parametric()
@@ -255,22 +269,6 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
-
-
-# options whose default is None but whose values must be integers
-_INT_VALUED = {"threads", "m"}
-
-
-def _coerce(key: str, value: str, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    if like is None and key in _INT_VALUED:
-        return int(value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -447,22 +445,17 @@ def _cmd_bootstrap(args) -> int:
     ds, spec, info = _load_dataset(args)
     n_threads = _threads(args)
     trace = None
-    if str(args.l).lower() == "auto":
-        if args.method.startswith("lrb") or args.method == "local-response":
-            kind = args.residual or (
-                args.method[4:] if args.method.startswith("lrb-") else None
-            )
-            if kind is None:
-                raise UsageError("--l auto needs a residual kind")
-            trace = select_size(
-                ds, spec, kind, seed=args.seed, n_threads=n_threads
-            )
-            l = trace.final_l
-        else:
-            l = None
-    else:
-        l = int(args.l)
-    method = parse_method(args.method, args.residual, l)
+    token = _method_token(args.method)
+    l = None
+    if str(args.l).lower() != "auto":
+        l = _size_flag(args)
+    elif token.startswith("lrb") or token == "local-response":
+        kind = args.residual or (token[4:] if token.startswith("lrb-") else None)
+        if kind is None:
+            raise UsageError("--l auto needs a residual kind")
+        trace = select_size(ds, spec, kind, seed=args.seed, n_threads=n_threads)
+        l = trace.final_l
+    method = parse_method(token, args.residual, l)
     out = run(
         ds, spec, method, B=args.B, alpha=args.alpha, seed=args.seed,
         n_threads=n_threads,
@@ -536,9 +529,9 @@ def _cmd_select_model(args) -> int:
         select_rows = np.sort(perm[:half])
         holdout = np.sort(perm[half:])
         ds = ds.with_rows(select_rows)
-    l = int(args.l) if args.l is not None else max(
-        2, int(np.ceil(ds.n ** (1.0 / 3.0)))
-    )
+    l = _size_flag(args)
+    if l is None:
+        l = max(2, int(np.ceil(ds.n ** (1.0 / 3.0))))
     method = parse_method(args.method, args.residual, l)
     cands = CandidateSet(models, ds, method, B=args.B)
     report = rank_models(cands, args.criterion, seed=args.seed, n_threads=_threads(args))
@@ -571,9 +564,9 @@ def _cmd_simulate(args) -> int:
         args.scenario, n=args.n, reps=args.truth_reps, seed=args.seed,
         params=params or None,
     )
-    l = int(args.l) if args.l is not None else default_neighborhood_size(
-        args.scenario, truth.n
-    )
+    l = _size_flag(args)
+    if l is None:
+        l = default_neighborhood_size(args.scenario, truth.n)
     methods = [
         parse_method(tok, args.residual, l) for tok in args.methods.split(",")
     ]
@@ -613,14 +606,20 @@ def main(argv=None) -> int:
                 f"missing subcommand; choose one of {', '.join(_COMMANDS)}"
             )
         if getattr(args, "config", None):
-            config = load_config(args.config)
-            defaults = vars(args)
-            for key, value in config.items():
-                if key not in defaults:
+            # config entries go in as flags ahead of the command line's, so
+            # argparse checks and converts them and a flag given again wins
+            given = vars(args)
+            flags = []
+            for key, value in load_config(args.config).items():
+                if key not in given:
                     raise UsageError(f"unknown config key {key!r}")
-                # flags given on the command line override config values
-                if f"--{key.replace('_', '-')}" not in argv:
-                    defaults[key] = _coerce(key, value, defaults[key])
+                flag = "--" + key.replace("_", "-")
+                if not isinstance(given[key], bool):
+                    flags.append(f"{flag}={value}")
+                elif value.lower() in ("1", "true", "yes", "on"):
+                    flags.append(flag)  # store-true flags take yes/no
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedKind
+from .errors import DimensionMismatch, InvalidData, UnsupportedKind
 
 __all__ = [
     "Dataset",
@@ -26,15 +26,6 @@ __all__ = [
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
-
-# (family -> allowed links); ordinal additionally requires n_categories >= 3
-SUPPORTED_PAIRS = {
-    "binomial": ("probit", "logit"),
-    "poisson": ("log",),
-    "gamma": ("inverse",),
-    "gaussian": ("identity",),
-    "ordinal": ("probit",),
-}
 
 _STD_TOL = 1e-9
 
@@ -124,18 +115,18 @@ class Dataset:
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.X)):
-            raise ValueError("covariates contain non-finite entries")
+            raise InvalidData("covariates contain non-finite entries")
         if self.n < self.p + 1:
-            raise ValueError(f"need n >= p + 1, got n={self.n}, p={self.p}")
+            raise InvalidData(f"need n >= p + 1, got n={self.n}, p={self.p}")
         if self.standardized:
             for j, meta in enumerate(self.column_meta):
                 if meta != CONTINUOUS:
                     continue
                 col = self.X[:, j]
                 if abs(col.mean()) > _STD_TOL:
-                    raise ValueError(f"column {j} not centered")
+                    raise InvalidData(f"column {j} not centered")
                 if abs(col.std() - 1.0) > _STD_TOL and col.std() > _STD_TOL:
-                    raise ValueError(f"column {j} not scaled to unit sd")
+                    raise InvalidData(f"column {j} not scaled to unit sd")
 
 
 def make_dataset(
@@ -198,11 +189,9 @@ class ModelSpec:
     label: str = ""
 
     def __post_init__(self):
-        links = SUPPORTED_PAIRS.get(self.family)
-        if links is None or self.link not in links:
-            raise UnsupportedKind(
-                f"unsupported family/link pair ({self.family}, {self.link})"
-            )
+        from .glm import family_for  # glm imports this module
+
+        family_for(self)  # raises UnsupportedKind for an unknown (family, link)
         if self.family == "ordinal":
             if self.n_categories < 3:
                 raise UnsupportedKind("ordinal models need n_categories >= 3")

@@ -25,6 +25,10 @@ class EmptyCategory(FitError):
     """Ordinal response is missing one of the 1..J categories."""
 
 
+class InvalidData(LrbootError, ValueError):
+    """Dataset fails validation (non-finite covariates, too few rows)."""
+
+
 class DimensionMismatch(LrbootError):
     """Array shapes are inconsistent with the fitted design."""
 

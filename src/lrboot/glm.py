@@ -1,5 +1,9 @@
-"""Quasi-maximum-likelihood fitting for GLM families and the cumulative-link
-ordinal model.
+"""GLM families, the cumulative-link ordinal model, and QMLE fitting.
+
+A family object owns what a (family, link) pair means: mean, variance,
+log-likelihood, unit deviance, dispersion and response simulation, and for
+binary and ordinal models the categorical view that SBS and surrogate
+residuals use. `FitResult.family` returns it.
 
 Every fit runs one driver, `fit_design_batch`: Fisher scoring on the
 quasi-score for a block of response vectors on one prebuilt design, with
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr, ndtri
+from scipy.special import expit, log_ndtr, logit, ndtr, ndtri
 
 from .data import Dataset, DesignInfo, ModelSpec, build_design
 from .errors import (
@@ -61,6 +65,12 @@ def _npdf(z):
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(-0.5 * np.square(z)) / _SQRT2PI
     return np.nan_to_num(out, nan=0.0, posinf=0.0)
+
+
+def _xlogy(x, y):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(y)
+    return np.where(x == 0.0, 0.0, out)
 
 
 def _constant_columns(Xd):
@@ -114,6 +124,11 @@ class FitResult:
     def eta(self) -> np.ndarray:
         return self.design.matrix @ self.beta_hat
 
+    @property
+    def family(self):
+        """The family object of `spec` (see `family_for`)."""
+        return family_for(self.spec)
+
 
 def _coef_names(design: DesignInfo, n_cut: int) -> tuple[str, ...]:
     """Names of (cutpoints, design coefficients) with n_cut cutpoints."""
@@ -153,6 +168,7 @@ class _BaseFamily:
     check_separation = False
     cells = 1  # response cells per observation
     n_cut = 0  # entries of theta ahead of the slopes
+    free_dispersion = False  # simulate with a Pearson dispersion estimate
 
     def block_rows(self, n: int) -> int:
         """Rows per refit block for n observations, within the cell budget."""
@@ -196,6 +212,13 @@ class _BaseFamily:
         mu = self.mean(Xd @ coef)
         return None, coef, mu, self.variance(mu)
 
+    def dispersion(self, y, fit):
+        """Pearson chi^2 / (n - q) for a family with a free dispersion, else None."""
+        if not self.free_dispersion:
+            return None
+        pearson = (y - fit.mu_hat) / np.sqrt(fit.var_hat)
+        return float(np.sum(pearson**2) / max(len(y) - fit.design.q, 1))
+
 
 class BinomialProbit(_BaseFamily):
     name, link = "binomial", "probit"
@@ -235,9 +258,29 @@ class BinomialProbit(_BaseFamily):
     def simulate(self, rng, mu, dispersion=None):
         return (rng.random(mu.shape[0]) < mu).astype(float)
 
+    def half_deviance(self, y, mu):
+        """Half the unit deviance d(y; mu) per observation."""
+        return _xlogy(y, y / mu) + _xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))
+
+    # categorical view: code 2 (y = 1) where the latent variable exceeds 0
+    latent = (ndtr, ndtri)  # cdf and ppf of the standard latent variable
+
+    def category_probs(self, mu):
+        return np.column_stack([1.0 - mu, mu])
+
+    def codes(self, y):
+        return (y > 0.5).astype(int) + 1
+
+    def thresholds(self, fit):
+        return np.array([0.0])
+
+    def from_codes(self, codes):
+        return (codes == 2).astype(float)
+
 
 class BinomialLogit(BinomialProbit):
     name, link = "binomial", "logit"
+    latent = (expit, logit)
 
     def mean(self, eta):
         return np.clip(expit(eta), _MU_EPS, 1.0 - _MU_EPS)
@@ -272,9 +315,13 @@ class PoissonLog(_BaseFamily):
     def simulate(self, rng, mu, dispersion=None):
         return rng.poisson(mu).astype(float)
 
+    def half_deviance(self, y, mu):
+        return _xlogy(y, y / mu) - (y - mu)
+
 
 class GammaInverse(_BaseFamily):
     name, link = "gamma", "inverse"
+    free_dispersion = True
 
     def mean(self, eta):
         return 1.0 / np.maximum(eta, _MU_EPS)
@@ -314,9 +361,13 @@ class GammaInverse(_BaseFamily):
         shape = 1.0 if not dispersion else 1.0 / dispersion
         return rng.gamma(shape, mu / shape)
 
+    def half_deviance(self, y, mu):
+        return -np.log(y / mu) + (y - mu) / mu
+
 
 class GaussianIdentity(_BaseFamily):
     name, link = "gaussian", "identity"
+    free_dispersion = True
 
     def mean(self, eta):
         return eta
@@ -333,6 +384,9 @@ class GaussianIdentity(_BaseFamily):
     def simulate(self, rng, mu, dispersion=None):
         sd = np.sqrt(dispersion) if dispersion else 1.0
         return mu + sd * rng.standard_normal(mu.shape[0])
+
+    def half_deviance(self, y, mu):
+        return 0.5 * np.square(y - mu)
 
 
 class CumulativeProbit(_BaseFamily):
@@ -470,6 +524,26 @@ class CumulativeProbit(_BaseFamily):
         alpha, beta = coef[: self.n_cut], coef[self.n_cut :]
         return alpha, beta, ordinal_probs(alpha, Xd @ beta), None
 
+    def simulate(self, rng, mu, dispersion=None):
+        """Codes drawn from the n x J category probabilities mu."""
+        u = rng.random(mu.shape[0])
+        return (1 + (u[:, None] > np.cumsum(mu, axis=1)).sum(axis=1)).astype(float)
+
+    # categorical view: code j where alpha_{j-1} < latent <= alpha_j
+    latent = (ndtr, ndtri)
+
+    def category_probs(self, mu):
+        return mu
+
+    def codes(self, y):
+        return y.astype(int)
+
+    def thresholds(self, fit):
+        return fit.alpha_hat
+
+    def from_codes(self, codes):
+        return codes.astype(float)
+
 
 _FAMILIES = {
     ("binomial", "probit"): BinomialProbit(),
@@ -488,8 +562,9 @@ def get_family(family: str, link: str):
 
 
 def family_for(spec: ModelSpec):
-    """The family that fits `spec`: a GLM family or CumulativeProbit(J)."""
-    if spec.is_ordinal:
+    """The family that fits `spec`: a GLM family or CumulativeProbit(J).
+    Raises UnsupportedKind for a (family, link) pair no family implements."""
+    if (spec.family, spec.link) == (CumulativeProbit.name, CumulativeProbit.link):
         return CumulativeProbit(spec.n_categories)
     return get_family(spec.family, spec.link)
 
@@ -747,7 +822,4 @@ def predict_mean(fit: FitResult, spec: ModelSpec, X_new: np.ndarray) -> np.ndarr
         raise DimensionMismatch(
             f"expected {fit.design.q} design columns, got {X_new.shape[1]}"
         )
-    eta = X_new @ fit.beta_hat
-    if spec.is_ordinal:
-        return ordinal_probs(fit.alpha_hat, eta)
-    return get_family(spec.family, spec.link).mean(eta)
+    return family_for(spec).fitted(X_new, fit.coef)[2]

@@ -209,7 +209,6 @@ def select_size(
     max_iterations: int = 20,
     target_coef: int | None = None,
     n_threads: int = 1,
-    options=None,
 ) -> SizeSelectionTrace:
     """Pick the neighborhood size whose subsample standard-error estimates
     best match the full-data estimate, iterating the n^(1/3) rescaling until
@@ -239,7 +238,7 @@ def select_size(
     grid = tuple(int(g) for g in grid)
     Q = len(grid)
 
-    fit0 = fit_qmle(data, spec, options)
+    fit0 = fit_qmle(data, spec)
     if target_coef is None:
         target_coef = fit0.first_slope
 
@@ -248,7 +247,7 @@ def select_size(
         rows = substream(seed, k).choice(n, size=m, replace=False)
         rows.sort()
         sub = data.with_rows(rows)
-        fit_k = fit_qmle(sub, spec, options)
+        fit_k = fit_qmle(sub, spec)
         nb_by_l = _neighbor_sets(sub, [min(l_q, m) for l_q in grid])
         for q, l_q in enumerate(grid):
             out = run(
@@ -260,7 +259,6 @@ def select_size(
                 fit=fit_k,
                 neighborhoods=nb_by_l[min(l_q, m)],
                 n_threads=n_threads,
-                options=options,
             )
             subsample_se[k, q] = out.se_hat[target_coef]
 
@@ -278,7 +276,6 @@ def select_size(
                 fit=fit0,
                 neighborhoods=nb,
                 n_threads=n_threads,
-                options=options,
             )
             full_cache[l_val] = float(out.se_hat[target_coef])
         return full_cache[l_val]

@@ -4,6 +4,10 @@ Four resampling-capable kinds (pearson, sbs, surrogate, raw) plus deviance
 (diagnostic only; it has no recreation rule). Surrogate residuals draw a
 latent variable truncated to the interval implied by the observed category,
 via inverse-CDF sampling stabilized with complementary CDFs in the tails.
+
+This module decides which residual kinds a family has (`supports`); the
+family rules they use (unit deviance, variance, category probabilities,
+codes, latent thresholds and cdf/ppf) come from `fit.family`.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, ndtr, ndtri
 
 from .data import Dataset
 from .errors import DegenerateTruncation, UnsupportedKind
-from .glm import FitResult, get_family
+from .glm import FitResult
 from .rng import substream
 
 __all__ = [
@@ -78,66 +81,33 @@ def raw(fit: FitResult, data: Dataset) -> ResidualSet:
     return ResidualSet(values=data.y - fit.mu_hat, kind="raw")
 
 
-def _xlogy(x, y):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = x * np.log(y)
-    return np.where(x == 0.0, 0.0, out)
-
-
 def deviance(fit: FitResult, data: Dataset) -> ResidualSet:
     """sign(y - mu) * sqrt(2 * family deviance contribution); diagnostic only."""
     check_supported(fit.spec.family, "deviance")
     y, mu = data.y, fit.mu_hat
-    fam = fit.spec.family
-    if fam == "gaussian":
-        d = 0.5 * np.square(y - mu)
-    elif fam == "poisson":
-        d = _xlogy(y, y / mu) - (y - mu)
-    elif fam == "binomial":
-        d = _xlogy(y, y / mu) + _xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))
-    else:  # gamma
-        d = -np.log(y / mu) + (y - mu) / mu
+    d = fit.family.half_deviance(y, mu)
     values = np.sign(y - mu) * np.sqrt(2.0 * np.clip(d, 0.0, None))
     return ResidualSet(values=values, kind="deviance")
 
 
 def _cumulative(fit: FitResult) -> np.ndarray:
     """P(Y <= j) for j = 0..J per observation (first column 0, last 1)."""
-    if fit.spec.is_ordinal:
-        probs = fit.mu_hat
-    else:
-        mu = fit.mu_hat
-        probs = np.column_stack([1.0 - mu, mu])
+    probs = fit.family.category_probs(fit.mu_hat)
     n = probs.shape[0]
     return np.concatenate([np.zeros((n, 1)), np.cumsum(probs, axis=1)], axis=1)
-
-
-def _codes(fit: FitResult, y: np.ndarray) -> np.ndarray:
-    """Category codes 1..J (binary responses map to 1/2)."""
-    if fit.spec.is_ordinal:
-        return y.astype(int)
-    return (y > 0.5).astype(int) + 1
 
 
 def sbs(fit: FitResult, data: Dataset) -> ResidualSet:
     """P(Y < y) - P(Y > y) under the fitted model; values in (-1, 1)."""
     check_supported(fit.spec.family, "sbs")
     cum = _cumulative(fit)
-    codes = _codes(fit, data.y)
+    codes = fit.family.codes(data.y)
     rows = np.arange(data.n)
     values = cum[rows, codes - 1] + cum[rows, codes] - 1.0
     return ResidualSet(values=values, kind="sbs")
 
 
 # -- truncated latent sampling ------------------------------------------------
-
-
-def _latent_funcs(link: str):
-    if link == "probit":
-        return ndtr, ndtri
-    if link == "logit":
-        return expit, logit
-    raise UnsupportedKind(f"no latent distribution for link {link!r}")
 
 
 def _trunc_standard(u, lo, hi, cdf, ppf):
@@ -167,17 +137,11 @@ def _trunc_standard(u, lo, hi, cdf, ppf):
     return np.minimum(np.maximum(x, np.nextafter(lo, np.inf)), hi)
 
 
-def _cutpoints(fit: FitResult) -> np.ndarray:
-    if fit.spec.is_ordinal:
-        return fit.alpha_hat
-    return np.array([0.0])  # binary latent threshold
-
-
 def latent_intervals(fit: FitResult, y: np.ndarray):
     """(lo, hi] residual-scale truncation bounds per observation."""
-    alpha = _cutpoints(fit)
-    ext = np.concatenate([[-np.inf], alpha, [np.inf]])
-    codes = _codes(fit, y)
+    family = fit.family
+    ext = np.concatenate([[-np.inf], family.thresholds(fit), [np.inf]])
+    codes = family.codes(y)
     eta = fit.eta
     return ext[codes - 1] - eta, ext[codes] - eta
 
@@ -185,7 +149,7 @@ def latent_intervals(fit: FitResult, y: np.ndarray):
 def surrogate_values(fit: FitResult, y: np.ndarray, rng: np.random.Generator):
     """One truncated latent draw per observation, minus the linear predictor."""
     lo, hi = latent_intervals(fit, y)
-    cdf, ppf = _latent_funcs(fit.spec.link)
+    cdf, ppf = fit.family.latent
     u = rng.random(y.shape[0])
     return _trunc_standard(u, lo, hi, cdf, ppf)
 
@@ -229,24 +193,20 @@ def recreate(fit: FitResult, data: Dataset, r_star: np.ndarray, kind: str) -> np
     check_supported(fit.spec.family, kind)
     r_star = np.asarray(r_star, dtype=float)
 
+    family = fit.family
     if kind == "surrogate":
         s = r_star + fit.eta
-        alpha = _cutpoints(fit)
-        codes = np.searchsorted(alpha, s, side="left") + 1  # interval (a_{j-1}, a_j]
-        if fit.spec.is_ordinal:
-            return codes.astype(float)
-        return (codes == 2).astype(float)  # s > 0 -> y = 1
+        codes = np.searchsorted(family.thresholds(fit), s, side="left") + 1  # (a_{j-1}, a_j]
+        return family.from_codes(codes)
 
     if kind == "sbs":
         if not fit.spec.is_ordinal:
             return (r_star > 0.0).astype(float)
         cum = _cumulative(fit)
         grid = cum[:, :-1] + cum[:, 1:] - 1.0  # per-observation SBS value of each j
-        codes = np.argmin(np.abs(grid - r_star[:, None]), axis=1) + 1
-        return codes.astype(float)
+        return family.from_codes(np.argmin(np.abs(grid - r_star[:, None]), axis=1) + 1)
 
     if kind == "pearson":
-        family = get_family(fit.spec.family, fit.spec.link)
         return family.clamp_response(fit.mu_hat + np.sqrt(fit.var_hat) * r_star)
 
     # raw (gaussian)

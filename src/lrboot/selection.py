@@ -17,7 +17,7 @@ from .errors import (
     NotAPermutation,
     UnsupportedKind,
 )
-from .glm import FitResult, fit_qmle, get_family
+from .glm import FitResult, fit_qmle
 from .neighborhood import build_neighborhoods
 from .rng import derive_seed
 
@@ -94,7 +94,7 @@ def loss_from_replicates(
 ) -> float:
     """Monte Carlo in-sample average loss given replicate coefficients."""
     _check_scalar_family(fit.spec)
-    family = get_family(fit.spec.family, fit.spec.link)
+    family = fit.family
     Xd = fit.design.matrix
     mu_star = family.mean(Xd @ np.atleast_2d(betas).T)  # n x B
     denom = data.n * fit.var_hat
@@ -107,7 +107,7 @@ def prediction_error_from_replicates(
 ) -> float:
     """Three-term optimism-corrected prediction error given replicates."""
     _check_scalar_family(fit.spec)
-    family = get_family(fit.spec.family, fit.spec.link)
+    family = fit.family
     Xd = fit.design.matrix
     n = data.n
     betas = np.atleast_2d(betas)
@@ -130,17 +130,16 @@ def in_sample_loss(
     fit: FitResult | None = None,
     neighborhoods=None,
     n_threads: int = 1,
-    options=None,
 ) -> float:
     """Bootstrap estimate of the in-sample average loss.
 
     Any bootstrap method qualifies: only the replicate coefficients enter.
     """
     _check_scalar_family(spec)
-    fit = fit or fit_qmle(data, spec, options)
+    fit = fit or fit_qmle(data, spec)
     out = run(
         data, spec, method, B, seed=seed,
-        fit=fit, neighborhoods=neighborhoods, n_threads=n_threads, options=options,
+        fit=fit, neighborhoods=neighborhoods, n_threads=n_threads,
     )
     return loss_from_replicates(data, fit, out.replicates)
 
@@ -155,7 +154,6 @@ def prediction_error(
     fit: FitResult | None = None,
     neighborhoods=None,
     n_threads: int = 1,
-    options=None,
 ) -> float:
     """Bootstrap estimate of the out-of-sample prediction error.
 
@@ -168,11 +166,11 @@ def prediction_error(
             f"{method.label} does not recreate responses; "
             "the prediction-error criterion requires y*"
         )
-    fit = fit or fit_qmle(data, spec, options)
+    fit = fit or fit_qmle(data, spec)
     out = run(
         data, spec, method, B, seed=seed,
         fit=fit, neighborhoods=neighborhoods, n_threads=n_threads,
-        options=options, keep_responses=True,
+        keep_responses=True,
     )
     return prediction_error_from_replicates(data, fit, out.replicates, out.responses)
 
@@ -193,7 +191,6 @@ def rank_models(
     seed: int = 0,
     *,
     n_threads: int = 1,
-    options=None,
 ) -> SelectionReport:
     """Evaluate the criterion per model (substream keyed by label, so the
     result is invariant to model order) and rank ascending, ties by label."""
@@ -217,7 +214,6 @@ def rank_models(
                 seed=derive_seed(seed, label),
                 neighborhoods=neighborhoods,
                 n_threads=n_threads,
-                options=options,
             )
         )
     values = np.asarray(values)

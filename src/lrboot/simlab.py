@@ -22,7 +22,6 @@ from .bootstrap import ci_percentile, run
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import TooManyFailures, UnknownScenario
 from .glm import (
-    FitOptions,
     FitResult,
     _check_rank,
     _coef_names,
@@ -667,7 +666,6 @@ def pseudo_truth(
     seed: int = 0,
     params: dict | None = None,
     cache_path=None,
-    options: FitOptions | None = None,
 ) -> PseudoTruth:
     """Monte Carlo pseudo-true parameter (mean of QMLE fits over response
     redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation)."""
@@ -713,7 +711,7 @@ def pseudo_truth(
                 for r in range(first, last)
             ]
         )
-        out = fit_design_batch(design.matrix, Y, family, options)
+        out = fit_design_batch(design.matrix, Y, family)
         ok = out.ok
         n_failed += int(np.sum(~ok))
         if n_failed > 0.05 * reps:
@@ -800,7 +798,6 @@ def run_experiment(
     seed: int = 0,
     params: dict | None = None,
     n_threads: int = 1,
-    options: FitOptions | None = None,
 ) -> ExperimentReport:
     """Coverage and SE-ratio experiment on the frozen design of `truth`.
 
@@ -845,7 +842,7 @@ def run_experiment(
     for r in range(replications):
         y = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_EXPERIMENT, r)
         ds = ds0.with_response(y)
-        fit = fit_qmle(ds, spec, options, design=design)
+        fit = fit_qmle(ds, spec, design=design)
         for method in methods:
             lab = method.label
             out = run(
@@ -857,7 +854,6 @@ def run_experiment(
                 fit=fit,
                 neighborhoods=neighborhoods_for(method),
                 n_threads=n_threads,
-                options=options,
             )
             se_t = float(out.se_hat[t])
             se_hats[lab].append(se_t)

@@ -23,6 +23,7 @@ from lrboot.errors import (
     TooManyFailures,
     UnsupportedKind,
 )
+from lrboot import simlab
 from lrboot.neighborhood import build_neighborhoods
 from lrboot.rng import substream
 
@@ -185,7 +186,7 @@ def test_unequal_neighbor_sets_draw_as_per_observation_loop():
     nb = build_neighborhoods(ds, 7)
     assert nb.as_matrix() is None
     method = BootstrapMethod.local_response(7)
-    draw = _sampler(ds, spec, method, lb.fit_qmle(ds, spec), 3, nb)
+    draw = _sampler(ds, method, lb.fit_qmle(ds, spec), 3, nb)
     lengths = np.array([len(s) for s in nb.sets], dtype=float)
     for b in range(1, 40):
         u = substream(3, b).random(n)
@@ -309,6 +310,32 @@ def test_too_many_failures_aborts():
             fit=fit,
             options=lb.FitOptions(max_iter=0),
         )
+
+
+@pytest.mark.parametrize("scenario", ["SC10", "SC9", "SC1_ordinal"])
+def test_parametric_draws_match_per_replicate_loop(scenario):
+    # responses drawn by a loop over substream(seed, b): gaussian and gamma
+    # with their dispersion estimates, ordinal by its cumulative draw
+    ds = simlab.generate(scenario, n=300, seed=4)
+    spec = simlab.get_scenario(scenario).assumed({})
+    fit = lb.fit_qmle(ds, spec)
+    out = run(ds, spec, BootstrapMethod.parametric(), B=24, seed=6, fit=fit,
+              keep_responses=True)
+    assert out.n_failed == 0
+    n, mu = ds.n, fit.mu_hat
+    dof = n - fit.design.q
+    for b in range(1, 25):
+        rng = substream(6, b)
+        if scenario == "SC10":
+            sd = np.sqrt(float(np.sum((ds.y - mu) ** 2) / dof))
+            y_star = mu + sd * rng.standard_normal(n)
+        elif scenario == "SC9":
+            shape = 1.0 / float(np.sum(((ds.y - mu) / np.sqrt(fit.var_hat)) ** 2) / dof)
+            y_star = rng.gamma(shape, mu / shape)
+        else:
+            u = rng.random(n)
+            y_star = (1 + (u[:, None] > np.cumsum(mu, axis=1)).sum(axis=1)).astype(float)
+        assert np.array_equal(out.responses[b - 1], y_star), b
 
 
 def test_keep_responses_only_for_recreating_methods():

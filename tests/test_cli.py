@@ -201,6 +201,41 @@ def test_bootstrap_auto_l_embeds_trace(tmp_path, binary_csv):
     assert payload["provenance"]["l"] == trace["final_l"]
 
 
+@pytest.mark.parametrize(
+    "method_args",
+    [["LRB-surrogate"], ["local_response", "--residual", "surrogate"]],
+)
+def test_bootstrap_auto_l_reads_normalized_method_token(tmp_path, binary_csv, method_args):
+    out = tmp_path / "auto.json"
+    code = cli.main(
+        [
+            "bootstrap",
+            "--input", str(binary_csv),
+            "--response", "y",
+            "--predictors", "x",
+            "--method", *method_args,
+            "--l", "auto",
+            "--B", "20",
+            "--seed", "3",
+            "--threads", "1",
+            "--output", str(out),
+        ]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["provenance"]["l"] == payload["size_selection"]["final_l"] >= 2
+
+
+def test_local_methods_reject_a_missing_size():
+    from lrboot.bootstrap import BootstrapMethod
+    from lrboot.errors import InvalidSize
+
+    with pytest.raises(InvalidSize):
+        BootstrapMethod.lrb("surrogate", None)
+    with pytest.raises(InvalidSize):
+        BootstrapMethod.local_response(None)
+
+
 def test_select_l_command(tmp_path, binary_csv):
     out = tmp_path / "trace.json"
     code = cli.main(
@@ -349,6 +384,13 @@ def test_config_file_merge_and_flag_override(tmp_path, binary_csv):
         == 0
     )
     assert json.loads(out2.read_text())["provenance"]["seed"] == 12
+    # so does the --flag=value spelling
+    out3 = tmp_path / "o3.json"
+    assert (
+        cli.main(["bootstrap", "--config", str(cfg), "--seed=12", "--output", str(out3)])
+        == 0
+    )
+    assert json.loads(out3.read_text())["provenance"]["seed"] == 12
 
 
 def test_fit_command_ordinal(tmp_path):
@@ -402,6 +444,24 @@ def test_exit_codes(tmp_path, binary_csv):
     assert cli.main(["frobnicate"]) == 1
     # usage error: missing required data flags
     assert cli.main(["fit"]) == 1
+    # usage error: a neighborhood size that is not an integer
+    data = ["--input", str(binary_csv), "--response", "y", "--predictors", "x"]
+    assert cli.main(["bootstrap", *data, "--l", "ten", "--B", "10"]) == 1
+    assert cli.main(
+        ["select-model", *data, "--model", "a=binomial:probit:x",
+         "--model", "b=binomial:probit:x,x^2", "--l", "ten", "--B", "10"]
+    ) == 1
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--l", "ten"]) == 1
+    # computational error: data that fail validation (a non-finite cell, one row)
+    inf_csv = tmp_path / "inf.csv"
+    _write_csv(inf_csv, ["y", "x"], [["0", "1.0"], ["1", "inf"], ["1", "2.0"]])
+    assert cli.main(["fit", "--input", str(inf_csv), "--response", "y",
+                     "--predictors", "x"]) == 2
+    one_csv = tmp_path / "one.csv"
+    _write_csv(one_csv, ["y", "x"], [["1", "0.5"]])
+    assert cli.main(["fit", "--input", str(one_csv), "--response", "y",
+                     "--predictors", "x"]) == 2
     # computational error: unknown residual kind for the family
     code = cli.main(
         [

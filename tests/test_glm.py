@@ -387,3 +387,5 @@ def test_family_registry_rejects_unknown_pairs():
         get_family("poisson", "identity")
     with pytest.raises(UnsupportedKind):
         lb.ModelSpec("binomial", "log", ())
+    with pytest.raises(UnsupportedKind):
+        lb.ModelSpec("ordinal", "logit", (), include_intercept=False, n_categories=3)
