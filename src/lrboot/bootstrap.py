@@ -27,6 +27,7 @@ from .errors import (
     TooFewReplicates,
     TooManyFailures,
     UnsupportedKind,
+    UsageError,
 )
 from .glm import FitOptions, FitResult, fit_design_batch, fit_qmle
 from .neighborhood import NeighborhoodMap, build_neighborhoods
@@ -41,49 +42,73 @@ __all__ = [
     "p_value",
 ]
 
-METHOD_KINDS = (
-    "lrb",
-    "local_response",
-    "classical_residual",
-    "parametric",
-    "pairwise",
-    "wild",
-    "multiplier",
-)
-
-# methods whose replicates regenerate the response vector
-RESPONSE_RECREATING = ("lrb", "local_response", "classical_residual", "parametric")
-
 _FAILURE_SHARE = 0.2
-
-
-def _size(l) -> int:
-    if l is None:
-        raise InvalidSize("local methods need a neighborhood size l")
-    return int(l)
 
 
 @dataclass(frozen=True)
 class BootstrapMethod:
+    """A bootstrap method, and the one owner of the method grammar: `parse`
+    reads a token, `label` prints one, and parse(m.label, l=m.l) == m."""
+
     kind: str
-    residual_kind: str | None = None
-    l: int | None = None
+    residual_kind: str | None = None  # the pool lrb and classical_residual resample
+    l: int | None = None  # the neighborhood size of the local methods
+
+    # each kind's printed name; lrb and classical take a -<residual kind> suffix
+    _NAMES = {
+        "lrb": "lrb", "local_response": "local-response", "classical_residual": "classical",
+        "parametric": "parametric", "pairwise": "pairwise", "wild": "wild",
+        "multiplier": "multiplier",
+    }
+    _RESAMPLING = ("lrb", "classical_residual")
+    _LOCAL = ("lrb", "local_response")
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in self._NAMES:
             raise UnsupportedKind(f"unknown bootstrap method {self.kind!r}")
+        if self.kind in self._RESAMPLING and self.residual_kind not in res.RECREATABLE_KINDS:
+            raise IncompatibleResidual(
+                f"{self.kind} needs a recreatable residual kind, got {self.residual_kind!r}"
+            )
+
+    @classmethod
+    def parse(cls, token: str, residual: str | None = None, l: int | None = None):
+        """The method a token names, in any case: `lrb-<kind>`, `classical-<kind>`,
+        bare `lrb` or `classical` (which take `residual`), `local-response` (or
+        `local_response`), `parametric`, `pairwise`, `wild`, `multiplier`.
+        Only the local methods keep l."""
+        token = token.strip().lower()
+        kinds = {name: kind for kind, name in cls._NAMES.items()}
+        kinds["local_response"] = "local_response"
+        name, dash, named = token.partition("-")
+        kind = kinds.get(name)
+        if kind in cls._RESAMPLING:
+            residual = named if dash else residual
+            if residual is None:
+                raise UsageError(f"{name} needs --residual")
+        else:
+            kind, residual = kinds.get(token), None
+            if kind is None:
+                raise UsageError(f"unknown bootstrap method {token!r}")
+        return cls(kind, residual, l if kind in cls._LOCAL else None)
+
+    @staticmethod
+    def _size(l) -> int:
+        if l is None:
+            raise InvalidSize("local methods need a neighborhood size l")
+        return int(l)
 
     @classmethod
     def lrb(cls, residual_kind: str, l: int) -> "BootstrapMethod":
-        return cls("lrb", residual_kind=residual_kind, l=_size(l))
+        return cls("lrb", residual_kind, cls._size(l))
 
     @classmethod
     def local_response(cls, l: int) -> "BootstrapMethod":
-        return cls("local_response", l=_size(l))
+        return cls("local_response", l=cls._size(l))
 
     @classmethod
     def classical_residual(cls, residual_kind: str) -> "BootstrapMethod":
-        return cls("classical_residual", residual_kind=residual_kind)
+        return cls("classical_residual", residual_kind)
 
     @classmethod
     def parametric(cls) -> "BootstrapMethod":
@@ -102,15 +127,18 @@ class BootstrapMethod:
         return cls("multiplier")
 
     @property
+    def is_local(self) -> bool:
+        """Whether replicates draw from the l nearest neighbors of each row."""
+        return self.kind in self._LOCAL
+
+    @property
     def recreates_responses(self) -> bool:
-        return self.kind in RESPONSE_RECREATING
+        return self.kind in self._LOCAL + ("classical_residual", "parametric")
 
     @property
     def label(self) -> str:
-        if self.kind in ("lrb", "classical_residual"):
-            prefix = "lrb" if self.kind == "lrb" else "classical"
-            return f"{prefix}-{self.residual_kind}"
-        return self.kind.replace("_", "-")
+        name = self._NAMES[self.kind]
+        return f"{name}-{self.residual_kind}" if self.kind in self._RESAMPLING else name
 
 
 @dataclass
@@ -199,36 +227,28 @@ def p_value(replicates: np.ndarray, null_value: float, alternative: str = "two_s
 
 
 def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
-    fam = spec.family
-    if method.kind in ("lrb", "classical_residual"):
-        kind = method.residual_kind
-        if kind is None:
-            raise IncompatibleResidual(f"{method.kind} needs a residual kind")
-        if kind not in res.RECREATABLE_KINDS:
-            raise IncompatibleResidual(f"{kind} residuals cannot recreate responses")
-        if not res.supports(fam, kind):
-            raise IncompatibleResidual(
-                f"{kind} residuals are not defined for {fam} models"
-            )
-    if method.kind in ("lrb", "local_response"):
-        if method.l is None or not 1 <= method.l <= data.n:
-            raise InvalidSize(f"neighborhood size must lie in [1, {data.n}]")
+    # the checks that need the data or the model; the method checks its fields
+    if method.is_local and not (method.l is not None and 1 <= method.l <= data.n):
+        raise InvalidSize(f"neighborhood size must lie in [1, {data.n}]")
+    kind = method.residual_kind
+    if kind is not None and not res.supports(spec.family, kind):
+        raise IncompatibleResidual(f"{kind} residuals are not defined for {spec.family} models")
     if method.kind == "wild" and spec.is_ordinal:
         raise IncompatibleResidual("wild bootstrap is not defined for ordinal models")
 
 
-def _draw_indices(rng, nb_matrix, flat, offsets, lengths, n):
-    """One neighbor pick per observation, consuming the stream in obs order.
-
-    Unequal sets are read from `flat`, their concatenation, where set i
-    starts at offsets[i].
-    """
-    if nb_matrix is not None:
-        k = rng.integers(0, nb_matrix.shape[1], size=n)
-        return nb_matrix[np.arange(n), k]
-    u = rng.random(n)
-    k = np.floor(u * lengths).astype(int)
-    return flat[offsets + k]
+def _neighbor_picker(nb: NeighborhoodMap):
+    """rng -> one neighbor index per observation, consuming the stream in
+    observation order. Unequal sets are read from their concatenation."""
+    n = nb.n
+    matrix = nb.as_matrix()
+    if matrix is not None:
+        rows = np.arange(n)
+        return lambda rng: matrix[rows, rng.integers(0, matrix.shape[1], size=n)]
+    flat = np.concatenate(nb.sets)
+    lengths = np.array([len(s) for s in nb.sets])
+    offsets = np.cumsum(lengths) - lengths
+    return lambda rng: flat[offsets + np.floor(rng.random(n) * lengths).astype(int)]
 
 
 def _sampler(data, method, fit, seed, neighborhoods):
@@ -264,23 +284,13 @@ def _sampler(data, method, fit, seed, neighborhoods):
             None,
         )
     # lrb and local_response pick one neighbor per observation
-    nb = neighborhoods if neighborhoods is not None else build_neighborhoods(data, method.l)
-    nb_matrix = nb.as_matrix()
-    flat = offsets = lengths = None
-    if nb_matrix is None:
-        flat = np.concatenate(nb.sets)
-        lengths = np.array([len(s) for s in nb.sets])
-        offsets = np.cumsum(lengths) - lengths
-    picks = (nb_matrix, flat, offsets, lengths, n)
+    pick = _neighbor_picker(
+        neighborhoods if neighborhoods is not None else build_neighborhoods(data, method.l)
+    )
     if kind == "local_response":
-        return lambda rng: (y[_draw_indices(rng, *picks)], None)
+        return lambda rng: (y[pick(rng)], None)
     pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
-
-    def draw(rng):
-        idx = _draw_indices(rng, *picks)
-        return res.recreate(fit, data, pool[idx], method.residual_kind), None
-
-    return draw
+    return lambda rng: (res.recreate(fit, data, pool[pick(rng)], method.residual_kind), None)
 
 
 def run(

@@ -1,6 +1,10 @@
 """Command-line front end: CSV ingestion and the fit / bootstrap / select-l /
 select-model / simulate pipelines with machine-readable, re-runnable outputs.
 
+Method tokens are read by `BootstrapMethod.parse`, the owner of their grammar.
+A bad `--grid`, `--levels` or `--alpha` value is a usage error before any
+work, as argparse checks them.
+
 JSON artifacts embed the effective configuration, seed, and tool version.
 The CSV tables carry less: the `simulate` CSV has the seed as its last
 column but no version column yet, and the `bootstrap --format csv` summary
@@ -15,7 +19,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,12 +156,29 @@ def emit_csv(ds: Dataset, response_name: str, path) -> None:
 # term parsing
 
 
+def _term_tokens(spec_str: str):
+    """Yield (kind, column names, power) for each term in 'a,b^2,a*b,exp(a)'."""
+    for token in [t.strip() for t in spec_str.split(",") if t.strip()]:
+        kind, names, power = "raw", [token], "1"
+        if token.startswith("exp(") and token.endswith(")"):
+            kind, names = "exp", [token[4:-1]]
+        elif "*" in token:
+            kind, names = "interaction", token.split("*", 1)
+        elif "^" in token:
+            kind, (name, power) = "power", token.rsplit("^", 1)
+            names = [name]
+        try:
+            power = int(power)
+        except ValueError as exc:
+            raise UsageError(f"bad power in term {token!r}") from exc
+        yield kind, [name.strip() for name in names], power
+
+
 def parse_terms(spec_str: str, column_names) -> tuple:
     """Parse 'x1,x2^2,x1*x2,exp(x1)' into Term tuples against encoded names."""
     lookup = {name: j for j, name in enumerate(column_names)}
 
     def col_of(name):
-        name = name.strip()
         if name not in lookup:
             raise MissingColumn(
                 f"predictor {name!r} is not an encoded column; have {list(lookup)}"
@@ -165,21 +186,9 @@ def parse_terms(spec_str: str, column_names) -> tuple:
         return lookup[name]
 
     terms = []
-    for token in [t.strip() for t in spec_str.split(",") if t.strip()]:
-        if token.startswith("exp(") and token.endswith(")"):
-            terms.append(Term("exp", col_of(token[4:-1])))
-        elif "*" in token:
-            a, b = token.split("*", 1)
-            terms.append(Term("interaction", col_of(a), col2=col_of(b)))
-        elif "^" in token:
-            name, power = token.rsplit("^", 1)
-            try:
-                p = int(power)
-            except ValueError as exc:
-                raise UsageError(f"bad power in term {token!r}") from exc
-            terms.append(Term("power", col_of(name), power=p))
-        else:
-            terms.append(Term("raw", col_of(token)))
+    for kind, names, power in _term_tokens(spec_str):
+        cols = [col_of(name) for name in names]
+        terms.append(Term(kind, cols[0], power=power, col2=cols[1] if len(cols) > 1 else -1))
     if not terms:
         raise UsageError("empty predictor specification")
     return tuple(terms)
@@ -188,30 +197,16 @@ def parse_terms(spec_str: str, column_names) -> tuple:
 def base_names_of(spec_str: str, categorical: set) -> list:
     """Base CSV columns mentioned by a term string (before encoding)."""
     seen = []
-    for token in [t.strip() for t in spec_str.split(",") if t.strip()]:
-        if token.startswith("exp(") and token.endswith(")"):
-            parts = [token[4:-1]]
-        elif "*" in token:
-            parts = token.split("*", 1)
-        elif "^" in token:
-            parts = [token.rsplit("^", 1)[0]]
-        else:
-            parts = [token]
-        for p in [q.strip() for q in parts]:
-            base = p.split("=", 1)[0] if "=" in p else p
+    for _, names, _ in _term_tokens(spec_str):
+        for name in names:
+            base = name.split("=", 1)[0]
             if base not in seen:
                 seen.append(base)
     return seen
 
 
 # ---------------------------------------------------------------------------
-# method tokens
-
-
-def _method_token(token: str) -> str:
-    """Lower-case method token, with local_response spelled local-response."""
-    token = token.strip().lower()
-    return "local-response" if token == "local_response" else token
+# flag values
 
 
 def _size_flag(args) -> int | None:
@@ -222,31 +217,27 @@ def _size_flag(args) -> int | None:
         raise UsageError(f"--l must be an integer, got {args.l!r}") from exc
 
 
-def parse_method(token: str, residual: str | None, l: int | None) -> BootstrapMethod:
-    token = _method_token(token)
-    if token.startswith("lrb-"):
-        return BootstrapMethod.lrb(token[4:], l)
-    if token == "lrb":
-        if residual is None:
-            raise UsageError("lrb needs --residual")
-        return BootstrapMethod.lrb(residual, l)
-    if token.startswith("classical-"):
-        return BootstrapMethod.classical_residual(token[10:])
-    if token == "classical":
-        if residual is None:
-            raise UsageError("classical needs --residual")
-        return BootstrapMethod.classical_residual(residual)
-    if token == "local-response":
-        return BootstrapMethod.local_response(l)
-    if token == "parametric":
-        return BootstrapMethod.parametric()
-    if token == "pairwise":
-        return BootstrapMethod.pairwise()
-    if token == "wild":
-        return BootstrapMethod.wild()
-    if token == "multiplier":
-        return BootstrapMethod.multiplier()
-    raise UsageError(f"unknown bootstrap method {token!r}")
+def _fraction(text: str) -> float:
+    """argparse type: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(text)
+    return value
+
+
+def _entries(text: str, convert) -> tuple:
+    return tuple(convert(v) for v in text.split(",") if v.strip())
+
+
+def _comma_list(convert):
+    """argparse type: a comma list of `convert` values. The flag keeps its
+    text, which artifacts echo; `_entries` reads the values."""
+
+    def comma_list(text: str) -> str:
+        _entries(text, convert)
+        return text
+
+    return comma_list
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +307,13 @@ def _build_parser() -> _Parser:
     p_boot.add_argument("--residual", default=None)
     p_boot.add_argument("--l", default="auto", help="neighborhood size or 'auto'")
     p_boot.add_argument("--B", type=int, default=500)
-    p_boot.add_argument("--alpha", type=float, default=0.05)
+    p_boot.add_argument("--alpha", type=_fraction, default=0.05)
     p_boot.add_argument("--keep-replicates", action="store_true")
 
     p_sel_l = sub.add_parser("select-l", help="neighborhood-size selection")
     common(p_sel_l)
     p_sel_l.add_argument("--residual", default=None)
-    p_sel_l.add_argument("--grid", default="2,4,6,8,10,12,14,16")
+    p_sel_l.add_argument("--grid", type=_comma_list(int), default="2,4,6,8,10,12,14,16")
     p_sel_l.add_argument("--K", type=int, default=20)
     p_sel_l.add_argument("--m", type=int, default=None)
     p_sel_l.add_argument("--B-inner", type=int, default=200)
@@ -353,7 +344,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--B", type=int, default=200)
     p_sim.add_argument("--reps", type=int, default=50)
     p_sim.add_argument("--truth-reps", type=int, default=2000)
-    p_sim.add_argument("--levels", default="0.95,0.90,0.75")
+    p_sim.add_argument("--levels", type=_comma_list(_fraction), default="0.95,0.90,0.75")
     p_sim.add_argument(
         "--scenario-param", action="append", default=None, help="name=value"
     )
@@ -445,17 +436,15 @@ def _cmd_bootstrap(args) -> int:
     ds, spec, info = _load_dataset(args)
     n_threads = _threads(args)
     trace = None
-    token = _method_token(args.method)
-    l = None
-    if str(args.l).lower() != "auto":
-        l = _size_flag(args)
-    elif token.startswith("lrb") or token == "local-response":
-        kind = args.residual or (token[4:] if token.startswith("lrb-") else None)
+    auto = str(args.l).lower() == "auto"
+    method = BootstrapMethod.parse(args.method, args.residual, None if auto else _size_flag(args))
+    if auto and method.is_local:
+        # tune l with the residual kind the run will resample
+        kind = method.residual_kind or args.residual
         if kind is None:
             raise UsageError("--l auto needs a residual kind")
         trace = select_size(ds, spec, kind, seed=args.seed, n_threads=n_threads)
-        l = trace.final_l
-    method = parse_method(token, args.residual, l)
+        method = replace(method, l=trace.final_l)
     out = run(
         ds, spec, method, B=args.B, alpha=args.alpha, seed=args.seed,
         n_threads=n_threads,
@@ -481,7 +470,7 @@ def _cmd_select_l(args) -> int:
     ds, spec, info = _load_dataset(args)
     if args.residual is None:
         raise UsageError("--residual is required for select-l")
-    grid = tuple(int(g) for g in args.grid.split(",") if g.strip())
+    grid = _entries(args.grid, int)
     trace = select_size(
         ds,
         spec,
@@ -532,7 +521,7 @@ def _cmd_select_model(args) -> int:
     l = _size_flag(args)
     if l is None:
         l = max(2, int(np.ceil(ds.n ** (1.0 / 3.0))))
-    method = parse_method(args.method, args.residual, l)
+    method = BootstrapMethod.parse(args.method, args.residual, l)
     cands = CandidateSet(models, ds, method, B=args.B)
     report = rank_models(cands, args.criterion, seed=args.seed, n_threads=_threads(args))
     payload = report.to_json_dict()
@@ -567,10 +556,8 @@ def _cmd_simulate(args) -> int:
     l = _size_flag(args)
     if l is None:
         l = default_neighborhood_size(args.scenario, truth.n)
-    methods = [
-        parse_method(tok, args.residual, l) for tok in args.methods.split(",")
-    ]
-    levels = tuple(float(v) for v in args.levels.split(","))
+    methods = [BootstrapMethod.parse(tok, args.residual, l) for tok in args.methods.split(",")]
+    levels = _entries(args.levels, float)
     report = run_experiment(
         args.scenario,
         methods,

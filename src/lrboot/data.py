@@ -145,6 +145,8 @@ def make_dataset(
     X_raw = np.atleast_2d(np.asarray(X_raw, dtype=float))
     if X_raw.shape[0] != y.shape[0]:
         raise DimensionMismatch("y and X row counts differ")
+    if not np.all(np.isfinite(X_raw)):
+        raise InvalidData("covariates contain non-finite entries")
     n, p = X_raw.shape
     if column_meta is None:
         column_meta = tuple(CONTINUOUS for _ in range(p))

@@ -199,7 +199,7 @@ def rank_models(
     evaluate = in_sample_loss if criterion == "L" else prediction_error
     data, method = cands.data, cands.method
     neighborhoods = None
-    if method.kind in ("lrb", "local_response"):
+    if method.is_local:
         neighborhoods = build_neighborhoods(data, method.l)
     labels, values = [], []
     for spec in cands.models:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .bootstrap import ci_percentile, run
+from .bootstrap import _neighbor_picker, ci_percentile, run
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import TooManyFailures, UnknownScenario
 from .glm import (
@@ -822,7 +822,7 @@ def run_experiment(
     nb_cache: dict[int, object] = {}
 
     def neighborhoods_for(method):
-        if method.kind not in ("lrb", "local_response"):
+        if not method.is_local:
             return None
         if method.l not in nb_cache:
             nb_cache[method.l] = build_neighborhoods(ds0, method.l)
@@ -1004,20 +1004,19 @@ def theorem1_ks(
     ds = _dataset_from(scn, X_full, y, merged)
     fit = fit_qmle(ds, spec)
     r_hat = surrogate_values(fit, ds.y, substream(seed, rep, 0))
-    nb = build_neighborhoods(ds, l)
-    mat = nb.as_matrix()
-    k = substream(seed, rep, 1).integers(0, l, size=n)
-    r_star = r_hat[mat[np.arange(n), k]]
+    pick = _neighbor_picker(build_neighborhoods(ds, l))
+    r_star = r_hat[pick(substream(seed, rep, 1))]
 
     # oracle side: fresh truth draw, surrogate at the pseudo-true coefficients
     y_dagger = _draw_response(
         scn, X_full, n, truth.seed, merged, _PURPOSE_ADHOC, 2000 + rep
     )
+    alpha, beta, mu, var = fit.family.fitted(fit.design.matrix, truth.beta_dagger)
     fit_dagger = FitResult(
-        beta_hat=truth.beta_dagger.copy(),
-        alpha_hat=None,
-        mu_hat=fit.mu_hat,
-        var_hat=fit.var_hat,
+        beta_hat=beta,
+        alpha_hat=alpha,
+        mu_hat=mu,
+        var_hat=var,
         loglik=0.0,
         iterations=0,
         converged=True,

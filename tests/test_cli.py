@@ -115,6 +115,14 @@ def test_parse_terms_forms():
         cli.parse_terms("a^x", ("a", "b"))
 
 
+def test_term_names_round_trip():
+    cols = ("a", "b=x")
+    terms = cli.parse_terms("a,b=x^3,a*b=x,exp(b=x)", cols)
+    assert [t.kind for t in terms] == ["raw", "power", "interaction", "exp"]
+    assert cli.parse_terms(",".join(t.name(cols) for t in terms), cols) == terms
+    assert cli.base_names_of("a,b=x^3,a*b=x,exp(b=x)", {"b"}) == ["a", "b"]
+
+
 def test_fit_command_writes_payload(tmp_path, binary_csv):
     out = tmp_path / "fit.json"
     code = cli.main(
@@ -224,6 +232,80 @@ def test_bootstrap_auto_l_reads_normalized_method_token(tmp_path, binary_csv, me
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["provenance"]["l"] == payload["size_selection"]["final_l"] >= 2
+
+
+def test_bootstrap_auto_l_tunes_the_method_it_runs(tmp_path, binary_csv):
+    # a named residual wins over --residual for the size search as for the run
+    from lrboot.neighborhood import select_size
+
+    out = tmp_path / "auto.json"
+    code = cli.main(
+        [
+            "bootstrap",
+            "--input", str(binary_csv),
+            "--response", "y",
+            "--predictors", "x",
+            "--method", "lrb-surrogate",
+            "--residual", "pearson",
+            "--l", "auto",
+            "--B", "20",
+            "--seed", "3",
+            "--threads", "1",
+            "--output", str(out),
+        ]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    ds, spec, _ = cli._load_dataset(
+        cli._build_parser().parse_args(
+            ["bootstrap", "--input", str(binary_csv), "--response", "y", "--predictors", "x"]
+        )
+    )
+    trace = select_size(ds, spec, "surrogate", seed=3, n_threads=1)
+    assert payload["size_selection"] == json.loads(json.dumps(trace.to_json_dict()))
+    assert payload["provenance"]["residual_kind"] == "surrogate"
+
+
+_SPELLINGS = [
+    # (token, --residual, l) -> (kind, residual_kind, l)
+    (("LRB-surrogate", "pearson", 8), ("lrb", "surrogate", 8)),
+    ((" lrb-sbs ", None, 5), ("lrb", "sbs", 5)),
+    (("lrb", "surrogate", 8), ("lrb", "surrogate", 8)),
+    (("Lrb", "pearson", 6), ("lrb", "pearson", 6)),
+    (("classical-pearson", "sbs", 8), ("classical_residual", "pearson", None)),
+    (("classical", "surrogate", 8), ("classical_residual", "surrogate", None)),
+    (("local_response", "surrogate", 8), ("local_response", None, 8)),
+    (("Local-Response", None, 3), ("local_response", None, 3)),
+    (("parametric", "surrogate", 8), ("parametric", None, None)),
+    (("pairwise", None, 8), ("pairwise", None, None)),
+    (("WILD", None, None), ("wild", None, None)),
+    (("multiplier", "pearson", 4), ("multiplier", None, None)),
+]
+
+
+@pytest.mark.parametrize("given, expected", _SPELLINGS)
+def test_method_tokens_parse(given, expected):
+    from lrboot.bootstrap import BootstrapMethod
+
+    token, residual, l = given
+    assert BootstrapMethod.parse(token, residual, l) == BootstrapMethod(*expected)
+
+
+def test_method_labels_parse_back():
+    from lrboot.bootstrap import BootstrapMethod
+
+    methods = [
+        BootstrapMethod.lrb("surrogate", 7),
+        BootstrapMethod.local_response(4),
+        BootstrapMethod.classical_residual("sbs"),
+        BootstrapMethod.parametric(),
+        BootstrapMethod.pairwise(),
+        BootstrapMethod.wild(),
+        BootstrapMethod.multiplier(),
+    ]
+    assert len({m.kind for m in methods}) == 7
+    for m in methods:
+        assert BootstrapMethod.parse(m.label, l=m.l) == m
 
 
 def test_local_methods_reject_a_missing_size():
@@ -453,6 +535,17 @@ def test_exit_codes(tmp_path, binary_csv):
     ) == 1
     assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
                      "--truth-reps", "100", "--l", "ten"]) == 1
+    # usage error: an unknown method token, or a bare lrb without --residual
+    assert cli.main(["bootstrap", *data, "--method", "bogus", "--l", "5", "--B", "10"]) == 1
+    assert cli.main(["bootstrap", *data, "--method", "lrb", "--l", "5", "--B", "10"]) == 1
+    # usage error: list and fraction flags that do not convert, before any work
+    assert cli.main(["select-l", *data, "--residual", "surrogate", "--grid", "2,four"]) == 1
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--levels", "0.9,x"]) == 1
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--levels", "1.5"]) == 1
+    assert cli.main(["bootstrap", *data, "--method", "parametric", "--B", "10",
+                     "--alpha", "2"]) == 1
     # computational error: data that fail validation (a non-finite cell, one row)
     inf_csv = tmp_path / "inf.csv"
     _write_csv(inf_csv, ["y", "x"], [["0", "1.0"], ["1", "inf"], ["1", "2.0"]])

@@ -1,6 +1,8 @@
 """QMLE fitter tests: closed forms, an independent derivative-free oracle,
 and the fit invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -378,6 +380,16 @@ def test_back_transform_reproduces_linear_predictor():
 def test_dataset_requires_enough_rows():
     with pytest.raises(ValueError):
         lb.make_dataset(np.zeros(3), np.ones((3, 3)))
+
+
+def test_dataset_rejects_non_finite_covariates_before_standardizing():
+    from lrboot.errors import InvalidData
+
+    X = np.array([[0.0], [np.inf], [1.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidData):
+            lb.make_dataset(np.zeros(4), X)
 
 
 def test_family_registry_rejects_unknown_pairs():

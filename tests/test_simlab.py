@@ -226,7 +226,15 @@ def test_default_neighborhood_sizes():
 
 def test_theorem1_ks_smoke(sc1_probit_truth_n500):
     d = sl.theorem1_ks("SC1_probit", sc1_probit_truth_n500, l=8, rep=0, seed=3)
-    assert 0.0 < d < 1.0
+    assert d == 0.048  # 24/500, as drawn before the bootstrap's picker was shared
+
+
+@pytest.mark.parametrize("scenario", ["SC6", "SC1_ordinal"])
+def test_theorem1_ks_off_the_sc1_path(scenario):
+    # SC6 has unequal all-categorical neighborhoods; SC1_ordinal has cutpoints
+    truth = sl.pseudo_truth(scenario, n=400, reps=100, seed=1)
+    d = sl.theorem1_ks(scenario, truth, l=8, rep=0, seed=3)
+    assert 0.0 <= d <= 1.0
 
 
 def test_sc1_ordinal_categories_and_warning():
