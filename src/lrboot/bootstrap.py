@@ -312,8 +312,11 @@ def run(
     Replicates are drawn and refit in blocks of `family.block_rows(n)` on
     the fitted design; n_threads workers take whole blocks. Failed replicate
     fits are dropped and counted; more than 20% failures aborts. Identical
-    inputs give bit-identical outcomes for any n_threads.
+    inputs give bit-identical outcomes for any n_threads. B < 2 raises
+    TooFewReplicates before any draw or fit.
     """
+    if B < 2:
+        raise TooFewReplicates("need at least 2 bootstrap replicates")
     _validate(data, spec, method)
     if keep_responses and not method.recreates_responses:
         raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")

@@ -2,8 +2,8 @@
 select-model / simulate pipelines with machine-readable, re-runnable outputs.
 
 Method tokens are read by `BootstrapMethod.parse`, the owner of their grammar.
-A bad `--grid`, `--levels` or `--alpha` value is a usage error before any
-work, as argparse checks them.
+A bad or empty `--grid` or `--levels` list, or a bad `--alpha`, is a usage
+error before any work, as argparse checks them.
 
 JSON artifacts embed the effective configuration, seed, and tool version.
 The CSV tables carry less: the `simulate` CSV has the seed as its last
@@ -230,11 +230,12 @@ def _entries(text: str, convert) -> tuple:
 
 
 def _comma_list(convert):
-    """argparse type: a comma list of `convert` values. The flag keeps its
-    text, which artifacts echo; `_entries` reads the values."""
+    """argparse type: a comma list of one or more `convert` values. The flag
+    keeps its text, which artifacts echo; `_entries` reads the values."""
 
     def comma_list(text: str) -> str:
-        _entries(text, convert)
+        if not _entries(text, convert):
+            raise ValueError(text)
         return text
 
     return comma_list

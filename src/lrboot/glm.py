@@ -5,16 +5,21 @@ log-likelihood, unit deviance, dispersion and response simulation, and for
 binary and ordinal models the categorical view that SBS and surrogate
 residuals use. `FitResult.family` returns it.
 
-Every fit runs one driver, `fit_design_batch`: Fisher scoring on the
-quasi-score for a block of response vectors on one prebuilt design, with
-step-halving, convergence declared on the max-abs score component, and a
-failure class recorded per row. `fit_qmle` is a one-row call of it. A family
-supplies what the driver needs for a block: per-row screens and cold starts,
-log-likelihood terms, and the score with a positive semi-definite
-information. The cumulative-probit model (`CumulativeProbit`) is maximized
-over (alpha_1, log-gaps, beta), so the cutpoints stay increasing, with its
-analytic Fisher information (McCullagh 1980, JRSS-B). Callers that fit many
-response vectors take `family.block_rows(n)` rows per block.
+Every fit runs one driver, `fit_design_batch`: Newton-type steps for a block
+of response vectors on one prebuilt design, with step-halving, convergence
+declared on the max-abs score component, and a failure class recorded per
+row. `fit_qmle` is a one-row call of it. A family supplies what the driver
+needs for a block: per-row screens and cold starts, log-likelihood terms,
+and the score with a positive semi-definite information. The probit family
+gives the exact gradient and the observed information, so its steps are
+Newton's and converge quadratically (McCullagh & Nelder 1989, sec. 2.5); it
+reuses the log-likelihood terms of the accepted step, so an iteration costs
+one `log_ndtr` pass. Every other GLM family has its canonical link, where
+the Fisher information equals the observed one, so its Fisher-scoring steps
+are Newton's too. The cumulative-probit model (`CumulativeProbit`) is
+maximized over (alpha_1, log-gaps, beta), so the cutpoints stay increasing,
+with its analytic Fisher information (McCullagh 1980, JRSS-B). Callers that
+fit many response vectors take `family.block_rows(n)` rows per block.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_LOG_SQRT2PI = np.log(_SQRT2PI)
 _MU_EPS = 1e-12
 _P_MIN = 1e-300  # floor of an ordinal category probability inside the log
 
@@ -196,9 +202,10 @@ class _BaseFamily:
     def clamp_response(self, vals):
         return vals
 
-    def score(self, design, Y, W, theta, eta):
+    def score(self, design, Y, W, theta, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
-        X' diag(w D^2 / V) X of the rows a mask selects."""
+        X' diag(w D^2 / V) X of the rows a mask selects. `terms` holds the
+        `loglik_terms` at eta, for a family that can reuse them."""
         mu = self.mean(eta)
         D = self.mean_deriv(eta)
         V = self.variance(mu)
@@ -227,9 +234,6 @@ class BinomialProbit(_BaseFamily):
     def mean(self, eta):
         return np.clip(ndtr(eta), _MU_EPS, 1.0 - _MU_EPS)
 
-    def mean_deriv(self, eta):
-        return _npdf(eta)
-
     def variance(self, mu):
         return mu * (1.0 - mu)
 
@@ -238,6 +242,27 @@ class BinomialProbit(_BaseFamily):
             # one log_ndtr per observation; bit-identical to the two-term form
             return log_ndtr(np.where(y == 1.0, eta, -eta))
         return y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
+
+    def score(self, design, Y, W, theta, eta, terms):
+        """Exact gradient of the probit log-likelihood and its observed
+        information, with lam(z) = phi(z) / Phi(z) taken in log space. For
+        binary y, z = (2y - 1) eta, the score is (2y - 1) lam(z) and the
+        information lam(z) (lam(z) + z), and `terms` already holds
+        log Phi(z). The information is positive because Phi is log-concave."""
+        if np.all((Y == 0.0) | (Y == 1.0)):
+            s = 2.0 * Y - 1.0
+            z = s * eta
+            lam = np.exp(-0.5 * np.square(z) - _LOG_SQRT2PI - terms)
+            u, h = s * lam, lam * (lam + z)
+        else:
+            log_phi = -0.5 * np.square(eta) - _LOG_SQRT2PI
+            up = np.exp(log_phi - log_ndtr(eta))
+            down = np.exp(log_phi - log_ndtr(-eta))
+            u = Y * up - (1.0 - Y) * down
+            h = Y * up * (up + eta) + (1.0 - Y) * down * (down - eta)
+        g = (u if W is None else W * u) @ design.X
+        wk = h if W is None else W * h
+        return g, lambda sel: design.gram(wk[sel])
 
     def screen(self, Xd, Y, W):
         # with a constant column, responses that are all 0 or all 1 are
@@ -281,6 +306,8 @@ class BinomialProbit(_BaseFamily):
 class BinomialLogit(BinomialProbit):
     name, link = "binomial", "logit"
     latent = (expit, logit)
+    # the link is canonical: Fisher scoring is already Newton's method
+    score = _BaseFamily.score
 
     def mean(self, eta):
         return np.clip(expit(eta), _MU_EPS, 1.0 - _MU_EPS)
@@ -457,7 +484,7 @@ class CumulativeProbit(_BaseFamily):
         lower = np.take_along_axis(edges, k - 1, axis=1) - eta
         return np.log(np.maximum(ndtr(upper) - ndtr(lower), _P_MIN))
 
-    def score(self, design, Y, W, theta, eta):
+    def score(self, design, Y, W, theta, eta, terms):
         """Score and expected information sum_i w_i sum_c dP_ic dP_ic' / P_ic,
         computed one category plane (b x n) at a time in (alpha, beta) and
         carried to theta by the Jacobian of alpha_a = alpha_1 + sum gaps."""
@@ -628,7 +655,13 @@ def fit_design_batch(
     weights: np.ndarray | None = None,
     beta0: np.ndarray | None = None,
 ) -> BatchFit:
-    """Fisher scoring for a block of response vectors on one prebuilt design.
+    """Newton-type fits of a block of response vectors on one prebuilt design.
+
+    Each step solves the family's information against its score: the
+    observed information for probit (exact Newton steps), the Fisher
+    information for every other family. The driver keeps each row's
+    log-likelihood terms at its accepted step and passes them to
+    `family.score`, which may reuse them.
 
     `Y` is b x n with one response vector per row; `weights` is None or
     b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
@@ -664,10 +697,11 @@ def fit_design_batch(
         return None if A is None else A[rows]
 
     def loglik(rows, theta, eta):
+        """Summed log-likelihood per row, and its terms for `family.score`."""
         terms = family.loglik_terms(Y[rows], eta, theta)
         s = np.sum(terms if W is None else W[rows] * terms, axis=1)
         s[~np.isfinite(s)] = -np.inf
-        return s
+        return s, terms
 
     def not_converged(r):
         return NonConvergence(
@@ -692,7 +726,8 @@ def fit_design_batch(
             errors[r] = NonConvergence("starting point outside the link's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
     ll = np.full(b, -np.inf)
-    ll[act] = loglik(act, theta[act], eta[act])
+    terms = np.empty_like(Y)  # log-likelihood terms of each row's current eta
+    ll[act], terms[act] = loglik(act, theta[act], eta[act])
     paths = [[float(v)] for v in ll] if opts.track_loglik else None
     iterations = np.zeros(b, dtype=int)
     grad_norm = np.full(b, np.nan)
@@ -700,7 +735,9 @@ def fit_design_batch(
     for _ in range(opts.max_iter):
         if not act.size:
             break
-        g, info = family.score(design, Y[act], rows_of(W, act), theta[act], eta[act])
+        g, info = family.score(
+            design, Y[act], rows_of(W, act), theta[act], eta[act], terms[act]
+        )
         grad_norm[act] = np.max(np.abs(g), axis=1)
         go = ~(grad_norm[act] <= opts.tol)
         act, g = act[go], g[go]
@@ -722,7 +759,7 @@ def fit_design_batch(
             cand = base[pend] + ts
             eta_c = cand[:, k:] @ design.XT
             rows = act[pend]
-            ll_c = loglik(rows, cand, eta_c)
+            ll_c, terms_c = loglik(rows, cand, eta_c)
             # near the optimum the objective sits on a float plateau; a
             # few-ulp slack lets the (tiny) final Newton step through
             tiny = np.max(np.abs(ts), axis=1) <= bound[pend]
@@ -730,6 +767,7 @@ def fit_design_batch(
             acc = family.valid_eta(eta_c) & (ll_c >= ll0[pend] - slack)
             hit = rows[acc]
             theta[hit], eta[hit], ll[hit] = cand[acc], eta_c[acc], ll_c[acc]
+            terms[hit] = terms_c[acc]
             pend = pend[~acc]
             if not pend.size:
                 break
@@ -750,7 +788,7 @@ def fit_design_batch(
             act = act[~sep]
     if act.size:
         # the iteration cap was reached: a final score test decides
-        g, _ = family.score(design, Y[act], rows_of(W, act), theta[act], eta[act])
+        g, _ = family.score(design, Y[act], rows_of(W, act), theta[act], eta[act], terms[act])
         grad_norm[act] = np.max(np.abs(g), axis=1)
         for r in act[grad_norm[act] > opts.tol]:
             errors[r] = not_converged(r)

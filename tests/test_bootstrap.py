@@ -71,6 +71,18 @@ def test_se_estimate_needs_two():
         se_estimate(np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("B", [0, 1])
+def test_run_needs_two_replicates_before_fitting(B, monkeypatch):
+    ds, spec = _probit_data()
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking B")
+
+    monkeypatch.setattr("lrboot.bootstrap.fit_qmle", no_fit)
+    with pytest.raises(TooFewReplicates):
+        run(ds, spec, BootstrapMethod.parametric(), B)
+
+
 def test_ci_percentile_type7_interpolation():
     reps = (np.arange(1, 101) / 100.0)[:, None]
     ci = ci_percentile(reps, 0.10)

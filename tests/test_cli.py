@@ -546,6 +546,18 @@ def test_exit_codes(tmp_path, binary_csv):
                      "--truth-reps", "100", "--levels", "1.5"]) == 1
     assert cli.main(["bootstrap", *data, "--method", "parametric", "--B", "10",
                      "--alpha", "2"]) == 1
+    # usage error: an empty list, on the command line or from a config file
+    assert cli.main(["select-l", *data, "--residual", "surrogate", "--grid", ""]) == 1
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--levels", ""]) == 1
+    empty_cfg = tmp_path / "empty.cfg"
+    empty_cfg.write_text("grid = ,\n")
+    assert cli.main(["select-l", *data, "--residual", "surrogate",
+                     "--config", str(empty_cfg)]) == 1
+    # computational error: fewer than two replicates, before any fit
+    assert cli.main(["bootstrap", *data, "--method", "parametric", "--B", "0"]) == 2
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--B", "0"]) == 2
     # computational error: data that fail validation (a non-finite cell, one row)
     inf_csv = tmp_path / "inf.csv"
     _write_csv(inf_csv, ["y", "x"], [["0", "1.0"], ["1", "inf"], ["1", "2.0"]])
