@@ -37,6 +37,7 @@ __all__ = [
     "BootstrapMethod",
     "BootstrapOutcome",
     "run",
+    "require_replicates",
     "se_estimate",
     "ci_percentile",
     "p_value",
@@ -190,11 +191,16 @@ class BootstrapOutcome:
         return rows
 
 
+def require_replicates(B: int) -> None:
+    """Raise TooFewReplicates unless there are at least two replicates."""
+    if B < 2:
+        raise TooFewReplicates("need at least 2 bootstrap replicates")
+
+
 def se_estimate(replicates: np.ndarray) -> np.ndarray:
     """Divisor-B standard deviation per coefficient column."""
     replicates = np.atleast_2d(np.asarray(replicates, dtype=float))
-    if replicates.shape[0] < 2:
-        raise TooFewReplicates("need at least 2 bootstrap replicates")
+    require_replicates(replicates.shape[0])
     # shifting by a row is a mathematical no-op that keeps constant columns
     # at exactly zero (the plain mean can round an ulp away)
     return (replicates - replicates[0]).std(axis=0, ddof=0)
@@ -203,8 +209,7 @@ def se_estimate(replicates: np.ndarray) -> np.ndarray:
 def ci_percentile(replicates: np.ndarray, alpha: float) -> np.ndarray:
     """Type-7 (linear interpolation) empirical alpha/2 and 1-alpha/2 quantiles."""
     replicates = np.atleast_2d(np.asarray(replicates, dtype=float))
-    if replicates.shape[0] < 2:
-        raise TooFewReplicates("need at least 2 bootstrap replicates")
+    require_replicates(replicates.shape[0])
     lo = np.quantile(replicates, alpha / 2.0, axis=0, method="linear")
     hi = np.quantile(replicates, 1.0 - alpha / 2.0, axis=0, method="linear")
     return np.column_stack([lo, hi])
@@ -213,8 +218,7 @@ def ci_percentile(replicates: np.ndarray, alpha: float) -> np.ndarray:
 def p_value(replicates: np.ndarray, null_value: float, alternative: str = "two_sided"):
     """Bootstrap p-value by percentile-interval duality."""
     r = np.asarray(replicates, dtype=float).ravel()
-    if r.shape[0] < 2:
-        raise TooFewReplicates("need at least 2 bootstrap replicates")
+    require_replicates(r.shape[0])
     mass_le = float(np.mean(r <= null_value))
     mass_ge = float(np.mean(r >= null_value))
     if alternative == "greater":
@@ -315,8 +319,7 @@ def run(
     inputs give bit-identical outcomes for any n_threads. B < 2 raises
     TooFewReplicates before any draw or fit.
     """
-    if B < 2:
-        raise TooFewReplicates("need at least 2 bootstrap replicates")
+    require_replicates(B)
     _validate(data, spec, method)
     if keep_responses and not method.recreates_responses:
         raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapMethod, run
+from .bootstrap import BootstrapMethod, require_replicates, run
 from .data import Dataset, ModelSpec, Term, back_transform, make_dataset
 from .errors import (
     AllRowsDropped,
@@ -434,6 +434,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    # before the data, the size search or any fit
+    require_replicates(args.B)
     ds, spec, info = _load_dataset(args)
     n_threads = _threads(args)
     trace = None
@@ -538,6 +540,8 @@ def _cmd_select_model(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # before the pseudo-truth fits
+    require_replicates(args.B)
     if not args.scenario:
         raise UsageError("--scenario is required for simulate")
     params = {}

@@ -16,10 +16,12 @@ Newton's and converge quadratically (McCullagh & Nelder 1989, sec. 2.5); it
 reuses the log-likelihood terms of the accepted step, so an iteration costs
 one `log_ndtr` pass. Every other GLM family has its canonical link, where
 the Fisher information equals the observed one, so its Fisher-scoring steps
-are Newton's too. The cumulative-probit model (`CumulativeProbit`) is
-maximized over (alpha_1, log-gaps, beta), so the cutpoints stay increasing,
-with its analytic Fisher information (McCullagh 1980, JRSS-B). Callers that
-fit many response vectors take `family.block_rows(n)` rows per block.
+are Newton's too. The cumulative-probit model (`CumulativeProbit`,
+McCullagh 1980, JRSS-B) is maximized over (alpha_1, log-gaps, beta), so the
+cutpoints stay increasing. It takes Newton steps too: the exact gradient
+and the observed information, from each observation's own two category
+edges and the accepted step's `loglik_terms`. Callers that fit many
+response vectors take `family.block_rows(n)` rows per block.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ __all__ = [
     "ordinal_probs",
 ]
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
-_LOG_SQRT2PI = np.log(_SQRT2PI)
+_LOG_SQRT2PI = np.log(np.sqrt(2.0 * np.pi))
 _MU_EPS = 1e-12
 _P_MIN = 1e-300  # floor of an ordinal category probability inside the log
+_LOG_P_MIN = np.log(_P_MIN)
 
 # Response cells (rows x observations x categories) per refit block. A
 # block's working arrays grow with its cells, so a fixed budget keeps refit
@@ -65,12 +67,6 @@ _P_MIN = 1e-300  # floor of an ordinal category probability inside the log
 # spreads the driver's per-iteration Python work over many rows (16 GLM rows
 # at n=2000).
 _REFIT_CELLS = 2**15
-
-
-def _npdf(z):
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-0.5 * np.square(z)) / _SQRT2PI
-    return np.nan_to_num(out, nan=0.0, posinf=0.0)
 
 
 def _xlogy(x, y):
@@ -422,6 +418,7 @@ class CumulativeProbit(_BaseFamily):
 
     Coefficients are (alpha_1..alpha_{J-1}, beta); the driver's theta is
     (alpha_1, log-gaps, beta), so every theta gives increasing cutpoints.
+    Fits take Newton steps with the observed information (see `score`).
     """
 
     name, link = "ordinal", "probit"
@@ -475,68 +472,75 @@ class CumulativeProbit(_BaseFamily):
     def to_coef(self, theta):
         return np.concatenate([self.cutpoints(theta)[0], theta[:, self.n_cut :]], axis=1)
 
-    def loglik_terms(self, y, eta, theta):
+    def _edges(self, Y, eta, theta):
+        """Each observation's own category edges less eta: u = alpha_k - eta
+        and l = alpha_{k-1} - eta for Y = k, with alpha_0 = -inf and
+        alpha_J = inf (b x n each)."""
         alpha, _ = self.cutpoints(theta)
         side = np.full((len(theta), 1), np.inf)
         edges = np.concatenate([-side, alpha, side], axis=1)
-        k = y.astype(int)
-        upper = np.take_along_axis(edges, k, axis=1) - eta
-        lower = np.take_along_axis(edges, k - 1, axis=1) - eta
+        # flat index of edge k in each row of edges
+        k = Y.astype(int) + np.arange(0, edges.size, self.cells + 1)[:, None]
+        return edges.take(k) - eta, edges.take(k - 1) - eta
+
+    def loglik_terms(self, y, eta, theta):
+        upper, lower = self._edges(y, eta, theta)
         return np.log(np.maximum(ndtr(upper) - ndtr(lower), _P_MIN))
 
     def score(self, design, Y, W, theta, eta, terms):
-        """Score and expected information sum_i w_i sum_c dP_ic dP_ic' / P_ic,
-        computed one category plane (b x n) at a time in (alpha, beta) and
-        carried to theta by the Jacobian of alpha_a = alpha_1 + sum gaps."""
-        K = self.n_cut
+        """Exact gradient and observed information in (alpha, beta), carried
+        to theta by T' I T with T = d(alpha, beta) / d theta.
+
+        An observation in category k touches only its own edges u and l (see
+        `_edges`). With P = exp(terms), the accepted step's probability, take
+        a = phi(u) / P and c = phi(l) / P. The information of log P is
+        u a - l c + (a - c)^2 in eta, a (u + a) in alpha_k, c (c - l) in
+        alpha_{k-1}, -a c between the two cutpoints, and -a (u + a - c) and
+        c (l + a - c) between them and eta. It is positive semi-definite, as
+        the log-likelihood is concave in (alpha, beta) (Pratt 1981). The
+        term g_alpha d^2 alpha / d theta^2 of the Hessian in theta is left
+        out: it vanishes at the optimum, and T' I T stays PSD.
+        """
+        K, J = self.n_cut, self.cells
         b, p = len(theta), design.X.shape[1]
-        alpha, gaps = self.cutpoints(theta)
-        wsum = (lambda a: a.sum(axis=1)) if W is None else (lambda a: (W * a).sum(axis=1))
-        g_alpha = np.zeros((b, K))
-        h_diag = np.zeros((b, K))
-        h_next = np.zeros((b, K - 1))  # information of (alpha_a, alpha_{a+1})
-        h_cross = np.zeros((b, K, p))  # information of (alpha_a, beta)
-        u = np.zeros_like(eta)  # d loglik / d eta per observation
-        e = np.zeros_like(eta)  # expected information of eta per observation
-        F0, f0, r0 = 0.0, 0.0, 0.0
-        for c in range(K + 1):
-            # category c + 1 lies between cutpoints c - 1 and c (0-based)
-            if c < K:
-                z = alpha[:, c : c + 1] - eta
-                F1, f1 = ndtr(z), _npdf(z)
-            else:
-                F1, f1 = 1.0, 0.0
-            P = F1 - F0
-            # the log-likelihood is flat where it clips P at _P_MIN, so those
-            # cells add nothing; this also keeps categories whose probability
-            # rounds to 0 in a tail out of the information
-            inv = np.divide(1.0, P, out=np.zeros_like(P), where=P > _P_MIN)
-            r = (f1 - f0) * inv  # -(dP/deta) / P
-            obs = Y == c + 1
-            seen = inv * obs
-            u -= r * obs
-            e += (f1 - f0) * r
-            if c < K:
-                g_alpha[:, c] += wsum(seen * f1)
-                h_diag[:, c] += wsum(f1 * f1 * inv)
-            if c > 0:
-                g_alpha[:, c - 1] -= wsum(seen * f0)
-                h_diag[:, c - 1] += wsum(f0 * f0 * inv)
-                cross = f0 * (r - r0)
-                h_cross[:, c - 1] = (cross if W is None else W * cross) @ design.X
-                if c < K:
-                    h_next[:, c - 1] = -wsum(f0 * f1 * inv)
-            F0, f0, r0 = F1, f1, r
+        u, l = self._edges(Y, eta, theta)
+        # the log-likelihood is flat where loglik_terms clips P at _P_MIN,
+        # so those cells add nothing
+        inv = np.where(terms > _LOG_P_MIN, np.exp(-terms), 0.0)
+        a = np.exp(-0.5 * np.square(u) - _LOG_SQRT2PI) * inv
+        c = np.exp(-0.5 * np.square(l) - _LOG_SQRT2PI) * inv
+        # phi is 0 at an infinite edge, and so are u a and l c
+        u[np.isinf(u)] = 0.0
+        l[np.isinf(l)] = 0.0
+        d = a - c
+        slot = (Y.astype(int) - 1 + J * np.arange(b)[:, None]).ravel()
+
+        def by_cat(v):
+            """Weighted sum of v over each row's observations in each
+            category (b x J). Category j + 1 (0-based j) has upper edge
+            alpha_j and lower edge alpha_{j-1}, so [:, :K] sums terms of
+            upper edges by cutpoint and [:, 1:] terms of lower edges."""
+            v = v if W is None else W * v
+            return np.bincount(slot, weights=v.ravel(), minlength=b * J).reshape(b, J)
+
+        up_eta, low_eta = -a * (u + d), c * (l + d)
+        h_cross = np.stack(
+            [by_cat(up_eta * x)[:, :K] + by_cat(low_eta * x)[:, 1:] for x in design.X.T],
+            axis=2,
+        )
+        h_eta = u * a - l * c + d * d
         H = np.zeros((b, K + p, K + p))
-        H[:, K:, K:] = design.gram(e if W is None else W * e)
+        H[:, K:, K:] = design.gram(h_eta if W is None else W * h_eta)
         H[:, :K, K:] = h_cross
         H[:, K:, :K] = h_cross.transpose(0, 2, 1)
-        a = np.arange(K)
-        H[:, a, a] = h_diag
-        H[:, a[:-1], a[1:]] = H[:, a[1:], a[:-1]] = h_next
-        g = np.concatenate([g_alpha, (u if W is None else W * u) @ design.X], axis=1)
+        i = np.arange(K)
+        H[:, i, i] = by_cat(a * (u + a))[:, :K] + by_cat(c * (c - l))[:, 1:]
+        H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = -by_cat(a * c)[:, 1:K]
+        g_beta = (c - a if W is None else W * (c - a)) @ design.X
+        g = np.concatenate([by_cat(a)[:, :K] - by_cat(c)[:, 1:], g_beta], axis=1)
         # Jacobian d(alpha, beta) / d theta: d alpha_a / d theta_k is 1 for
         # k = 0 and gap k for 1 <= k <= a
+        _, gaps = self.cutpoints(theta)
         T = np.zeros((b, K + p, K + p))
         T[:, :K, :K] = np.tril(np.ones((K, K))) * np.concatenate(
             [np.ones((b, 1)), gaps], axis=1
@@ -658,9 +662,9 @@ def fit_design_batch(
     """Newton-type fits of a block of response vectors on one prebuilt design.
 
     Each step solves the family's information against its score: the
-    observed information for probit (exact Newton steps), the Fisher
-    information for every other family. The driver keeps each row's
-    log-likelihood terms at its accepted step and passes them to
+    observed information for probit and the ordinal model (exact Newton
+    steps), the Fisher information for every other family. The driver keeps
+    each row's log-likelihood terms at its accepted step and passes them to
     `family.score`, which may reuse them.
 
     `Y` is b x n with one response vector per row; `weights` is None or

@@ -582,6 +582,22 @@ def test_exit_codes(tmp_path, binary_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("B", ["0", "1"])
+def test_too_few_replicates_fail_before_any_work(B, binary_csv, monkeypatch, capsys):
+    # the size search and the pseudo-truth fits would run for seconds first
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --B")
+
+    monkeypatch.setattr(cli, "select_size", no_work)
+    monkeypatch.setattr(cli, "pseudo_truth", no_work)
+    data = ["--input", str(binary_csv), "--response", "y", "--predictors", "x"]
+    assert cli.main(["bootstrap", *data, "--method", "lrb-surrogate", "--l", "auto",
+                     "--B", B]) == 2
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--B", B]) == 2
+    assert capsys.readouterr().err.count("TooFewReplicates") == 2
+
+
 def test_error_stream_carries_module_error_name(tmp_path, binary_csv, capsys):
     cli.main(
         [
