@@ -243,16 +243,14 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
 
 def _neighbor_picker(nb: NeighborhoodMap):
     """rng -> one neighbor index per observation, consuming the stream in
-    observation order. Unequal sets are read from their concatenation."""
+    observation order. Unequal sets are read from the map's flat index."""
     n = nb.n
     matrix = nb.as_matrix()
     if matrix is not None:
         rows = np.arange(n)
         return lambda rng: matrix[rows, rng.integers(0, matrix.shape[1], size=n)]
-    flat = np.concatenate(nb.sets)
-    lengths = np.array([len(s) for s in nb.sets])
-    offsets = np.cumsum(lengths) - lengths
-    return lambda rng: flat[offsets + np.floor(rng.random(n) * lengths).astype(int)]
+    starts, lengths = nb.offsets[:-1], nb.lengths
+    return lambda rng: nb.index[starts + np.floor(rng.random(n) * lengths).astype(int)]
 
 
 def _sampler(data, method, fit, seed, neighborhoods):

@@ -15,12 +15,21 @@ One rule defines every neighborhood, whoever asks for it (`run`,
 The nearest rows come from one k-d tree query per cell (Friedman, Bentley &
 Finkel 1977), so memory is O(n·l). Only rows whose l-th and (l+1)-th tree
 distances tie are re-ranked, by brute-force distances to the rows inside
-that distance.
+that distance. Tied rows at one point share that ball and its distances, so
+each distinct tied point is ranked once and the self-first rule is applied
+to its duplicates together.
+
+A `NeighborhoodMap` keeps all sets in two arrays: row i's sorted set is
+`index[offsets[i]:offsets[i+1]]`. Each cell's block of sets is scattered
+into place whole (in bounded pieces for very large cells), and `run` draws
+from the arrays directly.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,43 +47,77 @@ __all__ = [
     "select_size",
 ]
 
-TIE_RULE = "self_first_then_index"
-
 # The tree sums squared differences in another order than the brute-force row
 # (for p >= 4), so distances can differ by a few ulps: boundary gaps this
 # small are sent to the repair too, which keeps the sets equal to the rule.
 _TIE_RTOL = 1e-10
 
+# A whole-cell block is a broadcast view, but its scatter positions are not:
+# writing at most this many entries at a time bounds those temporaries.
+_SCATTER_ENTRIES = 2**20
 
-@dataclass
+
+class _RowSlices(Sequence):
+    """Read-only sequence of a map's sets: item i is row i's slice."""
+
+    def __init__(self, index: np.ndarray, offsets: np.ndarray):
+        self._index = index
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return self._offsets.size - 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} outside a map of {n} rows")
+        i %= n
+        return self._index[self._offsets[i] : self._offsets[i + 1]]
+
+
+@dataclass(eq=False)
 class NeighborhoodMap:
-    """Per-observation neighbor index lists (sorted ascending)."""
+    """Every observation's neighbor indices, sorted ascending, in one flat
+    array: row i's set is index[offsets[i]:offsets[i+1]]."""
 
-    sets: list
+    index: np.ndarray  # intp, all sets back to back
+    offsets: np.ndarray  # intp, n + 1 entries from 0 to index.size
     l: int | None
-    metric: str
-    tie_rule: str = TIE_RULE
     warnings: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # maps are shared between runs; nothing may edit them in place
+        self.index.flags.writeable = False
+        self.offsets.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return self.offsets.size - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def sets(self) -> Sequence:
+        """Row i's set as sets[i], a view into `index`."""
+        return _RowSlices(self.index, self.offsets)
 
     def uniform_length(self) -> int | None:
-        lengths = {len(s) for s in self.sets}
-        return lengths.pop() if len(lengths) == 1 else None
+        lengths = self.lengths
+        k = int(lengths[0])
+        return k if (lengths == k).all() else None
 
     def as_matrix(self) -> np.ndarray | None:
+        """The n x k view of `index` when every set has k members, else None."""
         k = self.uniform_length()
-        if k is None:
-            return None
-        return np.vstack(self.sets)
+        return None if k is None else self.index.reshape(self.n, k)
 
 
-def _smallest_l(cand: np.ndarray, d: np.ndarray, i: int, l: int) -> np.ndarray:
-    """The l candidates first in (distance, self first, index) order, sorted."""
-    order = np.lexsort((cand, cand != i, d))
-    return np.sort(cand[order[:l]])
+def _ranked(cand: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The candidates in (distance, index) order."""
+    return cand[np.lexsort((cand, d))]
 
 
 def _cell_sets(A: np.ndarray, ls: list) -> dict:
@@ -89,12 +132,25 @@ def _cell_sets(A: np.ndarray, ls: list) -> dict:
         chosen = nn[:, :l].copy()
         radius = d[:, l - 1] * (1.0 + _TIE_RTOL)
         tied = np.flatnonzero(d[:, l] <= radius)
-        # the rule picks only rows inside the ball of the l-th tree distance
-        balls = tree.query_ball_point(A[tied], radius[tied]) if tied.size else []
-        for r, ball in zip(tied, balls):
-            cand = np.array(ball)
-            d_row = np.sqrt(((A[cand] - A[r]) ** 2).sum(axis=1))
-            chosen[r] = _smallest_l(cand, d_row, r, l)
+        if tied.size:
+            # the rule picks only rows inside the ball of the l-th tree distance;
+            # rows at one point share that ball and its distances
+            _, first, point = np.unique(
+                A[tied], axis=0, return_index=True, return_inverse=True
+            )
+            by_point = np.argsort(point, kind="stable")
+            bounds = np.cumsum(np.bincount(point))
+            centers = tied[first]
+            balls = tree.query_ball_point(A[centers], radius[centers])
+            for c, ball, dups in zip(centers, balls, np.split(tied[by_point], bounds[:-1])):
+                cand = np.array(ball)
+                order = _ranked(cand, np.sqrt(((A[cand] - A[c]) ** 2).sum(axis=1)))
+                # self first: a duplicate among the first l keeps them,
+                # any other takes itself and the first l - 1
+                inside = np.isin(dups, order[:l])
+                chosen[dups[inside]] = order[:l]
+                chosen[dups[~inside], 0] = dups[~inside]
+                chosen[dups[~inside], 1:] = order[: l - 1]
         chosen.sort(axis=1)
         out[l] = chosen
     return out
@@ -108,30 +164,41 @@ def _neighbor_sets(data: Dataset, ls) -> dict:
         raise InvalidSize(f"neighborhood sizes {ls} outside [1, {n}]")
     cat = np.array([m == "categorical" for m in data.column_meta])
     cont = np.flatnonzero(data.continuous_columns())
-    cells: dict = {}
-    for i, key in enumerate(map(tuple, data.X_raw[:, cat])):
-        cells.setdefault(key, []).append(i)
+    keys, first, cell = np.unique(
+        data.X_raw[:, cat], axis=0, return_index=True, return_inverse=True
+    )
+    # cells in order of their first row, each row list ascending
+    appearance = np.argsort(first)
+    keys = [tuple(key) for key in keys[appearance].tolist()]
+    cell = np.argsort(appearance)[cell]
+    sizes = np.bincount(cell)
+    cells = np.split(np.argsort(cell, kind="stable"), np.cumsum(sizes)[:-1])
     singletons = [
         f"singleton cell {key}: local resampling is degenerate"
-        for key, rows in cells.items()
-        if cat.any() and len(rows) == 1
+        for key, size in zip(keys, sizes)
+        if cat.any() and size == 1
     ]
-    sets = {l: [None] * n for l in ls}
     warnings = {l: list(singletons) for l in ls}
-    for key, rows in cells.items():
-        rows = np.array(rows)
-        size = rows.shape[0]
+    offsets, index = {}, {}
+    for l in ls:
+        lengths = np.minimum(sizes, l) if cont.size else sizes
+        offsets[l] = np.concatenate([[0], np.cumsum(lengths[cell])])
+        index[l] = np.empty(offsets[l][-1], dtype=np.intp)
+    for key, rows in zip(keys, cells):
+        size = rows.size
         inner = [l for l in ls if l < size] if cont.size else []
         per_l = _cell_sets(data.X[np.ix_(rows, cont)], inner) if inner else {}
         for l in ls:
             if cont.size and l > size:
                 warnings[l].append(f"cell {key} has {size} rows; l capped at {size}")
-            chosen = rows[per_l[l]] if l in per_l else [rows] * size
-            for i, nb in zip(rows, chosen):
-                sets[l][i] = nb
-    metric = "categorical_exact" if cat.any() else "euclidean"
+            block = rows[per_l[l]] if l in per_l else np.broadcast_to(rows, (size, size))
+            k = block.shape[1]
+            step = max(1, _SCATTER_ENTRIES // k)
+            for lo in range(0, size, step):
+                part = slice(lo, lo + step)
+                index[l][offsets[l][rows[part], None] + np.arange(k)] = block[part]
     return {
-        l: NeighborhoodMap(sets=sets[l], l=l, metric=metric, warnings=warnings[l])
+        l: NeighborhoodMap(index=index[l], offsets=offsets[l], l=l, warnings=warnings[l])
         for l in ls
     }
 

@@ -208,6 +208,22 @@ def test_unequal_neighbor_sets_draw_as_per_observation_loop():
         assert np.array_equal(y_star, y[expected]) and w_star is None
 
 
+def test_equal_neighbor_sets_draw_as_per_observation_loop():
+    rng = np.random.default_rng(7)
+    n = 90
+    y = np.arange(n, dtype=float)
+    ds = lb.make_dataset(y, rng.uniform(-1, 1, (n, 2)))
+    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
+    nb = build_neighborhoods(ds, 7)
+    assert nb.as_matrix() is not None
+    draw = _sampler(ds, BootstrapMethod.local_response(7), lb.fit_qmle(ds, spec), 3, nb)
+    for b in range(1, 40):
+        k = substream(3, b).integers(0, 7, size=n)
+        expected = np.array([nb.sets[i][k[i]] for i in range(n)])
+        y_star, w_star = draw(substream(3, b))
+        assert np.array_equal(y_star, y[expected]) and w_star is None
+
+
 def test_pairwise_never_fabricates_rows():
     ds, spec = _gaussian_data(n=80, seed=11)
     rows = {tuple(r) for r in np.column_stack([ds.y, ds.X_raw[:, 0]])}

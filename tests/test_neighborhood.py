@@ -201,16 +201,121 @@ def test_categorical_singleton_cell_warns():
     assert np.array_equal(nb.sets[0], [0])
 
 
+def test_neighborhood_warnings_name_cells_as_plain_tuples():
+    # cells appear as (1, 0), (0, 0), (1, 1), (0, 1); warnings follow that order
+    X_cat = np.array([[1, 0], [0, 0], [1, 0], [1, 1], [0, 1], [1, 0], [0, 0], [0, 0]])
+    x = np.linspace(0.0, 1.0, 8)
+    ds = lb.make_dataset(
+        np.zeros(8),
+        np.column_stack([X_cat, x]),
+        column_meta=("categorical", "categorical", "continuous"),
+    )
+    assert build_neighborhoods(ds, 3).warnings == [
+        "singleton cell (1.0, 1.0): local resampling is degenerate",
+        "singleton cell (0.0, 1.0): local resampling is degenerate",
+        "cell (1.0, 1.0) has 1 rows; l capped at 1",
+        "cell (0.0, 1.0) has 1 rows; l capped at 1",
+    ]
+    assert build_neighborhoods(ds, 4).warnings[2:] == [
+        "cell (1.0, 0.0) has 3 rows; l capped at 3",
+        "cell (0.0, 0.0) has 3 rows; l capped at 3",
+        "cell (1.0, 1.0) has 1 rows; l capped at 1",
+        "cell (0.0, 1.0) has 1 rows; l capped at 1",
+    ]
+
+
 def test_build_neighborhoods_routes_by_meta():
     rng = np.random.default_rng(9)
     Xc = rng.standard_normal((30, 2))
-    ds = lb.make_dataset(np.zeros(30), Xc)
-    assert build_neighborhoods(ds, 5).metric == "euclidean"
-    Xm = np.column_stack([rng.integers(0, 2, 30).astype(float), Xc[:, 0]])
-    dsm = lb.make_dataset(
-        np.zeros(30), Xm, column_meta=("categorical", "continuous")
+    nb = build_neighborhoods(_raw(Xc), 5)
+    for i, expected in enumerate(_oracle_sets(Xc, 5)):
+        assert np.array_equal(nb.sets[i], expected)
+    g = rng.integers(0, 2, 30).astype(float)
+    nbm = build_neighborhoods(
+        _raw(np.column_stack([g, Xc[:, 0]]), ("categorical", "continuous")), 5
     )
-    assert build_neighborhoods(dsm, 5).metric == "categorical_exact"
+    for i, s in enumerate(nbm.sets):
+        assert (g[s] == g[i]).all()  # categorical cells never mix
+    for i, expected in enumerate(_oracle_sets(Xc[:, :1], 5, g)):
+        assert np.array_equal(nbm.sets[i], expected)
+
+
+def _heavily_tied(n, distinct, with_cells, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, distinct, n).astype(float)
+    if not with_cells:
+        return x[:, None], None, _raw(x)
+    cells = rng.integers(0, 3, n).astype(float)
+    ds = _raw(np.column_stack([cells, x]), ("categorical", "continuous"))
+    return x[:, None], cells, ds
+
+
+@pytest.mark.parametrize("scatter_entries", [None, 500])
+@pytest.mark.parametrize("with_cells", [False, True])
+def test_grouped_tie_repair_matches_oracle_on_heavy_duplicates(
+    with_cells, scatter_entries, monkeypatch
+):
+    if scatter_entries is not None:  # write each cell's block in several pieces
+        monkeypatch.setattr("lrboot.neighborhood._SCATTER_ENTRIES", scatter_entries)
+    # about 15 distinct values over 2000 rows: every row is tied
+    X, cells, ds = _heavily_tied(2000, 15, with_cells, seed=12)
+    ls = [1, 10, 150, 700]
+    maps = _neighbor_sets(ds, ls)
+    for l in ls:
+        for i, expected in enumerate(_oracle_sets(X, l, cells)):
+            assert np.array_equal(maps[l].sets[i], expected)
+
+
+def test_grouped_tie_repair_ranks_each_tied_point_once(monkeypatch):
+    import lrboot.neighborhood as nbm
+
+    ranked, calls = nbm._ranked, []
+
+    def counting(cand, d):
+        calls.append(cand.size)
+        return ranked(cand, d)
+
+    monkeypatch.setattr(nbm, "_ranked", counting)
+    X, _, ds = _heavily_tied(2000, 15, False, seed=13)
+    build_neighborhoods(ds, 10)
+    assert 0 < len(calls) <= np.unique(X).size
+    calls.clear()
+    build_neighborhoods(_raw(np.arange(40.0) % 8), 3)  # 8 distinct points
+    assert 0 < len(calls) <= 8
+
+
+def test_flat_layout_offsets_views_and_matrix():
+    rng = np.random.default_rng(14)
+    ds = _raw(rng.standard_normal((50, 2)))
+    nb = build_neighborhoods(ds, 6)
+    assert nb.offsets.shape == (51,) and nb.offsets[0] == 0
+    assert nb.offsets[-1] == nb.index.size == 300
+    assert len(nb.sets) == nb.n == 50
+    for i in range(50):
+        assert np.array_equal(nb.sets[i], nb.index[nb.offsets[i] : nb.offsets[i + 1]])
+    assert np.array_equal(nb.sets[-1], nb.sets[49])
+    with pytest.raises(IndexError):
+        nb.sets[50]
+    matrix = nb.as_matrix()
+    assert matrix.shape == (50, 6) and np.shares_memory(matrix, nb.index)
+    for i, s in enumerate(nb.sets):
+        assert np.array_equal(matrix[i], s)
+    with pytest.raises(ValueError):
+        nb.index[0] = 1  # maps are shared between runs: read-only
+
+
+def test_multi_size_lengths_are_capped_per_cell():
+    rng = np.random.default_rng(15)
+    g = np.repeat([0.0, 1.0, 2.0], [3, 9, 28])
+    rng.shuffle(g)
+    ds = _raw(np.column_stack([g, rng.standard_normal(40)]), ("categorical", "continuous"))
+    size = np.bincount(g.astype(int))[g.astype(int)]
+    maps = _neighbor_sets(ds, [2, 5, 12, 30])
+    for l, nb in maps.items():
+        assert np.array_equal(nb.lengths, np.minimum(l, size))
+        assert np.array_equal(np.diff(nb.offsets), nb.lengths)
+        assert nb.offsets[-1] == nb.index.size
+        assert (nb.as_matrix() is None) == (l > 3)
 
 
 def _gaussian_instance(n, seed):
