@@ -21,9 +21,9 @@ for name, value in zip(fit.coef_names, fit.coef):
 print(f"converged in {fit.iterations} Newton iterations, "
       f"max |score| = {fit.grad_norm:.2e}")
 
-sur = residuals.surrogate(fit, ds, rng=substream(7))
-pea = residuals.pearson(fit, ds)
-sbs = residuals.sbs(fit, ds)
+sur = residuals.compute(fit, ds, "surrogate", rng=substream(7))
+pea = residuals.compute(fit, ds, "pearson")
+sbs = residuals.compute(fit, ds, "sbs")
 
 for res in (sur, pea, sbs):
     path = f"example1_{res.kind}_residuals.csv"

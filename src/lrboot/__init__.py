@@ -15,13 +15,13 @@ from .bootstrap import (
     se_estimate,
 )
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
-from .glm import FitOptions, FitResult, fit_ordinal, fit_qmle, predict_mean
+from .glm import FitOptions, FitResult, fit_qmle, predict_mean
 from .neighborhood import (
     NeighborhoodMap,
     SizeSelectionTrace,
     build_neighborhoods,
     select_size,
 )
-from .residuals import ResidualSet, deviance, pearson, recreate, sbs, surrogate
+from .residuals import ResidualSet
 
 __version__ = "0.1.0"

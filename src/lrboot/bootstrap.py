@@ -9,6 +9,10 @@ fixed budget of response cells. Replicate b always consumes the substream
 (seed, b) with per-observation draws in observation order, and the blocks do
 not depend on how many worker threads run them, so outcomes are
 bit-identical for any thread count.
+
+The residual methods (lrb, classical) take their kind's values and inverse
+from `residuals.KINDS`: a method needs a kind with an inverse, and `run`
+checks that the kind applies to the model's family before it fits.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     UnsupportedKind,
     UsageError,
 )
-from .glm import FitOptions, FitResult, fit_design_batch, fit_qmle
+from .glm import FitOptions, FitResult, family_for, fit_design_batch, fit_qmle
 from .neighborhood import NeighborhoodMap, build_neighborhoods
 from .rng import substream
 
@@ -67,7 +71,8 @@ class BootstrapMethod:
     def __post_init__(self):
         if self.kind not in self._NAMES:
             raise UnsupportedKind(f"unknown bootstrap method {self.kind!r}")
-        if self.kind in self._RESAMPLING and self.residual_kind not in res.RECREATABLE_KINDS:
+        entry = res.KINDS.get(self.residual_kind)
+        if self.kind in self._RESAMPLING and (entry is None or entry.inverse is None):
             raise IncompatibleResidual(
                 f"{self.kind} needs a recreatable residual kind, got {self.residual_kind!r}"
             )
@@ -235,7 +240,7 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
     if method.is_local and not (method.l is not None and 1 <= method.l <= data.n):
         raise InvalidSize(f"neighborhood size must lie in [1, {data.n}]")
     kind = method.residual_kind
-    if kind is not None and not res.supports(spec.family, kind):
+    if kind is not None and not res.supports(family_for(spec), kind):
         raise IncompatibleResidual(f"{kind} residuals are not defined for {spec.family} models")
     if method.kind == "wild" and spec.is_ordinal:
         raise IncompatibleResidual("wild bootstrap is not defined for ordinal models")
@@ -282,7 +287,7 @@ def _sampler(data, method, fit, seed, neighborhoods):
     if kind == "classical_residual":
         pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
         return lambda rng: (
-            res.recreate(fit, data, pool[rng.integers(0, n, size=n)], method.residual_kind),
+            res.recreate(fit, pool[rng.integers(0, n, size=n)], method.residual_kind),
             None,
         )
     # lrb and local_response pick one neighbor per observation
@@ -292,7 +297,7 @@ def _sampler(data, method, fit, seed, neighborhoods):
     if kind == "local_response":
         return lambda rng: (y[pick(rng)], None)
     pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
-    return lambda rng: (res.recreate(fit, data, pool[pick(rng)], method.residual_kind), None)
+    return lambda rng: (res.recreate(fit, pool[pick(rng)], method.residual_kind), None)
 
 
 def run(

@@ -3,25 +3,27 @@
 A family object owns what a (family, link) pair means: mean, variance,
 log-likelihood, unit deviance, dispersion and response simulation, and for
 binary and ordinal models the categorical view that SBS and surrogate
-residuals use. `FitResult.family` returns it.
+residuals use. `family_for(spec)` and `FitResult.family` return it.
 
 Every fit runs one driver, `fit_design_batch`: Newton-type steps for a block
 of response vectors on one prebuilt design, with step-halving, convergence
 declared on the max-abs score component, and a failure class recorded per
-row. `fit_qmle` is a one-row call of it. A family supplies what the driver
-needs for a block: per-row screens and cold starts, log-likelihood terms,
-and the score with a positive semi-definite information. The probit family
-gives the exact gradient and the observed information, so its steps are
-Newton's and converge quadratically (McCullagh & Nelder 1989, sec. 2.5); it
-reuses the log-likelihood terms of the accepted step, so an iteration costs
-one `log_ndtr` pass. Every other GLM family has its canonical link, where
-the Fisher information equals the observed one, so its Fisher-scoring steps
-are Newton's too. The cumulative-probit model (`CumulativeProbit`,
-McCullagh 1980, JRSS-B) is maximized over (alpha_1, log-gaps, beta), so the
-cutpoints stay increasing. It takes Newton steps too: the exact gradient
-and the observed information, from each observation's own two category
-edges and the accepted step's `loglik_terms`. Callers that fit many
-response vectors take `family.block_rows(n)` rows per block.
+row. `fit_qmle`, which fits every model, is a one-row call of it, and
+`FitResult.at` builds the fit at any coefficient vector. A family supplies
+what the driver needs for a block: per-row screens and cold starts,
+log-likelihood terms, and the score with a positive semi-definite
+information. The probit family gives the exact gradient and the observed
+information, so its steps are Newton's and converge quadratically (McCullagh
+& Nelder 1989, sec. 2.5); it reuses the log-likelihood terms of the accepted
+step, so an iteration costs one `log_ndtr` pass. Every other GLM family has
+its canonical link, where the Fisher information equals the observed one, so
+its Fisher-scoring steps are Newton's too. The cumulative-probit model
+(`CumulativeProbit`, McCullagh 1980, JRSS-B) is maximized over (alpha_1,
+log-gaps, beta), so the cutpoints stay increasing. It takes Newton steps
+too: the exact gradient and the observed information, from each
+observation's own two category edges and the accepted step's `loglik_terms`,
+each category probability taken on the nearer tail of its edges. Callers
+that fit many response vectors take `family.block_rows(n)` rows per block.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ __all__ = [
     "BatchFit",
     "CumulativeProbit",
     "fit_qmle",
-    "fit_ordinal",
     "fit_design_batch",
     "predict_mean",
-    "get_family",
     "family_for",
     "ordinal_probs",
 ]
@@ -103,6 +103,16 @@ class FitResult:
     spec: ModelSpec
     design: DesignInfo
     loglik_path: list | None = None
+
+    @classmethod
+    def at(cls, coef, spec: ModelSpec, design: DesignInfo, *, loglik=0.0,
+           iterations=0, grad_norm=0.0, loglik_path=None) -> "FitResult":
+        """The fit of `spec` on `design` at the coefficient vector `coef`
+        (cutpoints, then slopes): its fitted means and variances, with the
+        fit statistics given (zero by default)."""
+        alpha, beta, mu, var = family_for(spec).fitted(design.matrix, coef)
+        return cls(beta, alpha, mu, var, loglik, iterations, True, grad_norm,
+                   spec, design, loglik_path)
 
     @property
     def coef(self) -> np.ndarray:
@@ -485,7 +495,10 @@ class CumulativeProbit(_BaseFamily):
 
     def loglik_terms(self, y, eta, theta):
         upper, lower = self._edges(y, eta, theta)
-        return np.log(np.maximum(ndtr(upper) - ndtr(lower), _P_MIN))
+        # take P = Phi(u) - Phi(l) on the nearer tail, as Phi(-l) - Phi(-u)
+        # where l > 0: there both Phi terms round toward 1
+        s = np.where(lower > 0.0, -1.0, 1.0)
+        return np.log(np.maximum(s * (ndtr(s * upper) - ndtr(s * lower)), _P_MIN))
 
     def score(self, design, Y, W, theta, eta, terms):
         """Exact gradient and observed information in (alpha, beta), carried
@@ -585,19 +598,15 @@ _FAMILIES = {
 }
 
 
-def get_family(family: str, link: str):
-    fam = _FAMILIES.get((family, link))
-    if fam is None:
-        raise UnsupportedKind(f"unsupported family/link pair ({family}, {link})")
-    return fam
-
-
 def family_for(spec: ModelSpec):
     """The family that fits `spec`: a GLM family or CumulativeProbit(J).
     Raises UnsupportedKind for a (family, link) pair no family implements."""
-    if (spec.family, spec.link) == (CumulativeProbit.name, CumulativeProbit.link):
+    pair = (spec.family, spec.link)
+    if pair == (CumulativeProbit.name, CumulativeProbit.link):
         return CumulativeProbit(spec.n_categories)
-    return get_family(spec.family, spec.link)
+    if pair not in _FAMILIES:
+        raise UnsupportedKind(f"unsupported family/link pair ({spec.family}, {spec.link})")
+    return _FAMILIES[pair]
 
 
 def ordinal_probs(alpha: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -829,39 +838,23 @@ def fit_qmle(
     out = fit_design_batch(Xd, data.y[None, :], family, options)
     if out.errors[0] is not None:
         raise out.errors[0]
-    alpha, beta, mu, var = family.fitted(Xd, out.beta[0])
-    return FitResult(
-        beta_hat=beta,
-        alpha_hat=alpha,
-        mu_hat=mu,
-        var_hat=var,
+    return FitResult.at(
+        out.beta[0],
+        spec,
+        design,
         loglik=float(out.loglik[0]),
         iterations=int(out.iterations[0]),
-        converged=True,
         grad_norm=float(out.grad_norm[0]),
-        spec=spec,
-        design=design,
         loglik_path=None if out.loglik_path is None else out.loglik_path[0],
     )
 
 
-def fit_ordinal(
-    data: Dataset,
-    spec: ModelSpec,
-    options: FitOptions | None = None,
-    design: DesignInfo | None = None,
-) -> FitResult:
-    """Cumulative-link probit fit over increasing cutpoints and slopes."""
-    if not spec.is_ordinal:
-        raise UnsupportedKind("fit_ordinal requires an ordinal ModelSpec")
-    return fit_qmle(data, spec, options, design)
-
-
-def predict_mean(fit: FitResult, spec: ModelSpec, X_new: np.ndarray) -> np.ndarray:
-    """Fitted mean h(x'beta) per design row (ordinal: n x J probabilities)."""
+def predict_mean(fit: FitResult, X_new: np.ndarray) -> np.ndarray:
+    """Fitted mean h(x'beta) of `fit`'s model per design row (ordinal: n x J
+    probabilities)."""
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     if X_new.shape[1] != fit.design.q:
         raise DimensionMismatch(
             f"expected {fit.design.q} design columns, got {X_new.shape[1]}"
         )
-    return family_for(spec).fitted(X_new, fit.coef)[2]
+    return fit.family.fitted(X_new, fit.coef)[2]

@@ -1,19 +1,22 @@
-"""Residual definitions and their inversion back into responses.
+"""Residual kinds and their inversion back into responses.
 
-Four resampling-capable kinds (pearson, sbs, surrogate, raw) plus deviance
-(diagnostic only; it has no recreation rule). Surrogate residuals draw a
-latent variable truncated to the interval implied by the observed category,
-via inverse-CDF sampling stabilized with complementary CDFs in the tails.
-
-This module decides which residual kinds a family has (`supports`); the
-family rules they use (unit deviance, variance, category probabilities,
-codes, latent thresholds and cdf/ppf) come from `fit.family`.
+Each kind is one entry of `KINDS`: the families it applies to, its values
+(fit, y, rng) -> r, and its inverse (fit, r*) -> y*, which recreates
+responses from resampled residuals (deviance residuals have none). An entry
+asks the family for a capability, not for its name: a scalar mean and
+variance (Pearson, deviance), the categorical view `latent` (SBS,
+surrogate), or the identity link (raw). Every family rule comes from
+`fit.family`. Surrogate residuals draw a latent variable truncated to the
+interval implied by the observed category, via inverse-CDF sampling
+stabilized with complementary CDFs in the tails.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,23 +27,13 @@ from .rng import substream
 
 __all__ = [
     "ResidualSet",
-    "RESIDUAL_KINDS",
+    "KINDS",
     "supports",
-    "check_supported",
     "compute",
-    "pearson",
-    "deviance",
-    "sbs",
-    "surrogate",
-    "raw",
     "recreate",
+    "surrogate_values",
     "to_csv",
 ]
-
-RESIDUAL_KINDS = ("pearson", "deviance", "sbs", "surrogate", "raw")
-
-# kinds with a response-recreation rule (deviance has none)
-RECREATABLE_KINDS = ("pearson", "sbs", "surrogate", "raw")
 
 _MIN_MASS = 1e-300
 
@@ -49,62 +42,6 @@ _MIN_MASS = 1e-300
 class ResidualSet:
     values: np.ndarray
     kind: str
-
-
-def supports(family: str, kind: str) -> bool:
-    """Whether the residual kind is defined for the family."""
-    if kind == "surrogate" or kind == "sbs":
-        return family in ("binomial", "ordinal")
-    if kind == "pearson" or kind == "deviance":
-        return family != "ordinal"
-    if kind == "raw":
-        return family == "gaussian"
-    return False
-
-
-def check_supported(family: str, kind: str) -> None:
-    if kind not in RESIDUAL_KINDS:
-        raise UnsupportedKind(f"unknown residual kind {kind!r}")
-    if not supports(family, kind):
-        raise UnsupportedKind(f"{kind} residuals are not defined for {family} models")
-
-
-def pearson(fit: FitResult, data: Dataset) -> ResidualSet:
-    """(y - mu) / sqrt(V(mu))."""
-    check_supported(fit.spec.family, "pearson")
-    values = (data.y - fit.mu_hat) / np.sqrt(fit.var_hat)
-    return ResidualSet(values=values, kind="pearson")
-
-
-def raw(fit: FitResult, data: Dataset) -> ResidualSet:
-    check_supported(fit.spec.family, "raw")
-    return ResidualSet(values=data.y - fit.mu_hat, kind="raw")
-
-
-def deviance(fit: FitResult, data: Dataset) -> ResidualSet:
-    """sign(y - mu) * sqrt(2 * family deviance contribution); diagnostic only."""
-    check_supported(fit.spec.family, "deviance")
-    y, mu = data.y, fit.mu_hat
-    d = fit.family.half_deviance(y, mu)
-    values = np.sign(y - mu) * np.sqrt(2.0 * np.clip(d, 0.0, None))
-    return ResidualSet(values=values, kind="deviance")
-
-
-def _cumulative(fit: FitResult) -> np.ndarray:
-    """P(Y <= j) for j = 0..J per observation (first column 0, last 1)."""
-    probs = fit.family.category_probs(fit.mu_hat)
-    n = probs.shape[0]
-    return np.concatenate([np.zeros((n, 1)), np.cumsum(probs, axis=1)], axis=1)
-
-
-def sbs(fit: FitResult, data: Dataset) -> ResidualSet:
-    """P(Y < y) - P(Y > y) under the fitted model; values in (-1, 1)."""
-    check_supported(fit.spec.family, "sbs")
-    cum = _cumulative(fit)
-    codes = fit.family.codes(data.y)
-    rows = np.arange(data.n)
-    values = cum[rows, codes - 1] + cum[rows, codes] - 1.0
-    return ResidualSet(values=values, kind="sbs")
 
 
 # -- truncated latent sampling ------------------------------------------------
@@ -147,70 +84,122 @@ def latent_intervals(fit: FitResult, y: np.ndarray):
 
 
 def surrogate_values(fit: FitResult, y: np.ndarray, rng: np.random.Generator):
-    """One truncated latent draw per observation, minus the linear predictor."""
+    """Surrogate residuals s - eta: one latent draw s per observation from
+    the link's latent distribution, truncated to the observed category."""
+    if rng is None:
+        raise UnsupportedKind("surrogate residuals need an RNG or seed")
     lo, hi = latent_intervals(fit, y)
     cdf, ppf = fit.family.latent
     u = rng.random(y.shape[0])
     return _trunc_standard(u, lo, hi, cdf, ppf)
 
 
-def surrogate(fit: FitResult, data: Dataset, rng) -> ResidualSet:
-    """Latent-variable residual s - x'beta, s drawn from the link's latent
-    distribution truncated to the interval implied by the observed category."""
-    check_supported(fit.spec.family, "surrogate")
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng))
-    values = surrogate_values(fit, data.y, rng)
-    return ResidualSet(values=values, kind="surrogate")
+# -- the kinds ----------------------------------------------------------------
 
 
-_DISPATCH = {
-    "pearson": pearson,
-    "deviance": deviance,
-    "sbs": sbs,
-    "raw": raw,
+def _scalar(family) -> bool:
+    """Whether the family has a scalar mean and variance per observation."""
+    return family.n_cut == 0
+
+
+def _categorical(family) -> bool:
+    """Whether the family has the categorical view (binary and ordinal)."""
+    return hasattr(family, "latent")
+
+
+def _pearson(fit, y, rng):
+    """(y - mu) / sqrt(V(mu))."""
+    return (y - fit.mu_hat) / np.sqrt(fit.var_hat)
+
+
+def _pearson_inverse(fit, r):
+    return fit.family.clamp_response(fit.mu_hat + np.sqrt(fit.var_hat) * r)
+
+
+def _deviance(fit, y, rng):
+    """sign(y - mu) * sqrt(2 * family deviance contribution)."""
+    mu = fit.mu_hat
+    d = fit.family.half_deviance(y, mu)
+    return np.sign(y - mu) * np.sqrt(2.0 * np.clip(d, 0.0, None))
+
+
+def _sbs_grid(fit):
+    """P(Y < j) - P(Y > j) under the fitted model, per observation (rows)
+    and category j (columns)."""
+    probs = fit.family.category_probs(fit.mu_hat)
+    cum = np.concatenate([np.zeros((probs.shape[0], 1)), np.cumsum(probs, axis=1)], axis=1)
+    return cum[:, :-1] + cum[:, 1:] - 1.0
+
+
+def _sbs(fit, y, rng):
+    """The SBS value of each observed category; values in (-1, 1)."""
+    return _sbs_grid(fit)[np.arange(y.shape[0]), fit.family.codes(y) - 1]
+
+
+def _sbs_inverse(fit, r):
+    """A binary model's category is the sign of r*; an ordinal model's is
+    the one whose SBS value lies nearest r*, the smaller on a tie."""
+    family = fit.family
+    if _scalar(family):
+        return family.from_codes((r > 0.0).astype(int) + 1)
+    nearest = np.argmin(np.abs(_sbs_grid(fit) - r[:, None]), axis=1)
+    return family.from_codes(nearest + 1)
+
+
+def _surrogate_inverse(fit, r):
+    """Category j where the latent r* + eta lies in (alpha_{j-1}, alpha_j]."""
+    family = fit.family
+    codes = np.searchsorted(family.thresholds(fit), r + fit.eta, side="left") + 1
+    return family.from_codes(codes)
+
+
+class Kind(NamedTuple):
+    applies: Callable  # family -> bool
+    values: Callable  # (fit, y, rng) -> r
+    inverse: Callable | None  # (fit, r*) -> y*
+
+
+KINDS = {
+    "pearson": Kind(_scalar, _pearson, _pearson_inverse),
+    "deviance": Kind(_scalar, _deviance, None),
+    "sbs": Kind(_categorical, _sbs, _sbs_inverse),
+    "surrogate": Kind(_categorical, surrogate_values, _surrogate_inverse),
+    "raw": Kind(
+        lambda family: family.link == "identity",
+        lambda fit, y, rng: y - fit.mu_hat,
+        lambda fit, r: fit.eta + r,
+    ),
 }
 
 
-def compute(fit: FitResult, data: Dataset, kind: str, rng=None) -> ResidualSet:
-    if kind == "surrogate":
-        if rng is None:
-            raise UnsupportedKind("surrogate residuals need an RNG or seed")
-        return surrogate(fit, data, rng)
-    fn = _DISPATCH.get(kind)
-    if fn is None:
+def supports(family, kind: str) -> bool:
+    """Whether the residual kind is defined for the family object."""
+    entry = KINDS.get(kind)
+    return entry is not None and entry.applies(family)
+
+
+def _entry(family, kind: str) -> Kind:
+    if kind not in KINDS:
         raise UnsupportedKind(f"unknown residual kind {kind!r}")
-    return fn(fit, data)
+    if not supports(family, kind):
+        raise UnsupportedKind(f"{kind} residuals are not defined for {family.name} models")
+    return KINDS[kind]
 
 
-# -- recreation ---------------------------------------------------------------
+def compute(fit: FitResult, data: Dataset, kind: str, rng=None) -> ResidualSet:
+    """Residuals of `kind` at `fit`; surrogate residuals need `rng`, a
+    Generator or an integer seed."""
+    if isinstance(rng, (int, np.integer)):
+        rng = substream(int(rng))
+    return ResidualSet(values=_entry(fit.family, kind).values(fit, data.y, rng), kind=kind)
 
 
-def recreate(fit: FitResult, data: Dataset, r_star: np.ndarray, kind: str) -> np.ndarray:
+def recreate(fit: FitResult, r_star: np.ndarray, kind: str) -> np.ndarray:
     """Invert a resampled residual vector into a recreated response vector."""
-    if kind == "deviance":
-        raise UnsupportedKind("deviance residuals have no recreation rule")
-    check_supported(fit.spec.family, kind)
-    r_star = np.asarray(r_star, dtype=float)
-
-    family = fit.family
-    if kind == "surrogate":
-        s = r_star + fit.eta
-        codes = np.searchsorted(family.thresholds(fit), s, side="left") + 1  # (a_{j-1}, a_j]
-        return family.from_codes(codes)
-
-    if kind == "sbs":
-        if not fit.spec.is_ordinal:
-            return (r_star > 0.0).astype(float)
-        cum = _cumulative(fit)
-        grid = cum[:, :-1] + cum[:, 1:] - 1.0  # per-observation SBS value of each j
-        return family.from_codes(np.argmin(np.abs(grid - r_star[:, None]), axis=1) + 1)
-
-    if kind == "pearson":
-        return family.clamp_response(fit.mu_hat + np.sqrt(fit.var_hat) * r_star)
-
-    # raw (gaussian)
-    return fit.eta + r_star
+    inverse = _entry(fit.family, kind).inverse
+    if inverse is None:
+        raise UnsupportedKind(f"{kind} residuals have no recreation rule")
+    return inverse(fit, np.asarray(r_star, dtype=float))
 
 
 def to_csv(res: ResidualSet, path) -> None:

@@ -1011,18 +1011,6 @@ def theorem1_ks(
     y_dagger = _draw_response(
         scn, X_full, n, truth.seed, merged, _PURPOSE_ADHOC, 2000 + rep
     )
-    alpha, beta, mu, var = fit.family.fitted(fit.design.matrix, truth.beta_dagger)
-    fit_dagger = FitResult(
-        beta_hat=beta,
-        alpha_hat=alpha,
-        mu_hat=mu,
-        var_hat=var,
-        loglik=0.0,
-        iterations=0,
-        converged=True,
-        grad_norm=0.0,
-        spec=spec,
-        design=fit.design,
-    )
+    fit_dagger = FitResult.at(truth.beta_dagger, spec, fit.design)
     r_dagger = surrogate_values(fit_dagger, y_dagger, substream(seed, rep, 2))
     return float(ks_2samp(r_star, r_dagger).statistic)

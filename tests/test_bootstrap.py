@@ -324,6 +324,30 @@ def test_incompatibilities_rejected():
         run(dso2, spec_o, BootstrapMethod.lrb("pearson", 5), B=10, seed=1)
 
 
+
+@pytest.mark.parametrize(
+    "family,link,token",
+    [
+        ("binomial", "probit", "lrb-raw"),
+        ("poisson", "log", "lrb-sbs"),
+        ("gamma", "inverse", "classical-surrogate"),
+        ("gaussian", "identity", "lrb-surrogate"),
+        ("ordinal", "probit", "classical-pearson"),
+    ],
+)
+def test_run_rejects_unsupported_kind_before_fitting(family, link, token, monkeypatch):
+    ds, _ = _probit_data(n=80, seed=16)
+    J = 3 if family == "ordinal" else 0
+    spec = lb.ModelSpec(family, link, (lb.Term("raw", 0),), include_intercept=not J,
+                        n_categories=J)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking the residual kind")
+
+    monkeypatch.setattr("lrboot.bootstrap.fit_qmle", no_fit)
+    with pytest.raises(IncompatibleResidual):
+        run(ds, spec, BootstrapMethod.parse(token, l=5), B=10, seed=1)
+
 def test_too_many_failures_aborts():
     ds, spec = _probit_data(n=80, seed=33)
     fit = lb.fit_qmle(ds, spec)

@@ -15,7 +15,6 @@ from lrboot.errors import (
     RankDeficient,
     SeparationDetected,
 )
-from lrboot.glm import get_family
 
 
 def _spec(family, link, n_terms=1, intercept=True, J=0):
@@ -219,7 +218,7 @@ def test_ordinal_closed_form_from_marginal_proportions():
     y = np.array([1.0] * 12 + [2.0] * 12 + [3.0] * 12)
     ds = lb.make_dataset(y, np.zeros((36, 1)))
     spec = _spec("ordinal", "probit", 1, intercept=False, J=3)
-    fit = lb.fit_ordinal(ds, spec)
+    fit = lb.fit_qmle(ds, spec)
     expected = norm.ppf([1 / 3, 2 / 3])
     assert np.allclose(fit.alpha_hat, expected, atol=1e-8)
     assert np.allclose(fit.beta_hat, 0.0, atol=1e-8)
@@ -251,7 +250,7 @@ def test_ordinal_matches_derivative_free_oracle():
     assert set(np.unique(y)) == {1.0, 2.0, 3.0, 4.0}
     ds = lb.make_dataset(y, x[:, None])
     spec = _spec("ordinal", "probit", 1, intercept=False, J=4)
-    fit = lb.fit_ordinal(ds, spec)
+    fit = lb.fit_qmle(ds, spec)
     xs = ds.X[:, 0]
     start = np.concatenate([fit.alpha_hat + 0.3, fit.beta_hat + 0.2])
     opt = minimize(
@@ -270,8 +269,8 @@ def test_ordinal_fit_invariant_to_row_permutation():
     x, y = _draw_ordinal(200, rng)
     perm = rng.permutation(200)
     spec = _spec("ordinal", "probit", 1, intercept=False, J=4)
-    f1 = lb.fit_ordinal(lb.make_dataset(y, x[:, None]), spec)
-    f2 = lb.fit_ordinal(lb.make_dataset(y[perm], x[perm][:, None]), spec)
+    f1 = lb.fit_qmle(lb.make_dataset(y, x[:, None]), spec)
+    f2 = lb.fit_qmle(lb.make_dataset(y[perm], x[perm][:, None]), spec)
     assert np.allclose(f1.coef, f2.coef, atol=1e-8)
 
 
@@ -279,7 +278,7 @@ def test_ordinal_cutpoints_strictly_increasing():
     rng = np.random.default_rng(53)
     x, y = _draw_ordinal(300, rng)
     spec = _spec("ordinal", "probit", 1, intercept=False, J=4)
-    fit = lb.fit_ordinal(lb.make_dataset(y, x[:, None]), spec)
+    fit = lb.fit_qmle(lb.make_dataset(y, x[:, None]), spec)
     assert np.all(np.diff(fit.alpha_hat) > 0)
 
 
@@ -288,7 +287,7 @@ def test_ordinal_empty_category_raises():
     ds = lb.make_dataset(y, np.linspace(0, 1, 40)[:, None])
     spec = _spec("ordinal", "probit", 1, intercept=False, J=3)
     with pytest.raises(EmptyCategory):
-        lb.fit_ordinal(ds, spec)
+        lb.fit_qmle(ds, spec)
 
 
 # -- predict ------------------------------------------------------------------
@@ -299,25 +298,24 @@ def test_predict_mean_closed_forms():
     spec = _spec("gaussian", "identity")
     fit = lb.fit_qmle(ds, spec)
     fit.beta_hat = np.array([1.0, 2.0])
-    assert np.isclose(lb.predict_mean(fit, spec, np.array([[1.0, 3.0]]))[0], 7.0)
+    assert np.isclose(lb.predict_mean(fit, np.array([[1.0, 3.0]]))[0], 7.0)
 
-    spec_p = _spec("binomial", "probit")
-    fit.spec = spec_p
+    # the family follows fit.spec
+    fit.spec = _spec("binomial", "probit")
     fit.beta_hat = np.array([0.0, 0.0])
-    assert np.isclose(lb.predict_mean(fit, spec_p, np.array([[1.0, 5.0]]))[0], 0.5)
+    assert np.isclose(lb.predict_mean(fit, np.array([[1.0, 5.0]]))[0], 0.5)
 
-    spec_l = _spec("binomial", "logit")
-    fit.spec = spec_l
+    fit.spec = _spec("binomial", "logit")
     fit.beta_hat = np.array([0.0, np.log(3.0)])
-    assert np.isclose(lb.predict_mean(fit, spec_l, np.array([[1.0, 1.0]]))[0], 0.75)
+    assert np.isclose(lb.predict_mean(fit, np.array([[1.0, 1.0]]))[0], 0.75)
 
 
 def test_predict_mean_ordinal_returns_category_probabilities():
     rng = np.random.default_rng(67)
     x, y = _draw_ordinal(200, rng)
     spec = _spec("ordinal", "probit", 1, intercept=False, J=4)
-    fit = lb.fit_ordinal(lb.make_dataset(y, x[:, None]), spec)
-    probs = lb.predict_mean(fit, spec, fit.design.matrix[:5])
+    fit = lb.fit_qmle(lb.make_dataset(y, x[:, None]), spec)
+    probs = lb.predict_mean(fit, fit.design.matrix[:5])
     assert probs.shape == (5, 4)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.all(probs >= 0)
@@ -330,7 +328,7 @@ def test_predict_mean_dimension_mismatch():
     from lrboot.errors import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
-        lb.predict_mean(fit, spec, np.ones((2, 5)))
+        lb.predict_mean(fit, np.ones((2, 5)))
 
 
 # -- dataset / design ---------------------------------------------------------
@@ -396,7 +394,7 @@ def test_family_registry_rejects_unknown_pairs():
     from lrboot.errors import UnsupportedKind
 
     with pytest.raises(UnsupportedKind):
-        get_family("poisson", "identity")
+        lb.ModelSpec("poisson", "identity", ())
     with pytest.raises(UnsupportedKind):
         lb.ModelSpec("binomial", "log", ())
     with pytest.raises(UnsupportedKind):

@@ -27,8 +27,8 @@ from lrboot.errors import (
 from lrboot.glm import (
     CumulativeProbit,
     _Design,
+    family_for,
     fit_design_batch,
-    get_family,
 )
 
 FAMILIES = [
@@ -38,6 +38,11 @@ FAMILIES = [
     ("gamma", "inverse"),
     ("gaussian", "identity"),
 ]
+
+
+def _family(name, link):
+    """The GLM family object of a (family, link) pair."""
+    return family_for(lb.ModelSpec(name, link, ()))
 
 
 # -- oracles: the scalar fitters the driver replaced ---------------------------
@@ -259,7 +264,7 @@ def _block(family_name, weighted, seed):
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(st.booleans(), st.integers(min_value=0, max_value=10_000))
 def test_batch_matches_scalar_per_row(family_name, link, weighted, warm, seed):
-    family = get_family(family_name, link)
+    family = _family(family_name, link)
     Xd, Y, W = _block(family_name, weighted, seed)
     beta0 = None
     if warm:
@@ -279,7 +284,7 @@ def test_probit_estimates_match_a_tight_tolerance_fit(weighted):
     # test mostly lands next to the optimum; the median gap under Fisher
     # scoring was about 1e-10. A last score just under the tolerance still
     # leaves a few rows some 1e-10 off.
-    probit = get_family("binomial", "probit")
+    probit = _family("binomial", "probit")
     gaps = []
     for seed in range(8):
         Xd, Y, W = _block("binomial", weighted, seed)
@@ -302,7 +307,7 @@ def test_probit_score_and_information_are_exact_derivatives():
     x = np.linspace(-8.0, 8.0, n)
     Xd = np.column_stack([np.ones(n), x, np.sin(x)])
     design = _Design(Xd)
-    probit = get_family("binomial", "probit")
+    probit = _family("binomial", "probit")
     theta = np.array([[0.0, 1.0, 0.0]])
     binary = (rng.random((1, n)) < 0.5).astype(float)
     fractional = np.clip(rng.uniform(-0.2, 1.2, (1, n)), 0.0, 1.0)
@@ -337,7 +342,7 @@ def test_batch_failure_class_per_row():
     n = 60
     x = np.concatenate([np.zeros(20), np.linspace(-2.0, 2.0, 40)])
     Xd = np.column_stack([np.ones(n), x])
-    probit = get_family("binomial", "probit")
+    probit = _family("binomial", "probit")
     good = (rng.random(n) < norm.cdf(0.3 + 0.8 * x)).astype(float)
     separated = (x > 0).astype(float)
     separated[:20] = [0.0, 1.0] * 10
@@ -372,7 +377,7 @@ def test_binary_probit_loglik_single_log_ndtr_is_exact():
     eta = rng.standard_normal((4, 500)) * 4.0
     y = (rng.random((4, 500)) < 0.5).astype(float)
     two_term = y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
-    probit = get_family("binomial", "probit")
+    probit = _family("binomial", "probit")
     assert np.array_equal(probit.loglik_terms(y, eta), two_term)
     frac = np.clip(y + 0.25, 0.0, 1.0)
     assert np.array_equal(
@@ -478,18 +483,21 @@ def test_ordinal_score_and_information_are_exact_derivatives(J):
 
 def test_ordinal_score_at_infinite_edges_and_clipped_cells_is_finite():
     # observations in the first and last categories meet an infinite edge,
-    # where u phi(u) is inf * 0. The lower edge of the last cell's category
-    # lies 11 sd above its eta, where 1 - Phi rounds to 0 though phi does
-    # not: loglik_terms clips it at _P_MIN, and it adds nothing
-    n, J = 12, 4
+    # where u phi(u) is inf * 0. The lower edge of the next-to-last cell's
+    # category lies 11 sd above its eta, where Phi rounds to 1: P is taken
+    # on the upper tail, as Phi(-11). The last cell's lies 41 sd above,
+    # where Phi(-41) underflows though phi does not: loglik_terms clips it
+    # at _P_MIN, and it adds nothing
+    n, J = 13, 4
     family = CumulativeProbit(J)
     x = np.linspace(-3.0, 3.0, n)
-    x[-1] = -10.0
+    x[-2:] = -10.0, -40.0
     Xd = x[:, None]
-    Y = np.array([[1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]], dtype=float)
+    Y = np.array([[1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4]], dtype=float)
     theta = np.array([[-1.0, 0.0, 0.0, 1.0]])
     eta = theta[:, J - 1 :] @ Xd.T
     terms = family.loglik_terms(Y, eta, theta)
+    assert np.isclose(terms[0, -2], log_ndtr(-11.0), rtol=1e-14, atol=0.0)
     assert terms[0, -1] == np.log(1e-300)
     alive = np.ones((1, n))
     alive[0, -1] = 0.0
@@ -517,13 +525,13 @@ def test_constant_binary_rows_fail_before_fitting():
     W = np.ones_like(Y)
     W[3, :5] = 0.0  # the zeros of row 3 carry no weight
     for name, link in FAMILIES[:2]:
-        out = fit_design_batch(Xd, Y, get_family(name, link), weights=W)
+        out = fit_design_batch(Xd, Y, _family(name, link), weights=W)
         assert [type(e) if e else None for e in out.errors] == [
             None, SeparationDetected, SeparationDetected, SeparationDetected,
         ]
         assert list(out.iterations[1:]) == [0, 0, 0]
     # without a constant column the screen does not apply
-    out = fit_design_batch(Xd[:, 1:], Y[:1], get_family("binomial", "probit"))
+    out = fit_design_batch(Xd[:, 1:], Y[:1], _family("binomial", "probit"))
     assert out.ok.all()
 
 

@@ -60,24 +60,24 @@ def test_pearson_pointwise():
         mu=np.array([0.5, 0.5, 0.5]),
         var=np.array([0.25, 0.25, 0.25]),
     )
-    r = res.pearson(fit, _ds([0.5, 1.0, 0.0])).values
+    r = res.compute(fit, _ds([0.5, 1.0, 0.0]), "pearson").values
     assert np.allclose(r, [0.0, 1.0, -1.0])
 
     fit_p = _manual_fit(
         "poisson", "log", np.zeros(2), mu=np.array([4.0, 4.0]), var=np.array([4.0, 4.0])
     )
-    assert np.allclose(res.pearson(fit_p, _ds([6.0, 4.0])).values, [1.0, 0.0])
+    assert np.allclose(res.compute(fit_p, _ds([6.0, 4.0]), "pearson").values, [1.0, 0.0])
 
 
 def test_deviance_pointwise():
     fit_p = _manual_fit("poisson", "log", np.zeros(2), mu=np.array([2.0, 3.0]))
-    r = res.deviance(fit_p, _ds([0.0, 3.0])).values
+    r = res.compute(fit_p, _ds([0.0, 3.0]), "deviance").values
     assert np.isclose(r[0], -2.0)  # y=0, mu=2 with the 0*log0 = 0 convention
     assert r[1] == 0.0
 
     fit_g = _manual_fit("gaussian", "identity", np.array([1.0, 2.0]))
-    dev = res.deviance(fit_g, _ds([1.5, 1.0])).values
-    rawr = res.raw(fit_g, _ds([1.5, 1.0])).values
+    dev = res.compute(fit_g, _ds([1.5, 1.0]), "deviance").values
+    rawr = res.compute(fit_g, _ds([1.5, 1.0]), "raw").values
     assert np.allclose(dev, rawr)
 
 
@@ -85,14 +85,14 @@ def test_sbs_binary_and_ordinal():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(2), mu=np.array([0.3, 0.3]), var=np.array([0.21, 0.21])
     )
-    r = res.sbs(fit, _ds([1.0, 0.0])).values
+    r = res.compute(fit, _ds([1.0, 0.0]), "sbs").values
     assert np.allclose(r, [0.7, -0.3])
 
     probs = np.array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
     fit_o = _manual_fit(
         "ordinal", "probit", np.zeros(2), mu=probs, alpha=np.array([-0.5, 0.5]), J=3
     )
-    r_o = res.sbs(fit_o, _ds([2.0, 1.0])).values
+    r_o = res.compute(fit_o, _ds([2.0, 1.0]), "sbs").values
     assert np.isclose(r_o[0], -0.1)
 
 
@@ -101,7 +101,7 @@ def test_sbs_strictly_increasing_in_category():
     fit = _manual_fit(
         "ordinal", "probit", np.zeros(2), mu=probs, alpha=np.array([-1.0, 0.0, 1.0]), J=4
     )
-    vals = [res.sbs(fit, _ds([float(j), 1.0])).values[0] for j in (1, 2, 3, 4)]
+    vals = [res.compute(fit, _ds([float(j), 1.0]), "sbs").values[0] for j in (1, 2, 3, 4)]
     assert np.all(np.diff(vals) > 0)
     assert all(-1 < v < 1 for v in vals)
 
@@ -111,7 +111,7 @@ def test_surrogate_half_normal_mean():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(n), mu=np.full(n, 0.5), var=np.full(n, 0.25)
     )
-    r = res.surrogate(fit, _ds(np.ones(n)), rng=substream(123)).values
+    r = res.compute(fit, _ds(np.ones(n)), "surrogate", rng=substream(123)).values
     assert np.all(r > 0)
     assert abs(r.mean() - np.sqrt(2 / np.pi)) < 0.01
 
@@ -125,7 +125,7 @@ def test_surrogate_respects_truncation_bounds_ordinal():
     y = 1.0 + (z[:, None] > alpha[None, :]).sum(axis=1)
     probs = np.ones((n, 4)) / 4
     fit = _manual_fit("ordinal", "probit", eta, mu=probs, alpha=alpha, J=4)
-    rs = res.surrogate(fit, _ds(y), rng=substream(9)).values
+    rs = res.compute(fit, _ds(y), "surrogate", rng=substream(9)).values
     lo, hi = res.latent_intervals(fit, y)
     assert np.all(rs > lo) and np.all(rs <= hi)
 
@@ -138,7 +138,7 @@ def test_surrogate_standard_normal_under_correct_model():
     ds = lb.make_dataset(y, x[:, None])
     spec = lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),))
     fit = lb.fit_qmle(ds, spec)
-    r = res.surrogate(fit, ds, rng=substream(11)).values
+    r = res.compute(fit, ds, "surrogate", rng=substream(11)).values
     stat = kstest(r, "norm").statistic
     assert stat < 1.6276 / np.sqrt(n)  # 1% KS critical value
 
@@ -153,7 +153,7 @@ def test_surrogate_distribution_converges_with_n():
             y = (rng.random(n) < norm.cdf(0.4 + 0.8 * x)).astype(float)
             ds = lb.make_dataset(y, x[:, None])
             fit = lb.fit_qmle(ds, lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),)))
-            r = res.surrogate(fit, ds, rng=substream(500 + rep)).values
+            r = res.compute(fit, ds, "surrogate", rng=substream(500 + rep)).values
             stats.append(kstest(r, "norm").statistic)
         med.append(np.median(stats))
     assert med[0] > med[1] > med[2]
@@ -164,20 +164,66 @@ def test_logit_surrogate_uses_logistic_latent():
     fit = _manual_fit(
         "binomial", "logit", np.zeros(n), mu=np.full(n, 0.5), var=np.full(n, 0.25)
     )
-    r = res.surrogate(fit, _ds(np.ones(n)), rng=substream(21)).values
+    r = res.compute(fit, _ds(np.ones(n)), "surrogate", rng=substream(21)).values
     # half-logistic mean is 2 log 2
     assert abs(r.mean() - 2 * np.log(2.0)) < 0.02
 
 
+KINDS = ("pearson", "deviance", "sbs", "surrogate", "raw")
+
+# which kinds each model has, in the order of KINDS
+KIND_MATRIX = {
+    ("binomial", "probit"): (True, True, True, True, False),
+    ("binomial", "logit"): (True, True, True, True, False),
+    ("poisson", "log"): (True, True, False, False, False),
+    ("gamma", "inverse"): (True, True, False, False, False),
+    ("gaussian", "identity"): (True, True, False, False, True),
+    ("ordinal", "probit"): (False, False, True, True, False),
+}
+
+
+def _real_fit(family, link, n=120):
+    """A fitted model of each (family, link) pair on data it can fit."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, n)
+    J = 3 if family == "ordinal" else 0
+    y = {
+        "binomial": lambda: (rng.random(n) < norm.cdf(0.3 + 0.8 * x)).astype(float),
+        "poisson": lambda: rng.poisson(np.exp(0.5 + 0.4 * x)).astype(float),
+        "gamma": lambda: rng.gamma(2.0, 1.0 / (2.0 + 0.5 * x) / 2.0),
+        "gaussian": lambda: 1.0 + x + rng.standard_normal(n),
+        "ordinal": lambda: 1.0 + (x[:, None] + rng.standard_normal((n, 1)) > [-0.5, 0.5]).sum(1),
+    }[family]()
+    ds = lb.make_dataset(y, x[:, None])
+    spec = lb.ModelSpec(family, link, (lb.Term("raw", 0),), include_intercept=not J,
+                        n_categories=J)
+    return lb.fit_qmle(ds, spec), ds
+
+
 def test_supported_kind_matrix():
-    assert res.supports("binomial", "surrogate")
-    assert res.supports("ordinal", "sbs")
-    assert not res.supports("ordinal", "pearson")
-    assert not res.supports("poisson", "surrogate")
-    assert not res.supports("binomial", "raw")
-    assert res.supports("gaussian", "raw")
-    with pytest.raises(UnsupportedKind):
-        res.check_supported("ordinal", "pearson")
+    # every model against every kind: a supported cell computes and, when the
+    # kind has an inverse, recreates; an unsupported cell raises
+    for (family, link), row in KIND_MATRIX.items():
+        fit, ds = _real_fit(family, link)
+        for kind, supported in zip(KINDS, row):
+            cell = (family, link, kind)
+            assert res.supports(fit.family, kind) is supported, cell
+            if not supported:
+                with pytest.raises(UnsupportedKind):
+                    res.compute(fit, ds, kind, rng=1)
+                with pytest.raises(UnsupportedKind):
+                    res.recreate(fit, np.zeros(ds.n), kind)
+                continue
+            r = res.compute(fit, ds, kind, rng=1).values
+            assert r.shape == (ds.n,) and np.all(np.isfinite(r)), cell
+            if res.KINDS[kind].inverse is None:
+                with pytest.raises(UnsupportedKind):
+                    res.recreate(fit, r, kind)
+            else:
+                assert res.recreate(fit, r[::-1], kind).shape == (ds.n,), cell
+        assert not res.supports(fit.family, "working")
+        with pytest.raises(UnsupportedKind):
+            res.compute(fit, ds, "working")
 
 
 def test_recreate_surrogate_binary_sign_rule():
@@ -186,7 +232,7 @@ def test_recreate_surrogate_binary_sign_rule():
         "binomial", "probit", eta, mu=norm.cdf(eta), var=norm.cdf(eta) * (1 - norm.cdf(eta))
     )
     r_star = np.array([-0.3, 0.1])  # s* = 0.1 > 0 ; s* = -0.1 <= 0
-    y_star = res.recreate(fit, _ds([1.0, 0.0]), r_star, "surrogate")
+    y_star = res.recreate(fit, r_star, "surrogate")
     assert np.allclose(y_star, [1.0, 0.0])
 
 
@@ -194,13 +240,13 @@ def test_recreate_pearson_clamps_to_support():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(2), mu=np.array([0.5, 0.5]), var=np.array([0.25, 0.25])
     )
-    y_star = res.recreate(fit, _ds([1.0, 0.0]), np.array([2.0, 0.0]), "pearson")
+    y_star = res.recreate(fit, np.array([2.0, 0.0]), "pearson")
     assert y_star[0] == 1.0  # 0.5 + 0.5*2 = 1.5 clamps to 1
 
     fit_p = _manual_fit(
         "poisson", "log", np.zeros(2), mu=np.ones(2), var=np.ones(2)
     )
-    assert res.recreate(fit_p, _ds([0.0, 1.0]), np.array([-5.0, 0.0]), "pearson")[0] == 0.0
+    assert res.recreate(fit_p, np.array([-5.0, 0.0]), "pearson")[0] == 0.0
 
 
 def test_recreate_raw_round_trip_exact():
@@ -209,11 +255,11 @@ def test_recreate_raw_round_trip_exact():
     y = 1 + 2 * x + rng.standard_normal(100)
     ds = lb.make_dataset(y, x[:, None])
     fit = lb.fit_qmle(ds, lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),)))
-    r = res.raw(fit, ds).values
-    assert np.allclose(res.recreate(fit, ds, r, "raw"), y, atol=1e-12)
+    r = res.compute(fit, ds, "raw").values
+    assert np.allclose(res.recreate(fit, r, "raw"), y, atol=1e-12)
     # pearson coincides for the gaussian family
-    rp = res.pearson(fit, ds).values
-    assert np.allclose(res.recreate(fit, ds, rp, "pearson"), y, atol=1e-12)
+    rp = res.compute(fit, ds, "pearson").values
+    assert np.allclose(res.recreate(fit, rp, "pearson"), y, atol=1e-12)
 
 
 def test_recreate_pearson_round_trip_where_no_clamp():
@@ -222,8 +268,8 @@ def test_recreate_pearson_round_trip_where_no_clamp():
     y = rng.poisson(np.exp(0.5 + 0.4 * x)).astype(float)
     ds = lb.make_dataset(y, x[:, None])
     fit = lb.fit_qmle(ds, lb.ModelSpec("poisson", "log", (lb.Term("raw", 0),)))
-    r = res.pearson(fit, ds).values
-    back = res.recreate(fit, ds, r, "pearson")
+    r = res.compute(fit, ds, "pearson").values
+    back = res.recreate(fit, r, "pearson")
     no_clamp = back > 0
     assert np.allclose(back[no_clamp], y[no_clamp], atol=1e-10)
 
@@ -257,10 +303,12 @@ def test_recreate_inverts_categorical_residuals(kind, link_J, scale, seed):
     fit, y = _random_categorical_fit(rng, link, J, 200, scale)
     ds = _ds(y)
     r = res.compute(fit, ds, kind, rng=substream(seed)).values
-    back = res.recreate(fit, ds, r, kind)
+    back = res.recreate(fit, r, kind)
     keep = np.ones(y.shape[0], dtype=bool)
     if kind == "sbs" and J:
-        # far in the tails two categories' SBS values round to the same float
+        # far in the tails two categories' SBS values round to the same
+        # float: the values within about 1e-16 of -1 or 1 are one float, so
+        # no formula tells those categories apart and no inverse recovers them
         cum = np.cumsum(np.column_stack([np.zeros(y.shape[0]), fit.mu_hat]), axis=1)
         keep = np.all(np.diff(cum[:, :-1] + cum[:, 1:] - 1.0, axis=1) > 0, axis=1)
     assert np.array_equal(back[keep], y[keep])
@@ -286,7 +334,7 @@ def test_recreate_inverts_pearson_where_no_clamp(family, seed):
     link = {"binomial": "probit", "poisson": "log", "gamma": "inverse"}.get(family, "identity")
     fit = _manual_fit(family, link, np.zeros(n), mu=mu, var=var)
     ds = _ds(y)
-    back = res.recreate(fit, ds, res.pearson(fit, ds).values, "pearson")
+    back = res.recreate(fit, res.compute(fit, ds, "pearson").values, "pearson")
     # mu + sqrt(V) (y - mu) / sqrt(V) rounds twice; no clamp moves a value here
     assert np.allclose(back, y, rtol=1e-13, atol=1e-13)
 
@@ -297,31 +345,30 @@ def test_recreate_sbs_ordinal_monotone_pseudo_inverse():
     fit = _manual_fit(
         "ordinal", "probit", np.zeros(2), mu=probs, alpha=np.array([-0.5, 0.9]), J=3
     )
-    ds = _ds([1.0, 2.0])
     for r_star, expected in [(-0.9, 1.0), (-0.2, 2.0), (0.69, 3.0)]:
-        y_star = res.recreate(fit, ds, np.array([r_star, 0.0]), "sbs")
+        y_star = res.recreate(fit, np.array([r_star, 0.0]), "sbs")
         assert y_star[0] == expected
     # tie exactly between categories 1 and 2 resolves to the smaller one
-    assert res.recreate(fit, ds, np.array([-0.375, 0.0]), "sbs")[0] == 1.0
+    assert res.recreate(fit, np.array([-0.375, 0.0]), "sbs")[0] == 1.0
 
 
 def test_recreate_sbs_reduces_to_binary_rule():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(3), mu=np.full(3, 0.4), var=np.full(3, 0.24)
     )
-    y_star = res.recreate(fit, _ds([1.0, 0.0, 1.0]), np.array([-0.1, 0.0, 0.2]), "sbs")
+    y_star = res.recreate(fit, np.array([-0.1, 0.0, 0.2]), "sbs")
     assert np.allclose(y_star, [0.0, 0.0, 1.0])
 
 
 def test_recreate_deviance_rejected():
     fit = _manual_fit("poisson", "log", np.zeros(2), mu=np.ones(2), var=np.ones(2))
     with pytest.raises(UnsupportedKind):
-        res.recreate(fit, _ds([1.0, 2.0]), np.zeros(2), "deviance")
+        res.recreate(fit, np.zeros(2), "deviance")
 
 
 def test_residual_csv_export(tmp_path):
     fit = _manual_fit("gaussian", "identity", np.array([1.0, 2.0]))
-    r = res.raw(fit, _ds([1.5, 1.0]))
+    r = res.compute(fit, _ds([1.5, 1.0]), "raw")
     path = tmp_path / "resid.csv"
     res.to_csv(r, path)
     lines = path.read_text().strip().splitlines()

@@ -60,7 +60,6 @@ def test_loss_monte_carlo_stability_across_seeds():
 
 def _three_terms(ds, spec, method, B, seed, l):
     from lrboot.bootstrap import run
-    from lrboot.glm import get_family
 
     fit = lb.fit_qmle(ds, spec)
     nb = build_neighborhoods(ds, l)
@@ -68,7 +67,7 @@ def _three_terms(ds, spec, method, B, seed, l):
         ds, spec, method, B=B, seed=seed, fit=fit, neighborhoods=nb,
         keep_responses=True,
     )
-    fam = get_family(spec.family, spec.link)
+    fam = fit.family
     mu_star = fam.mean(fit.design.matrix @ out.replicates.T)
     denom = ds.n * fit.var_hat
     t1 = float(((ds.y - fit.mu_hat) ** 2 / denom).sum())

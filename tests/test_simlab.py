@@ -43,9 +43,7 @@ def test_every_scenario_generates_and_fits(scenario_id):
     assert ds.n == n
     scn = sl.get_scenario(scenario_id)
     spec = scn.assumed(dict(scn.defaults))
-    fit = (
-        lb.fit_ordinal(ds, spec) if spec.is_ordinal else lb.fit_qmle(ds, spec)
-    )
+    fit = lb.fit_qmle(ds, spec)
     assert fit.converged
 
 
