@@ -4,11 +4,12 @@ comparison methods.
 
 Every method draws responses y* or weights w* on the one fitted design, so
 replicates are refit in blocks by the Newton driver `glm.fit_design_batch`,
-ordinal models included. A block holds `family.block_rows(n)` replicates, a
-fixed budget of response cells. Replicate b always consumes the substream
-(seed, b) with per-observation draws in observation order, and the blocks do
-not depend on how many worker threads run them, so outcomes are
-bit-identical for any thread count.
+ordinal models included, on the column products the design builds once. A
+block holds `family.block_rows(n)` replicates, a fixed budget of response
+cells. Replicate b always consumes the substream (seed, b) with
+per-observation draws in observation order, and the blocks do not depend on
+how many worker threads run them, so outcomes are bit-identical for any
+thread count.
 
 The residual methods (lrb, classical) take their kind's values and inverse
 from `residuals.KINDS`: a method needs a kind with an inverse, and `run`
@@ -331,15 +332,16 @@ def run(
     draw = _sampler(data, method, fit, seed, neighborhoods)
     family = fit.family
     rows = family.block_rows(data.n)
+    design = fit.design
+    # built here, once, so the worker threads only read them
+    design.transpose, design.column_products, design.constant_columns
 
     def replicate_block(first: int):
         bs = range(first, min(first + rows, B + 1))
         Y, W = zip(*(draw(substream(seed, b)) for b in bs))
         Y = np.vstack(Y)
         W = None if W[0] is None else np.vstack(W)
-        out = fit_design_batch(
-            fit.design.matrix, Y, family, options, weights=W, beta0=fit.coef
-        )
+        out = fit_design_batch(design, Y, family, options, weights=W, beta0=fit.coef)
         return out.beta, out.ok, Y if keep_responses else None
 
     starts = range(1, B + 1, rows)

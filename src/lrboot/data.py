@@ -4,11 +4,19 @@ A :class:`Dataset` keeps the covariates both raw and standardized; model
 terms (powers, interactions, exponentials) are computed on the raw scale and
 the resulting design columns are standardized again, so every coefficient has
 an exact per-column back-transform to the raw predictor scale.
+
+A :class:`DesignInfo` is the one owner of what fits derive from its matrix:
+the transpose, the column products that give X' diag(w) X, the
+constant-column flags and the column rank. Each is built on first use and
+lives as long as the design, so every refit on one design (bootstrap
+replicates, pseudo-truth redraws, one experiment's replications) shares a
+single build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -210,9 +218,24 @@ class ModelSpec:
         return self.label or f"{self.family}-{self.link}"
 
 
+def _column_products(X: np.ndarray) -> np.ndarray:
+    """The n x q(q+1)/2 products X[:, i] * X[:, j] for i <= j, in the order of
+    np.triu_indices(q). Each block of products of one column i is written in
+    place, so nothing beyond Z itself is allocated. Z is column-major: each
+    product is one contiguous column."""
+    n, q = X.shape
+    Z = np.empty((n, q * (q + 1) // 2), order="F")
+    k = 0
+    for i in range(q):
+        np.multiply(X[:, i : i + 1], X[:, i:], out=Z[:, k : k + q - i])
+        k += q - i
+    return Z
+
+
 @dataclass(frozen=True)
 class DesignInfo:
-    """Built design matrix with per-column standardization records."""
+    """Built design matrix with per-column standardization records, and what
+    fits derive from the matrix, each built once on first use."""
 
     matrix: np.ndarray
     coef_names: tuple[str, ...]
@@ -227,6 +250,44 @@ class DesignInfo:
     @property
     def first_slope(self) -> int:
         return 1 if self.has_intercept else 0
+
+    @cached_property
+    def transpose(self) -> np.ndarray:
+        """The matrix transposed, C-contiguous: a block's eta is theta @ transpose."""
+        return np.ascontiguousarray(self.matrix.T)
+
+    @cached_property
+    def column_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(iu, ju, Z): the upper-triangle index pair of a q x q matrix and the
+        products Z[:, k] = X[:, iu[k]] * X[:, ju[k]] that `gram` reads."""
+        iu, ju = np.triu_indices(self.q)
+        return iu, ju, _column_products(self.matrix)
+
+    def gram(self, wk: np.ndarray) -> np.ndarray:
+        """X' diag(wk[r]) X for each row r of wk, from one product with the
+        column products: nothing of size b x n x q is allocated."""
+        iu, ju, Z = self.column_products
+        H = np.empty((wk.shape[0], self.q, self.q))
+        H[:, iu, ju] = H[:, ju, iu] = wk @ Z
+        return H
+
+    @cached_property
+    def constant_columns(self) -> np.ndarray:
+        """Whether each column holds one nonzero value throughout."""
+        X = self.matrix
+        return np.all(X == X[0:1], axis=0) & (X[0] != 0)
+
+    @cached_property
+    def rank(self) -> int:
+        """Column rank of the matrix."""
+        return int(np.linalg.matrix_rank(self.matrix))
+
+    @cached_property
+    def rank_with_ones(self) -> int:
+        """Column rank of [1, matrix]: the design an ordinal model's
+        cutpoints extend, as they act as its intercept."""
+        ones = np.ones((self.matrix.shape[0], 1))
+        return int(np.linalg.matrix_rank(np.hstack([ones, self.matrix])))
 
 
 def build_design(data: Dataset, spec: ModelSpec) -> DesignInfo:

@@ -6,18 +6,21 @@ binary and ordinal models the categorical view that SBS and surrogate
 residuals use. `family_for(spec)` and `FitResult.family` return it.
 
 Every fit runs one driver, `fit_design_batch`: Newton-type steps for a block
-of response vectors on one prebuilt design, with step-halving, convergence
+of response vectors on one `DesignInfo`, with step-halving, convergence
 declared on the max-abs score component, and a failure class recorded per
 row. `fit_qmle`, which fits every model, is a one-row call of it, and
-`FitResult.at` builds the fit at any coefficient vector. A family supplies
-what the driver needs for a block: per-row screens and cold starts,
-log-likelihood terms, and the score with a positive semi-definite
-information. The probit family gives the exact gradient and the observed
-information, so its steps are Newton's and converge quadratically (McCullagh
-& Nelder 1989, sec. 2.5); it reuses the log-likelihood terms of the accepted
-step, so an iteration costs one `log_ndtr` pass. Every other GLM family has
-its canonical link, where the Fisher information equals the observed one, so
-its Fisher-scoring steps are Newton's too. The cumulative-probit model
+`FitResult.at` builds the fit at any coefficient vector. The design owns
+what fits derive from its matrix (the transpose, the column products of
+X' diag(w) X, the constant-column flags and the rank), built once per design,
+so every block fit on one design shares them. A family supplies what the
+driver needs for a block: per-row screens and cold starts, log-likelihood
+terms, and the score with a positive semi-definite information. The probit
+family gives the exact gradient and the observed information, so its steps
+are Newton's and converge quadratically (McCullagh & Nelder 1989, sec.
+2.5); it reuses the log-likelihood terms of the accepted step, so an
+iteration costs one `log_ndtr` pass. Every other GLM family has its
+canonical link, where the Fisher information equals the observed one, so its
+Fisher-scoring steps are Newton's too. The cumulative-probit model
 (`CumulativeProbit`, McCullagh 1980, JRSS-B) is maximized over (alpha_1,
 log-gaps, beta), so the cutpoints stay increasing. It takes Newton steps
 too: the exact gradient and the observed information, from each
@@ -73,10 +76,6 @@ def _xlogy(x, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x * np.log(y)
     return np.where(x == 0.0, 0.0, out)
-
-
-def _constant_columns(Xd):
-    return np.all(Xd == Xd[0:1], axis=0) & (Xd[0] != 0)
 
 
 @dataclass(frozen=True)
@@ -147,25 +146,6 @@ def _coef_names(design: DesignInfo, n_cut: int) -> tuple[str, ...]:
     return tuple(f"alpha_{j + 1}" for j in range(n_cut)) + design.coef_names
 
 
-class _Design:
-    """A prebuilt design with the column products its information needs."""
-
-    def __init__(self, Xd):
-        self.X = Xd
-        self.XT = np.ascontiguousarray(Xd.T)
-        self.iu, self.ju = np.triu_indices(Xd.shape[1])
-        self.Z = Xd[:, self.iu] * Xd[:, self.ju]
-
-    def gram(self, wk):
-        """X' diag(wk[r]) X for each row r of wk, from one product with the
-        column products X[:, i] * X[:, j] (i <= j): nothing of size
-        b x n x q is allocated."""
-        q = self.X.shape[1]
-        H = np.empty((wk.shape[0], q, q))
-        H[:, self.iu, self.ju] = H[:, self.ju, self.iu] = wk @ self.Z
-        return H
-
-
 # ---------------------------------------------------------------------------
 # families
 
@@ -186,13 +166,13 @@ class _BaseFamily:
         """Rows per refit block for n observations, within the cell budget."""
         return max(1, _REFIT_CELLS // (n * self.cells))
 
-    def screen(self, Xd, Y, W):
+    def screen(self, design, Y, W):
         """Per-row errors known before fitting; None where a row can be fit."""
         return [None] * Y.shape[0]
 
-    def start(self, Xd, y, w):
+    def start(self, design, y, w):
         """Cold start for one response vector."""
-        return np.zeros(Xd.shape[1])
+        return np.zeros(design.q)
 
     def to_theta(self, coef):
         return coef
@@ -216,7 +196,7 @@ class _BaseFamily:
         D = self.mean_deriv(eta)
         V = self.variance(mu)
         u = D / V * (Y - mu)
-        g = (u if W is None else W * u) @ design.X
+        g = (u if W is None else W * u) @ design.matrix
         wk = D * D / V if W is None else W * D * D / V
         return g, lambda sel: design.gram(wk[sel])
 
@@ -266,15 +246,15 @@ class BinomialProbit(_BaseFamily):
             down = np.exp(log_phi - log_ndtr(-eta))
             u = Y * up - (1.0 - Y) * down
             h = Y * up * (up + eta) + (1.0 - Y) * down * (down - eta)
-        g = (u if W is None else W * u) @ design.X
+        g = (u if W is None else W * u) @ design.matrix
         wk = h if W is None else W * h
         return g, lambda sel: design.gram(wk[sel])
 
-    def screen(self, Xd, Y, W):
+    def screen(self, design, Y, W):
         # with a constant column, responses that are all 0 or all 1 are
         # fitted better by every larger intercept: no MLE exists
-        errors = super().screen(Xd, Y, W)
-        if _constant_columns(Xd).any():
+        errors = super().screen(design, Y, W)
+        if design.constant_columns.any():
             dead = np.zeros(Y.shape, dtype=bool) if W is None else W <= 0.0
             constant = np.all((Y == 0.0) | dead, axis=1) | np.all((Y == 1.0) | dead, axis=1)
             for r in np.flatnonzero(constant):
@@ -375,10 +355,11 @@ class GammaInverse(_BaseFamily):
     def clamp_response(self, vals):
         return np.maximum(vals, 1e-12)
 
-    def start(self, Xd, y, w):
+    def start(self, design, y, w):
         # eta must start positive; beta = 0 is inadmissible for this link
-        beta = np.zeros(Xd.shape[1])
-        if _constant_columns(Xd)[0]:
+        Xd = design.matrix
+        beta = np.zeros(design.q)
+        if design.constant_columns[0]:
             beta[0] = 1.0 / (Xd[0, 0] * max(float(np.mean(y)), 1e-8))
             return beta
         target = 1.0 / np.clip(y, 1e-8, None)
@@ -447,7 +428,7 @@ class CumulativeProbit(_BaseFamily):
             axis=1,
         )
 
-    def screen(self, Xd, Y, W):
+    def screen(self, design, Y, W):
         J = self.cells
         if not np.all((Y == np.round(Y)) & (Y >= 1) & (Y <= J)):
             raise UnsupportedKind(f"ordinal responses must be integer codes in 1..{J}")
@@ -460,10 +441,10 @@ class CumulativeProbit(_BaseFamily):
             errors[r] = EmptyCategory(f"category {missing} has no observations")
         return errors
 
-    def start(self, Xd, y, w):
+    def start(self, design, y, w):
         counts = self._counts(y[None], None if w is None else w[None])[0]
         cum = np.cumsum(counts)[: self.n_cut] / np.sum(counts)
-        return self.to_theta(np.concatenate([ndtri(cum), np.zeros(Xd.shape[1])]))
+        return self.to_theta(np.concatenate([ndtri(cum), np.zeros(design.q)]))
 
     def cutpoints(self, theta):
         """Cutpoints (b x (J-1)) and gaps exp(log-gaps) of each row of theta."""
@@ -515,7 +496,7 @@ class CumulativeProbit(_BaseFamily):
         out: it vanishes at the optimum, and T' I T stays PSD.
         """
         K, J = self.n_cut, self.cells
-        b, p = len(theta), design.X.shape[1]
+        b, p = len(theta), design.q
         u, l = self._edges(Y, eta, theta)
         # the log-likelihood is flat where loglik_terms clips P at _P_MIN,
         # so those cells add nothing
@@ -538,7 +519,7 @@ class CumulativeProbit(_BaseFamily):
 
         up_eta, low_eta = -a * (u + d), c * (l + d)
         h_cross = np.stack(
-            [by_cat(up_eta * x)[:, :K] + by_cat(low_eta * x)[:, 1:] for x in design.X.T],
+            [by_cat(up_eta * x)[:, :K] + by_cat(low_eta * x)[:, 1:] for x in design.transpose],
             axis=2,
         )
         h_eta = u * a - l * c + d * d
@@ -549,7 +530,7 @@ class CumulativeProbit(_BaseFamily):
         i = np.arange(K)
         H[:, i, i] = by_cat(a * (u + a))[:, :K] + by_cat(c * (c - l))[:, 1:]
         H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = -by_cat(a * c)[:, 1:K]
-        g_beta = (c - a if W is None else W * (c - a)) @ design.X
+        g_beta = (c - a if W is None else W * (c - a)) @ design.matrix
         g = np.concatenate([by_cat(a)[:, :K] - by_cat(c)[:, 1:], g_beta], axis=1)
         # Jacobian d(alpha, beta) / d theta: d alpha_a / d theta_k is 1 for
         # k = 0 and gap k for 1 <= k <= a
@@ -661,14 +642,14 @@ def _newton_steps(H: np.ndarray, g: np.ndarray):
 
 
 def fit_design_batch(
-    Xd: np.ndarray,
+    design: DesignInfo,
     Y: np.ndarray,
     family,
     options: FitOptions | None = None,
     weights: np.ndarray | None = None,
     beta0: np.ndarray | None = None,
 ) -> BatchFit:
-    """Newton-type fits of a block of response vectors on one prebuilt design.
+    """Newton-type fits of a block of response vectors on one design.
 
     Each step solves the family's information against its score: the
     observed information for probit and the ordinal model (exact Newton
@@ -686,7 +667,8 @@ def fit_design_batch(
     separation bound. A row that fails records its error (NonConvergence,
     SeparationDetected, EmptyCategory, or RankDeficient for a singular
     information matrix) and the other rows carry on. The design rank is not
-    checked.
+    checked. The design's transpose and column products are built on its
+    first fit and reused by every later one.
 
     The block stays row-major so that each row's log-likelihood is summed in
     the same pairwise order as a 1-D sum; summing an n x b block down its
@@ -694,16 +676,14 @@ def fit_design_batch(
     acceptances.
     """
     opts = options or FitOptions()
-    Xd = np.asarray(Xd, dtype=float)
     Y = np.ascontiguousarray(Y, dtype=float)
-    n, q = Xd.shape
+    n, q = design.matrix.shape
     if Y.ndim != 2 or Y.shape[1] != n:
         raise DimensionMismatch(f"expected a b x {n} response block, got {Y.shape}")
     W = None if weights is None else np.ascontiguousarray(weights, dtype=float)
     if W is not None and W.shape != Y.shape:
         raise DimensionMismatch(f"weights {W.shape} do not match responses {Y.shape}")
     b = Y.shape[0]
-    design = _Design(Xd)
     k = family.n_cut
 
     def rows_of(A, rows):
@@ -722,7 +702,7 @@ def fit_design_batch(
             f"after {iterations[r]} iterations"
         )
 
-    errors = family.screen(Xd, Y, W)
+    errors = family.screen(design, Y, W)
     theta = np.zeros((b, k + q))
     if beta0 is not None:
         theta[:] = family.to_theta(np.asarray(beta0, dtype=float))
@@ -730,10 +710,10 @@ def fit_design_batch(
         for r in range(b):
             if errors[r] is None:
                 try:
-                    theta[r] = family.start(Xd, Y[r], rows_of(W, r))
+                    theta[r] = family.start(design, Y[r], rows_of(W, r))
                 except FitError as exc:
                     errors[r] = exc
-    eta = theta[:, k:] @ design.XT
+    eta = theta[:, k:] @ design.transpose
     for r in np.flatnonzero(~family.valid_eta(eta)):
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the link's domain")
@@ -770,7 +750,7 @@ def fit_design_batch(
         for _ in range(opts.max_halvings + 1):
             ts = t[pend, None] * step[pend]
             cand = base[pend] + ts
-            eta_c = cand[:, k:] @ design.XT
+            eta_c = cand[:, k:] @ design.transpose
             rows = act[pend]
             ll_c, terms_c = loglik(rows, cand, eta_c)
             # near the optimum the objective sits on a float plateau; a
@@ -810,12 +790,14 @@ def fit_design_batch(
     return out
 
 
-def _check_rank(family, Xd) -> None:
-    """Raise RankDeficient for a GLM design without full column rank. An
-    ordinal design is not checked: its cutpoints act as its intercept, so
-    its rank alone does not decide identifiability, and a singular
-    information fails the fit at its first step."""
-    if family.n_cut == 0 and np.linalg.matrix_rank(Xd) < Xd.shape[1]:
+def _check_rank(family, design: DesignInfo) -> None:
+    """Raise RankDeficient for a design whose coefficients are not
+    identified: a GLM design X without full column rank, or an ordinal one
+    where [1, X] lacks it, as the cutpoints act as the intercept."""
+    if family.n_cut:
+        if design.rank_with_ones <= design.q:
+            raise RankDeficient("design matrix is rank deficient next to the cutpoints")
+    elif design.rank < design.q:
         raise RankDeficient("design matrix is rank deficient")
 
 
@@ -833,9 +815,8 @@ def fit_qmle(
     """
     family = family_for(spec)
     design = design or build_design(data, spec)
-    Xd = design.matrix
-    _check_rank(family, Xd)
-    out = fit_design_batch(Xd, data.y[None, :], family, options)
+    _check_rank(family, design)
+    out = fit_design_batch(design, data.y[None, :], family, options)
     if out.errors[0] is not None:
         raise out.errors[0]
     return FitResult.at(

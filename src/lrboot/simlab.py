@@ -699,7 +699,7 @@ def pseudo_truth(
     y0 = _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, 0)
     design = build_design(_dataset_from(scn, X_full, y0, merged), spec)
     family = family_for(spec)
-    _check_rank(family, design.matrix)
+    _check_rank(family, design)
     rows = family.block_rows(n)
     coefs = []
     n_failed = 0
@@ -711,7 +711,7 @@ def pseudo_truth(
                 for r in range(first, last)
             ]
         )
-        out = fit_design_batch(design.matrix, Y, family)
+        out = fit_design_batch(design, Y, family)
         ok = out.ok
         n_failed += int(np.sum(~ok))
         if n_failed > 0.05 * reps:

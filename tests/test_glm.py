@@ -215,13 +215,28 @@ def test_nonconvergence_when_iteration_cap_hits():
 
 
 def test_ordinal_closed_form_from_marginal_proportions():
+    # x takes 0 and 1 equally often within each category, so it carries no
+    # information on y: the slope is 0 and the cutpoints follow the marginal
+    # proportions
     y = np.array([1.0] * 12 + [2.0] * 12 + [3.0] * 12)
-    ds = lb.make_dataset(y, np.zeros((36, 1)))
+    ds = lb.make_dataset(y, np.tile([0.0, 1.0], 18)[:, None])
     spec = _spec("ordinal", "probit", 1, intercept=False, J=3)
     fit = lb.fit_qmle(ds, spec)
     expected = norm.ppf([1 / 3, 2 / 3])
     assert np.allclose(fit.alpha_hat, expected, atol=1e-8)
     assert np.allclose(fit.beta_hat, 0.0, atol=1e-8)
+
+
+def test_ordinal_slope_of_a_constant_column_is_not_identified():
+    # the cutpoints act as the intercept, so a zero or constant covariate
+    # column leaves its slope free: [1, X] lacks full rank. Before the check,
+    # the zero column returned its start slope as a converged fit
+    y = np.array([1.0] * 12 + [2.0] * 12 + [3.0] * 12)
+    spec = _spec("ordinal", "probit", 1, intercept=False, J=3)
+    for x in (np.zeros(36), np.full(36, 2.5)):
+        ds = lb.make_dataset(y, x[:, None], standardize=False)
+        with pytest.raises(RankDeficient):
+            lb.fit_qmle(ds, spec)
 
 
 def _ordinal_loglik_oracle(params, x, y, J):

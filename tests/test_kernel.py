@@ -4,6 +4,7 @@ exact probit and ordinal scores and observed informations, failure classes
 per row, and thread invariance and memory of the block refits for every
 method."""
 
+import sys
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from scipy.special import log_ndtr
 from scipy.stats import norm
 
 import lrboot as lb
+from lrboot import data as lrdata
 from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod, run
 from lrboot.errors import (
@@ -26,7 +28,6 @@ from lrboot.errors import (
 )
 from lrboot.glm import (
     CumulativeProbit,
-    _Design,
     family_for,
     fit_design_batch,
 )
@@ -43,6 +44,14 @@ FAMILIES = [
 def _family(name, link):
     """The GLM family object of a (family, link) pair."""
     return family_for(lb.ModelSpec(name, link, ()))
+
+
+def _design_of(Xd):
+    """A DesignInfo around a bare design matrix."""
+    Xd = np.asarray(Xd, dtype=float)
+    q = Xd.shape[1]
+    names = tuple(f"x{j}" for j in range(q))
+    return lrdata.DesignInfo(Xd, names, np.zeros(q), np.ones(q), has_intercept=False)
 
 
 # -- oracles: the scalar fitters the driver replaced ---------------------------
@@ -75,7 +84,10 @@ def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
         s = float(np.sum(terms) if w is None else np.sum(w * terms))
         return s if np.isfinite(s) else -np.inf
 
-    beta = family.start(Xd, y, None) if beta0 is None else np.array(beta0, dtype=float)
+    if beta0 is None:
+        beta = family.start(_design_of(Xd), y, None)
+    else:
+        beta = np.array(beta0, dtype=float)
     eta = Xd @ beta
     if not family.valid_eta(eta):
         raise NonConvergence("starting point outside the link's domain")
@@ -269,7 +281,7 @@ def test_batch_matches_scalar_per_row(family_name, link, weighted, warm, seed):
     beta0 = None
     if warm:
         beta0 = _scalar_fit(Xd, Y[0], family)
-    out = fit_design_batch(Xd, Y, family, weights=W, beta0=beta0)
+    out = fit_design_batch(_design_of(Xd), Y, family, weights=W, beta0=beta0)
     ref = _scalar_rows(Xd, Y, family, W=W, beta0=beta0)
     for r, (beta, err) in enumerate(ref):
         assert err is None, f"row {r}: scalar fit failed with {err.__name__}"
@@ -289,9 +301,10 @@ def test_probit_estimates_match_a_tight_tolerance_fit(weighted):
     for seed in range(8):
         Xd, Y, W = _block("binomial", weighted, seed)
         for beta0 in (None, _scalar_fit(Xd, Y[0], probit)):
-            out = fit_design_batch(Xd, Y, probit, weights=W, beta0=beta0)
+            design = _design_of(Xd)
+            out = fit_design_batch(design, Y, probit, weights=W, beta0=beta0)
             tight = fit_design_batch(
-                Xd, Y, probit, lb.FitOptions(tol=1e-13), weights=W, beta0=beta0
+                design, Y, probit, lb.FitOptions(tol=1e-13), weights=W, beta0=beta0
             )
             assert out.ok.all() and tight.ok.all()
             gaps.extend(np.max(np.abs(out.beta - tight.beta), axis=1))
@@ -306,7 +319,7 @@ def test_probit_score_and_information_are_exact_derivatives():
     n = 60
     x = np.linspace(-8.0, 8.0, n)
     Xd = np.column_stack([np.ones(n), x, np.sin(x)])
-    design = _Design(Xd)
+    design = _design_of(Xd)
     probit = _family("binomial", "probit")
     theta = np.array([[0.0, 1.0, 0.0]])
     binary = (rng.random((1, n)) < 0.5).astype(float)
@@ -352,7 +365,7 @@ def test_batch_failure_class_per_row():
     W[2, 20:] = 0.0
     opts = lb.FitOptions(max_iter=500, separation_bound=50.0)
     beta0 = np.array([0.1, 0.1])
-    out = fit_design_batch(Xd, Y, probit, opts, weights=W, beta0=beta0)
+    out = fit_design_batch(_design_of(Xd), Y, probit, opts, weights=W, beta0=beta0)
     ref = _scalar_rows(Xd, Y, probit, opts, W=W, beta0=beta0)
     assert [type(e) if e else None for e in out.errors] == [e for _, e in ref]
     assert [type(e) if e else None for e in out.errors] == [
@@ -365,7 +378,7 @@ def test_batch_failure_class_per_row():
     capped = lb.FitOptions(max_iter=1)
     starts = np.vstack([ref[0][0], beta0, beta0])
     Yc = np.vstack([good, good, separated])
-    out = fit_design_batch(Xd, Yc, probit, capped, beta0=starts)
+    out = fit_design_batch(_design_of(Xd), Yc, probit, capped, beta0=starts)
     errors = [type(e) if e else None for e in out.errors]
     assert errors == [e for _, e in _scalar_rows(Xd, Yc, probit, capped, beta0=starts)]
     assert errors == [None, NonConvergence, NonConvergence]
@@ -393,7 +406,9 @@ def test_ordinal_zero_weight_category_is_empty():
     y = np.repeat([1.0, 2.0, 3.0], 10)
     w = np.ones(30)
     w[10:20] = 0.0
-    out = fit_design_batch(x[:, None], y[None], CumulativeProbit(3), weights=w[None])
+    out = fit_design_batch(
+        _design_of(x[:, None]), y[None], CumulativeProbit(3), weights=w[None]
+    )
     assert isinstance(out.errors[0], EmptyCategory)
     assert out.iterations[0] == 0
     with pytest.raises(EmptyCategory):
@@ -425,7 +440,7 @@ def test_ordinal_driver_matches_finite_difference_oracle(weighted, J, warm, seed
     if warm:
         alpha, beta = _fd_ordinal_fit(Xd, Y[0], J)
         beta0, phi0 = np.concatenate([alpha, beta]), _ordinal_pack(alpha, beta)
-    out = fit_design_batch(Xd, Y, family, weights=W, beta0=beta0)
+    out = fit_design_batch(_design_of(Xd), Y, family, weights=W, beta0=beta0)
     assert out.ok.all(), out.errors
     for r in range(len(Y)):
         alpha, beta = _fd_ordinal_fit(
@@ -442,7 +457,7 @@ def test_ordinal_score_and_information_are_exact_derivatives(J):
     n, K = 60, J - 1
     x = np.linspace(-8.0, 8.0, n)
     Xd = np.column_stack([x, np.sin(x)])
-    design = _Design(Xd)
+    design = _design_of(Xd)
     family = CumulativeProbit(J)
     theta = np.concatenate([[-0.6], rng.normal(-0.5, 0.3, J - 2), [1.0, 0.3]])[None]
     alpha, beta = _ordinal_unpack(theta[0], J)
@@ -503,9 +518,9 @@ def test_ordinal_score_at_infinite_edges_and_clipped_cells_is_finite():
     alive[0, -1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, info = family.score(_Design(Xd), Y, None, theta, eta, terms)
+        g, info = family.score(_design_of(Xd), Y, None, theta, eta, terms)
         H = info(np.ones(1, dtype=bool))
-        g0, info0 = family.score(_Design(Xd), Y, alive, theta, eta, terms)
+        g0, info0 = family.score(_design_of(Xd), Y, alive, theta, eta, terms)
         H0 = info0(np.ones(1, dtype=bool))
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(H))
     assert np.allclose(g, g0, rtol=1e-14, atol=0.0)
@@ -525,13 +540,13 @@ def test_constant_binary_rows_fail_before_fitting():
     W = np.ones_like(Y)
     W[3, :5] = 0.0  # the zeros of row 3 carry no weight
     for name, link in FAMILIES[:2]:
-        out = fit_design_batch(Xd, Y, _family(name, link), weights=W)
+        out = fit_design_batch(_design_of(Xd), Y, _family(name, link), weights=W)
         assert [type(e) if e else None for e in out.errors] == [
             None, SeparationDetected, SeparationDetected, SeparationDetected,
         ]
         assert list(out.iterations[1:]) == [0, 0, 0]
     # without a constant column the screen does not apply
-    out = fit_design_batch(Xd[:, 1:], Y[:1], _family("binomial", "probit"))
+    out = fit_design_batch(_design_of(Xd[:, 1:]), Y[:1], _family("binomial", "probit"))
     assert out.ok.all()
 
 
@@ -549,6 +564,61 @@ def test_ordinal_block_refit_memory_is_bounded():
         tracemalloc.stop()
     assert out.n_failed == 0
     assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_column_products_are_built_without_temporaries():
+    # each column's block of products is written in place into Z; forming
+    # X[:, iu] and X[:, ju] first would peak near three times Z's size
+    rng = np.random.default_rng(9)
+    design = _design_of(rng.standard_normal((3000, 20)))
+    tracemalloc.start()
+    try:
+        iu, ju, Z = design.column_products
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * Z.nbytes, f"traced peak {peak / Z.nbytes:.2f} x Z"
+    X = design.matrix
+    assert np.array_equal(Z, X[:, iu] * X[:, ju])
+    wk = rng.standard_exponential((3, 3000))
+    assert np.allclose(design.gram(wk), np.einsum("rn,ni,nj->rij", wk, X, X), rtol=1e-12)
+
+
+def test_each_design_builds_its_column_products_once(monkeypatch):
+    # every block of a run, a pseudo-truth and an experiment refits on one
+    # design, which builds its products on the first fit only
+    builds = []
+    real = lrdata._column_products
+
+    def counting(X):
+        builds.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(lrdata, "_column_products", counting)
+    ds = sl.generate("SC2", n=2000, seed=6)
+    spec = sl.get_scenario("SC2").assumed({})
+    assert -(-100 // _family("binomial", "probit").block_rows(ds.n)) == 7
+    outs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        for threads in (1, 2, 4):
+            builds.clear()
+            outs.append(run(ds, spec, BootstrapMethod.parametric(), B=100, seed=4,
+                            n_threads=threads))
+            assert builds == [(2000, 11)]
+    finally:
+        sys.setswitchinterval(switch)
+    for out in outs[1:]:
+        assert np.array_equal(outs[0].replicates, out.replicates)
+
+    builds.clear()
+    truth = sl.pseudo_truth("SC2", n=2000, reps=100, seed=6)
+    assert builds == [(2000, 11)]
+    builds.clear()
+    methods = [BootstrapMethod.parametric(), BootstrapMethod.pairwise()]
+    sl.run_experiment("SC2", methods, truth, B=20, replications=2, seed=1)
+    assert builds == [(2000, 11)]
 
 
 def _probit_data(n=150, seed=7):
@@ -606,7 +676,7 @@ def test_warm_probit_refits_converge_in_a_few_newton_steps():
     out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=64, seed=2,
               fit=fit, keep_responses=True)
     assert out.n_failed == 0
-    refit = fit_design_batch(fit.design.matrix, out.responses, fit.family, beta0=fit.coef)
+    refit = fit_design_batch(fit.design, out.responses, fit.family, beta0=fit.coef)
     assert refit.ok.all()
     assert refit.iterations.max() <= 3, np.bincount(refit.iterations)
 
@@ -622,8 +692,7 @@ def test_warm_ordinal_refits_converge_in_a_few_newton_steps():
         fit = lb.fit_qmle(ds, spec)
         out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=100, seed=1,
                   fit=fit, keep_responses=True)
-        refit = fit_design_batch(fit.design.matrix, out.responses, fit.family,
-                                 beta0=fit.coef)
+        refit = fit_design_batch(fit.design, out.responses, fit.family, beta0=fit.coef)
     assert fit.iterations <= 4
     assert out.n_failed == 0 and refit.ok.all()
     assert refit.iterations.mean() <= 4.0, np.bincount(refit.iterations)
