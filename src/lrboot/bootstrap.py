@@ -7,9 +7,9 @@ replicates are refit in blocks by the Newton driver `glm.fit_design_batch`,
 ordinal models included, on the column products the design builds once. A
 block holds `family.block_rows(n)` replicates, a fixed budget of response
 cells. Replicate b always consumes the substream (seed, b) with
-per-observation draws in observation order, and the blocks do not depend on
-how many worker threads run them, so outcomes are bit-identical for any
-thread count.
+per-observation draws in observation order (the local methods take theirs
+from `NeighborhoodMap.picker`), and the blocks do not depend on how many
+worker threads run them, so outcomes are bit-identical for any thread count.
 
 The residual methods (lrb, classical) take their kind's values and inverse
 from `residuals.KINDS`: a method needs a kind with an inverse, and `run`
@@ -247,18 +247,6 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
         raise IncompatibleResidual("wild bootstrap is not defined for ordinal models")
 
 
-def _neighbor_picker(nb: NeighborhoodMap):
-    """rng -> one neighbor index per observation, consuming the stream in
-    observation order. Unequal sets are read from the map's flat index."""
-    n = nb.n
-    matrix = nb.as_matrix()
-    if matrix is not None:
-        rows = np.arange(n)
-        return lambda rng: matrix[rows, rng.integers(0, matrix.shape[1], size=n)]
-    starts, lengths = nb.offsets[:-1], nb.lengths
-    return lambda rng: nb.index[starts + np.floor(rng.random(n) * lengths).astype(int)]
-
-
 def _sampler(data, method, fit, seed, neighborhoods):
     """Method-specific draw of one replicate's (y*, w*) from its substream.
 
@@ -292,9 +280,9 @@ def _sampler(data, method, fit, seed, neighborhoods):
             None,
         )
     # lrb and local_response pick one neighbor per observation
-    pick = _neighbor_picker(
-        neighborhoods if neighborhoods is not None else build_neighborhoods(data, method.l)
-    )
+    if neighborhoods is None:
+        neighborhoods = build_neighborhoods(data, method.l)
+    pick = neighborhoods.picker()
     if kind == "local_response":
         return lambda rng: (y[pick(rng)], None)
     pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values

@@ -194,7 +194,7 @@ def parse_terms(spec_str: str, column_names) -> tuple:
     return tuple(terms)
 
 
-def base_names_of(spec_str: str, categorical: set) -> list:
+def base_names_of(spec_str: str) -> list:
     """Base CSV columns mentioned by a term string (before encoding)."""
     seen = []
     for _, names, _ in _term_tokens(spec_str):
@@ -381,7 +381,7 @@ def _load_dataset(args):
         if getattr(args, flag, None) is None:
             raise UsageError(f"--{flag} is required for this command")
     categorical = {c.strip() for c in args.categorical.split(",") if c.strip()}
-    base = base_names_of(args.predictors, categorical)
+    base = base_names_of(args.predictors)
     ds, info = ingest(args.input, args.response, base, categorical)
     terms = parse_terms(args.predictors, ds.column_names)
     ordinal = args.ordinal_categories and args.ordinal_categories >= 3

@@ -84,7 +84,6 @@ class FitOptions:
     max_iter: int = 100
     max_halvings: int = 30
     separation_bound: float = 1e4
-    track_loglik: bool = False
 
 
 @dataclass
@@ -101,17 +100,16 @@ class FitResult:
     grad_norm: float
     spec: ModelSpec
     design: DesignInfo
-    loglik_path: list | None = None
 
     @classmethod
     def at(cls, coef, spec: ModelSpec, design: DesignInfo, *, loglik=0.0,
-           iterations=0, grad_norm=0.0, loglik_path=None) -> "FitResult":
+           iterations=0, grad_norm=0.0) -> "FitResult":
         """The fit of `spec` on `design` at the coefficient vector `coef`
         (cutpoints, then slopes): its fitted means and variances, with the
         fit statistics given (zero by default)."""
         alpha, beta, mu, var = family_for(spec).fitted(design.matrix, coef)
         return cls(beta, alpha, mu, var, loglik, iterations, True, grad_norm,
-                   spec, design, loglik_path)
+                   spec, design)
 
     @property
     def coef(self) -> np.ndarray:
@@ -609,9 +607,7 @@ class BatchFit:
 
     `beta[r]` holds row r's coefficients (ordinal: cutpoints, then slopes).
     `errors[r]` is the FitError that row r failed with, or None when it
-    converged; failed rows hold NaN coefficients. `loglik_path[r]` lists the
-    log-likelihood at the start and after each accepted step, when
-    `FitOptions.track_loglik` is set.
+    converged; failed rows hold NaN coefficients.
     """
 
     beta: np.ndarray  # b x m
@@ -619,7 +615,6 @@ class BatchFit:
     grad_norm: np.ndarray  # b, max-abs score at exit
     errors: list
     loglik: np.ndarray  # b
-    loglik_path: list | None = None
 
     @property
     def ok(self) -> np.ndarray:
@@ -721,7 +716,6 @@ def fit_design_batch(
     ll = np.full(b, -np.inf)
     terms = np.empty_like(Y)  # log-likelihood terms of each row's current eta
     ll[act], terms[act] = loglik(act, theta[act], eta[act])
-    paths = [[float(v)] for v in ll] if opts.track_loglik else None
     iterations = np.zeros(b, dtype=int)
     grad_norm = np.full(b, np.nan)
     eps4 = 4.0 * np.finfo(float).eps
@@ -769,9 +763,6 @@ def fit_design_batch(
             errors[r] = not_converged(r)
         act = np.delete(act, pend)
         iterations[act] += 1
-        if paths is not None:
-            for r in act:
-                paths[r].append(float(ll[r]))
         if family.check_separation:
             sep = np.max(np.abs(theta[act]), axis=1) > opts.separation_bound
             for r in act[sep]:
@@ -785,7 +776,7 @@ def fit_design_batch(
         grad_norm[act] = np.max(np.abs(g), axis=1)
         for r in act[grad_norm[act] > opts.tol]:
             errors[r] = not_converged(r)
-    out = BatchFit(family.to_coef(theta), iterations, grad_norm, errors, ll, paths)
+    out = BatchFit(family.to_coef(theta), iterations, grad_norm, errors, ll)
     out.beta[~out.ok] = np.nan
     return out
 
@@ -826,7 +817,6 @@ def fit_qmle(
         loglik=float(out.loglik[0]),
         iterations=int(out.iterations[0]),
         grad_norm=float(out.grad_norm[0]),
-        loglik_path=None if out.loglik_path is None else out.loglik_path[0],
     )
 
 

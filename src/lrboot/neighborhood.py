@@ -19,10 +19,11 @@ that distance. Tied rows at one point share that ball and its distances, so
 each distinct tied point is ranked once and the self-first rule is applied
 to its duplicates together.
 
-A `NeighborhoodMap` keeps all sets in two arrays: row i's sorted set is
-`index[offsets[i]:offsets[i+1]]`. Each cell's block of sets is scattered
-into place whole (in bounded pieces for very large cells), and `run` draws
-from the arrays directly.
+A `NeighborhoodMap` keeps all sets in one flat index array, cell by cell:
+row i's sorted set is `index[starts[i] : starts[i] + lengths[i]]`. A k-NN
+cell writes its s x l block; any other cell is every member's set, so it
+writes its rows once and they all start there. Memory is O(n·l) either way.
+The map also owns the draw (`picker`), so no caller reads its layout.
 """
 
 from __future__ import annotations
@@ -52,67 +53,61 @@ __all__ = [
 # small are sent to the repair too, which keeps the sets equal to the rule.
 _TIE_RTOL = 1e-10
 
-# A whole-cell block is a broadcast view, but its scatter positions are not:
-# writing at most this many entries at a time bounds those temporaries.
-_SCATTER_ENTRIES = 2**20
-
 
 class _RowSlices(Sequence):
     """Read-only sequence of a map's sets: item i is row i's slice."""
 
-    def __init__(self, index: np.ndarray, offsets: np.ndarray):
+    def __init__(self, index: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
         self._index = index
-        self._offsets = offsets
+        self._starts = starts
+        self._lengths = lengths
 
     def __len__(self) -> int:
-        return self._offsets.size - 1
+        return self._starts.size
 
     def __getitem__(self, i) -> np.ndarray:
         n = len(self)
         i = operator.index(i)
         if not -n <= i < n:
             raise IndexError(f"row {i} outside a map of {n} rows")
-        i %= n
-        return self._index[self._offsets[i] : self._offsets[i + 1]]
+        a = self._starts[i]
+        return self._index[a : a + self._lengths[i]]
 
 
 @dataclass(eq=False)
 class NeighborhoodMap:
     """Every observation's neighbor indices, sorted ascending, in one flat
-    array: row i's set is index[offsets[i]:offsets[i+1]]."""
+    array: row i's set is index[starts[i] : starts[i] + lengths[i]]. The rows
+    of a whole-cell neighborhood share one copy of it."""
 
-    index: np.ndarray  # intp, all sets back to back
-    offsets: np.ndarray  # intp, n + 1 entries from 0 to index.size
+    index: np.ndarray  # intp, each cell's sets back to back
+    starts: np.ndarray  # intp, n
+    lengths: np.ndarray  # intp, n
     l: int | None
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         # maps are shared between runs; nothing may edit them in place
-        self.index.flags.writeable = False
-        self.offsets.flags.writeable = False
+        for a in (self.index, self.starts, self.lengths):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.offsets.size - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.starts.size
 
     @property
     def sets(self) -> Sequence:
         """Row i's set as sets[i], a view into `index`."""
-        return _RowSlices(self.index, self.offsets)
+        return _RowSlices(self.index, self.starts, self.lengths)
 
-    def uniform_length(self) -> int | None:
-        lengths = self.lengths
+    def picker(self):
+        """rng -> one uniformly drawn neighbor index per observation,
+        consuming the stream in observation order."""
+        n, index, starts, lengths = self.n, self.index, self.starts, self.lengths
         k = int(lengths[0])
-        return k if (lengths == k).all() else None
-
-    def as_matrix(self) -> np.ndarray | None:
-        """The n x k view of `index` when every set has k members, else None."""
-        k = self.uniform_length()
-        return None if k is None else self.index.reshape(self.n, k)
+        if (lengths == k).all():
+            return lambda rng: index[starts + rng.integers(0, k, size=n)]
+        return lambda rng: index[starts + np.floor(rng.random(n) * lengths).astype(int)]
 
 
 def _ranked(cand: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -179,26 +174,37 @@ def _neighbor_sets(data: Dataset, ls) -> dict:
         if cat.any() and size == 1
     ]
     warnings = {l: list(singletons) for l in ls}
-    offsets, index = {}, {}
+    # a cell stores s x l k-NN entries when it has a continuous column and
+    # more than l rows, else its s rows once
+    knn = {l: (sizes > l) & (cont.size > 0) for l in ls}
+    bases, index, starts = {}, {}, {}
     for l in ls:
-        lengths = np.minimum(sizes, l) if cont.size else sizes
-        offsets[l] = np.concatenate([[0], np.cumsum(lengths[cell])])
-        index[l] = np.empty(offsets[l][-1], dtype=np.intp)
-    for key, rows in zip(keys, cells):
+        stored = np.where(knn[l], sizes * l, sizes)
+        bases[l] = np.cumsum(stored) - stored
+        index[l] = np.empty(stored.sum(), dtype=np.intp)
+        starts[l] = np.empty(n, dtype=np.intp)
+    for c, (key, rows) in enumerate(zip(keys, cells)):
         size = rows.size
-        inner = [l for l in ls if l < size] if cont.size else []
+        inner = [l for l in ls if knn[l][c]]
         per_l = _cell_sets(data.X[np.ix_(rows, cont)], inner) if inner else {}
         for l in ls:
             if cont.size and l > size:
                 warnings[l].append(f"cell {key} has {size} rows; l capped at {size}")
-            block = rows[per_l[l]] if l in per_l else np.broadcast_to(rows, (size, size))
-            k = block.shape[1]
-            step = max(1, _SCATTER_ENTRIES // k)
-            for lo in range(0, size, step):
-                part = slice(lo, lo + step)
-                index[l][offsets[l][rows[part], None] + np.arange(k)] = block[part]
+            a = bases[l][c]
+            if l in per_l:
+                np.take(rows, per_l[l], out=index[l][a : a + size * l].reshape(size, l))
+                starts[l][rows] = a + l * np.arange(size)
+            else:
+                index[l][a : a + size] = rows
+                starts[l][rows] = a
     return {
-        l: NeighborhoodMap(index=index[l], offsets=offsets[l], l=l, warnings=warnings[l])
+        l: NeighborhoodMap(
+            index=index[l],
+            starts=starts[l],
+            lengths=np.where(knn[l], l, sizes)[cell],
+            l=l,
+            warnings=warnings[l],
+        )
         for l in ls
     }
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .bootstrap import _neighbor_picker, ci_percentile, run
+from .bootstrap import ci_percentile, run
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import TooManyFailures, UnknownScenario
 from .glm import (
@@ -1004,7 +1004,7 @@ def theorem1_ks(
     ds = _dataset_from(scn, X_full, y, merged)
     fit = fit_qmle(ds, spec)
     r_hat = surrogate_values(fit, ds.y, substream(seed, rep, 0))
-    pick = _neighbor_picker(build_neighborhoods(ds, l))
+    pick = build_neighborhoods(ds, l).picker()
     r_star = r_hat[pick(substream(seed, rep, 1))]
 
     # oracle side: fresh truth draw, surrogate at the pseudo-true coefficients

@@ -186,42 +186,56 @@ def test_ci_normal_midpoint_and_width_exact():
     assert np.allclose(width, 2 * z * out.se_hat, atol=1e-12)
 
 
+def _local_response_draw(X, meta, l):
+    """The neighbor map, set lengths and local-response draw on rows whose
+    distinct responses identify the drawn rows."""
+    n = X.shape[0]
+    ds = lb.make_dataset(np.arange(n, dtype=float), X, column_meta=meta)
+    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
+    nb = build_neighborhoods(ds, l)
+    draw = _sampler(ds, BootstrapMethod.local_response(l), lb.fit_qmle(ds, spec), 3, nb)
+    return nb, np.array([len(s) for s in nb.sets]), draw
+
+
 def test_unequal_neighbor_sets_draw_as_per_observation_loop():
-    # categorical cells of 3 and n-3 rows cap l=7 in one cell: unequal set sizes
     rng = np.random.default_rng(6)
     n = 90
     x = rng.uniform(-1, 1, n)
     g = (np.arange(n) >= 3).astype(float)
-    y = np.arange(n, dtype=float)  # distinct responses identify the drawn rows
-    ds = lb.make_dataset(y, np.column_stack([x, g]), column_meta=("continuous", "categorical"))
-    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
-    nb = build_neighborhoods(ds, 7)
-    assert nb.as_matrix() is None
-    method = BootstrapMethod.local_response(7)
-    draw = _sampler(ds, method, lb.fit_qmle(ds, spec), 3, nb)
-    lengths = np.array([len(s) for s in nb.sets], dtype=float)
-    for b in range(1, 40):
-        u = substream(3, b).random(n)
-        k = np.floor(u * lengths).astype(int)
-        expected = np.array([nb.sets[i][k[i]] for i in range(n)])
-        y_star, w_star = draw(substream(3, b))
-        assert np.array_equal(y_star, y[expected]) and w_star is None
+    cells = np.repeat([0.0, 1.0, 2.0], [5, 10, 75])
+    rng.shuffle(cells)
+    inputs = [
+        # cells of 3 and n-3 rows cap l=7 in one cell
+        (np.column_stack([x, g]), ("continuous", "categorical")),
+        # without a continuous column every set is its whole cell
+        (cells[:, None], ("categorical",)),
+    ]
+    for X, meta in inputs:
+        nb, lengths, draw = _local_response_draw(X, meta, 7)
+        assert np.unique(lengths).size > 1
+        for b in range(1, 40):
+            k = np.floor(substream(3, b).random(n) * lengths).astype(int)
+            expected = np.array([nb.sets[i][k[i]] for i in range(n)])
+            y_star, w_star = draw(substream(3, b))
+            assert np.array_equal(y_star, expected) and w_star is None
 
 
 def test_equal_neighbor_sets_draw_as_per_observation_loop():
     rng = np.random.default_rng(7)
     n = 90
-    y = np.arange(n, dtype=float)
-    ds = lb.make_dataset(y, rng.uniform(-1, 1, (n, 2)))
-    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
-    nb = build_neighborhoods(ds, 7)
-    assert nb.as_matrix() is not None
-    draw = _sampler(ds, BootstrapMethod.local_response(7), lb.fit_qmle(ds, spec), 3, nb)
-    for b in range(1, 40):
-        k = substream(3, b).integers(0, 7, size=n)
-        expected = np.array([nb.sets[i][k[i]] for i in range(n)])
-        y_star, w_star = draw(substream(3, b))
-        assert np.array_equal(y_star, y[expected]) and w_star is None
+    inputs = [
+        (rng.uniform(-1, 1, (n, 2)), None, 7),
+        # two whole cells of 45 rows: each cell's rows share one start
+        ((np.arange(n) % 2.0)[:, None], ("categorical",), 45),
+    ]
+    for X, meta, k in inputs:
+        nb, lengths, draw = _local_response_draw(X, meta, 7)
+        assert (lengths == k).all()
+        for b in range(1, 40):
+            j = substream(3, b).integers(0, k, size=n)
+            expected = np.array([nb.sets[i][j[i]] for i in range(n)])
+            y_star, w_star = draw(substream(3, b))
+            assert np.array_equal(y_star, expected) and w_star is None
 
 
 def test_pairwise_never_fabricates_rows():

@@ -120,7 +120,7 @@ def test_term_names_round_trip():
     terms = cli.parse_terms("a,b=x^3,a*b=x,exp(b=x)", cols)
     assert [t.kind for t in terms] == ["raw", "power", "interaction", "exp"]
     assert cli.parse_terms(",".join(t.name(cols) for t in terms), cols) == terms
-    assert cli.base_names_of("a,b=x^3,a*b=x,exp(b=x)", {"b"}) == ["a", "b"]
+    assert cli.base_names_of("a,b=x^3,a*b=x,exp(b=x)") == ["a", "b"]
 
 
 def test_fit_command_writes_payload(tmp_path, binary_csv):

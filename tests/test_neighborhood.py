@@ -13,6 +13,7 @@ from lrboot.bootstrap import BootstrapMethod, run
 from lrboot.errors import InvalidSize
 from lrboot.neighborhood import _neighbor_sets, build_neighborhoods, select_size
 from lrboot.rng import derive_seed, substream
+from lrboot.simlab import default_neighborhood_size, generate
 
 
 def _raw(X, meta=None):
@@ -162,7 +163,22 @@ def test_build_neighborhoods_scales_to_20000_rows():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # a dense 20,000 x 20,000 distance matrix is 3.2 GB
-    assert nb.as_matrix().shape == (20_000, 10)
+    assert nb.index.size == 200_000 and (nb.lengths == 10).all()
+    assert np.array_equal(nb.starts, 10 * np.arange(20_000))
+
+
+def test_whole_cell_sets_are_stored_once_per_cell():
+    # SC6 has only categorical columns: every set is its whole cell, and a
+    # copy per member row would take 16.5 M entries at n=6000
+    ds = generate("SC6", n=6000, seed=0)
+    tracemalloc.start()
+    try:
+        nb = build_neighborhoods(ds, default_neighborhood_size("SC6", 6000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert nb.index.size == 6000
 
 
 def test_categorical_cells_partition():
@@ -250,13 +266,8 @@ def _heavily_tied(n, distinct, with_cells, seed):
     return x[:, None], cells, ds
 
 
-@pytest.mark.parametrize("scatter_entries", [None, 500])
 @pytest.mark.parametrize("with_cells", [False, True])
-def test_grouped_tie_repair_matches_oracle_on_heavy_duplicates(
-    with_cells, scatter_entries, monkeypatch
-):
-    if scatter_entries is not None:  # write each cell's block in several pieces
-        monkeypatch.setattr("lrboot.neighborhood._SCATTER_ENTRIES", scatter_entries)
+def test_grouped_tie_repair_matches_oracle_on_heavy_duplicates(with_cells):
     # about 15 distinct values over 2000 rows: every row is tied
     X, cells, ds = _heavily_tied(2000, 15, with_cells, seed=12)
     ls = [1, 10, 150, 700]
@@ -288,20 +299,18 @@ def test_flat_layout_offsets_views_and_matrix():
     rng = np.random.default_rng(14)
     ds = _raw(rng.standard_normal((50, 2)))
     nb = build_neighborhoods(ds, 6)
-    assert nb.offsets.shape == (51,) and nb.offsets[0] == 0
-    assert nb.offsets[-1] == nb.index.size == 300
+    assert nb.index.size == 300 and (nb.lengths == 6).all()
+    assert np.array_equal(nb.starts, 6 * np.arange(50))  # one k-NN block
     assert len(nb.sets) == nb.n == 50
     for i in range(50):
-        assert np.array_equal(nb.sets[i], nb.index[nb.offsets[i] : nb.offsets[i + 1]])
+        assert np.array_equal(nb.sets[i], nb.index[nb.starts[i] : nb.starts[i] + 6])
+        assert np.shares_memory(nb.sets[i], nb.index)
     assert np.array_equal(nb.sets[-1], nb.sets[49])
     with pytest.raises(IndexError):
         nb.sets[50]
-    matrix = nb.as_matrix()
-    assert matrix.shape == (50, 6) and np.shares_memory(matrix, nb.index)
-    for i, s in enumerate(nb.sets):
-        assert np.array_equal(matrix[i], s)
-    with pytest.raises(ValueError):
-        nb.index[0] = 1  # maps are shared between runs: read-only
+    for array in (nb.index, nb.starts, nb.lengths):
+        with pytest.raises(ValueError):
+            array[0] = 1  # maps are shared between runs: read-only
 
 
 def test_multi_size_lengths_are_capped_per_cell():
@@ -309,13 +318,17 @@ def test_multi_size_lengths_are_capped_per_cell():
     g = np.repeat([0.0, 1.0, 2.0], [3, 9, 28])
     rng.shuffle(g)
     ds = _raw(np.column_stack([g, rng.standard_normal(40)]), ("categorical", "continuous"))
-    size = np.bincount(g.astype(int))[g.astype(int)]
+    sizes = np.bincount(g.astype(int))
+    size = sizes[g.astype(int)]
     maps = _neighbor_sets(ds, [2, 5, 12, 30])
     for l, nb in maps.items():
         assert np.array_equal(nb.lengths, np.minimum(l, size))
-        assert np.array_equal(np.diff(nb.offsets), nb.lengths)
-        assert nb.offsets[-1] == nb.index.size
-        assert (nb.as_matrix() is None) == (l > 3)
+        # a cell of at most l rows is stored once, and its rows share that start
+        assert nb.index.size == np.where(sizes > l, sizes * l, sizes).sum()
+        for c in np.flatnonzero(sizes <= l):
+            assert np.unique(nb.starts[g == c]).size == 1
+        for i, s in enumerate(nb.sets):
+            assert np.array_equal(s, nb.index[nb.starts[i] : nb.starts[i] + nb.lengths[i]])
 
 
 def _gaussian_instance(n, seed):
