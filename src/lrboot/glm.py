@@ -27,10 +27,21 @@ too: the exact gradient and the observed information, from each
 observation's own two category edges and the accepted step's `loglik_terms`,
 each category probability taken on the nearer tail of its edges. Callers
 that fit many response vectors take `family.block_rows(n)` rows per block.
+
+A block fit writes every b x n array (the gathered rows of Y, W, eta and the
+log-likelihood terms, the candidate eta, the terms, and each family's score
+temporaries) into a `Workspace` of named buffers, so its Newton loop
+allocates no fresh pages. Each thread keeps one, sized by the cell budget
+and reused by its later block fits on any design, and drops it when the
+thread ends. It holds at most 17 slots of 256 KB (4.25 MB) per live thread;
+an unweighted binary probit fit uses 9 (2.25 MB). A block above the budget,
+such as `fit_qmle` at n > 32,768, gets a workspace for its call alone.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +62,7 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "BatchFit",
+    "Workspace",
     "CumulativeProbit",
     "fit_qmle",
     "fit_design_batch",
@@ -70,6 +82,63 @@ _LOG_P_MIN = np.log(_P_MIN)
 # spreads the driver's per-iteration Python work over many rows (16 GLM rows
 # at n=2000).
 _REFIT_CELLS = 2**15
+
+
+class Workspace:
+    """Named buffers for the b x n arrays of block fits, each of `cells`
+    entries, allocated on first use. `floats` and `ints` view a slot in the
+    shape asked for, so blocks of any row count on designs of any n share
+    the slots while b * n <= cells. A view is valid until the next request
+    for its slot."""
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self._slots = {}
+
+    def floats(self, name: str, shape) -> np.ndarray:
+        return self._view(name, shape, np.float64)
+
+    def ints(self, name: str, shape) -> np.ndarray:
+        return self._view(name, shape, np.intp)
+
+    def _view(self, name, shape, dtype):
+        buf = self._slots.get((name, dtype))
+        if buf is None:
+            buf = self._slots[name, dtype] = np.empty(self.cells, dtype=dtype)
+        return buf[: math.prod(shape)].reshape(shape)
+
+
+_THREAD = threading.local()
+
+
+def _workspace(cells: int) -> Workspace:
+    """The calling thread's workspace, made on its first block fit and kept
+    until the thread ends; a block above the cell budget gets a workspace
+    for its call alone."""
+    if cells > _REFIT_CELLS:
+        return Workspace(cells)
+    if not hasattr(_THREAD, "workspace"):
+        _THREAD.workspace = Workspace(_REFIT_CELLS)
+    return _THREAD.workspace
+
+
+def _info(design, wk):
+    """The information X' diag(wk) X of the rows a mask selects."""
+    return lambda sel: design.gram(wk if sel.all() else wk[sel])
+
+
+def _log_phi(x, out):
+    """The standard normal log-density at x, written into out."""
+    np.square(x, out=out)
+    out *= -0.5
+    out -= _LOG_SQRT2PI
+    return out
+
+
+def _ones(like, out):
+    out = np.empty_like(like) if out is None else out
+    out.fill(1.0)
+    return out
 
 
 def _xlogy(x, y):
@@ -186,17 +255,25 @@ class _BaseFamily:
     def clamp_response(self, vals):
         return vals
 
-    def score(self, design, Y, W, theta, eta, terms):
+    def score(self, ws, design, Y, W, theta, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
         X' diag(w D^2 / V) X of the rows a mask selects. `terms` holds the
-        `loglik_terms` at eta, for a family that can reuse them."""
-        mu = self.mean(eta)
-        D = self.mean_deriv(eta)
-        V = self.variance(mu)
-        u = D / V * (Y - mu)
-        g = (u if W is None else W * u) @ design.matrix
-        wk = D * D / V if W is None else W * D * D / V
-        return g, lambda sel: design.gram(wk[sel])
+        `loglik_terms` at eta, for a family that can reuse them.
+
+        Every hook writes its b x n arrays into the workspace `ws`: the
+        scores into slots "s0", "s1", ..., `loglik_terms` its result into
+        slot "loglik", which no score writes."""
+        shape = np.shape(eta)
+        mu = self.mean(eta, out=ws.floats("s0", shape))
+        D = self.mean_deriv(eta, out=ws.floats("s1", shape))
+        V = self.variance(mu, out=ws.floats("s2", shape))
+        u = np.divide(D, V, out=ws.floats("s3", shape))
+        u *= np.subtract(Y, mu, out=mu)  # D / V * (Y - mu)
+        g = (u if W is None else np.multiply(W, u, out=u)) @ design.matrix
+        wk = D if W is None else np.multiply(W, D, out=mu)
+        wk *= D
+        wk /= V  # (w) D D / V
+        return g, _info(design, wk)
 
     def fitted(self, Xd, coef):
         """(cutpoints, slopes, fitted means, variances) at one coefficient vector."""
@@ -218,35 +295,59 @@ class BinomialProbit(_BaseFamily):
     def mean(self, eta):
         return np.clip(ndtr(eta), _MU_EPS, 1.0 - _MU_EPS)
 
-    def variance(self, mu):
-        return mu * (1.0 - mu)
+    def variance(self, mu, out=None):
+        return np.multiply(mu, np.subtract(1.0, mu, out=out), out=out)
 
-    def loglik_terms(self, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, theta=None):
+        t = ws.floats("loglik", np.shape(eta))
         if np.all((y == 0.0) | (y == 1.0)):
-            # one log_ndtr per observation; bit-identical to the two-term form
-            return log_ndtr(np.where(y == 1.0, eta, -eta))
-        return y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
+            # one log_ndtr per observation, at (2y - 1) eta: eta where y = 1
+            # and -eta where y = 0, exactly; bit-identical to the two-term form
+            np.multiply(y, 2.0, out=t)
+            t -= 1.0
+            t *= eta
+            return log_ndtr(t, out=t)
+        t = np.multiply(y, log_ndtr(eta, out=t), out=t)
+        down = np.negative(eta, out=ws.floats("s0", t.shape))
+        log_ndtr(down, out=down)
+        down *= np.subtract(1.0, y, out=ws.floats("s1", t.shape))
+        t += down  # y log Phi(eta) + (1 - y) log Phi(-eta)
+        return t
 
-    def score(self, design, Y, W, theta, eta, terms):
+    def score(self, ws, design, Y, W, theta, eta, terms):
         """Exact gradient of the probit log-likelihood and its observed
         information, with lam(z) = phi(z) / Phi(z) taken in log space. For
         binary y, z = (2y - 1) eta, the score is (2y - 1) lam(z) and the
         information lam(z) (lam(z) + z), and `terms` already holds
         log Phi(z). The information is positive because Phi is log-concave."""
+        shape = np.shape(eta)
         if np.all((Y == 0.0) | (Y == 1.0)):
-            s = 2.0 * Y - 1.0
-            z = s * eta
-            lam = np.exp(-0.5 * np.square(z) - _LOG_SQRT2PI - terms)
-            u, h = s * lam, lam * (lam + z)
+            s = np.multiply(Y, 2.0, out=ws.floats("s0", shape))
+            s -= 1.0
+            z = np.multiply(s, eta, out=ws.floats("s1", shape))
+            lam = _log_phi(z, ws.floats("s2", shape))
+            lam -= terms
+            np.exp(lam, out=lam)
+            u = np.multiply(s, lam, out=s)  # s lam
+            h = np.multiply(np.add(z, lam, out=z), lam, out=z)  # lam (lam + z)
         else:
-            log_phi = -0.5 * np.square(eta) - _LOG_SQRT2PI
-            up = np.exp(log_phi - log_ndtr(eta))
-            down = np.exp(log_phi - log_ndtr(-eta))
-            u = Y * up - (1.0 - Y) * down
-            h = Y * up * (up + eta) + (1.0 - Y) * down * (down - eta)
-        g = (u if W is None else W * u) @ design.matrix
-        wk = h if W is None else W * h
-        return g, lambda sel: design.gram(wk[sel])
+            log_phi = _log_phi(eta, ws.floats("s0", shape))
+            up = log_ndtr(eta, out=ws.floats("s1", shape))
+            np.subtract(log_phi, up, out=up)
+            np.exp(up, out=up)
+            down = np.negative(eta, out=ws.floats("s2", shape))
+            log_ndtr(down, out=down)
+            np.subtract(log_phi, down, out=down)
+            np.exp(down, out=down)
+            h = np.multiply(Y, up, out=ws.floats("s3", shape))  # Y up
+            rest = np.multiply(np.subtract(1.0, Y, out=log_phi), down, out=log_phi)  # (1 - Y) down
+            u = np.subtract(h, rest, out=ws.floats("s4", shape))
+            h *= np.add(up, eta, out=up)
+            rest *= np.subtract(down, eta, out=down)
+            h += rest  # Y up (up + eta) + (1 - Y) down (down - eta)
+        g = (u if W is None else np.multiply(W, u, out=u)) @ design.matrix
+        wk = h if W is None else np.multiply(W, h, out=h)
+        return g, _info(design, wk)
 
     def screen(self, design, Y, W):
         # with a constant column, responses that are all 0 or all 1 are
@@ -293,32 +394,36 @@ class BinomialLogit(BinomialProbit):
     # the link is canonical: Fisher scoring is already Newton's method
     score = _BaseFamily.score
 
-    def mean(self, eta):
-        return np.clip(expit(eta), _MU_EPS, 1.0 - _MU_EPS)
+    def mean(self, eta, out=None):
+        return np.clip(expit(eta, out=out), _MU_EPS, 1.0 - _MU_EPS, out=out)
 
-    def mean_deriv(self, eta):
+    def mean_deriv(self, eta, out=None):
         mu = expit(eta)
-        return mu * (1.0 - mu)
+        return np.multiply(mu, np.subtract(1.0, mu, out=out), out=out)
 
-    def loglik_terms(self, y, eta, theta=None):
-        return y * eta - np.logaddexp(0.0, eta)
+    def loglik_terms(self, ws, y, eta, theta=None):
+        t = np.multiply(y, eta, out=ws.floats("loglik", np.shape(eta)))
+        t -= np.logaddexp(0.0, eta, out=ws.floats("s0", t.shape))
+        return t
 
 
 class PoissonLog(_BaseFamily):
     name, link = "poisson", "log"
 
-    def mean(self, eta):
+    def mean(self, eta, out=None):
         with np.errstate(over="ignore"):
-            return np.exp(np.clip(eta, -700.0, 700.0))
+            return np.exp(np.clip(eta, -700.0, 700.0, out=out), out=out)
 
-    def mean_deriv(self, eta):
-        return self.mean(eta)
+    def mean_deriv(self, eta, out=None):
+        return self.mean(eta, out=out)
 
-    def variance(self, mu):
-        return np.maximum(mu, _MU_EPS)
+    def variance(self, mu, out=None):
+        return np.maximum(mu, _MU_EPS, out=out)
 
-    def loglik_terms(self, y, eta, theta=None):
-        return y * eta - self.mean(eta)
+    def loglik_terms(self, ws, y, eta, theta=None):
+        t = np.multiply(y, eta, out=ws.floats("loglik", np.shape(eta)))
+        t -= self.mean(eta, out=ws.floats("s0", t.shape))
+        return t
 
     def clamp_response(self, vals):
         return np.maximum(vals, 0.0)
@@ -334,18 +439,23 @@ class GammaInverse(_BaseFamily):
     name, link = "gamma", "inverse"
     free_dispersion = True
 
-    def mean(self, eta):
-        return 1.0 / np.maximum(eta, _MU_EPS)
+    def mean(self, eta, out=None):
+        return np.divide(1.0, np.maximum(eta, _MU_EPS, out=out), out=out)
 
-    def mean_deriv(self, eta):
-        return -1.0 / np.square(np.maximum(eta, _MU_EPS))
+    def mean_deriv(self, eta, out=None):
+        m = np.maximum(eta, _MU_EPS, out=out)
+        np.square(m, out=m)
+        return np.divide(-1.0, m, out=m)
 
-    def variance(self, mu):
-        return np.square(mu)
+    def variance(self, mu, out=None):
+        return np.square(mu, out=out)
 
-    def loglik_terms(self, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, theta=None):
+        t = np.negative(y, out=ws.floats("loglik", np.shape(eta)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return -y * eta + np.log(eta)
+            t *= eta
+            t += np.log(eta, out=ws.floats("s0", t.shape))  # -y eta + log eta
+        return t
 
     def valid_eta(self, eta):
         return np.all(eta > 0, axis=-1)
@@ -381,17 +491,20 @@ class GaussianIdentity(_BaseFamily):
     name, link = "gaussian", "identity"
     free_dispersion = True
 
-    def mean(self, eta):
-        return eta
+    def mean(self, eta, out=None):
+        return np.positive(eta, out=out)  # a copy, which callers may write into
 
-    def mean_deriv(self, eta):
-        return np.ones_like(eta)
+    def mean_deriv(self, eta, out=None):
+        return _ones(eta, out)
 
-    def variance(self, mu):
-        return np.ones_like(mu)
+    def variance(self, mu, out=None):
+        return _ones(mu, out)
 
-    def loglik_terms(self, y, eta, theta=None):
-        return -0.5 * np.square(y - eta)
+    def loglik_terms(self, ws, y, eta, theta=None):
+        t = np.subtract(y, eta, out=ws.floats("loglik", np.shape(eta)))
+        np.square(t, out=t)
+        t *= -0.5
+        return t
 
     def simulate(self, rng, mu, dispersion=None):
         sd = np.sqrt(dispersion) if dispersion else 1.0
@@ -461,25 +574,37 @@ class CumulativeProbit(_BaseFamily):
     def to_coef(self, theta):
         return np.concatenate([self.cutpoints(theta)[0], theta[:, self.n_cut :]], axis=1)
 
-    def _edges(self, Y, eta, theta):
+    def _edges(self, ws, Y, eta, theta):
         """Each observation's own category edges less eta: u = alpha_k - eta
         and l = alpha_{k-1} - eta for Y = k, with alpha_0 = -inf and
-        alpha_J = inf (b x n each)."""
+        alpha_J = inf (b x n each, in slots "s0" and "s1")."""
         alpha, _ = self.cutpoints(theta)
         side = np.full((len(theta), 1), np.inf)
         edges = np.concatenate([-side, alpha, side], axis=1)
         # flat index of edge k in each row of edges
-        k = Y.astype(int) + np.arange(0, edges.size, self.cells + 1)[:, None]
-        return edges.take(k) - eta, edges.take(k - 1) - eta
+        k = ws.ints("i0", np.shape(Y))
+        np.copyto(k, Y, casting="unsafe")
+        k += np.arange(0, edges.size, self.cells + 1)[:, None]
+        upper = np.take(edges, k, out=ws.floats("s0", k.shape), mode="clip")
+        upper -= eta
+        k -= 1
+        lower = np.take(edges, k, out=ws.floats("s1", k.shape), mode="clip")
+        lower -= eta
+        return upper, lower
 
-    def loglik_terms(self, y, eta, theta):
-        upper, lower = self._edges(y, eta, theta)
+    def loglik_terms(self, ws, y, eta, theta):
+        upper, lower = self._edges(ws, y, eta, theta)
         # take P = Phi(u) - Phi(l) on the nearer tail, as Phi(-l) - Phi(-u)
         # where l > 0: there both Phi terms round toward 1
-        s = np.where(lower > 0.0, -1.0, 1.0)
-        return np.log(np.maximum(s * (ndtr(s * upper) - ndtr(s * lower)), _P_MIN))
+        s = np.multiply(lower > 0.0, -2.0, out=ws.floats("loglik", upper.shape))
+        s += 1.0  # -1 where l > 0, else 1
+        ndtr(np.multiply(s, upper, out=upper), out=upper)
+        ndtr(np.multiply(s, lower, out=lower), out=lower)
+        s *= np.subtract(upper, lower, out=upper)
+        np.maximum(s, _P_MIN, out=s)
+        return np.log(s, out=s)
 
-    def score(self, design, Y, W, theta, eta, terms):
+    def score(self, ws, design, Y, W, theta, eta, terms):
         """Exact gradient and observed information in (alpha, beta), carried
         to theta by T' I T with T = d(alpha, beta) / d theta.
 
@@ -495,40 +620,64 @@ class CumulativeProbit(_BaseFamily):
         """
         K, J = self.n_cut, self.cells
         b, p = len(theta), design.q
-        u, l = self._edges(Y, eta, theta)
+        shape = np.shape(Y)
+        u, l = self._edges(ws, Y, eta, theta)
         # the log-likelihood is flat where loglik_terms clips P at _P_MIN,
         # so those cells add nothing
-        inv = np.where(terms > _LOG_P_MIN, np.exp(-terms), 0.0)
-        a = np.exp(-0.5 * np.square(u) - _LOG_SQRT2PI) * inv
-        c = np.exp(-0.5 * np.square(l) - _LOG_SQRT2PI) * inv
+        inv = np.negative(terms, out=ws.floats("s2", shape))
+        np.exp(inv, out=inv)
+        inv[~(terms > _LOG_P_MIN)] = 0.0
+        a, c = ws.floats("s3", shape), ws.floats("s4", shape)
+        for v, edge in ((a, u), (c, l)):
+            np.exp(_log_phi(edge, v), out=v)
+            v *= inv  # phi(edge) / P
         # phi is 0 at an infinite edge, and so are u a and l c
         u[np.isinf(u)] = 0.0
         l[np.isinf(l)] = 0.0
-        d = a - c
-        slot = (Y.astype(int) - 1 + J * np.arange(b)[:, None]).ravel()
+        d = np.subtract(a, c, out=inv)
+        slot = ws.ints("i0", shape)
+        np.copyto(slot, Y, casting="unsafe")
+        slot += (J * np.arange(b) - 1)[:, None]
+        slot = slot.ravel()
+        tmp, weighted = ws.floats("s5", shape), ws.floats("s6", shape)
 
         def by_cat(v):
             """Weighted sum of v over each row's observations in each
             category (b x J). Category j + 1 (0-based j) has upper edge
             alpha_j and lower edge alpha_{j-1}, so [:, :K] sums terms of
             upper edges by cutpoint and [:, 1:] terms of lower edges."""
-            v = v if W is None else W * v
+            v = v if W is None else np.multiply(W, v, out=weighted)
             return np.bincount(slot, weights=v.ravel(), minlength=b * J).reshape(b, J)
 
-        up_eta, low_eta = -a * (u + d), c * (l + d)
+        up_eta = np.add(u, d, out=ws.floats("s7", shape))
+        up_eta *= a
+        np.negative(up_eta, out=up_eta)  # -a (u + d)
+        low_eta = np.add(l, d, out=ws.floats("s8", shape))
+        low_eta *= c  # c (l + d)
         h_cross = np.stack(
-            [by_cat(up_eta * x)[:, :K] + by_cat(low_eta * x)[:, 1:] for x in design.transpose],
+            [
+                by_cat(np.multiply(up_eta, x, out=tmp))[:, :K]
+                + by_cat(np.multiply(low_eta, x, out=tmp))[:, 1:]
+                for x in design.transpose
+            ],
             axis=2,
         )
-        h_eta = u * a - l * c + d * d
+        h_eta = np.multiply(u, a, out=up_eta)
+        h_eta -= np.multiply(l, c, out=tmp)
+        h_eta += np.multiply(d, d, out=tmp)  # u a - l c + d d
         H = np.zeros((b, K + p, K + p))
-        H[:, K:, K:] = design.gram(h_eta if W is None else W * h_eta)
+        H[:, K:, K:] = design.gram(h_eta if W is None else np.multiply(W, h_eta, out=h_eta))
         H[:, :K, K:] = h_cross
         H[:, K:, :K] = h_cross.transpose(0, 2, 1)
         i = np.arange(K)
-        H[:, i, i] = by_cat(a * (u + a))[:, :K] + by_cat(c * (c - l))[:, 1:]
-        H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = -by_cat(a * c)[:, 1:K]
-        g_beta = (c - a if W is None else W * (c - a)) @ design.matrix
+        u += a
+        u *= a  # a (u + a)
+        np.subtract(c, l, out=l)
+        l *= c  # c (c - l)
+        H[:, i, i] = by_cat(u)[:, :K] + by_cat(l)[:, 1:]
+        H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = -by_cat(np.multiply(a, c, out=tmp))[:, 1:K]
+        g_beta = np.subtract(c, a, out=tmp)
+        g_beta = (g_beta if W is None else np.multiply(W, g_beta, out=g_beta)) @ design.matrix
         g = np.concatenate([by_cat(a)[:, :K] - by_cat(c)[:, 1:], g_beta], axis=1)
         # Jacobian d(alpha, beta) / d theta: d alpha_a / d theta_k is 1 for
         # k = 0 and gap k for 1 <= k <= a
@@ -650,7 +799,8 @@ def fit_design_batch(
     observed information for probit and the ordinal model (exact Newton
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
-    `family.score`, which may reuse them.
+    `family.score`, which may reuse them. Every b x n array of the fit lives
+    in the calling thread's `Workspace` (see the module docstring).
 
     `Y` is b x n with one response vector per row; `weights` is None or
     b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
@@ -680,16 +830,32 @@ def fit_design_batch(
         raise DimensionMismatch(f"weights {W.shape} do not match responses {Y.shape}")
     b = Y.shape[0]
     k = family.n_cut
+    ws = _workspace(b * n)
 
-    def rows_of(A, rows):
-        return None if A is None else A[rows]
+    def gather(name, A, rows):
+        """Rows `rows` (ascending) of A: A itself when they are all of its
+        rows, else a copy in the workspace slot `name`."""
+        if A is None or rows.size == len(A):
+            return A
+        return np.take(A, rows, axis=0, out=ws.floats(name, (rows.size, n)), mode="clip")
 
     def loglik(rows, theta, eta):
-        """Summed log-likelihood per row, and its terms for `family.score`."""
-        terms = family.loglik_terms(Y[rows], eta, theta)
-        s = np.sum(terms if W is None else W[rows] * terms, axis=1)
+        """Summed log-likelihood per row, and its terms for `family.score`
+        (a workspace view, valid until the next hook call)."""
+        terms = family.loglik_terms(ws, gather("Y_rows", Y, rows), eta, theta)
+        if W is None:
+            s = np.sum(terms, axis=1)
+        else:
+            w_rows = gather("W_rows", W, rows)
+            s = np.sum(np.multiply(w_rows, terms, out=ws.floats("terms_rows", terms.shape)),
+                       axis=1)
         s[~np.isfinite(s)] = -np.inf
         return s, terms
+
+    def score(rows):
+        return family.score(ws, design, gather("Y_rows", Y, rows), gather("W_rows", W, rows),
+                            theta[rows], gather("eta_rows", eta, rows),
+                            gather("terms_rows", terms, rows))
 
     def not_converged(r):
         return NonConvergence(
@@ -705,26 +871,24 @@ def fit_design_batch(
         for r in range(b):
             if errors[r] is None:
                 try:
-                    theta[r] = family.start(design, Y[r], rows_of(W, r))
+                    theta[r] = family.start(design, Y[r], None if W is None else W[r])
                 except FitError as exc:
                     errors[r] = exc
-    eta = theta[:, k:] @ design.transpose
+    eta = np.matmul(theta[:, k:], design.transpose, out=ws.floats("eta", Y.shape))
     for r in np.flatnonzero(~family.valid_eta(eta)):
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the link's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
     ll = np.full(b, -np.inf)
-    terms = np.empty_like(Y)  # log-likelihood terms of each row's current eta
-    ll[act], terms[act] = loglik(act, theta[act], eta[act])
+    terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
+    ll[act], terms[act] = loglik(act, theta[act], gather("eta_rows", eta, act))
     iterations = np.zeros(b, dtype=int)
     grad_norm = np.full(b, np.nan)
     eps4 = 4.0 * np.finfo(float).eps
     for _ in range(opts.max_iter):
         if not act.size:
             break
-        g, info = family.score(
-            design, Y[act], rows_of(W, act), theta[act], eta[act], terms[act]
-        )
+        g, info = score(act)
         grad_norm[act] = np.max(np.abs(g), axis=1)
         go = ~(grad_norm[act] <= opts.tol)
         act, g = act[go], g[go]
@@ -744,7 +908,10 @@ def fit_design_batch(
         for _ in range(opts.max_halvings + 1):
             ts = t[pend, None] * step[pend]
             cand = base[pend] + ts
-            eta_c = cand[:, k:] @ design.transpose
+            # the score's gathered eta and terms are dead in the step search,
+            # so the candidate eta and the weighted terms reuse their slots
+            eta_c = np.matmul(cand[:, k:], design.transpose,
+                              out=ws.floats("eta_rows", (pend.size, n)))
             rows = act[pend]
             ll_c, terms_c = loglik(rows, cand, eta_c)
             # near the optimum the objective sits on a float plateau; a
@@ -752,9 +919,11 @@ def fit_design_batch(
             tiny = np.max(np.abs(ts), axis=1) <= bound[pend]
             slack = np.where(tiny, plateau[pend], 0.0)
             acc = family.valid_eta(eta_c) & (ll_c >= ll0[pend] - slack)
-            hit = rows[acc]
-            theta[hit], eta[hit], ll[hit] = cand[acc], eta_c[acc], ll_c[acc]
-            terms[hit] = terms_c[acc]
+            # a basic slice takes every row without a copy
+            sel = slice(None) if acc.all() else acc
+            hit = rows[sel]
+            theta[hit], eta[hit], ll[hit] = cand[sel], eta_c[sel], ll_c[sel]
+            terms[hit] = terms_c[sel]
             pend = pend[~acc]
             if not pend.size:
                 break
@@ -772,7 +941,7 @@ def fit_design_batch(
             act = act[~sep]
     if act.size:
         # the iteration cap was reached: a final score test decides
-        g, _ = family.score(design, Y[act], rows_of(W, act), theta[act], eta[act], terms[act])
+        g, _ = score(act)
         grad_norm[act] = np.max(np.abs(g), axis=1)
         for r in act[grad_norm[act] > opts.tol]:
             errors[r] = not_converged(r)

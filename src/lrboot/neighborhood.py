@@ -34,7 +34,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .data import Dataset
 from .errors import InvalidSize
@@ -117,6 +116,8 @@ def _ranked(cand: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _cell_sets(A: np.ndarray, ls: list) -> dict:
     """{l: s x l sorted within-cell indices} for the s rows of A, each l < s."""
+    from scipy.spatial import cKDTree  # kept out of a cold `import lrboot.cli`
+
     s = A.shape[0]
     k = ls[-1] + 1
     tree = cKDTree(A)

@@ -5,6 +5,7 @@ per row, and thread invariance and memory of the block refits for every
 method."""
 
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -28,6 +29,7 @@ from lrboot.errors import (
 )
 from lrboot.glm import (
     CumulativeProbit,
+    Workspace,
     family_for,
     fit_design_batch,
 )
@@ -80,7 +82,7 @@ def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
     w = weights
 
     def total_ll(eta):
-        terms = family.loglik_terms(y, eta)
+        terms = family.loglik_terms(Workspace(y.size), y, eta)
         s = float(np.sum(terms) if w is None else np.sum(w * terms))
         return s if np.isfinite(s) else -np.inf
 
@@ -328,10 +330,11 @@ def test_probit_score_and_information_are_exact_derivatives():
 
     def score(Y, W, th):
         eta = th @ Xd.T
-        return probit.score(design, Y, W, th, eta, probit.loglik_terms(Y, eta))
+        terms = probit.loglik_terms(Workspace(Y.size), Y, eta)
+        return probit.score(Workspace(Y.size), design, Y, W, th, eta, terms)
 
     def total(Y, W, th):
-        terms = probit.loglik_terms(Y, th @ Xd.T)
+        terms = probit.loglik_terms(Workspace(Y.size), Y, th @ Xd.T)
         return float(np.sum(terms if W is None else W * terms))
 
     h = 1e-6
@@ -391,10 +394,10 @@ def test_binary_probit_loglik_single_log_ndtr_is_exact():
     y = (rng.random((4, 500)) < 0.5).astype(float)
     two_term = y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
     probit = _family("binomial", "probit")
-    assert np.array_equal(probit.loglik_terms(y, eta), two_term)
+    assert np.array_equal(probit.loglik_terms(Workspace(y.size), y, eta), two_term)
     frac = np.clip(y + 0.25, 0.0, 1.0)
     assert np.array_equal(
-        probit.loglik_terms(frac, eta),
+        probit.loglik_terms(Workspace(y.size), frac, eta),
         frac * log_ndtr(eta) + (1.0 - frac) * log_ndtr(-eta),
     )
 
@@ -470,10 +473,11 @@ def test_ordinal_score_and_information_are_exact_derivatives(J):
 
     def score(W, th):
         eta = th[:, K:] @ Xd.T
-        return family.score(design, Y, W, th, eta, family.loglik_terms(Y, eta, th))
+        terms = family.loglik_terms(Workspace(Y.size), Y, eta, th)
+        return family.score(Workspace(Y.size), design, Y, W, th, eta, terms)
 
     def total(W, th):
-        terms = family.loglik_terms(Y, th[:, K:] @ Xd.T, th)
+        terms = family.loglik_terms(Workspace(Y.size), Y, th[:, K:] @ Xd.T, th)
         return float(np.sum(terms if W is None else W * terms))
 
     h = 1e-6
@@ -511,16 +515,16 @@ def test_ordinal_score_at_infinite_edges_and_clipped_cells_is_finite():
     Y = np.array([[1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4]], dtype=float)
     theta = np.array([[-1.0, 0.0, 0.0, 1.0]])
     eta = theta[:, J - 1 :] @ Xd.T
-    terms = family.loglik_terms(Y, eta, theta)
+    terms = family.loglik_terms(Workspace(Y.size), Y, eta, theta)
     assert np.isclose(terms[0, -2], log_ndtr(-11.0), rtol=1e-14, atol=0.0)
     assert terms[0, -1] == np.log(1e-300)
     alive = np.ones((1, n))
     alive[0, -1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, info = family.score(_design_of(Xd), Y, None, theta, eta, terms)
+        g, info = family.score(Workspace(Y.size), _design_of(Xd), Y, None, theta, eta, terms)
         H = info(np.ones(1, dtype=bool))
-        g0, info0 = family.score(_design_of(Xd), Y, alive, theta, eta, terms)
+        g0, info0 = family.score(Workspace(Y.size), _design_of(Xd), Y, alive, theta, eta, terms)
         H0 = info0(np.ones(1, dtype=bool))
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(H))
     assert np.allclose(g, g0, rtol=1e-14, atol=0.0)
@@ -582,6 +586,80 @@ def test_column_products_are_built_without_temporaries():
     assert np.array_equal(Z, X[:, iu] * X[:, ju])
     wk = rng.standard_exponential((3, 3000))
     assert np.allclose(design.gram(wk), np.einsum("rn,ni,nj->rij", wk, X, X), rtol=1e-12)
+
+
+def _lrb_block(scenario, assumed, B):
+    """(fit, B x n LRB responses) on the scenario at n=2000."""
+    with np.errstate(all="ignore"):
+        ds = sl.generate(scenario, n=2000, seed=4)
+    spec = sl.get_scenario(scenario).assumed(assumed)
+    fit = lb.fit_qmle(ds, spec)
+    out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=B, seed=2, fit=fit,
+              keep_responses=True)
+    return fit, out.responses
+
+
+@pytest.mark.parametrize(
+    "scenario,assumed,rows,limit_mb",
+    [("SC1_probit", {}, 16, 1.5), ("SC1_ordinal", {"beta2": -1.0}, 4, 0.5)],
+    ids=["probit", "ordinal"],
+)
+def test_warm_block_fit_allocates_no_block_sized_temporaries(scenario, assumed, rows, limit_mb):
+    # a full block on the thread's workspace; fresh b x n temporaries in
+    # every Newton step would peak above 3.4 MB (probit) and 1.1 MB (ordinal)
+    fit, Y = _lrb_block(scenario, assumed, B=rows)
+    assert rows == fit.family.block_rows(2000)
+    fit_design_batch(fit.design, Y, fit.family, beta0=fit.coef)  # fills the workspace
+    tracemalloc.start()
+    try:
+        out = fit_design_batch(fit.design, Y, fit.family, beta0=fit.coef)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.ok.all()
+    assert peak <= limit_mb * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, which starts with no workspace."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
+def _fit_bytes(out):
+    return (out.beta.tobytes(), out.iterations.tobytes(), out.grad_norm.tobytes(),
+            out.loglik.tobytes(), [repr(e) for e in out.errors])
+
+
+def test_reused_workspace_leaks_no_state_between_blocks():
+    # blocks of different row counts, weights, families and n fitted in turn
+    # in one thread each equal the same fit in a thread of its own
+    probit, Y16 = _lrb_block("SC1_probit", {}, B=16)
+    counts = np.random.default_rng(1).multinomial(2000, np.full(2000, 1 / 2000), size=16)
+    ordinal, Y4 = _lrb_block("SC1_ordinal", {"beta2": -1.0}, B=4)
+    Xd, Yn, Wn = _block("binomial", True, 0)
+    first = (probit.design, Y16, probit.family, None, probit.coef)
+    blocks = [
+        first,
+        (probit.design, Y16[4:8], probit.family, None, None),
+        (probit.design, np.broadcast_to(Y16[0], (16, 2000)), probit.family,
+         counts.astype(float), probit.coef),
+        (ordinal.design, Y4, ordinal.family, None, ordinal.coef),
+        (_design_of(Xd), Yn, probit.family, Wn, None),
+        first,
+    ]
+
+    def fit(design, Y, family, W, beta0):
+        return _fit_bytes(fit_design_batch(design, Y, family, weights=W, beta0=beta0))
+
+    alone = [_in_fresh_thread(lambda blk=blk: fit(*blk)) for blk in blocks]
+    in_turn = _in_fresh_thread(lambda: [fit(*blk) for blk in blocks])
+    for r, (a, b) in enumerate(zip(alone, in_turn)):
+        assert a == b, f"block {r} differs after the blocks before it"
 
 
 def test_each_design_builds_its_column_products_once(monkeypatch):
