@@ -12,7 +12,7 @@ from lrboot import residuals, simlab
 from lrboot.rng import substream
 
 ds = simlab.generate("Example1", seed=1)
-spec = simlab.get_scenario("Example1").assumed({})
+spec = simlab.get_scenario("Example1").assumed
 fit = lb.fit_qmle(ds, spec)
 
 print(f"n = {ds.n}, fitted coefficients (standardized x):")

@@ -10,7 +10,7 @@ from lrboot import simlab
 from lrboot.bootstrap import BootstrapMethod, p_value, run
 
 ds = simlab.generate("SC1_probit", n=2000, seed=3)
-spec = simlab.get_scenario("SC1_probit").assumed({"beta2": -2.0})
+spec = simlab.get_scenario("SC1_probit").assumed
 
 methods = [
     BootstrapMethod.lrb("surrogate", 10),

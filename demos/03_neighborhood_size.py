@@ -10,7 +10,7 @@ from lrboot import simlab
 from lrboot.neighborhood import select_size
 
 ds = simlab.generate("SC1_probit", n=800, seed=5)
-spec = simlab.get_scenario("SC1_probit").assumed({"beta2": -2.0})
+spec = simlab.get_scenario("SC1_probit").assumed
 
 trace = select_size(
     ds, spec, "surrogate",

@@ -3,10 +3,9 @@ classical residual bootstrap, and the parametric/pairwise/wild/multiplier
 comparison methods.
 
 Every method draws responses y* or weights w* on the one fitted design, so
-replicates are refit in blocks by the Newton driver `glm.fit_design_batch`,
-ordinal models included, on the column products the design builds once. A
-block holds `family.block_rows(n)` replicates, a fixed budget of response
-cells. Replicate b always consumes the substream (seed, b) with
+`run` only supplies the draw of each replicate: `glm.refit_blocks` fits them
+in blocks, ordinal models included, on the column products the design
+builds once. Replicate b always consumes the substream (seed, b) with
 per-observation draws in observation order (the local methods take theirs
 from `NeighborhoodMap.picker`), and the blocks do not depend on how many
 worker threads run them, so outcomes are bit-identical for any thread count.
@@ -18,7 +17,6 @@ checks that the kind applies to the model's family before it fits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ from .errors import (
     UnsupportedKind,
     UsageError,
 )
-from .glm import FitOptions, FitResult, family_for, fit_design_batch, fit_qmle
+from .glm import FitOptions, FitResult, family_for, fit_qmle, refit_blocks
 from .neighborhood import NeighborhoodMap, build_neighborhoods
 from .rng import substream
 
@@ -305,8 +303,8 @@ def run(
 ) -> BootstrapOutcome:
     """Run B bootstrap replicates and assemble SE/CI estimates.
 
-    Replicates are drawn and refit in blocks of `family.block_rows(n)` on
-    the fitted design; n_threads workers take whole blocks. Failed replicate
+    Replicates are drawn and refit on the fitted design by
+    `glm.refit_blocks`; n_threads workers take whole blocks. Failed replicate
     fits are dropped and counted; more than 20% failures aborts. Identical
     inputs give bit-identical outcomes for any n_threads. B < 2 raises
     TooFewReplicates before any draw or fit.
@@ -318,35 +316,25 @@ def run(
     if fit is None:
         fit = fit_qmle(data, spec, options)
     draw = _sampler(data, method, fit, seed, neighborhoods)
-    family = fit.family
-    rows = family.block_rows(data.n)
-    design = fit.design
-    # built here, once, so the worker threads only read them
-    design.transpose, design.column_products, design.constant_columns
+    kept = [None] * B  # each replicate's responses, when asked to keep them
 
-    def replicate_block(first: int):
-        bs = range(first, min(first + rows, B + 1))
-        Y, W = zip(*(draw(substream(seed, b)) for b in bs))
-        Y = np.vstack(Y)
-        W = None if W[0] is None else np.vstack(W)
-        out = fit_design_batch(design, Y, family, options, weights=W, beta0=fit.coef)
-        return out.beta, out.ok, Y if keep_responses else None
+    def sample(i):
+        y, w = draw(substream(seed, i + 1))
+        if keep_responses:
+            kept[i] = y
+        return y, w
 
-    starts = range(1, B + 1, rows)
-    if n_threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            blocks = list(ex.map(replicate_block, starts))
-    else:
-        blocks = [replicate_block(first) for first in starts]
-    ok = np.concatenate([blk[1] for blk in blocks])
+    blocks = list(refit_blocks(fit.design, fit.family, sample, B, beta0=fit.coef,
+                               options=options, n_threads=n_threads))
+    ok = np.concatenate([out.ok for out in blocks])
     n_failed = B - int(ok.sum())
     if n_failed > _FAILURE_SHARE * B:
         raise TooManyFailures(
             f"{n_failed}/{B} replicate fits failed "
             f"(method={method.label}, family={spec.family})"
         )
-    replicates = np.vstack([blk[0] for blk in blocks])[ok]
-    responses = np.vstack([blk[2] for blk in blocks])[ok] if keep_responses else None
+    replicates = np.vstack([out.beta for out in blocks])[ok]
+    responses = np.vstack(kept)[ok] if keep_responses else None
 
     estimate = fit.coef
     se = se_estimate(replicates)

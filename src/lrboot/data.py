@@ -153,6 +153,8 @@ def make_dataset(
     X_raw = np.atleast_2d(np.asarray(X_raw, dtype=float))
     if X_raw.shape[0] != y.shape[0]:
         raise DimensionMismatch("y and X row counts differ")
+    if not np.all(np.isfinite(y)):
+        raise InvalidData("responses contain non-finite entries")
     if not np.all(np.isfinite(X_raw)):
         raise InvalidData("covariates contain non-finite entries")
     n, p = X_raw.shape
@@ -253,7 +255,7 @@ class DesignInfo:
 
     @cached_property
     def transpose(self) -> np.ndarray:
-        """The matrix transposed, C-contiguous: a block's eta is theta @ transpose."""
+        """The matrix transposed, C-contiguous: a block's eta is its slopes @ transpose."""
         return np.ascontiguousarray(self.matrix.T)
 
     @cached_property

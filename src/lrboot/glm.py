@@ -21,12 +21,16 @@ are Newton's and converge quadratically (McCullagh & Nelder 1989, sec.
 iteration costs one `log_ndtr` pass. Every other GLM family has its
 canonical link, where the Fisher information equals the observed one, so its
 Fisher-scoring steps are Newton's too. The cumulative-probit model
-(`CumulativeProbit`, McCullagh 1980, JRSS-B) is maximized over (alpha_1,
-log-gaps, beta), so the cutpoints stay increasing. It takes Newton steps
-too: the exact gradient and the observed information, from each
-observation's own two category edges and the accepted step's `loglik_terms`,
-each category probability taken on the nearer tail of its edges. Callers
-that fit many response vectors take `family.block_rows(n)` rows per block.
+(`CumulativeProbit`, McCullagh 1980, JRSS-B) is maximized over its own
+coefficients (alpha, beta), where its log-likelihood is concave (Pratt
+1981). It takes Newton steps too: the exact gradient and the observed
+information, from each observation's own two category edges and the
+accepted step's `loglik_terms`, each category probability taken on the
+nearer tail of its edges. A step whose cutpoints do not strictly increase
+leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
+Every caller that fits many response vectors runs `refit_blocks`, which
+draws and fits them in blocks of `family.block_rows(n)` rows, on a thread
+pool when asked.
 
 A block fit writes every b x n array (the gathered rows of Y, W, eta and the
 log-likelihood terms, the candidate eta, the terms, and each family's score
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +71,7 @@ __all__ = [
     "CumulativeProbit",
     "fit_qmle",
     "fit_design_batch",
+    "refit_blocks",
     "predict_mean",
     "family_for",
     "ordinal_probs",
@@ -219,14 +225,14 @@ def _coef_names(design: DesignInfo, n_cut: int) -> tuple[str, ...]:
 
 class _BaseFamily:
     """A GLM family: mean, variance and log-likelihood per observation, and
-    the hooks `fit_design_batch` calls for a block of rows. The driver's
-    parameter vector theta is the coefficient vector itself."""
+    the hooks `fit_design_batch` calls for a block of rows, each row a
+    coefficient vector (cutpoints, then slopes)."""
 
     name = ""
     link = ""
     check_separation = False
     cells = 1  # response cells per observation
-    n_cut = 0  # entries of theta ahead of the slopes
+    n_cut = 0  # cutpoints ahead of the slopes in a coefficient vector
     free_dispersion = False  # simulate with a Pearson dispersion estimate
 
     def block_rows(self, n: int) -> int:
@@ -241,21 +247,16 @@ class _BaseFamily:
         """Cold start for one response vector."""
         return np.zeros(design.q)
 
-    def to_theta(self, coef):
-        return coef
-
-    def to_coef(self, theta):
-        return theta
-
-    def valid_eta(self, eta):
-        """Whether each linear-predictor vector (last axis) lies in the
-        link's domain: a bool for 1-D eta, one bool per row for 2-D eta."""
-        return np.ones(np.shape(eta)[:-1], dtype=bool)
+    def valid(self, coef, eta):
+        """Whether each coefficient vector (last axis) and its linear
+        predictor eta lie in the model's domain: a bool for 1-D arguments,
+        one bool per row for 2-D ones."""
+        return np.ones(np.shape(coef)[:-1], dtype=bool)
 
     def clamp_response(self, vals):
         return vals
 
-    def score(self, ws, design, Y, W, theta, eta, terms):
+    def score(self, ws, design, Y, W, coef, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
         X' diag(w D^2 / V) X of the rows a mask selects. `terms` holds the
         `loglik_terms` at eta, for a family that can reuse them.
@@ -298,7 +299,7 @@ class BinomialProbit(_BaseFamily):
     def variance(self, mu, out=None):
         return np.multiply(mu, np.subtract(1.0, mu, out=out), out=out)
 
-    def loglik_terms(self, ws, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, coef=None):
         t = ws.floats("loglik", np.shape(eta))
         if np.all((y == 0.0) | (y == 1.0)):
             # one log_ndtr per observation, at (2y - 1) eta: eta where y = 1
@@ -314,7 +315,7 @@ class BinomialProbit(_BaseFamily):
         t += down  # y log Phi(eta) + (1 - y) log Phi(-eta)
         return t
 
-    def score(self, ws, design, Y, W, theta, eta, terms):
+    def score(self, ws, design, Y, W, coef, eta, terms):
         """Exact gradient of the probit log-likelihood and its observed
         information, with lam(z) = phi(z) / Phi(z) taken in log space. For
         binary y, z = (2y - 1) eta, the score is (2y - 1) lam(z) and the
@@ -401,7 +402,7 @@ class BinomialLogit(BinomialProbit):
         mu = expit(eta)
         return np.multiply(mu, np.subtract(1.0, mu, out=out), out=out)
 
-    def loglik_terms(self, ws, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, coef=None):
         t = np.multiply(y, eta, out=ws.floats("loglik", np.shape(eta)))
         t -= np.logaddexp(0.0, eta, out=ws.floats("s0", t.shape))
         return t
@@ -420,7 +421,7 @@ class PoissonLog(_BaseFamily):
     def variance(self, mu, out=None):
         return np.maximum(mu, _MU_EPS, out=out)
 
-    def loglik_terms(self, ws, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, coef=None):
         t = np.multiply(y, eta, out=ws.floats("loglik", np.shape(eta)))
         t -= self.mean(eta, out=ws.floats("s0", t.shape))
         return t
@@ -450,14 +451,14 @@ class GammaInverse(_BaseFamily):
     def variance(self, mu, out=None):
         return np.square(mu, out=out)
 
-    def loglik_terms(self, ws, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, coef=None):
         t = np.negative(y, out=ws.floats("loglik", np.shape(eta)))
         with np.errstate(divide="ignore", invalid="ignore"):
             t *= eta
             t += np.log(eta, out=ws.floats("s0", t.shape))  # -y eta + log eta
         return t
 
-    def valid_eta(self, eta):
+    def valid(self, coef, eta):
         return np.all(eta > 0, axis=-1)
 
     def clamp_response(self, vals):
@@ -500,7 +501,7 @@ class GaussianIdentity(_BaseFamily):
     def variance(self, mu, out=None):
         return _ones(mu, out)
 
-    def loglik_terms(self, ws, y, eta, theta=None):
+    def loglik_terms(self, ws, y, eta, coef=None):
         t = np.subtract(y, eta, out=ws.floats("loglik", np.shape(eta)))
         np.square(t, out=t)
         t *= -0.5
@@ -518,9 +519,9 @@ class CumulativeProbit(_BaseFamily):
     """Cumulative-link probit model for responses coded 1..J:
     P(Y <= j) = Phi(alpha_j - eta) with increasing cutpoints alpha.
 
-    Coefficients are (alpha_1..alpha_{J-1}, beta); the driver's theta is
-    (alpha_1, log-gaps, beta), so every theta gives increasing cutpoints.
-    Fits take Newton steps with the observed information (see `score`).
+    Coefficients are (alpha_1..alpha_{J-1}, beta), and fits take Newton
+    steps in them with the observed information (see `score`). Cutpoints
+    that do not strictly increase lie outside the model's domain (`valid`).
     """
 
     name, link = "ordinal", "probit"
@@ -555,32 +556,17 @@ class CumulativeProbit(_BaseFamily):
     def start(self, design, y, w):
         counts = self._counts(y[None], None if w is None else w[None])[0]
         cum = np.cumsum(counts)[: self.n_cut] / np.sum(counts)
-        return self.to_theta(np.concatenate([ndtri(cum), np.zeros(design.q)]))
+        return np.concatenate([ndtri(cum), np.zeros(design.q)])
 
-    def cutpoints(self, theta):
-        """Cutpoints (b x (J-1)) and gaps exp(log-gaps) of each row of theta."""
-        with np.errstate(over="ignore"):
-            gaps = np.exp(theta[:, 1 : self.n_cut])
-        rise = np.concatenate([np.zeros((len(theta), 1)), np.cumsum(gaps, axis=1)], axis=1)
-        return theta[:, :1] + rise, gaps
+    def valid(self, coef, eta):
+        return np.all(np.diff(coef[..., : self.n_cut], axis=-1) > 0, axis=-1)
 
-    def to_theta(self, coef):
-        K = self.n_cut
-        return np.concatenate(
-            [coef[..., :1], np.log(np.diff(coef[..., :K], axis=-1)), coef[..., K:]],
-            axis=-1,
-        )
-
-    def to_coef(self, theta):
-        return np.concatenate([self.cutpoints(theta)[0], theta[:, self.n_cut :]], axis=1)
-
-    def _edges(self, ws, Y, eta, theta):
+    def _edges(self, ws, Y, eta, coef):
         """Each observation's own category edges less eta: u = alpha_k - eta
         and l = alpha_{k-1} - eta for Y = k, with alpha_0 = -inf and
         alpha_J = inf (b x n each, in slots "s0" and "s1")."""
-        alpha, _ = self.cutpoints(theta)
-        side = np.full((len(theta), 1), np.inf)
-        edges = np.concatenate([-side, alpha, side], axis=1)
+        side = np.full((len(coef), 1), np.inf)
+        edges = np.concatenate([-side, coef[:, : self.n_cut], side], axis=1)
         # flat index of edge k in each row of edges
         k = ws.ints("i0", np.shape(Y))
         np.copyto(k, Y, casting="unsafe")
@@ -592,8 +578,8 @@ class CumulativeProbit(_BaseFamily):
         lower -= eta
         return upper, lower
 
-    def loglik_terms(self, ws, y, eta, theta):
-        upper, lower = self._edges(ws, y, eta, theta)
+    def loglik_terms(self, ws, y, eta, coef):
+        upper, lower = self._edges(ws, y, eta, coef)
         # take P = Phi(u) - Phi(l) on the nearer tail, as Phi(-l) - Phi(-u)
         # where l > 0: there both Phi terms round toward 1
         s = np.multiply(lower > 0.0, -2.0, out=ws.floats("loglik", upper.shape))
@@ -604,9 +590,8 @@ class CumulativeProbit(_BaseFamily):
         np.maximum(s, _P_MIN, out=s)
         return np.log(s, out=s)
 
-    def score(self, ws, design, Y, W, theta, eta, terms):
-        """Exact gradient and observed information in (alpha, beta), carried
-        to theta by T' I T with T = d(alpha, beta) / d theta.
+    def score(self, ws, design, Y, W, coef, eta, terms):
+        """Exact gradient and observed information in (alpha, beta).
 
         An observation in category k touches only its own edges u and l (see
         `_edges`). With P = exp(terms), the accepted step's probability, take
@@ -614,14 +599,12 @@ class CumulativeProbit(_BaseFamily):
         u a - l c + (a - c)^2 in eta, a (u + a) in alpha_k, c (c - l) in
         alpha_{k-1}, -a c between the two cutpoints, and -a (u + a - c) and
         c (l + a - c) between them and eta. It is positive semi-definite, as
-        the log-likelihood is concave in (alpha, beta) (Pratt 1981). The
-        term g_alpha d^2 alpha / d theta^2 of the Hessian in theta is left
-        out: it vanishes at the optimum, and T' I T stays PSD.
+        the log-likelihood is concave in (alpha, beta) (Pratt 1981).
         """
         K, J = self.n_cut, self.cells
-        b, p = len(theta), design.q
+        b, p = len(coef), design.q
         shape = np.shape(Y)
-        u, l = self._edges(ws, Y, eta, theta)
+        u, l = self._edges(ws, Y, eta, coef)
         # the log-likelihood is flat where loglik_terms clips P at _P_MIN,
         # so those cells add nothing
         inv = np.negative(terms, out=ws.floats("s2", shape))
@@ -679,17 +662,6 @@ class CumulativeProbit(_BaseFamily):
         g_beta = np.subtract(c, a, out=tmp)
         g_beta = (g_beta if W is None else np.multiply(W, g_beta, out=g_beta)) @ design.matrix
         g = np.concatenate([by_cat(a)[:, :K] - by_cat(c)[:, 1:], g_beta], axis=1)
-        # Jacobian d(alpha, beta) / d theta: d alpha_a / d theta_k is 1 for
-        # k = 0 and gap k for 1 <= k <= a
-        _, gaps = self.cutpoints(theta)
-        T = np.zeros((b, K + p, K + p))
-        T[:, :K, :K] = np.tril(np.ones((K, K))) * np.concatenate(
-            [np.ones((b, 1)), gaps], axis=1
-        )[:, None, :]
-        T[:, K:, K:] = np.eye(p)
-        Tt = T.transpose(0, 2, 1)
-        H = Tt @ H @ T
-        g = (Tt @ g[:, :, None])[:, :, 0]
         return g, lambda sel: H[sel]
 
     def fitted(self, Xd, coef):
@@ -806,14 +778,16 @@ def fit_design_batch(
     b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
     the family's coefficients; None starts each row at the family's cold
     start. Rows the family screens out (constant binary responses, an empty
-    ordinal category) fail before any step. Every other row follows the same
-    rules: the score test max|g| <= tol, step-halving with a few-ulp plateau
-    slack, the link-domain check and, after each accepted step, the
-    separation bound. A row that fails records its error (NonConvergence,
-    SeparationDetected, EmptyCategory, or RankDeficient for a singular
-    information matrix) and the other rows carry on. The design rank is not
-    checked. The design's transpose and column products are built on its
-    first fit and reused by every later one.
+    ordinal category) fail before any step, and so do rows whose start lies
+    outside the model's domain (`family.valid`) or has a log-likelihood that
+    is not finite (a NaN response). Every other row follows the same rules:
+    the score test max|g| <= tol, step-halving with a few-ulp plateau slack,
+    the domain check and, after each accepted step, the separation bound. A
+    row that fails records its error (NonConvergence, SeparationDetected,
+    EmptyCategory, or RankDeficient for a singular information matrix) and
+    the other rows carry on. The design rank is not checked. The design's
+    transpose and column products are built on its first fit and reused by
+    every later one.
 
     The block stays row-major so that each row's log-likelihood is summed in
     the same pairwise order as a 1-D sum; summing an n x b block down its
@@ -839,10 +813,10 @@ def fit_design_batch(
             return A
         return np.take(A, rows, axis=0, out=ws.floats(name, (rows.size, n)), mode="clip")
 
-    def loglik(rows, theta, eta):
+    def loglik(rows, coef, eta):
         """Summed log-likelihood per row, and its terms for `family.score`
         (a workspace view, valid until the next hook call)."""
-        terms = family.loglik_terms(ws, gather("Y_rows", Y, rows), eta, theta)
+        terms = family.loglik_terms(ws, gather("Y_rows", Y, rows), eta, coef)
         if W is None:
             s = np.sum(terms, axis=1)
         else:
@@ -854,7 +828,7 @@ def fit_design_batch(
 
     def score(rows):
         return family.score(ws, design, gather("Y_rows", Y, rows), gather("W_rows", W, rows),
-                            theta[rows], gather("eta_rows", eta, rows),
+                            coef[rows], gather("eta_rows", eta, rows),
                             gather("terms_rows", terms, rows))
 
     def not_converged(r):
@@ -864,24 +838,28 @@ def fit_design_batch(
         )
 
     errors = family.screen(design, Y, W)
-    theta = np.zeros((b, k + q))
+    coef = np.zeros((b, k + q))
     if beta0 is not None:
-        theta[:] = family.to_theta(np.asarray(beta0, dtype=float))
+        coef[:] = beta0
     else:
         for r in range(b):
             if errors[r] is None:
                 try:
-                    theta[r] = family.start(design, Y[r], None if W is None else W[r])
+                    coef[r] = family.start(design, Y[r], None if W is None else W[r])
                 except FitError as exc:
                     errors[r] = exc
-    eta = np.matmul(theta[:, k:], design.transpose, out=ws.floats("eta", Y.shape))
-    for r in np.flatnonzero(~family.valid_eta(eta)):
+    eta = np.matmul(coef[:, k:], design.transpose, out=ws.floats("eta", Y.shape))
+    for r in np.flatnonzero(~family.valid(coef, eta)):
         if errors[r] is None:
-            errors[r] = NonConvergence("starting point outside the link's domain")
+            errors[r] = NonConvergence("starting point outside the model's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
     ll = np.full(b, -np.inf)
     terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
-    ll[act], terms[act] = loglik(act, theta[act], gather("eta_rows", eta, act))
+    ll[act], terms[act] = loglik(act, coef[act], gather("eta_rows", eta, act))
+    # every candidate would pass the ascent test against a start at -inf
+    for r in act[ll[act] == -np.inf]:
+        errors[r] = NonConvergence("log-likelihood is not finite at the starting point")
+    act = act[ll[act] > -np.inf]
     iterations = np.zeros(b, dtype=int)
     grad_norm = np.full(b, np.nan)
     eps4 = 4.0 * np.finfo(float).eps
@@ -900,7 +878,7 @@ def fit_design_batch(
         act, step = act[~singular], step[~singular]
 
         # step-halving per row; `pend` indexes the rows still searching
-        base, ll0 = theta[act], ll[act]
+        base, ll0 = coef[act], ll[act]
         bound = 1e-6 * (1.0 + np.max(np.abs(base), axis=1))
         plateau = eps4 * (1.0 + np.abs(ll0))
         t = np.ones(act.size)
@@ -918,11 +896,11 @@ def fit_design_batch(
             # few-ulp slack lets the (tiny) final Newton step through
             tiny = np.max(np.abs(ts), axis=1) <= bound[pend]
             slack = np.where(tiny, plateau[pend], 0.0)
-            acc = family.valid_eta(eta_c) & (ll_c >= ll0[pend] - slack)
+            acc = family.valid(cand, eta_c) & (ll_c >= ll0[pend] - slack)
             # a basic slice takes every row without a copy
             sel = slice(None) if acc.all() else acc
             hit = rows[sel]
-            theta[hit], eta[hit], ll[hit] = cand[sel], eta_c[sel], ll_c[sel]
+            coef[hit], eta[hit], ll[hit] = cand[sel], eta_c[sel], ll_c[sel]
             terms[hit] = terms_c[sel]
             pend = pend[~acc]
             if not pend.size:
@@ -933,7 +911,7 @@ def fit_design_batch(
         act = np.delete(act, pend)
         iterations[act] += 1
         if family.check_separation:
-            sep = np.max(np.abs(theta[act]), axis=1) > opts.separation_bound
+            sep = np.max(np.abs(coef[act]), axis=1) > opts.separation_bound
             for r in act[sep]:
                 errors[r] = SeparationDetected(
                     f"|beta| exceeded {opts.separation_bound:g}; data may be separated"
@@ -943,11 +921,41 @@ def fit_design_batch(
         # the iteration cap was reached: a final score test decides
         g, _ = score(act)
         grad_norm[act] = np.max(np.abs(g), axis=1)
-        for r in act[grad_norm[act] > opts.tol]:
+        for r in act[~(grad_norm[act] <= opts.tol)]:
             errors[r] = not_converged(r)
-    out = BatchFit(family.to_coef(theta), iterations, grad_norm, errors, ll)
+    out = BatchFit(coef, iterations, grad_norm, errors, ll)
     out.beta[~out.ok] = np.nan
     return out
+
+
+def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1):
+    """Fit `count` drawn response vectors on one design, in blocks of
+    `family.block_rows(n)` rows: yields each block's `BatchFit`, in row
+    order.
+
+    Row i is `draw(i) -> (y, w or None)`, drawn by the thread that fits its
+    block; every row starts at `beta0` (None: the family's cold start). With
+    n_threads > 1 and more than one block, a thread pool fits whole blocks.
+    The rows of a block do not depend on n_threads, so the fits are
+    bit-identical for any thread count. On one thread a block is drawn and
+    fit only when it is asked for, so a caller that stops early fits no
+    further block.
+    """
+    rows = family.block_rows(design.matrix.shape[0])
+
+    def block(first):
+        Y, W = zip(*(draw(i) for i in range(first, min(first + rows, count))))
+        W = None if W[0] is None else np.vstack(W)
+        return fit_design_batch(design, np.vstack(Y), family, options, weights=W, beta0=beta0)
+
+    starts = range(0, count, rows)
+    if n_threads > 1 and len(starts) > 1:
+        # built here, once, so the worker threads only read them
+        design.transpose, design.column_products, design.constant_columns
+        with ThreadPoolExecutor(max_workers=n_threads) as ex:
+            yield from ex.map(block, starts)
+    else:
+        yield from map(block, starts)
 
 
 def _check_rank(family, design: DesignInfo) -> None:

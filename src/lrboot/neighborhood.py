@@ -340,7 +340,6 @@ def select_size(
 
     def full_psi(l_val: int) -> float:
         if l_val not in full_cache:
-            nb = build_neighborhoods(data, min(l_val, n))
             out = run(
                 data,
                 spec,
@@ -348,7 +347,6 @@ def select_size(
                 B=B_inner,
                 seed=derive_seed(seed, "full", l_val),
                 fit=fit0,
-                neighborhoods=nb,
                 n_threads=n_threads,
             )
             full_cache[l_val] = float(out.se_hat[target_coef])

@@ -21,14 +21,7 @@ from scipy.special import expit, ndtr, ndtri
 from .bootstrap import ci_percentile, run
 from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import TooManyFailures, UnknownScenario
-from .glm import (
-    FitResult,
-    _check_rank,
-    _coef_names,
-    family_for,
-    fit_design_batch,
-    fit_qmle,
-)
+from .glm import FitResult, _check_rank, _coef_names, family_for, fit_qmle, refit_blocks
 from .neighborhood import build_neighborhoods
 from .residuals import surrogate_values
 from .rng import derive_seed, stable_int, substream
@@ -69,8 +62,8 @@ class ScenarioDef:
     default_n: int
     make_x: callable  # (rng, n, params) -> X_full
     draw_y: callable  # (rng, X_full, params) -> y
-    assumed: callable  # (params) -> ModelSpec
-    observed: callable  # (params) -> (col indices, meta, names) into X_full
+    assumed: ModelSpec
+    observed: tuple  # (col indices, meta, names) into X_full
     defaults: dict = field(default_factory=dict)
     x_param_names: tuple = ()  # params that alter the covariate draw
     paper_l: int | None = None  # neighborhood size when the source states one
@@ -107,21 +100,9 @@ def default_neighborhood_size(scenario_id: str, n: int) -> int:
 # scenario registry
 
 
-def _obs_all(k, names=None, meta=None):
+def _obs_all(k, names=None):
     names = names or tuple(f"x{j + 1}" for j in range(k))
-    meta = meta or tuple("continuous" for _ in range(k))
-
-    def observed(params):
-        return list(range(k)), meta, names
-
-    return observed
-
-
-def _binary_probit_spec(k):
-    def assumed(params):
-        return ModelSpec("binomial", "probit", _terms(k))
-
-    return assumed
+    return list(range(k)), tuple("continuous" for _ in range(k)), names
 
 
 def _sc1_make_x(rng, n, params):
@@ -141,7 +122,7 @@ _register(
         default_n=2000,
         make_x=_sc1_make_x,
         draw_y=lambda rng, X, p: (rng.random(X.shape[0]) < ndtr(_sc1_index(X, p))).astype(float),
-        assumed=_binary_probit_spec(1),
+        assumed=ModelSpec("binomial", "probit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
         defaults={"beta2": -2.0},
         paper_l=10,
@@ -154,7 +135,7 @@ _register(
         default_n=2000,
         make_x=_sc1_make_x,
         draw_y=lambda rng, X, p: (rng.random(X.shape[0]) < expit(_sc1_index(X, p))).astype(float),
-        assumed=lambda p: ModelSpec("binomial", "logit", _terms(1)),
+        assumed=ModelSpec("binomial", "logit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
         defaults={"beta2": -2.0},
         paper_l=10,
@@ -184,7 +165,7 @@ _register(
         default_n=2000,
         make_x=lambda rng, n, p: rng.uniform(1.0, 7.0, size=(n, 1)),
         draw_y=_sc1_ordinal_draw,
-        assumed=lambda p: ModelSpec(
+        assumed=ModelSpec(
             "ordinal", "probit", _terms(1), include_intercept=False, n_categories=4
         ),
         observed=_obs_all(1, names=("x",)),
@@ -215,7 +196,7 @@ _register(
         default_n=2000,
         make_x=_sc2_make_x,
         draw_y=_sc2_draw_y,
-        assumed=_binary_probit_spec(10),
+        assumed=ModelSpec("binomial", "probit", _terms(10)),
         observed=_obs_all(10),
         defaults={"correlated": False},
         x_param_names=("correlated",),
@@ -239,8 +220,8 @@ _register(
         draw_y=lambda rng, X, p: (
             rng.random(X.shape[0]) < ndtr(-1.0 + 2.0 * X[:, 0] + 2.0 * X[:, 1])
         ).astype(float),
-        assumed=_binary_probit_spec(1),
-        observed=lambda p: ([0], ("continuous",), ("x1",)),  # x2 unobserved
+        assumed=ModelSpec("binomial", "probit", _terms(1)),
+        observed=([0], ("continuous",), ("x1",)),  # x2 unobserved
         defaults={"correlated": False},
         x_param_names=("correlated",),
     )
@@ -254,7 +235,7 @@ _register(
         draw_y=lambda rng, X, p: (
             rng.random(X.shape[0]) < ndtr(-2.0 + 4.0 * np.exp(X[:, 0]))
         ).astype(float),
-        assumed=_binary_probit_spec(1),
+        assumed=ModelSpec("binomial", "probit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -267,7 +248,7 @@ _register(
         draw_y=lambda rng, X, p: (
             rng.random(X.shape[0]) < ndtr(5.0 * np.sin(X[:, 0]))
         ).astype(float),
-        assumed=_binary_probit_spec(1),
+        assumed=ModelSpec("binomial", "probit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -288,22 +269,14 @@ def _sc5_draw(rng, X, params):
     return (rng.random(X.shape[0]) < ndtr(index)).astype(float)
 
 
-def _sc5_observed(params):
-    return [0, 1], ("continuous", "categorical"), ("x", "u")
-
-
-def _sc5_assumed(params):
-    return ModelSpec("binomial", "probit", _terms(2))
-
-
 _register(
     ScenarioDef(
         id="SC5_slope",
         default_n=2000,
         make_x=_sc5_make_x,
         draw_y=_sc5_draw,
-        assumed=_sc5_assumed,
-        observed=_sc5_observed,
+        assumed=ModelSpec("binomial", "probit", _terms(2)),
+        observed=([0, 1], ("continuous", "categorical"), ("x", "u")),
         defaults={"shift_intercept": False},
     )
 )
@@ -314,8 +287,8 @@ _register(
         default_n=2000,
         make_x=_sc5_make_x,
         draw_y=_sc5_draw,
-        assumed=_sc5_assumed,
-        observed=_sc5_observed,
+        assumed=ModelSpec("binomial", "probit", _terms(2)),
+        observed=([0, 1], ("continuous", "categorical"), ("x", "u")),
         defaults={"shift_intercept": True},
     )
 )
@@ -334,8 +307,8 @@ _register(
             rng.random(X.shape[0])
             < ndtr(1.0 + X[:, 0] - X[:, 1] - 4.0 * X[:, 0] * X[:, 1])
         ).astype(float),
-        assumed=_sc5_assumed,
-        observed=lambda p: ([0, 1], ("categorical", "categorical"), ("x1", "x2")),
+        assumed=ModelSpec("binomial", "probit", _terms(2)),
+        observed=([0, 1], ("categorical", "categorical"), ("x1", "x2")),
     )
 )
 
@@ -352,7 +325,7 @@ _register(
         default_n=200,
         make_x=lambda rng, n, p: rng.uniform(0.0, 2.0, size=(n, 1)),
         draw_y=_sc7_draw,
-        assumed=lambda p: ModelSpec("binomial", "logit", _terms(1)),
+        assumed=ModelSpec("binomial", "logit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -365,7 +338,7 @@ _register(
         draw_y=lambda rng, X, p: rng.poisson(
             np.exp(4.0 + 2.0 * X[:, 0] - X[:, 0] ** 2)
         ).astype(float),
-        assumed=lambda p: ModelSpec("poisson", "log", _terms(1)),
+        assumed=ModelSpec("poisson", "log", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -378,7 +351,7 @@ _register(
         draw_y=lambda rng, X, p: rng.gamma(
             1.0, np.exp(2.0 + X[:, 0] - X[:, 0] ** 2)
         ),
-        assumed=lambda p: ModelSpec("gamma", "inverse", _terms(1)),
+        assumed=ModelSpec("gamma", "inverse", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -408,16 +381,10 @@ _register(
         default_n=2000,
         make_x=_sc10_make_x,
         draw_y=_sc10_draw,
-        assumed=lambda p: ModelSpec("gaussian", "identity", _terms(3)),
+        assumed=ModelSpec("gaussian", "identity", _terms(3)),
         observed=_obs_all(3),
     )
 )
-
-
-def _sc11_assumed(params):
-    return ModelSpec(
-        "gaussian", "identity", (Term("raw", 0), Term("power", 0, power=2))
-    )
 
 
 _register(
@@ -431,7 +398,9 @@ _register(
             + X[:, 0] ** 2
             + (X[:, 0] - 0.5) ** 2 * rng.standard_normal(X.shape[0])
         ),
-        assumed=_sc11_assumed,
+        assumed=ModelSpec(
+            "gaussian", "identity", (Term("raw", 0), Term("power", 0, power=2))
+        ),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -451,8 +420,8 @@ _register(
             [rng.standard_normal(n), (rng.random(n) < 0.5).astype(float)]
         ),
         draw_y=_sc12_draw,
-        assumed=lambda p: ModelSpec("gaussian", "identity", _terms(2)),
-        observed=lambda p: ([0, 1], ("continuous", "categorical"), ("x", "u")),
+        assumed=ModelSpec("gaussian", "identity", _terms(2)),
+        observed=([0, 1], ("continuous", "categorical"), ("x", "u")),
     )
 )
 
@@ -469,7 +438,7 @@ _register(
         draw_y=lambda rng, X, p: (
             rng.random(X.shape[0]) < ndtr(_irregular_index(X[:, 0]))
         ).astype(float),
-        assumed=_binary_probit_spec(1),
+        assumed=ModelSpec("binomial", "probit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -489,7 +458,7 @@ _register(
                 - (X[:, 0] - X[:, 1]) ** 2
             )
         ).astype(float),
-        assumed=_binary_probit_spec(2),
+        assumed=ModelSpec("binomial", "probit", _terms(2)),
         observed=_obs_all(2),
     )
 )
@@ -502,7 +471,7 @@ _register(
         draw_y=lambda rng, X, p: (
             rng.random(X.shape[0]) < ndtr(_irregular_index(X[:, 0]))
         ).astype(float),
-        assumed=_binary_probit_spec(1),
+        assumed=ModelSpec("binomial", "probit", _terms(1)),
         observed=_obs_all(1, names=("x",)),
         paper_l=4,
     )
@@ -518,7 +487,7 @@ _register(
         draw_y=lambda rng, X, p: 1.0
         + 2.0 * X[:, 0]
         + 0.5 * rng.standard_normal(X.shape[0]),
-        assumed=lambda p: ModelSpec("gaussian", "identity", _terms(1)),
+        assumed=ModelSpec("gaussian", "identity", _terms(1)),
         observed=_obs_all(1, names=("x",)),
     )
 )
@@ -587,8 +556,8 @@ def _draw_response(scn, X_full, n, seed, params, purpose, y_index):
     return scn.draw_y(rng, X_full, params)
 
 
-def _dataset_from(scn, X_full, y, params) -> Dataset:
-    cols, meta, names = scn.observed(params)
+def _dataset_from(scn, X_full, y) -> Dataset:
+    cols, meta, names = scn.observed
     return make_dataset(y, X_full[:, cols], column_meta=meta, column_names=names)
 
 
@@ -606,7 +575,7 @@ def generate(
     params = _merged_params(scn, params)
     X_full = _frozen_x(scn, n, seed, params)
     y = _draw_response(scn, X_full, n, seed, params, _PURPOSE_ADHOC, y_index)
-    return _dataset_from(scn, X_full, y, params)
+    return _dataset_from(scn, X_full, y)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +637,10 @@ def pseudo_truth(
     cache_path=None,
 ) -> PseudoTruth:
     """Monte Carlo pseudo-true parameter (mean of QMLE fits over response
-    redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation)."""
+    redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation).
+
+    The redraws are fit from cold starts by `glm.refit_blocks`. More than 5%
+    failed fits raises TooManyFailures after the first block over the cap."""
     scn = get_scenario(scenario_id)
     n = n or scn.default_n
     merged = _merged_params(scn, params)
@@ -695,29 +667,25 @@ def pseudo_truth(
     if reps < 100:
         raise TooManyFailures("pseudo_truth needs reps >= 100")
     X_full = _frozen_x(scn, n, seed, merged)
-    spec = scn.assumed(merged)
+    spec = scn.assumed
     y0 = _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, 0)
-    design = build_design(_dataset_from(scn, X_full, y0, merged), spec)
+    design = build_design(_dataset_from(scn, X_full, y0), spec)
     family = family_for(spec)
     _check_rank(family, design)
-    rows = family.block_rows(n)
+
+    def redraw(r):
+        return _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, r), None
+
     coefs = []
-    n_failed = 0
-    for first in range(0, reps, rows):
-        last = min(first + rows, reps)
-        Y = np.vstack(
-            [
-                _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, r)
-                for r in range(first, last)
-            ]
-        )
-        out = fit_design_batch(design, Y, family)
+    n_failed = n_fit = 0
+    for out in refit_blocks(design, family, redraw, reps):
         ok = out.ok
+        n_fit += ok.size
         n_failed += int(np.sum(~ok))
         if n_failed > 0.05 * reps:
             cause = next(e for e in out.errors if e is not None)
             raise TooManyFailures(
-                f"{n_failed} pseudo-truth fits failed out of {last}"
+                f"{n_failed} pseudo-truth fits failed out of {n_fit}"
             ) from cause
         coefs.append(out.beta[ok])
     coefs = np.vstack(coefs)
@@ -810,10 +778,10 @@ def run_experiment(
     merged = _merged_params(scn, params)
     if merged != truth.params:
         raise UnknownScenario("params do not match the pseudo-truth object")
-    spec = scn.assumed(merged)
+    spec = scn.assumed
     X_full = _frozen_x(scn, n, truth.seed, merged)
     y0 = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_EXPERIMENT, 0)
-    ds0 = _dataset_from(scn, X_full, y0, merged)
+    ds0 = _dataset_from(scn, X_full, y0)
     design = build_design(ds0, spec)
     t = truth.first_slope
     beta_target = float(truth.beta_dagger[t])
@@ -999,9 +967,9 @@ def theorem1_ks(
     merged = truth.params
     n = truth.n
     X_full = _frozen_x(scn, n, truth.seed, merged)
-    spec = scn.assumed(merged)
+    spec = scn.assumed
     y = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_ADHOC, 1000 + rep)
-    ds = _dataset_from(scn, X_full, y, merged)
+    ds = _dataset_from(scn, X_full, y)
     fit = fit_qmle(ds, spec)
     r_hat = surrogate_values(fit, ds.y, substream(seed, rep, 0))
     pick = build_neighborhoods(ds, l).picker()

@@ -198,7 +198,7 @@ def test_criterion_05_case2_attainable_part(case2_reports):
 
 def test_criterion_06_neighborhood_size_selection():
     ds = sl.generate("SC1_probit", n=2000, seed=31)
-    spec = sl.get_scenario("SC1_probit").assumed({"beta2": -2.0})
+    spec = sl.get_scenario("SC1_probit").assumed
     trace = select_size(ds, spec, "surrogate", seed=5)
     ok = 3 <= trace.final_l <= 8 and len(trace.per_iteration) <= 20
     _note(

@@ -383,7 +383,7 @@ def test_parametric_draws_match_per_replicate_loop(scenario):
     # responses drawn by a loop over substream(seed, b): gaussian and gamma
     # with their dispersion estimates, ordinal by its cumulative draw
     ds = simlab.generate(scenario, n=300, seed=4)
-    spec = simlab.get_scenario(scenario).assumed({})
+    spec = simlab.get_scenario(scenario).assumed
     fit = lb.fit_qmle(ds, spec)
     out = run(ds, spec, BootstrapMethod.parametric(), B=24, seed=6, fit=fit,
               keep_responses=True)

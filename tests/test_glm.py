@@ -408,6 +408,15 @@ def test_dataset_rejects_non_finite_covariates_before_standardizing():
             lb.make_dataset(np.zeros(4), X)
 
 
+def test_dataset_rejects_non_finite_responses():
+    from lrboot.errors import InvalidData
+
+    x = np.linspace(0.0, 1.0, 4)[:, None]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidData):
+            lb.make_dataset(np.array([0.0, bad, 1.0, 1.0]), x)
+
+
 def test_family_registry_rejects_unknown_pairs():
     from lrboot.errors import UnsupportedKind
 

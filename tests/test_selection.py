@@ -87,7 +87,7 @@ def test_optimism_correction_positive_for_least_squares_refits():
     # the refit minimizes term 3's loss for the gaussian family, so the
     # optimism term2 - term3 is positive on average there
     ds = sl.generate("SC11", n=2000, seed=4)
-    spec = sl.get_scenario("SC11").assumed({})
+    spec = sl.get_scenario("SC11").assumed
     t1, t2, t3 = _three_terms(ds, spec, BootstrapMethod.lrb("raw", 13), 2000, 9, 13)
     assert float((t2 - t3).mean()) > 0
     assert float((t2 - t1).mean()) > 0

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 import lrboot as lb
+from lrboot import glm
 from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod
 from lrboot.errors import (
@@ -42,7 +43,7 @@ def test_every_scenario_generates_and_fits(scenario_id):
         ds = sl.generate(scenario_id, n=n, seed=1)
     assert ds.n == n
     scn = sl.get_scenario(scenario_id)
-    spec = scn.assumed(dict(scn.defaults))
+    spec = scn.assumed
     fit = lb.fit_qmle(ds, spec)
     assert fit.converged
 
@@ -73,7 +74,7 @@ def test_sc1_correctly_specified_recovers_slope():
     slopes = []
     for r in range(50):
         ds = sl.generate("SC1_probit", n=2000, seed=11, params={"beta2": 0.0}, y_index=r)
-        fit = lb.fit_qmle(ds, sl.get_scenario("SC1_probit").assumed({"beta2": 0.0}))
+        fit = lb.fit_qmle(ds, sl.get_scenario("SC1_probit").assumed)
         raw = lb.back_transform(fit.beta_hat.copy(), fit.design)
         slopes.append(raw[1])
     slopes = np.array(slopes)
@@ -121,11 +122,11 @@ def _per_redraw_truth(scenario_id, n, reps, seed):
     scn = sl.get_scenario(scenario_id)
     params = dict(scn.defaults)
     X_full = sl._frozen_x(scn, n, seed, params)
-    spec = scn.assumed(params)
+    spec = scn.assumed
     coefs = []
     for r in range(reps):
         y = sl._draw_response(scn, X_full, n, seed, params, sl._PURPOSE_PSEUDO, r)
-        coefs.append(lb.fit_qmle(sl._dataset_from(scn, X_full, y, params), spec).coef)
+        coefs.append(lb.fit_qmle(sl._dataset_from(scn, X_full, y), spec).coef)
     coefs = np.vstack(coefs)
     return coefs.mean(axis=0), coefs.std(axis=0)
 
@@ -142,7 +143,7 @@ def test_pseudo_truth_blocks_match_per_redraw_fits(scenario_id, reps):
 def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
     # three failures in each block: the 5% cap of 100 redraws is first
     # exceeded by the second block, which raises once it is fit
-    real = sl.fit_design_batch
+    real = glm.fit_design_batch
     blocks = []
 
     def failing(*args, **kwargs):
@@ -152,7 +153,7 @@ def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
             out.errors[r] = NonConvergence("injected")
         return out
 
-    monkeypatch.setattr(sl, "fit_design_batch", failing)
+    monkeypatch.setattr(glm, "fit_design_batch", failing)
     with pytest.raises(TooManyFailures) as info:
         sl.pseudo_truth("GaussianCheck", n=2000, reps=100, seed=3)
     assert len(blocks) == 2 and blocks[0] < 50
