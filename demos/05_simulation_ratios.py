@@ -1,9 +1,10 @@
 """Desk-scale coverage experiment: estimated-vs-true standard error ratios.
 
 The pseudo-true standard error comes from Monte Carlo refits on a frozen
-design; each bootstrap method is then scored on how close its SE estimate
-lands and how often its intervals cover the pseudo-true slope. Demo sizes
-are deliberately small; scale reps/B up for publication-quality numbers.
+design, which the truth keeps; each bootstrap method is then scored on that
+same design by how close its SE estimate lands and how often its intervals
+cover the pseudo-true slope. Demo sizes are deliberately small; scale reps/B
+up for publication-quality numbers.
 """
 
 from lrboot import simlab
@@ -17,7 +18,6 @@ print(
 )
 
 report = simlab.run_experiment(
-    "SC1_probit",
     [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()],
     truth,
     B=200,

@@ -34,7 +34,7 @@ from .errors import (
     UsageError,
 )
 from .glm import fit_qmle
-from .neighborhood import select_size
+from .neighborhood import default_size, select_size
 from .rng import substream
 from .selection import CandidateSet, rank_models
 from .simlab import (
@@ -523,7 +523,7 @@ def _cmd_select_model(args) -> int:
         ds = ds.with_rows(select_rows)
     l = _size_flag(args)
     if l is None:
-        l = max(2, int(np.ceil(ds.n ** (1.0 / 3.0))))
+        l = default_size(ds.n)
     method = BootstrapMethod.parse(args.method, args.residual, l)
     cands = CandidateSet(models, ds, method, B=args.B)
     report = rank_models(cands, args.criterion, seed=args.seed, n_threads=_threads(args))
@@ -564,14 +564,12 @@ def _cmd_simulate(args) -> int:
     methods = [BootstrapMethod.parse(tok, args.residual, l) for tok in args.methods.split(",")]
     levels = _entries(args.levels, float)
     report = run_experiment(
-        args.scenario,
         methods,
         truth,
         B=args.B,
         replications=args.reps,
         levels=levels,
         seed=args.seed,
-        params=params or None,
         n_threads=n_threads,
     )
     path = args.output or "simulate.csv"

@@ -117,9 +117,12 @@ class Dataset:
         )
 
     def with_response(self, y: np.ndarray) -> "Dataset":
+        y = np.asarray(y, dtype=float)
         if y.shape[0] != self.n:
             raise DimensionMismatch("response length does not match the design")
-        return replace(self, y=np.asarray(y))
+        if not np.all(np.isfinite(y)):
+            raise InvalidData("responses contain non-finite entries")
+        return replace(self, y=y)
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.X)):

@@ -44,6 +44,7 @@ __all__ = [
     "NeighborhoodMap",
     "SizeSelectionTrace",
     "build_neighborhoods",
+    "default_size",
     "select_size",
 ]
 
@@ -266,6 +267,11 @@ class SizeSelectionTrace:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
+def default_size(n: int) -> int:
+    """The default neighborhood size ceil(n^(1/3)), at least 2."""
+    return max(2, int(np.ceil(n ** (1.0 / 3.0))))
+
+
 def _scaled(l_sub: float, n: int, m: int) -> int:
     return max(2, int(round((n / m) ** (1.0 / 3.0) * l_sub)))
 
@@ -352,7 +358,7 @@ def select_size(
             full_cache[l_val] = float(out.se_hat[target_coef])
         return full_cache[l_val]
 
-    l_hat = int(np.ceil(n ** (1.0 / 3.0)))
+    l_hat = default_size(n)
     per_iteration = []
     converged = False
     for _ in range(max_iterations):

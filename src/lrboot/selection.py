@@ -89,33 +89,33 @@ def _check_scalar_family(spec: ModelSpec) -> None:
         )
 
 
+def _replicate_losses(data: Dataset, fit: FitResult, betas: np.ndarray):
+    """(mu_star, losses): the n x B fitted means of the replicate
+    coefficients and each replicate's in-sample loss against the observed
+    responses, sum_i (y_i - mu*_i)^2 / (n var_hat_i)."""
+    _check_scalar_family(fit.spec)
+    mu_star = fit.family.mean(fit.design.matrix @ np.atleast_2d(betas).T)  # n x B
+    denom = data.n * fit.var_hat
+    return mu_star, ((data.y[:, None] - mu_star) ** 2 / denom[:, None]).sum(axis=0)
+
+
 def loss_from_replicates(
     data: Dataset, fit: FitResult, betas: np.ndarray
 ) -> float:
     """Monte Carlo in-sample average loss given replicate coefficients."""
-    _check_scalar_family(fit.spec)
-    family = fit.family
-    Xd = fit.design.matrix
-    mu_star = family.mean(Xd @ np.atleast_2d(betas).T)  # n x B
-    denom = data.n * fit.var_hat
-    losses = ((data.y[:, None] - mu_star) ** 2 / denom[:, None]).sum(axis=0)
-    return float(losses.mean())
+    return float(_replicate_losses(data, fit, betas)[1].mean())
 
 
 def prediction_error_from_replicates(
     data: Dataset, fit: FitResult, betas: np.ndarray, ystars: np.ndarray
 ) -> float:
-    """Three-term optimism-corrected prediction error given replicates."""
-    _check_scalar_family(fit.spec)
-    family = fit.family
-    Xd = fit.design.matrix
+    """Three-term optimism-corrected prediction error given replicates:
+    the original fit's loss, plus each replicate's in-sample loss, minus
+    that replicate's loss against its own responses y*."""
+    mu_star, term2 = _replicate_losses(data, fit, betas)
     n = data.n
-    betas = np.atleast_2d(betas)
-    mu_star = family.mean(Xd @ betas.T)  # n x B
-    denom_hat = n * fit.var_hat
-    term1 = float(((data.y - fit.mu_hat) ** 2 / denom_hat).sum())
-    term2 = ((data.y[:, None] - mu_star) ** 2 / denom_hat[:, None]).sum(axis=0)
-    var_star = family.variance(mu_star)
+    term1 = float(((data.y - fit.mu_hat) ** 2 / (n * fit.var_hat)).sum())
+    var_star = fit.family.variance(mu_star)
     term3 = ((ystars.T - mu_star) ** 2 / (n * var_star)).sum(axis=0)
     return float(np.mean(term1 + term2 - term3))
 

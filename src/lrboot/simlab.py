@@ -1,28 +1,31 @@
 """Simulation lab: misspecification scenarios, Monte Carlo pseudo-true
 parameters and standard errors, and coverage/ratio experiments.
 
-Fixed-design semantics: for a given (scenario, n, seed) the covariates are
-frozen and only the response is redrawn across Monte Carlo replicates, so the
-pseudo-true standard error measures response randomness alone.
+Fixed-design semantics: for a given (scenario, n, seed, params) the
+covariates are frozen and only the response is redrawn across Monte Carlo
+replicates, so the pseudo-true standard error measures response randomness
+alone. The frozen draw (covariates, observed-column dataset and the assumed
+model's design) is made once, by `pseudo_truth`, and the `PseudoTruth` carries
+it: `run_experiment` and `theorem1_ks` take the truth alone and fit on its
+design, so they cannot be scored against another scenario's truth. Nothing is
+cached on disk; a pseudo-truth is recomputed per process.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
 from .bootstrap import ci_percentile, run
-from .data import Dataset, ModelSpec, Term, back_transform, build_design, make_dataset
+from .data import Dataset, DesignInfo, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import TooManyFailures, UnknownScenario
 from .glm import FitResult, _check_rank, _coef_names, family_for, fit_qmle, refit_blocks
-from .neighborhood import build_neighborhoods
+from .neighborhood import build_neighborhoods, default_size
 from .residuals import surrogate_values
 from .rng import derive_seed, stable_int, substream
 
@@ -93,7 +96,7 @@ def default_neighborhood_size(scenario_id: str, n: int) -> int:
     scn = get_scenario(scenario_id)
     if scn.paper_l is not None:
         return scn.paper_l
-    return int(np.ceil(n ** (1.0 / 3.0)))
+    return default_size(n)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,38 @@ def case2_candidates() -> tuple:
 # generation
 
 
-def _merged_params(scn: ScenarioDef, params) -> dict:
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The frozen draw of one (scenario, n, seed, params): the covariates and
+    everything built from them alone. `data` is the observed-column Dataset;
+    its response is a placeholder that nothing fits. A response redraw comes
+    from the substream (scenario, n, seed, 1, purpose, index)."""
+
+    scn: ScenarioDef
+    n: int
+    seed: int
+    params: dict
+    X_full: np.ndarray
+    data: Dataset
+
+    def response(self, purpose: int, index: int) -> np.ndarray:
+        rng = substream(stable_int(self.scn.id), self.n, self.seed, 1, purpose, index)
+        return self.scn.draw_y(rng, self.X_full, self.params)
+
+    def dataset(self, purpose: int, index: int) -> Dataset:
+        return self.data.with_response(self.response(purpose, index))
+
+    @cached_property
+    def design(self) -> DesignInfo:
+        """The assumed model's design, shared by every fit on this draw."""
+        return build_design(self.data, self.scn.assumed)
+
+
+def _frame(scenario_id: str, n: int | None, seed: int, params: dict | None) -> _Frame:
+    """Check the params against the scenario's defaults, then draw X from the
+    substream (scenario, n, seed, 0, key of the params that alter X)."""
+    scn = get_scenario(scenario_id)
+    n = n or scn.default_n
     merged = dict(scn.defaults)
     if params:
         unknown = set(params) - set(scn.defaults)
@@ -538,27 +572,12 @@ def _merged_params(scn: ScenarioDef, params) -> dict:
                 f"scenario {scn.id} has no parameters {sorted(unknown)}"
             )
         merged.update(params)
-    return merged
-
-
-def _x_stream_key(scn: ScenarioDef, params: dict) -> int:
-    relevant = {k: params[k] for k in scn.x_param_names}
-    return stable_int(repr(sorted(relevant.items())))
-
-
-def _frozen_x(scn: ScenarioDef, n: int, seed: int, params: dict) -> np.ndarray:
-    rng = substream(stable_int(scn.id), n, seed, 0, _x_stream_key(scn, params))
-    return scn.make_x(rng, n, params)
-
-
-def _draw_response(scn, X_full, n, seed, params, purpose, y_index):
-    rng = substream(stable_int(scn.id), n, seed, 1, purpose, y_index)
-    return scn.draw_y(rng, X_full, params)
-
-
-def _dataset_from(scn, X_full, y) -> Dataset:
+    relevant = {k: merged[k] for k in scn.x_param_names}
+    x_key = stable_int(repr(sorted(relevant.items())))
+    X_full = scn.make_x(substream(stable_int(scn.id), n, seed, 0, x_key), n, merged)
     cols, meta, names = scn.observed
-    return make_dataset(y, X_full[:, cols], column_meta=meta, column_names=names)
+    data = make_dataset(np.zeros(n), X_full[:, cols], column_meta=meta, column_names=names)
+    return _Frame(scn, n, seed, merged, X_full, data)
 
 
 def generate(
@@ -570,12 +589,7 @@ def generate(
 ) -> Dataset:
     """One dataset draw; X is frozen per (scenario, n, seed) and y_index picks
     the response redraw."""
-    scn = get_scenario(scenario_id)
-    n = n or scn.default_n
-    params = _merged_params(scn, params)
-    X_full = _frozen_x(scn, n, seed, params)
-    y = _draw_response(scn, X_full, n, seed, params, _PURPOSE_ADHOC, y_index)
-    return _dataset_from(scn, X_full, y)
+    return _frame(scenario_id, n, seed, params).dataset(_PURPOSE_ADHOC, y_index)
 
 
 # ---------------------------------------------------------------------------
@@ -596,26 +610,7 @@ class PseudoTruth:
     psi_raw: np.ndarray
     n_failed: int
     first_slope: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "params": self.params,
-            "coef_names": list(self.coef_names),
-            "beta_dagger": [float(v) for v in self.beta_dagger],
-            "psi": [float(v) for v in self.psi],
-            "beta_dagger_raw": [float(v) for v in self.beta_dagger_raw],
-            "psi_raw": [float(v) for v in self.psi_raw],
-            "n_failed": self.n_failed,
-            "first_slope": self.first_slope,
-        }
-
-
-def _cache_key(scenario_id, n, reps, seed, params) -> str:
-    return f"{scenario_id}|n={n}|reps={reps}|seed={seed}|params={sorted(params.items())}"
+    frame: _Frame = field(repr=False, compare=False)  # the frozen draw scored against
 
 
 def _raw_coefs(coefs: np.ndarray, design, n_cut: int) -> np.ndarray:
@@ -634,47 +629,23 @@ def pseudo_truth(
     reps: int = 10_000,
     seed: int = 0,
     params: dict | None = None,
-    cache_path=None,
 ) -> PseudoTruth:
     """Monte Carlo pseudo-true parameter (mean of QMLE fits over response
     redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation).
 
     The redraws are fit from cold starts by `glm.refit_blocks`. More than 5%
-    failed fits raises TooManyFailures after the first block over the cap."""
-    scn = get_scenario(scenario_id)
-    n = n or scn.default_n
-    merged = _merged_params(scn, params)
-    key = _cache_key(scenario_id, n, reps, seed, merged)
-    if cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            cache = json.load(fh)
-        if key in cache:
-            d = cache[key]
-            return PseudoTruth(
-                scenario=scenario_id,
-                n=n,
-                reps=reps,
-                seed=seed,
-                params=merged,
-                coef_names=tuple(d["coef_names"]),
-                beta_dagger=np.array(d["beta_dagger"]),
-                psi=np.array(d["psi"]),
-                beta_dagger_raw=np.array(d["beta_dagger_raw"]),
-                psi_raw=np.array(d["psi_raw"]),
-                n_failed=d["n_failed"],
-                first_slope=d["first_slope"],
-            )
+    failed fits raises TooManyFailures after the first block over the cap.
+    The truth keeps its frozen draw, which `run_experiment` and `theorem1_ks`
+    score against."""
+    frame = _frame(scenario_id, n, seed, params)
     if reps < 100:
         raise TooManyFailures("pseudo_truth needs reps >= 100")
-    X_full = _frozen_x(scn, n, seed, merged)
-    spec = scn.assumed
-    y0 = _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, 0)
-    design = build_design(_dataset_from(scn, X_full, y0), spec)
-    family = family_for(spec)
+    design = frame.design
+    family = family_for(frame.scn.assumed)
     _check_rank(family, design)
 
     def redraw(r):
-        return _draw_response(scn, X_full, n, seed, merged, _PURPOSE_PSEUDO, r), None
+        return frame.response(_PURPOSE_PSEUDO, r), None
 
     coefs = []
     n_failed = n_fit = 0
@@ -691,12 +662,12 @@ def pseudo_truth(
     coefs = np.vstack(coefs)
     n_cut = family.n_cut
     coefs_raw = _raw_coefs(coefs, design, n_cut)
-    truth = PseudoTruth(
+    return PseudoTruth(
         scenario=scenario_id,
-        n=n,
+        n=frame.n,
         reps=reps,
         seed=seed,
-        params=merged,
+        params=frame.params,
         coef_names=_coef_names(design, n_cut),
         beta_dagger=coefs.mean(axis=0),
         psi=coefs.std(axis=0, ddof=0),
@@ -704,18 +675,8 @@ def pseudo_truth(
         psi_raw=coefs_raw.std(axis=0, ddof=0),
         n_failed=n_failed,
         first_slope=n_cut + design.first_slope,
+        frame=frame,
     )
-    if cache_path:
-        cache = {}
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                cache = json.load(fh)
-        cache[key] = truth.to_json_dict()
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(cache_path)))
-        with os.fdopen(fd, "w") as fh:
-            json.dump(cache, fh, indent=2, sort_keys=True)
-        os.replace(tmp, cache_path)
-    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -757,32 +718,23 @@ class ExperimentReport:
 
 
 def run_experiment(
-    scenario_id: str,
     methods: list,
     truth: PseudoTruth,
     B: int = 500,
     replications: int = 100,
     levels: tuple = (0.95, 0.90, 0.75),
     seed: int = 0,
-    params: dict | None = None,
     n_threads: int = 1,
 ) -> ExperimentReport:
-    """Coverage and SE-ratio experiment on the frozen design of `truth`.
+    """Coverage and SE-ratio experiment on the frozen draw of `truth`.
 
-    Per replication: a fresh response draw, one fit, one BootstrapOutcome per
-    method; CI hits of the pseudo-true target coefficient and widths are
-    recorded per level for both the normal and percentile intervals.
+    Per replication: a fresh response draw, one fit on the truth's design,
+    one BootstrapOutcome per method; CI hits of the pseudo-true target
+    coefficient and widths are recorded per level for both the normal and
+    percentile intervals.
     """
-    scn = get_scenario(scenario_id)
-    n = truth.n
-    merged = _merged_params(scn, params)
-    if merged != truth.params:
-        raise UnknownScenario("params do not match the pseudo-truth object")
-    spec = scn.assumed
-    X_full = _frozen_x(scn, n, truth.seed, merged)
-    y0 = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_EXPERIMENT, 0)
-    ds0 = _dataset_from(scn, X_full, y0)
-    design = build_design(ds0, spec)
+    frame = truth.frame
+    spec = frame.scn.assumed
     t = truth.first_slope
     beta_target = float(truth.beta_dagger[t])
     psi_target = float(truth.psi[t])
@@ -793,7 +745,7 @@ def run_experiment(
         if not method.is_local:
             return None
         if method.l not in nb_cache:
-            nb_cache[method.l] = build_neighborhoods(ds0, method.l)
+            nb_cache[method.l] = build_neighborhoods(frame.data, method.l)
         return nb_cache[method.l]
 
     labels = [m.label for m in methods]
@@ -808,9 +760,8 @@ def run_experiment(
                 widths[lab][(ci, level)] = []
 
     for r in range(replications):
-        y = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_EXPERIMENT, r)
-        ds = ds0.with_response(y)
-        fit = fit_qmle(ds, spec, design=design)
+        ds = frame.dataset(_PURPOSE_EXPERIMENT, r)
+        fit = fit_qmle(ds, spec, design=frame.design)
         for method in methods:
             lab = method.label
             out = run(
@@ -855,8 +806,8 @@ def run_experiment(
             psi=psi_target,
         )
     return ExperimentReport(
-        scenario=scenario_id,
-        n=n,
+        scenario=truth.scenario,
+        n=truth.n,
         B=B,
         replications=replications,
         levels=tuple(levels),
@@ -924,14 +875,12 @@ def sweep_param(
             scenario_id, n=n, reps=reps_truth, seed=seed, params=params
         )
         report = run_experiment(
-            scenario_id,
             methods,
             truth,
             B=B,
             replications=replications,
             levels=(0.95,),
             seed=derive_seed(seed, repr(v)),
-            params=params,
             n_threads=n_threads,
         )
         out[v] = {lab: st.se_ratio for lab, st in report.methods.items()}
@@ -951,34 +900,23 @@ def sweep_to_csv(sweep: dict, param_name: str, path) -> None:
 # residual-distribution property (bootstrap validity at desk scale)
 
 
-def theorem1_ks(
-    scenario_id: str,
-    truth: PseudoTruth,
-    l: int,
-    rep: int = 0,
-    seed: int = 0,
-) -> float:
+def theorem1_ks(truth: PseudoTruth, l: int, rep: int = 0, seed: int = 0) -> float:
     """Two-sample KS distance between one round of locally resampled
     surrogate residuals and surrogate residuals drawn under the pseudo-true
-    parameters (fresh response from the true process)."""
+    parameters (fresh response from the true process), on the truth's
+    frozen draw."""
     from scipy.stats import ks_2samp  # scipy.stats alone takes most of a CLI import
 
-    scn = get_scenario(scenario_id)
-    merged = truth.params
-    n = truth.n
-    X_full = _frozen_x(scn, n, truth.seed, merged)
-    spec = scn.assumed
-    y = _draw_response(scn, X_full, n, truth.seed, merged, _PURPOSE_ADHOC, 1000 + rep)
-    ds = _dataset_from(scn, X_full, y)
-    fit = fit_qmle(ds, spec)
+    frame = truth.frame
+    spec = frame.scn.assumed
+    ds = frame.dataset(_PURPOSE_ADHOC, 1000 + rep)
+    fit = fit_qmle(ds, spec, design=frame.design)
     r_hat = surrogate_values(fit, ds.y, substream(seed, rep, 0))
-    pick = build_neighborhoods(ds, l).picker()
+    pick = build_neighborhoods(frame.data, l).picker()
     r_star = r_hat[pick(substream(seed, rep, 1))]
 
     # oracle side: fresh truth draw, surrogate at the pseudo-true coefficients
-    y_dagger = _draw_response(
-        scn, X_full, n, truth.seed, merged, _PURPOSE_ADHOC, 2000 + rep
-    )
-    fit_dagger = FitResult.at(truth.beta_dagger, spec, fit.design)
+    y_dagger = frame.response(_PURPOSE_ADHOC, 2000 + rep)
+    fit_dagger = FitResult.at(truth.beta_dagger, spec, frame.design)
     r_dagger = surrogate_values(fit_dagger, y_dagger, substream(seed, rep, 2))
     return float(ks_2samp(r_star, r_dagger).statistic)

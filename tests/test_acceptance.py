@@ -33,7 +33,6 @@ def sc1_experiment(sc1_probit_truth):
     """SC1 probit experiment shared by criteria 1 and 2: 100 replications,
     B=200, LRB-surrogate (paper's l=10) vs parametric."""
     return sl.run_experiment(
-        "SC1_probit",
         [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()],
         sc1_probit_truth,
         B=200,
@@ -109,7 +108,6 @@ def test_criterion_03_beta2_sweep_positive_branch(sc1_probit_truth):
 
 def test_criterion_04_sc11_heteroscedastic(sc11_truth):
     report = sl.run_experiment(
-        "SC11",
         [BootstrapMethod.lrb("raw", 13), BootstrapMethod.parametric()],
         sc11_truth,
         B=200,
@@ -320,7 +318,7 @@ def test_criterion_09_theorem1_ks(sc1_probit_truth, sc1_probit_truth_n500):
     for truth, n in ((sc1_probit_truth_n500, 500), (sc1_probit_truth, 2000)):
         l = int(np.ceil(n ** (1.0 / 3.0)))
         stats = [
-            sl.theorem1_ks("SC1_probit", truth, l=l, rep=r, seed=606)
+            sl.theorem1_ks(truth, l=l, rep=r, seed=606)
             for r in range(10)
         ]
         meds[n] = float(np.median(stats))

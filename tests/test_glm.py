@@ -412,9 +412,13 @@ def test_dataset_rejects_non_finite_responses():
     from lrboot.errors import InvalidData
 
     x = np.linspace(0.0, 1.0, 4)[:, None]
+    ds = lb.make_dataset(np.array([0.0, 1.0, 1.0, 0.0]), x)
     for bad in (np.nan, np.inf):
+        y = np.array([0.0, bad, 1.0, 1.0])
         with pytest.raises(InvalidData):
-            lb.make_dataset(np.array([0.0, bad, 1.0, 1.0]), x)
+            lb.make_dataset(y, x)
+        with pytest.raises(InvalidData, match="responses contain non-finite entries"):
+            ds.with_response(y)
 
 
 def test_family_registry_rejects_unknown_pairs():

@@ -1,6 +1,6 @@
 """Scenario generators, pseudo-truth oracle values, and experiment plumbing."""
 
-import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +16,30 @@ from lrboot.errors import (
     TooManyFailures,
     UnknownScenario,
 )
+from lrboot.rng import stable_int, substream
 
 ALL_IDS = sl.scenario_ids()
+
+# response purposes of the stream layout: pseudo-truth redraws, ad-hoc draws
+PSEUDO, ADHOC = 1, 3
+
+
+def _oracle(scenario_id, n, seed, params=None, purpose=ADHOC, y_index=0):
+    """(X_full, y) drawn straight from the stream layout: X from the substream
+    (stable_int(id), n, seed, 0, key of the params that alter X), y from
+    (stable_int(id), n, seed, 1, purpose, y_index)."""
+    scn = sl.get_scenario(scenario_id)
+    merged = {**scn.defaults, **(params or {})}
+    x_key = stable_int(repr(sorted({k: merged[k] for k in scn.x_param_names}.items())))
+    key = stable_int(scenario_id)
+    X_full = scn.make_x(substream(key, n, seed, 0, x_key), n, merged)
+    y = scn.draw_y(substream(key, n, seed, 1, purpose, y_index), X_full, merged)
+    return X_full, y
+
+
+def _oracle_dataset(scenario_id, X_full, y):
+    cols, meta, names = sl.get_scenario(scenario_id).observed
+    return lb.make_dataset(y, X_full[:, cols], column_meta=meta, column_names=names)
 
 
 def test_registry_contains_expected_ids():
@@ -46,6 +68,24 @@ def test_every_scenario_generates_and_fits(scenario_id):
     spec = scn.assumed
     fit = lb.fit_qmle(ds, spec)
     assert fit.converged
+
+
+@pytest.mark.parametrize(
+    "scenario_id,params",
+    [(sid, None) for sid in ALL_IDS]
+    + [("SC2", {"correlated": True}), ("SC3", {"correlated": True})],
+)
+def test_generate_follows_the_stream_layout(scenario_id, params):
+    for y_index in (0, 2):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # tiny SC1_ordinal draws may warn
+            X_full, y = _oracle(scenario_id, 60, 1, params, ADHOC, y_index)
+            ds = sl.generate(scenario_id, n=60, seed=1, params=params, y_index=y_index)
+        want = _oracle_dataset(scenario_id, X_full, y)
+        for name in ("y", "X", "X_raw", "col_means", "col_sds"):
+            assert np.array_equal(getattr(ds, name), getattr(want, name)), name
+        assert ds.column_names == want.column_names
+        assert ds.column_meta == want.column_meta
 
 
 def test_sc1_probit_plugin_probability():
@@ -96,37 +136,29 @@ def test_pseudo_truth_matches_table_value_logit():
 def test_pseudo_truth_matches_gaussian_closed_form():
     truth = sl.pseudo_truth("GaussianCheck", n=500, reps=10_000, seed=7)
     # closed form on the raw design [1, x] with the generator's sigma = 0.5
-    scn = sl.get_scenario("GaussianCheck")
-    X = sl._frozen_x(scn, 500, 7, {})
+    X, _ = _oracle("GaussianCheck", 500, 7)
     Xd = np.column_stack([np.ones(500), X[:, 0]])
     cov = 0.25 * np.linalg.inv(Xd.T @ Xd)
     closed = np.sqrt(np.diag(cov))
     assert abs(truth.psi_raw[1] - closed[1]) / closed[1] < 0.05
 
 
-def test_pseudo_truth_deterministic_and_cached(tmp_path):
-    cache = tmp_path / "cache.json"
-    a = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3, cache_path=cache)
-    assert cache.exists()
-    data = json.loads(cache.read_text())
-    assert len(data) == 1
-    b = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3, cache_path=cache)
+def test_pseudo_truth_deterministic():
+    a = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3)
+    b = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3)
     assert np.array_equal(a.beta_dagger, b.beta_dagger)
-    c = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3)
-    assert np.array_equal(a.beta_dagger, c.beta_dagger)
+    assert np.array_equal(a.psi, b.psi)
     assert np.all(a.psi > 0)
 
 
 def _per_redraw_truth(scenario_id, n, reps, seed):
-    """(beta_dagger, psi) from one fit_qmle per response redraw."""
-    scn = sl.get_scenario(scenario_id)
-    params = dict(scn.defaults)
-    X_full = sl._frozen_x(scn, n, seed, params)
-    spec = scn.assumed
+    """(beta_dagger, psi) from one fit_qmle per response redraw, each drawn
+    by the stream-layout oracle."""
+    spec = sl.get_scenario(scenario_id).assumed
     coefs = []
     for r in range(reps):
-        y = sl._draw_response(scn, X_full, n, seed, params, sl._PURPOSE_PSEUDO, r)
-        coefs.append(lb.fit_qmle(sl._dataset_from(scn, X_full, y), spec).coef)
+        X_full, y = _oracle(scenario_id, n, seed, purpose=PSEUDO, y_index=r)
+        coefs.append(lb.fit_qmle(_oracle_dataset(scenario_id, X_full, y), spec).coef)
     coefs = np.vstack(coefs)
     return coefs.mean(axis=0), coefs.std(axis=0)
 
@@ -175,7 +207,6 @@ def test_run_experiment_degenerate_method():
     # equals the original fit: zero width, coverage exactly 0 or 1
     truth = sl.pseudo_truth("SC1_probit", n=300, reps=150, seed=3)
     report = sl.run_experiment(
-        "SC1_probit",
         [BootstrapMethod.lrb("surrogate", 1)],
         truth,
         B=10,
@@ -192,7 +223,6 @@ def test_run_experiment_degenerate_method():
 def test_experiment_report_csv_layout(tmp_path):
     truth = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3)
     report = sl.run_experiment(
-        "GaussianCheck",
         [BootstrapMethod.lrb("raw", 6), BootstrapMethod.parametric()],
         truth,
         B=30,
@@ -224,7 +254,7 @@ def test_default_neighborhood_sizes():
 
 
 def test_theorem1_ks_smoke(sc1_probit_truth_n500):
-    d = sl.theorem1_ks("SC1_probit", sc1_probit_truth_n500, l=8, rep=0, seed=3)
+    d = sl.theorem1_ks(sc1_probit_truth_n500, l=8, rep=0, seed=3)
     assert d == 0.048  # 24/500, as drawn before the bootstrap's picker was shared
 
 
@@ -232,7 +262,7 @@ def test_theorem1_ks_smoke(sc1_probit_truth_n500):
 def test_theorem1_ks_off_the_sc1_path(scenario):
     # SC6 has unequal all-categorical neighborhoods; SC1_ordinal has cutpoints
     truth = sl.pseudo_truth(scenario, n=400, reps=100, seed=1)
-    d = sl.theorem1_ks(scenario, truth, l=8, rep=0, seed=3)
+    d = sl.theorem1_ks(truth, l=8, rep=0, seed=3)
     assert 0.0 <= d <= 1.0
 
 
