@@ -8,7 +8,7 @@ in blocks, ordinal models included, on the column products the design
 builds once. Replicate b always consumes the substream (seed, b) with
 per-observation draws in observation order (the local methods take theirs
 from `NeighborhoodMap.picker`), and the blocks do not depend on how many
-worker threads run them, so outcomes are bit-identical for any thread count.
+worker processes run them, so outcomes are bit-identical for any thread count.
 
 The residual methods (lrb, classical) take their kind's values and inverse
 from `residuals.KINDS`: a method needs a kind with an inverse, and `run`
@@ -304,8 +304,9 @@ def run(
     """Run B bootstrap replicates and assemble SE/CI estimates.
 
     Replicates are drawn and refit on the fitted design by
-    `glm.refit_blocks`; n_threads workers take whole blocks. Failed replicate
-    fits are dropped and counted; more than 20% failures aborts. Identical
+    `glm.refit_blocks`; up to n_threads worker processes (at most one per
+    two blocks and one per core) take whole blocks. Failed replicate fits
+    are dropped and counted; more than 20% failures aborts. Identical
     inputs give bit-identical outcomes for any n_threads. B < 2 raises
     TooFewReplicates before any draw or fit.
     """
@@ -316,16 +317,9 @@ def run(
     if fit is None:
         fit = fit_qmle(data, spec, options)
     draw = _sampler(data, method, fit, seed, neighborhoods)
-    kept = [None] * B  # each replicate's responses, when asked to keep them
-
-    def sample(i):
-        y, w = draw(substream(seed, i + 1))
-        if keep_responses:
-            kept[i] = y
-        return y, w
-
-    blocks = list(refit_blocks(fit.design, fit.family, sample, B, beta0=fit.coef,
-                               options=options, n_threads=n_threads))
+    blocks = list(refit_blocks(fit.design, fit.family, lambda i: draw(substream(seed, i + 1)),
+                               B, beta0=fit.coef, options=options, n_threads=n_threads,
+                               keep_responses=keep_responses))
     ok = np.concatenate([out.ok for out in blocks])
     n_failed = B - int(ok.sum())
     if n_failed > _FAILURE_SHARE * B:
@@ -334,7 +328,7 @@ def run(
             f"(method={method.label}, family={spec.family})"
         )
     replicates = np.vstack([out.beta for out in blocks])[ok]
-    responses = np.vstack(kept)[ok] if keep_responses else None
+    responses = np.vstack([out.responses for out in blocks])[ok] if keep_responses else None
 
     estimate = fit.coef
     se = se_estimate(replicates)

@@ -14,10 +14,12 @@ what fits derive from its matrix (the transpose, the column products of
 X' diag(w) X, the constant-column flags and the rank), built once per design,
 so every block fit on one design shares them. A family supplies what the
 driver needs for a block: per-row screens and cold starts, log-likelihood
-terms, and the score with a positive semi-definite information. The probit
-family gives the exact gradient and the observed information, so its steps
-are Newton's and converge quadratically (McCullagh & Nelder 1989, sec.
-2.5); it reuses the log-likelihood terms of the accepted step, so an
+terms, and the score with a positive semi-definite information; its
+`for_block` may hand a block to a variant that relies on what the block's
+responses share, tested once per block. The probit family gives the exact
+gradient and the observed information, so its steps are Newton's and
+converge quadratically (McCullagh & Nelder 1989, sec. 2.5); on a block of
+0/1 responses it reuses the log-likelihood terms of the accepted step, so an
 iteration costs one `log_ndtr` pass. Every other GLM family has its
 canonical link, where the Fisher information equals the observed one, so its
 Fisher-scoring steps are Newton's too. The cumulative-probit model
@@ -29,25 +31,34 @@ accepted step's `loglik_terms`, each category probability taken on the
 nearer tail of its edges. A step whose cutpoints do not strictly increase
 leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
 Every caller that fits many response vectors runs `refit_blocks`, which
-draws and fits them in blocks of `family.block_rows(n)` rows, on a thread
-pool when asked.
+draws and fits them in blocks of `family.block_rows(n)` rows. Asked for more
+than one worker, it forks worker processes, which inherit the design, its
+products and the draw, so nothing is shipped to them; each fits a fixed
+round-robin share of the blocks and pickles its `BatchFit`s back over a
+pipe. Workers number at most one per two blocks and one per core the
+process may run on; where `os.fork` does not exist, the blocks run serially.
 
 A block fit writes every b x n array (the gathered rows of Y, W, eta and the
 log-likelihood terms, the candidate eta, the terms, and each family's score
 temporaries) into a `Workspace` of named buffers, so its Newton loop
 allocates no fresh pages. Each thread keeps one, sized by the cell budget
 and reused by its later block fits on any design, and drops it when the
-thread ends. It holds at most 17 slots of 256 KB (4.25 MB) per live thread;
-an unweighted binary probit fit uses 9 (2.25 MB). A block above the budget,
-such as `fit_qmle` at n > 32,768, gets a workspace for its call alone.
+thread ends; a forked worker starts from a copy of its parent's. It holds at
+most 17 slots of 256 KB (4.25 MB) per live thread; an unweighted binary
+probit fit uses 9 (2.25 MB). A block above the budget, such as `fit_qmle` at
+n > 32,768, gets a workspace for its call alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, log_ndtr, logit, ndtr, ndtri
@@ -204,9 +215,13 @@ class FitResult:
             return self.design.first_slope
         return len(self.alpha_hat)
 
-    @property
+    @cached_property
     def eta(self) -> np.ndarray:
-        return self.design.matrix @ self.beta_hat
+        """The linear predictor X beta_hat, computed on first read and kept
+        (read-only), so a bootstrap draw does not redo the product."""
+        eta = self.design.matrix @ self.beta_hat
+        eta.flags.writeable = False
+        return eta
 
     @property
     def family(self):
@@ -238,6 +253,12 @@ class _BaseFamily:
     def block_rows(self, n: int) -> int:
         """Rows per refit block for n observations, within the cell budget."""
         return max(1, _REFIT_CELLS // (n * self.cells))
+
+    def for_block(self, Y):
+        """The family object that fits the response block Y: this one, or a
+        variant that relies on what every response of the block shares,
+        tested here once per block rather than in each hook call."""
+        return self
 
     def screen(self, design, Y, W):
         """Per-row errors known before fitting; None where a row can be fit."""
@@ -289,66 +310,15 @@ class _BaseFamily:
         return float(np.sum(pearson**2) / max(len(y) - fit.design.q, 1))
 
 
-class BinomialProbit(_BaseFamily):
-    name, link = "binomial", "probit"
-    check_separation = True
+class _Binomial(_BaseFamily):
+    """What the binomial links share: variance, the separation screen,
+    response simulation, the unit deviance and the categorical view."""
 
-    def mean(self, eta):
-        return np.clip(ndtr(eta), _MU_EPS, 1.0 - _MU_EPS)
+    name = "binomial"
+    check_separation = True
 
     def variance(self, mu, out=None):
         return np.multiply(mu, np.subtract(1.0, mu, out=out), out=out)
-
-    def loglik_terms(self, ws, y, eta, coef=None):
-        t = ws.floats("loglik", np.shape(eta))
-        if np.all((y == 0.0) | (y == 1.0)):
-            # one log_ndtr per observation, at (2y - 1) eta: eta where y = 1
-            # and -eta where y = 0, exactly; bit-identical to the two-term form
-            np.multiply(y, 2.0, out=t)
-            t -= 1.0
-            t *= eta
-            return log_ndtr(t, out=t)
-        t = np.multiply(y, log_ndtr(eta, out=t), out=t)
-        down = np.negative(eta, out=ws.floats("s0", t.shape))
-        log_ndtr(down, out=down)
-        down *= np.subtract(1.0, y, out=ws.floats("s1", t.shape))
-        t += down  # y log Phi(eta) + (1 - y) log Phi(-eta)
-        return t
-
-    def score(self, ws, design, Y, W, coef, eta, terms):
-        """Exact gradient of the probit log-likelihood and its observed
-        information, with lam(z) = phi(z) / Phi(z) taken in log space. For
-        binary y, z = (2y - 1) eta, the score is (2y - 1) lam(z) and the
-        information lam(z) (lam(z) + z), and `terms` already holds
-        log Phi(z). The information is positive because Phi is log-concave."""
-        shape = np.shape(eta)
-        if np.all((Y == 0.0) | (Y == 1.0)):
-            s = np.multiply(Y, 2.0, out=ws.floats("s0", shape))
-            s -= 1.0
-            z = np.multiply(s, eta, out=ws.floats("s1", shape))
-            lam = _log_phi(z, ws.floats("s2", shape))
-            lam -= terms
-            np.exp(lam, out=lam)
-            u = np.multiply(s, lam, out=s)  # s lam
-            h = np.multiply(np.add(z, lam, out=z), lam, out=z)  # lam (lam + z)
-        else:
-            log_phi = _log_phi(eta, ws.floats("s0", shape))
-            up = log_ndtr(eta, out=ws.floats("s1", shape))
-            np.subtract(log_phi, up, out=up)
-            np.exp(up, out=up)
-            down = np.negative(eta, out=ws.floats("s2", shape))
-            log_ndtr(down, out=down)
-            np.subtract(log_phi, down, out=down)
-            np.exp(down, out=down)
-            h = np.multiply(Y, up, out=ws.floats("s3", shape))  # Y up
-            rest = np.multiply(np.subtract(1.0, Y, out=log_phi), down, out=log_phi)  # (1 - Y) down
-            u = np.subtract(h, rest, out=ws.floats("s4", shape))
-            h *= np.add(up, eta, out=up)
-            rest *= np.subtract(down, eta, out=down)
-            h += rest  # Y up (up + eta) + (1 - Y) down (down - eta)
-        g = (u if W is None else np.multiply(W, u, out=u)) @ design.matrix
-        wk = h if W is None else np.multiply(W, h, out=h)
-        return g, _info(design, wk)
 
     def screen(self, design, Y, W):
         # with a constant column, responses that are all 0 or all 1 are
@@ -373,8 +343,8 @@ class BinomialProbit(_BaseFamily):
         """Half the unit deviance d(y; mu) per observation."""
         return _xlogy(y, y / mu) + _xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))
 
-    # categorical view: code 2 (y = 1) where the latent variable exceeds 0
-    latent = (ndtr, ndtri)  # cdf and ppf of the standard latent variable
+    # categorical view: code 2 (y = 1) where the latent variable exceeds 0;
+    # each link sets `latent`, the cdf and ppf of its standard latent variable
 
     def category_probs(self, mu):
         return np.column_stack([1.0 - mu, mu])
@@ -389,11 +359,95 @@ class BinomialProbit(_BaseFamily):
         return (codes == 2).astype(float)
 
 
-class BinomialLogit(BinomialProbit):
-    name, link = "binomial", "logit"
-    latent = (expit, logit)
-    # the link is canonical: Fisher scoring is already Newton's method
-    score = _BaseFamily.score
+def _probit_score(design, W, u, h):
+    """The score sum of w u x per row, and the information of the rows a
+    mask selects from the per-observation information h."""
+    g = (u if W is None else np.multiply(W, u, out=u)) @ design.matrix
+    return g, _info(design, h if W is None else np.multiply(W, h, out=h))
+
+
+class BinomialProbit(_Binomial):
+    """The probit link for responses in [0, 1]. Its hooks take the two-term
+    forms; a block of binary responses is fit by `_BinaryProbit`, whose
+    one-term forms give the same bits at half the special-function cost."""
+
+    link = "probit"
+    latent = (ndtr, ndtri)
+
+    def mean(self, eta):
+        return np.clip(ndtr(eta), _MU_EPS, 1.0 - _MU_EPS)
+
+    def for_block(self, Y):
+        if np.all((Y == 0.0) | (Y == 1.0)):
+            return _BINARY_PROBIT
+        return _FAMILIES["binomial", "probit"]
+
+    def loglik_terms(self, ws, y, eta, coef=None):
+        t = ws.floats("loglik", np.shape(eta))
+        t = np.multiply(y, log_ndtr(eta, out=t), out=t)
+        down = np.negative(eta, out=ws.floats("s0", t.shape))
+        log_ndtr(down, out=down)
+        down *= np.subtract(1.0, y, out=ws.floats("s1", t.shape))
+        t += down  # y log Phi(eta) + (1 - y) log Phi(-eta)
+        return t
+
+    def score(self, ws, design, Y, W, coef, eta, terms):
+        """Exact gradient of the probit log-likelihood and its observed
+        information, with lam(z) = phi(z) / Phi(z) taken in log space: the
+        score is Y lam(eta) - (1 - Y) lam(-eta), the information
+        Y lam(eta) (lam(eta) + eta) + (1 - Y) lam(-eta) (lam(-eta) - eta).
+        The information is positive because Phi is log-concave."""
+        shape = np.shape(eta)
+        log_phi = _log_phi(eta, ws.floats("s0", shape))
+        up = log_ndtr(eta, out=ws.floats("s1", shape))
+        np.subtract(log_phi, up, out=up)
+        np.exp(up, out=up)
+        down = np.negative(eta, out=ws.floats("s2", shape))
+        log_ndtr(down, out=down)
+        np.subtract(log_phi, down, out=down)
+        np.exp(down, out=down)
+        h = np.multiply(Y, up, out=ws.floats("s3", shape))  # Y up
+        rest = np.multiply(np.subtract(1.0, Y, out=log_phi), down, out=log_phi)  # (1 - Y) down
+        u = np.subtract(h, rest, out=ws.floats("s4", shape))
+        h *= np.add(up, eta, out=up)
+        rest *= np.subtract(down, eta, out=down)
+        h += rest  # Y up (up + eta) + (1 - Y) down (down - eta)
+        return _probit_score(design, W, u, h)
+
+
+class _BinaryProbit(BinomialProbit):
+    """The probit link on a block of 0/1 responses, where every term is one
+    function of z = (2y - 1) eta."""
+
+    def loglik_terms(self, ws, y, eta, coef=None):
+        # one log_ndtr per observation, at (2y - 1) eta: eta where y = 1 and
+        # -eta where y = 0, exactly; bit-identical to the two-term form
+        t = np.multiply(y, 2.0, out=ws.floats("loglik", np.shape(eta)))
+        t -= 1.0
+        t *= eta
+        return log_ndtr(t, out=t)
+
+    def score(self, ws, design, Y, W, coef, eta, terms):
+        """The score (2y - 1) lam(z) and the information lam(z) (lam(z) + z),
+        with `terms` already holding log Phi(z)."""
+        shape = np.shape(eta)
+        s = np.multiply(Y, 2.0, out=ws.floats("s0", shape))
+        s -= 1.0
+        z = np.multiply(s, eta, out=ws.floats("s1", shape))
+        lam = _log_phi(z, ws.floats("s2", shape))
+        lam -= terms
+        np.exp(lam, out=lam)
+        u = np.multiply(s, lam, out=s)  # s lam
+        h = np.multiply(np.add(z, lam, out=z), lam, out=z)  # lam (lam + z)
+        return _probit_score(design, W, u, h)
+
+
+_BINARY_PROBIT = _BinaryProbit()
+
+
+class BinomialLogit(_Binomial):
+    link = "logit"
+    latent = (expit, logit)  # the link is canonical: Fisher scoring is Newton's method
 
     def mean(self, eta, out=None):
         return np.clip(expit(eta, out=out), _MU_EPS, 1.0 - _MU_EPS, out=out)
@@ -736,6 +790,7 @@ class BatchFit:
     grad_norm: np.ndarray  # b, max-abs score at exit
     errors: list
     loglik: np.ndarray  # b
+    responses: np.ndarray | None = None  # b x n, when `refit_blocks` keeps them
 
     @property
     def ok(self) -> np.ndarray:
@@ -771,8 +826,9 @@ def fit_design_batch(
     observed information for probit and the ordinal model (exact Newton
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
-    `family.score`, which may reuse them. Every b x n array of the fit lives
-    in the calling thread's `Workspace` (see the module docstring).
+    `family.score`, which may reuse them. The hooks are those of
+    `family.for_block(Y)`. Every b x n array of the fit lives in the calling
+    thread's `Workspace` (see the module docstring).
 
     `Y` is b x n with one response vector per row; `weights` is None or
     b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
@@ -803,6 +859,7 @@ def fit_design_batch(
     if W is not None and W.shape != Y.shape:
         raise DimensionMismatch(f"weights {W.shape} do not match responses {Y.shape}")
     b = Y.shape[0]
+    family = family.for_block(Y)
     k = family.n_cut
     ws = _workspace(b * n)
 
@@ -928,34 +985,128 @@ def fit_design_batch(
     return out
 
 
-def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1):
+def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1,
+                 keep_responses=False):
     """Fit `count` drawn response vectors on one design, in blocks of
     `family.block_rows(n)` rows: yields each block's `BatchFit`, in row
-    order.
+    order, with the block's responses in `responses` when `keep_responses`.
 
-    Row i is `draw(i) -> (y, w or None)`, drawn by the thread that fits its
+    Row i is `draw(i) -> (y, w or None)`, drawn by the worker that fits its
     block; every row starts at `beta0` (None: the family's cold start). With
-    n_threads > 1 and more than one block, a thread pool fits whole blocks.
-    The rows of a block do not depend on n_threads, so the fits are
-    bit-identical for any thread count. On one thread a block is drawn and
-    fit only when it is asked for, so a caller that stops early fits no
-    further block.
+    n_threads > 1 and at least four blocks, `_worker_count` worker processes
+    fit the blocks (see `_fork_shares`). The rows of a block do not depend
+    on the worker count, so the fits are bit-identical for any n_threads.
+    On one worker a block is drawn and fit only when it is asked for, so a
+    caller that stops early fits no further block.
     """
     rows = family.block_rows(design.matrix.shape[0])
 
     def block(first):
         Y, W = zip(*(draw(i) for i in range(first, min(first + rows, count))))
+        Y = np.vstack(Y)
         W = None if W[0] is None else np.vstack(W)
-        return fit_design_batch(design, np.vstack(Y), family, options, weights=W, beta0=beta0)
+        out = fit_design_batch(design, Y, family, options, weights=W, beta0=beta0)
+        if keep_responses:
+            out.responses = Y
+        return out
 
     starts = range(0, count, rows)
-    if n_threads > 1 and len(starts) > 1:
-        # built here, once, so the worker threads only read them
-        design.transpose, design.column_products, design.constant_columns
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            yield from ex.map(block, starts)
-    else:
+    workers = _worker_count(n_threads, len(starts))
+    if workers == 1:
         yield from map(block, starts)
+        return
+    # built here, once, so that every worker inherits them
+    design.transpose, design.column_products, design.constant_columns
+    shares = _fork_shares(block, starts, workers)
+    for i in range(len(starts)):
+        outcome = shares[i % workers][i // workers]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        yield outcome
+
+
+def _worker_count(n_threads: int, blocks: int) -> int:
+    """Processes that fit `blocks` blocks for n_threads: at most one per two
+    blocks and one per core this process may run on; one where `os.fork`
+    does not exist. A fork, the copy-on-write faults it brings on both
+    sides and the child's exit cost about as much as a block fit, so a
+    worker that would fit one block loses time."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(n_threads, blocks // 2, cores))
+
+
+def _share(block, starts) -> list:
+    """`block(first)` for each of `starts` in turn, stopping at the first
+    block that raises: its exception ends the list."""
+    outcomes = []
+    for first in starts:
+        try:
+            outcomes.append(block(first))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _fork_shares(block, starts, workers) -> list:
+    """Each worker's `_share` of the blocks at `starts`: worker k takes
+    every `workers`-th block from the k-th. The caller is worker 0 and forks
+    the others, which inherit everything `block` reads. A child pickles its
+    share back over a pipe and ends with `os._exit`, so it runs none of the
+    parent's exit handlers; the standard streams are flushed before the
+    fork, so no buffered output is written twice. Every child is reaped
+    before this returns or raises, and one still running when the caller
+    fails is killed."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                for fd in children.values():
+                    os.close(fd)
+                _child(block, starts[k::workers], write)
+            os.close(write)
+            children[pid] = read
+        shares = [_share(block, starts[::workers])]
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            if not payload:
+                raise RuntimeError(f"refit worker {pid} ended with no result "
+                                   f"(wait status {status})")
+            shares.append(pickle.loads(payload))
+        return shares
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(block, starts, fd) -> None:
+    """A forked worker: fit its share, write it pickled to the pipe `fd`
+    and end the process. A share that cannot be written ends it with status
+    1 and no result, which the parent raises."""
+    code = 1
+    try:
+        payload = pickle.dumps(_share(block, starts), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _check_rank(family, design: DesignInfo) -> None:

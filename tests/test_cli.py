@@ -616,13 +616,26 @@ def test_error_stream_carries_module_error_name(tmp_path, binary_csv, capsys):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a cold `import lrboot.cli`; only the KS check
-    # needs it. scipy.spatial is loaded by the first neighbor build
+    # needs it. scipy.spatial is loaded by the first neighbor build. Refit
+    # workers are forked with os.fork, so lrboot imports no pool module;
+    # numpy.testing, which scipy.special loads, imports concurrent.futures
+    # itself, so the probe records which lrboot modules import one
     probe = (
-        "import sys, lrboot.cli; "
-        "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial')])"
+        "import builtins, sys\n"
+        "real, pools = builtins.__import__, set()\n"
+        "def watch(name, globals=None, *args):\n"
+        "    importer = (globals or {}).get('__name__') or ''\n"
+        "    if name.split('.')[0] in ('concurrent', 'multiprocessing') and "
+        "importer.startswith('lrboot'):\n"
+        "        pools.add(importer)\n"
+        "    return real(name, globals, *args)\n"
+        "builtins.__import__ = watch\n"
+        "import lrboot.cli\n"
+        "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial', "
+        "'multiprocessing')], sorted(pools))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False] []"

@@ -329,12 +329,14 @@ def test_probit_score_and_information_are_exact_derivatives():
     weights = rng.standard_exponential((1, n))
 
     def score(Y, W, th):
+        # the hooks a block fit of Y runs: the one-term forms for binary Y
+        family = probit.for_block(Y)
         eta = th @ Xd.T
-        terms = probit.loglik_terms(Workspace(Y.size), Y, eta)
-        return probit.score(Workspace(Y.size), design, Y, W, th, eta, terms)
+        terms = family.loglik_terms(Workspace(Y.size), Y, eta)
+        return family.score(Workspace(Y.size), design, Y, W, th, eta, terms)
 
     def total(Y, W, th):
-        terms = probit.loglik_terms(Workspace(Y.size), Y, th @ Xd.T)
+        terms = probit.for_block(Y).loglik_terms(Workspace(Y.size), Y, th @ Xd.T)
         return float(np.sum(terms if W is None else W * terms))
 
     h = 1e-6
@@ -419,12 +421,39 @@ def test_binary_probit_loglik_single_log_ndtr_is_exact():
     y = (rng.random((4, 500)) < 0.5).astype(float)
     two_term = y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)
     probit = _family("binomial", "probit")
+    binary = probit.for_block(y)
+    assert binary is not probit
+    assert np.array_equal(binary.loglik_terms(Workspace(y.size), y, eta), two_term)
     assert np.array_equal(probit.loglik_terms(Workspace(y.size), y, eta), two_term)
     frac = np.clip(y + 0.25, 0.0, 1.0)
+    assert probit.for_block(frac) is probit
     assert np.array_equal(
         probit.loglik_terms(Workspace(y.size), frac, eta),
         frac * log_ndtr(eta) + (1.0 - frac) * log_ndtr(-eta),
     )
+
+
+def test_binary_probit_score_equals_the_two_term_form():
+    # a block's family is chosen once per block: the one-term score of a
+    # binary block gives the bits of the two-term one
+    rng = np.random.default_rng(9)
+    n = 300
+    Xd = np.column_stack([np.ones(n), rng.uniform(-3.0, 3.0, n)])
+    design = _design_of(Xd)
+    probit = _family("binomial", "probit")
+    coef = np.array([[0.2, 1.1], [-0.5, 2.0]])
+    eta = coef @ Xd.T
+    Y = (rng.random((2, n)) < 0.5).astype(float)
+    W = rng.standard_exponential((2, n))
+    sel = np.ones(2, dtype=bool)
+    for w in (None, W):
+        got = []
+        for family in (probit.for_block(Y), probit):
+            terms = family.loglik_terms(Workspace(Y.size), Y, eta)
+            g, info = family.score(Workspace(Y.size), design, Y, w, coef, eta, terms)
+            got.append((g, info(sel)))
+        assert np.array_equal(got[0][0], got[1][0])
+        assert np.array_equal(got[0][1], got[1][1])
 
 
 def test_ordinal_zero_weight_category_is_empty():
