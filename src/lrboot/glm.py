@@ -30,13 +30,22 @@ information, from each observation's own two category edges and the
 accepted step's `loglik_terms`, each category probability taken on the
 nearer tail of its edges. A step whose cutpoints do not strictly increase
 leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
+Every row of a warm block starts at one coefficient vector, and the cold
+start of every family but gamma has zero slopes, so eta = 0 in every row.
+Where every row's start eta holds the same bits, the driver hands that one
+n-vector to the family's `shared_loglik_terms`: a binary probit block
+evaluates log Phi(eta) and log Phi(-eta) once per observation and picks one
+per row by the response, instead of a `log_ndtr` per row and observation;
+other families take their `loglik_terms` on eta broadcast to the block.
 Every caller that fits many response vectors runs `refit_blocks`, which
-draws and fits them in blocks of `family.block_rows(n)` rows. Asked for more
-than one worker, it forks worker processes, which inherit the design, its
-products and the draw, so nothing is shipped to them; each fits a fixed
-round-robin share of the blocks and pickles its `BatchFit`s back over a
-pipe. Workers number at most one per two blocks and one per core the
-process may run on; where `os.fork` does not exist, the blocks run serially.
+draws and fits them in blocks of `family.block_rows(n)` rows: max(1,
+2**15 // n) for every family (16 at n=2000), as every array of a block fit,
+the ordinal model's included, is b x n. Asked for more than one worker, it
+forks worker processes, which inherit the design, its products and the
+draw, so nothing is shipped to them; each fits a fixed round-robin share of
+the blocks and pickles its `BatchFit`s back over a pipe. Workers number at
+most one per two blocks and one per core the process may run on; where
+`os.fork` does not exist, the blocks run serially.
 
 A block fit writes every b x n array (the gathered rows of Y, W, eta and the
 log-likelihood terms, the candidate eta, the terms, and each family's score
@@ -44,9 +53,11 @@ temporaries) into a `Workspace` of named buffers, so its Newton loop
 allocates no fresh pages. Each thread keeps one, sized by the cell budget
 and reused by its later block fits on any design, and drops it when the
 thread ends; a forked worker starts from a copy of its parent's. It holds at
-most 17 slots of 256 KB (4.25 MB) per live thread; an unweighted binary
-probit fit uses 9 (2.25 MB). A block above the budget, such as `fit_qmle` at
-n > 32,768, gets a workspace for its call alone.
+most 17 slots of 256 KB (4.25 MB) per live thread, which a weighted ordinal
+block fills; at n=2000 a warm 16-row block uses 10 (2.5 MB) for binary
+probit responses and 14 (3.5 MB) for ordinal ones. A block above the
+budget, such as `fit_qmle` at n > 32,768, gets a workspace for its call
+alone.
 """
 
 from __future__ import annotations
@@ -93,11 +104,10 @@ _MU_EPS = 1e-12
 _P_MIN = 1e-300  # floor of an ordinal category probability inside the log
 _LOG_P_MIN = np.log(_P_MIN)
 
-# Response cells (rows x observations x categories) per refit block. A
-# block's working arrays grow with its cells, so a fixed budget keeps refit
-# memory flat in n and in the number of categories, while each block still
-# spreads the driver's per-iteration Python work over many rows (16 GLM rows
-# at n=2000).
+# Response cells (rows x observations) per refit block. Every working array
+# of a block fit, in every family, is b x n, so a fixed budget keeps refit
+# memory flat in n, while each block still spreads the driver's
+# per-iteration Python work over many rows (16 at n=2000).
 _REFIT_CELLS = 2**15
 
 
@@ -246,13 +256,13 @@ class _BaseFamily:
     name = ""
     link = ""
     check_separation = False
-    cells = 1  # response cells per observation
     n_cut = 0  # cutpoints ahead of the slopes in a coefficient vector
     free_dispersion = False  # simulate with a Pearson dispersion estimate
 
     def block_rows(self, n: int) -> int:
-        """Rows per refit block for n observations, within the cell budget."""
-        return max(1, _REFIT_CELLS // (n * self.cells))
+        """Rows per refit block for n observations, within the cell budget:
+        the same for every family, as every array of a block fit is b x n."""
+        return max(1, _REFIT_CELLS // n)
 
     def for_block(self, Y):
         """The family object that fits the response block Y: this one, or a
@@ -276,6 +286,12 @@ class _BaseFamily:
 
     def clamp_response(self, vals):
         return vals
+
+    def shared_loglik_terms(self, ws, y, eta, coef=None):
+        """`loglik_terms` of the b x n responses y, every row at the one
+        linear predictor eta (n,), as at a block's shared start; a family
+        that can evaluate eta once per observation overrides it."""
+        return self.loglik_terms(ws, y, np.broadcast_to(eta, np.shape(y)), coef)
 
     def score(self, ws, design, Y, W, coef, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
@@ -426,6 +442,20 @@ class _BinaryProbit(BinomialProbit):
         t -= 1.0
         t *= eta
         return log_ndtr(t, out=t)
+
+    def shared_loglik_terms(self, ws, y, eta, coef=None):
+        # log Phi(-eta) and log Phi(eta) once per observation, then row r
+        # takes the first where y = 0 and the second where y = 1: the bits
+        # of `loglik_terms`, whose (2y - 1) eta is exactly -eta or eta
+        n = eta.shape[0]
+        table = ws.floats("s0", (2, n))
+        log_ndtr(np.negative(eta, out=table[0]), out=table[0])
+        log_ndtr(eta, out=table[1])
+        k = ws.ints("i0", np.shape(y))
+        np.copyto(k, y, casting="unsafe")
+        k *= n
+        k += np.arange(n)  # flat index of (y, observation) in table
+        return np.take(table.ravel(), k, out=ws.floats("loglik", k.shape), mode="clip")
 
     def score(self, ws, design, Y, W, coef, eta, terms):
         """The score (2y - 1) lam(z) and the information lam(z) (lam(z) + z),
@@ -581,7 +611,7 @@ class CumulativeProbit(_BaseFamily):
     name, link = "ordinal", "probit"
 
     def __init__(self, J: int):
-        self.cells = J
+        self.J = J  # categories
         self.n_cut = J - 1
 
     def _counts(self, Y, W):
@@ -589,13 +619,13 @@ class CumulativeProbit(_BaseFamily):
         return np.stack(
             [
                 np.sum(Y == c, axis=1) if W is None else np.sum(W * (Y == c), axis=1)
-                for c in range(1, self.cells + 1)
+                for c in range(1, self.J + 1)
             ],
             axis=1,
         )
 
     def screen(self, design, Y, W):
-        J = self.cells
+        J = self.J
         if not np.all((Y == np.round(Y)) & (Y >= 1) & (Y <= J)):
             raise UnsupportedKind(f"ordinal responses must be integer codes in 1..{J}")
         # a category whose rows all carry zero weight is empty too (a pairwise
@@ -624,7 +654,7 @@ class CumulativeProbit(_BaseFamily):
         # flat index of edge k in each row of edges
         k = ws.ints("i0", np.shape(Y))
         np.copyto(k, Y, casting="unsafe")
-        k += np.arange(0, edges.size, self.cells + 1)[:, None]
+        k += np.arange(0, edges.size, self.J + 1)[:, None]
         upper = np.take(edges, k, out=ws.floats("s0", k.shape), mode="clip")
         upper -= eta
         k -= 1
@@ -655,7 +685,7 @@ class CumulativeProbit(_BaseFamily):
         c (l + a - c) between them and eta. It is positive semi-definite, as
         the log-likelihood is concave in (alpha, beta) (Pratt 1981).
         """
-        K, J = self.n_cut, self.cells
+        K, J = self.n_cut, self.J
         b, p = len(coef), design.q
         shape = np.shape(Y)
         u, l = self._edges(ws, Y, eta, coef)
@@ -812,6 +842,15 @@ def _newton_steps(H: np.ndarray, g: np.ndarray):
         return steps, singular
 
 
+def _same_rows(A: np.ndarray) -> bool:
+    """Whether A has two or more rows and every row holds the bits of the
+    first (so 0.0 and -0.0 differ)."""
+    if len(A) < 2:
+        return False
+    bits = A.view(np.int64)
+    return bool(np.all(bits == bits[0]))
+
+
 def fit_design_batch(
     design: DesignInfo,
     Y: np.ndarray,
@@ -826,7 +865,9 @@ def fit_design_batch(
     observed information for probit and the ordinal model (exact Newton
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
-    `family.score`, which may reuse them. The hooks are those of
+    `family.score`, which may reuse them. Where every active row's start
+    eta holds the same bits, the start's terms come from one call of
+    `family.shared_loglik_terms` on that eta. The hooks are those of
     `family.for_block(Y)`. Every b x n array of the fit lives in the calling
     thread's `Workspace` (see the module docstring).
 
@@ -870,10 +911,14 @@ def fit_design_batch(
             return A
         return np.take(A, rows, axis=0, out=ws.floats(name, (rows.size, n)), mode="clip")
 
-    def loglik(rows, coef, eta):
+    def loglik(rows, coef, eta, shared=False):
         """Summed log-likelihood per row, and its terms for `family.score`
-        (a workspace view, valid until the next hook call)."""
-        terms = family.loglik_terms(ws, gather("Y_rows", Y, rows), eta, coef)
+        (a workspace view, valid until the next hook call). With `shared`,
+        every row of eta holds the same bits and the family evaluates its
+        first row once."""
+        y = gather("Y_rows", Y, rows)
+        terms = (family.shared_loglik_terms(ws, y, eta[0], coef) if shared
+                 else family.loglik_terms(ws, y, eta, coef))
         if W is None:
             s = np.sum(terms, axis=1)
         else:
@@ -912,7 +957,9 @@ def fit_design_batch(
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
     ll = np.full(b, -np.inf)
     terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
-    ll[act], terms[act] = loglik(act, coef[act], gather("eta_rows", eta, act))
+    # a warm start, and a cold start with zero slopes, give every row one eta
+    eta_act = gather("eta_rows", eta, act)
+    ll[act], terms[act] = loglik(act, coef[act], eta_act, shared=_same_rows(eta_act))
     # every candidate would pass the ascent test against a start at -inf
     for r in act[ll[act] == -np.inf]:
         errors[r] = NonConvergence("log-likelihood is not finite at the starting point")
@@ -988,8 +1035,9 @@ def fit_design_batch(
 def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1,
                  keep_responses=False):
     """Fit `count` drawn response vectors on one design, in blocks of
-    `family.block_rows(n)` rows: yields each block's `BatchFit`, in row
-    order, with the block's responses in `responses` when `keep_responses`.
+    `family.block_rows(n)` rows, the same for every family: yields each
+    block's `BatchFit`, in row order, with the block's responses in
+    `responses` when `keep_responses`.
 
     Row i is `draw(i) -> (y, w or None)`, drawn by the worker that fits its
     block; every row starts at `beta0` (None: the family's cold start). With

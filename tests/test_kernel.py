@@ -456,6 +456,112 @@ def test_binary_probit_score_equals_the_two_term_form():
         assert np.array_equal(got[0][1], got[1][1])
 
 
+def _shared_eta(rng, n):
+    """A linear predictor with 0, +-8 and +-38 among random values."""
+    eta = rng.standard_normal(n) * 3.0
+    eta[:5] = [0.0, 8.0, -8.0, 38.0, -38.0]
+    return eta
+
+
+@pytest.mark.parametrize(
+    "kind", ["binary-probit", "fractional-probit", *[f"{f}-{l}" for f, l in FAMILIES[1:]],
+             "ordinal"],
+)
+def test_shared_start_terms_equal_the_per_row_terms(kind):
+    # a block's shared start evaluates its one eta once per observation:
+    # the bits of `loglik_terms` on that eta copied into every row
+    rng = np.random.default_rng(12)
+    b, n = 6, 400
+    eta = _shared_eta(rng, n)
+    coef = None
+    if kind == "ordinal":
+        family = CumulativeProbit(4)
+        y = rng.integers(1, 5, size=(b, n)).astype(float)
+        coef = np.column_stack([np.tile([-1.0, 0.2, 1.3], (b, 1)), np.ones(b)])
+    else:
+        name, link = kind.split("-")
+        probit = name in ("binary", "fractional")
+        family = _family("binomial" if probit else name, link)
+        y = _responses("binomial" if probit else name, np.full(n, 0.4), rng, b)
+        if name == "fractional":
+            y[:, 1::2] = 0.3
+        y[0, 0] = 0.0  # y = 0 at eta = 0
+        family = family.for_block(y)
+        assert (type(family).__name__ == "_BinaryProbit") == (name == "binary")
+    with np.errstate(all="ignore"):
+        shared = family.shared_loglik_terms(Workspace(y.size), y, eta, coef)
+        per_row = family.loglik_terms(Workspace(y.size), y, np.tile(eta, (b, 1)), coef)
+    assert shared.tobytes() == per_row.tobytes()
+
+
+def _binary_probit_blocks():
+    """(name, design, Y, W, beta0) blocks of binary probit responses whose
+    rows start at one eta, with the rows the shared start must cope with."""
+    rng = np.random.default_rng(21)
+    Xd, Y, _ = _block("binomial", False, 4)
+    design = _design_of(Xd)
+    n = Xd.shape[0]
+    warm = _scalar_fit(Xd, Y[0], _family("binomial", "probit"))
+    equal = np.broadcast_to(Y[1], Y.shape)
+    counts = rng.multinomial(n, np.full(n, 1 / n), size=len(Y)).astype(float)
+    constant = Y.copy()
+    constant[2] = 1.0
+    nan = Y.copy()
+    nan[3, 5] = np.nan
+    return [
+        ("warm", design, Y, None, warm),
+        ("cold", design, Y, None, None),
+        ("weighted-equal-rows", design, equal, counts, warm),
+        ("screened-constant-row", design, constant, None, warm),
+        ("nan-response-row", design, nan, None, warm),
+        ("per-row-starts", design, Y, None, np.outer(np.linspace(0.5, 1.5, len(Y)), warm)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6),
+                         ids=[c[0] for c in _binary_probit_blocks()])
+def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
+    # the binary probit override of the shared start, and the shared start
+    # itself, change no bit of a block fit; rows that start apart do not
+    # share a start
+    from lrboot import glm
+
+    name, design, Y, W, beta0 = _binary_probit_blocks()[case]
+    probit = _family("binomial", "probit")
+    same_rows = glm._same_rows
+    seen = []
+
+    def fit():
+        return _fit_bytes(fit_design_batch(design, Y, probit, weights=W, beta0=beta0))
+
+    with monkeypatch.context() as m:
+        m.setattr(glm, "_same_rows", lambda A: seen.append(same_rows(A)) or seen[-1])
+        got = fit()
+        assert seen == [name != "per-row-starts"]
+        m.setattr(glm._BinaryProbit, "shared_loglik_terms",
+                  glm._BaseFamily.shared_loglik_terms)
+        assert fit() == got
+        m.setattr(glm, "_same_rows", lambda A: False)
+        assert fit() == got
+    # the screened row and the NaN row fail before any step, the others converge
+    out = fit_design_batch(design, Y, probit, weights=W, beta0=beta0)
+    failed = {"screened-constant-row": (2, SeparationDetected),
+              "nan-response-row": (3, NonConvergence)}.get(name)
+    ok = np.ones(len(Y), dtype=bool)
+    if failed:
+        r, cls = failed
+        assert isinstance(out.errors[r], cls) and out.iterations[r] == 0
+        ok[r] = False
+    assert np.array_equal(out.ok, ok)
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+def test_every_family_gets_the_same_block_rows(n):
+    rows = {_family(f, l).block_rows(n) for f, l in FAMILIES}
+    rows |= {CumulativeProbit(J).block_rows(n) for J in (4, 7)}
+    assert rows == {2**15 // n}
+
+
 def test_ordinal_zero_weight_category_is_empty():
     # a pairwise resample is a weighted fit on multinomial counts; a category
     # none of whose rows was drawn is empty, as in the resampled data
@@ -634,7 +740,8 @@ def test_constant_binary_rows_fail_before_fitting():
 
 def test_ordinal_block_refit_memory_is_bounded():
     # 64-row ordinal blocks peak near 19 MB traced here; the cell budget
-    # keeps the blocks (4 rows at n=2000, J=4) and this peak small
+    # keeps the blocks (16 rows at n=2000, as for every family) and this
+    # peak small
     with np.errstate(all="ignore"):
         ds = sl.generate("SC1_ordinal", n=2000, seed=4)
     spec = sl.get_scenario("SC1_ordinal").assumed
@@ -679,12 +786,13 @@ def _lrb_block(scenario, B):
 
 @pytest.mark.parametrize(
     "scenario,rows,limit_mb",
-    [("SC1_probit", 16, 1.5), ("SC1_ordinal", 4, 0.5)],
+    [("SC1_probit", 16, 1.5), ("SC1_ordinal", 16, 0.5)],
     ids=["probit", "ordinal"],
 )
 def test_warm_block_fit_allocates_no_block_sized_temporaries(scenario, rows, limit_mb):
     # a full block on the thread's workspace; fresh b x n temporaries in
-    # every Newton step would peak above 3.4 MB (probit) and 1.1 MB (ordinal)
+    # every Newton step would peak above 3.4 MB (probit) and 3.4 MB (ordinal,
+    # a fresh array for each workspace request)
     fit, Y = _lrb_block(scenario, B=rows)
     assert rows == fit.family.block_rows(2000)
     fit_design_batch(fit.design, Y, fit.family, beta0=fit.coef)  # fills the workspace
