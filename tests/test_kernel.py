@@ -456,13 +456,6 @@ def test_binary_probit_score_equals_the_two_term_form():
         assert np.array_equal(got[0][1], got[1][1])
 
 
-def _shared_eta(rng, n):
-    """A linear predictor with 0, +-8 and +-38 among random values."""
-    eta = rng.standard_normal(n) * 3.0
-    eta[:5] = [0.0, 8.0, -8.0, 38.0, -38.0]
-    return eta
-
-
 @pytest.mark.parametrize(
     "kind", ["binary-probit", "fractional-probit", *[f"{f}-{l}" for f, l in FAMILIES[1:]],
              "ordinal"],
@@ -472,7 +465,8 @@ def test_shared_start_terms_equal_the_per_row_terms(kind):
     # the bits of `loglik_terms` on that eta copied into every row
     rng = np.random.default_rng(12)
     b, n = 6, 400
-    eta = _shared_eta(rng, n)
+    eta = rng.standard_normal(n) * 3.0
+    eta[:5] = [0.0, 8.0, -8.0, 38.0, -38.0]
     coef = None
     if kind == "ordinal":
         family = CumulativeProbit(4)
@@ -518,8 +512,10 @@ def _binary_probit_blocks():
     ]
 
 
-@pytest.mark.parametrize("case", range(6),
-                         ids=[c[0] for c in _binary_probit_blocks()])
+@pytest.mark.parametrize("case", range(6), ids=[
+    "warm", "cold", "weighted-equal-rows", "screened-constant-row", "nan-response-row",
+    "per-row-starts",
+])
 def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
     # the binary probit override of the shared start, and the shared start
     # itself, change no bit of a block fit; rows that start apart do not
