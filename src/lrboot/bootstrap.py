@@ -3,12 +3,16 @@ classical residual bootstrap, and the parametric/pairwise/wild/multiplier
 comparison methods.
 
 Every method draws responses y* or weights w* on the one fitted design, so
-`run` only supplies the draw of each replicate: `glm.refit_blocks` fits them
-in blocks, ordinal models included, on the column products the design
-builds once. Replicate b always consumes the substream (seed, b) with
-per-observation draws in observation order (the local methods take theirs
-from `NeighborhoodMap.picker`), and the blocks do not depend on how many
-worker processes run them, so outcomes are bit-identical for any thread count.
+`run` only supplies the draw of each block of replicates:
+`glm.refit_blocks` asks for a block's rows at once and fits them, ordinal
+models included, on the column products the design builds once. Replicate
+i always consumes the substream (seed, i + 1), with its per-observation
+draws in observation order (the local methods take theirs from
+`NeighborhoodMap.picker`); a block stacks its replicates' draws and does
+the arithmetic on them once, element by element, so each replicate keeps
+the bits it would have drawn alone. The blocks do not depend on how many
+worker processes run them, so outcomes are bit-identical for any thread
+count.
 
 The residual methods (lrb, classical) take their kind's values and inverse
 from `residuals.KINDS`: a method needs a kind with an inverse, and `run`
@@ -18,6 +22,7 @@ checks that the kind applies to the model's family before it fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -148,16 +153,30 @@ class BootstrapMethod:
 
 @dataclass
 class BootstrapOutcome:
+    """A run's replicates and summaries. The intervals `ci_normal` and
+    `ci_percentile` (q x 2) are computed on first read and kept, so a caller
+    that reads only `se_hat` computes no quantile."""
+
     replicates: np.ndarray  # successful replicates only, B' x q
     se_hat: np.ndarray
-    ci_normal: np.ndarray  # q x 2
-    ci_percentile: np.ndarray  # q x 2
     n_failed: int
     estimate: np.ndarray
     coef_names: tuple
     alpha: float
     provenance: dict
     responses: np.ndarray | None = None  # recreated y*, aligned with replicates
+
+    @cached_property
+    def ci_normal(self) -> np.ndarray:
+        """estimate -/+ z se_hat, z the normal 1 - alpha/2 quantile."""
+        z = ndtri(1.0 - self.alpha / 2.0)
+        return np.column_stack([self.estimate - z * self.se_hat,
+                                self.estimate + z * self.se_hat])
+
+    @cached_property
+    def ci_percentile(self) -> np.ndarray:
+        """The replicates' alpha/2 and 1 - alpha/2 quantiles (`ci_percentile`)."""
+        return ci_percentile(self.replicates, self.alpha)
 
     def to_json_dict(self, include_replicates: bool = True) -> dict:
         out = {
@@ -214,9 +233,8 @@ def ci_percentile(replicates: np.ndarray, alpha: float) -> np.ndarray:
     """Type-7 (linear interpolation) empirical alpha/2 and 1-alpha/2 quantiles."""
     replicates = np.atleast_2d(np.asarray(replicates, dtype=float))
     require_replicates(replicates.shape[0])
-    lo = np.quantile(replicates, alpha / 2.0, axis=0, method="linear")
-    hi = np.quantile(replicates, 1.0 - alpha / 2.0, axis=0, method="linear")
-    return np.column_stack([lo, hi])
+    return np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0,
+                       method="linear").T
 
 
 def p_value(replicates: np.ndarray, null_value: float, alternative: str = "two_sided"):
@@ -246,45 +264,67 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
 
 
 def _sampler(data, method, fit, seed, neighborhoods):
-    """Method-specific draw of one replicate's (y*, w*) from its substream.
+    """The method's block draw, (first, stop) -> (Y*, W*): replicates
+    first..stop-1 as (stop - first) x n arrays, replicate i drawn from the
+    generator substream(seed, i + 1) alone.
 
     Every method refits on the same design: the resampling methods vary the
-    responses y* (w* is None), the multiplier and pairwise methods vary only
+    responses y* (W* is None), the multiplier and pairwise methods vary only
     the weights w* (pairwise as the multinomial counts of its row draws).
+    Each generator makes the calls a replicate drawn alone would make; the
+    block stacks them and does the arithmetic once.
     """
     n = data.n
     y = data.y
     family = fit.family
     kind = method.kind
+
+    def blocks(draw):
+        return lambda first, stop: draw([substream(seed, i + 1) for i in range(first, stop)])
+
+    def rows(rngs):
+        return np.array([rng.integers(0, n, size=n) for rng in rngs])
+
     if kind == "pairwise":
-        return lambda rng: (y, np.bincount(rng.integers(0, n, size=n), minlength=n))
+
+        def draw(rngs):
+            picks = rows(rngs)
+            b = len(picks)
+            # one bincount over the picks shifted to each replicate's own row
+            counts = np.bincount((picks + n * np.arange(b)[:, None]).ravel(), minlength=b * n)
+            return np.broadcast_to(y, picks.shape), counts.reshape(b, n)
+
+        return blocks(draw)
     if kind == "multiplier":
-        return lambda rng: (y, rng.standard_exponential(n))
+
+        def draw(rngs):
+            w = np.array([rng.standard_exponential(n) for rng in rngs])
+            return np.broadcast_to(y, w.shape), w
+
+        return blocks(draw)
     if kind == "parametric":
         dispersion = family.dispersion(y, fit)
-        return lambda rng: (family.simulate(rng, fit.mu_hat, dispersion), None)
+        return blocks(lambda rngs: (family.simulate(rngs, fit.mu_hat, dispersion), None))
     if kind == "wild":
         wild_resid = y - fit.mu_hat
 
-        def draw(rng):
-            w = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        def draw(rngs):
+            w = np.array([rng.integers(0, 2, size=n) for rng in rngs]) * 2.0 - 1.0
             return family.clamp_response(fit.mu_hat + w * wild_resid), None
 
-        return draw
+        return blocks(draw)
     if kind == "classical_residual":
         pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
-        return lambda rng: (
-            res.recreate(fit, pool[rng.integers(0, n, size=n)], method.residual_kind),
-            None,
-        )
+        return blocks(lambda rngs: (res.recreate(fit, pool[rows(rngs)], method.residual_kind),
+                                    None))
     # lrb and local_response pick one neighbor per observation
     if neighborhoods is None:
         neighborhoods = build_neighborhoods(data, method.l)
     pick = neighborhoods.picker()
     if kind == "local_response":
-        return lambda rng: (y[pick(rng)], None)
+        return blocks(lambda rngs: (y[pick(rngs)], None))
     pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
-    return lambda rng: (res.recreate(fit, pool[pick(rng)], method.residual_kind), None)
+    return blocks(lambda rngs: (res.recreate(fit, pool[pick(rngs)], method.residual_kind), None))
 
 
 def run(
@@ -301,11 +341,13 @@ def run(
     options: FitOptions | None = None,
     keep_responses: bool = False,
 ) -> BootstrapOutcome:
-    """Run B bootstrap replicates and assemble SE/CI estimates.
+    """Run B bootstrap replicates and assemble SE estimates; the outcome's
+    intervals are computed when first read.
 
-    Replicates are drawn and refit on the fitted design by
-    `glm.refit_blocks`; up to n_threads worker processes (at most one per
-    two blocks and one per core) take whole blocks. Failed replicate fits
+    Replicates are drawn a block at a time by the method's block draw and
+    refit on the fitted design by `glm.refit_blocks`; up to n_threads
+    worker processes (at most one per two blocks and one per core) take
+    whole blocks. Failed replicate fits
     are dropped and counted; more than 20% failures aborts. Identical
     inputs give bit-identical outcomes for any n_threads. B < 2 raises
     TooFewReplicates before any draw or fit.
@@ -317,8 +359,8 @@ def run(
     if fit is None:
         fit = fit_qmle(data, spec, options)
     draw = _sampler(data, method, fit, seed, neighborhoods)
-    blocks = list(refit_blocks(fit.design, fit.family, lambda i: draw(substream(seed, i + 1)),
-                               B, beta0=fit.coef, options=options, n_threads=n_threads,
+    blocks = list(refit_blocks(fit.design, fit.family, draw, B, beta0=fit.coef,
+                               options=options, n_threads=n_threads,
                                keep_responses=keep_responses))
     ok = np.concatenate([out.ok for out in blocks])
     n_failed = B - int(ok.sum())
@@ -330,11 +372,6 @@ def run(
     replicates = np.vstack([out.beta for out in blocks])[ok]
     responses = np.vstack([out.responses for out in blocks])[ok] if keep_responses else None
 
-    estimate = fit.coef
-    se = se_estimate(replicates)
-    z = ndtri(1.0 - alpha / 2.0)
-    ci_nor = np.column_stack([estimate - z * se, estimate + z * se])
-    ci_per = ci_percentile(replicates, alpha)
     provenance = {
         "method": method.kind,
         "residual_kind": method.residual_kind,
@@ -346,11 +383,9 @@ def run(
     }
     return BootstrapOutcome(
         replicates=replicates,
-        se_hat=se,
-        ci_normal=ci_nor,
-        ci_percentile=ci_per,
+        se_hat=se_estimate(replicates),
         n_failed=n_failed,
-        estimate=estimate,
+        estimate=fit.coef,
         coef_names=fit.coef_names,
         alpha=alpha,
         provenance=provenance,

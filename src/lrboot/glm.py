@@ -38,13 +38,14 @@ evaluates log Phi(eta) and log Phi(-eta) once per observation and picks one
 per row by the response, instead of a `log_ndtr` per row and observation;
 other families take their `loglik_terms` on eta broadcast to the block.
 Every caller that fits many response vectors runs `refit_blocks`, which
-draws and fits them in blocks of `family.block_rows(n)` rows: max(1,
-2**15 // n) for every family (16 at n=2000), as every array of a block fit,
-the ordinal model's included, is b x n. Asked for more than one worker, it
-forks worker processes, which inherit the design, its products and the
-draw, so nothing is shipped to them; each fits a fixed round-robin share of
-the blocks and pickles its `BatchFit`s back over a pipe. Workers number at
-most one per two blocks and one per core the process may run on; where
+fits them in blocks of `family.block_rows(n)` rows, each drawn whole by
+one call of the caller's draw: max(1, 2**15 // n) rows for every family
+(16 at n=2000), as every array of a block fit, the ordinal model's
+included, is b x n. Asked for more than one worker, it forks worker
+processes, which inherit the design, its products and the draw, so
+nothing is shipped to them; each fits a fixed round-robin share of the
+blocks and pickles its `BatchFit`s back over a pipe. Workers number at most
+one per two blocks and one per core the process may run on; where
 `os.fork` does not exist, the blocks run serially.
 
 A block fit writes every b x n array (the gathered rows of Y, W, eta and the
@@ -251,7 +252,9 @@ def _coef_names(design: DesignInfo, n_cut: int) -> tuple[str, ...]:
 class _BaseFamily:
     """A GLM family: mean, variance and log-likelihood per observation, and
     the hooks `fit_design_batch` calls for a block of rows, each row a
-    coefficient vector (cutpoints, then slopes)."""
+    coefficient vector (cutpoints, then slopes). A family's
+    `simulate(rngs, mu, dispersion)` draws a len(rngs) x n block of
+    responses at the means mu, row r from rngs[r] alone."""
 
     name = ""
     link = ""
@@ -352,8 +355,8 @@ class _Binomial(_BaseFamily):
     def clamp_response(self, vals):
         return np.clip(vals, 0.0, 1.0)
 
-    def simulate(self, rng, mu, dispersion=None):
-        return (rng.random(mu.shape[0]) < mu).astype(float)
+    def simulate(self, rngs, mu, dispersion=None):
+        return (np.array([rng.random(mu.shape[0]) for rng in rngs]) < mu).astype(float)
 
     def half_deviance(self, y, mu):
         """Half the unit deviance d(y; mu) per observation."""
@@ -513,8 +516,8 @@ class PoissonLog(_BaseFamily):
     def clamp_response(self, vals):
         return np.maximum(vals, 0.0)
 
-    def simulate(self, rng, mu, dispersion=None):
-        return rng.poisson(mu).astype(float)
+    def simulate(self, rngs, mu, dispersion=None):
+        return np.array([rng.poisson(mu) for rng in rngs]).astype(float)
 
     def half_deviance(self, y, mu):
         return _xlogy(y, y / mu) - (y - mu)
@@ -564,9 +567,10 @@ class GammaInverse(_BaseFamily):
             beta += 0.5 * np.full_like(beta, 1e-3)
         raise NonConvergence("no admissible starting point for the inverse link")
 
-    def simulate(self, rng, mu, dispersion=None):
+    def simulate(self, rngs, mu, dispersion=None):
         shape = 1.0 if not dispersion else 1.0 / dispersion
-        return rng.gamma(shape, mu / shape)
+        scale = mu / shape
+        return np.array([rng.gamma(shape, scale) for rng in rngs])
 
     def half_deviance(self, y, mu):
         return -np.log(y / mu) + (y - mu) / mu
@@ -591,9 +595,9 @@ class GaussianIdentity(_BaseFamily):
         t *= -0.5
         return t
 
-    def simulate(self, rng, mu, dispersion=None):
+    def simulate(self, rngs, mu, dispersion=None):
         sd = np.sqrt(dispersion) if dispersion else 1.0
-        return mu + sd * rng.standard_normal(mu.shape[0])
+        return mu + sd * np.array([rng.standard_normal(mu.shape[0]) for rng in rngs])
 
     def half_deviance(self, y, mu):
         return 0.5 * np.square(y - mu)
@@ -752,10 +756,14 @@ class CumulativeProbit(_BaseFamily):
         alpha, beta = coef[: self.n_cut], coef[self.n_cut :]
         return alpha, beta, ordinal_probs(alpha, Xd @ beta), None
 
-    def simulate(self, rng, mu, dispersion=None):
-        """Codes drawn from the n x J category probabilities mu."""
-        u = rng.random(mu.shape[0])
-        return (1 + (u[:, None] > np.cumsum(mu, axis=1)).sum(axis=1)).astype(float)
+    def simulate(self, rngs, mu, dispersion=None):
+        """Codes drawn from the n x J category probabilities mu, one row per
+        generator: one plus the number of cumulative probabilities below u."""
+        u = np.array([rng.random(mu.shape[0]) for rng in rngs])
+        codes = np.ones(u.shape)
+        for cum in np.cumsum(mu, axis=1).T:
+            codes += u > cum
+        return codes
 
     # categorical view: code j where alpha_{j-1} < latent <= alpha_j
     latent = (ndtr, ndtri)
@@ -1039,8 +1047,9 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
     block's `BatchFit`, in row order, with the block's responses in
     `responses` when `keep_responses`.
 
-    Row i is `draw(i) -> (y, w or None)`, drawn by the worker that fits its
-    block; every row starts at `beta0` (None: the family's cold start). With
+    `draw(first, stop) -> (Y, W or None)` draws rows first..stop-1 as
+    (stop - first) x n blocks, called by the worker that fits them; every
+    row starts at `beta0` (None: the family's cold start). With
     n_threads > 1 and at least four blocks, `_worker_count` worker processes
     fit the blocks (see `_fork_shares`). The rows of a block do not depend
     on the worker count, so the fits are bit-identical for any n_threads.
@@ -1050,9 +1059,7 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
     rows = family.block_rows(design.matrix.shape[0])
 
     def block(first):
-        Y, W = zip(*(draw(i) for i in range(first, min(first + rows, count))))
-        Y = np.vstack(Y)
-        W = None if W[0] is None else np.vstack(W)
+        Y, W = draw(first, min(first + rows, count))
         out = fit_design_batch(design, Y, family, options, weights=W, beta0=beta0)
         if keep_responses:
             out.responses = Y

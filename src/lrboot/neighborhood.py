@@ -101,13 +101,17 @@ class NeighborhoodMap:
         return _RowSlices(self.index, self.starts, self.lengths)
 
     def picker(self):
-        """rng -> one uniformly drawn neighbor index per observation,
-        consuming the stream in observation order."""
+        """rngs -> a len(rngs) x n array of neighbor indices: row r holds one
+        uniformly drawn neighbor per observation from rngs[r] alone,
+        consuming that stream in observation order."""
         n, index, starts, lengths = self.n, self.index, self.starts, self.lengths
         k = int(lengths[0])
         if (lengths == k).all():
-            return lambda rng: index[starts + rng.integers(0, k, size=n)]
-        return lambda rng: index[starts + np.floor(rng.random(n) * lengths).astype(int)]
+            return lambda rngs: index[starts + np.array([rng.integers(0, k, size=n)
+                                                         for rng in rngs])]
+        return lambda rngs: index[
+            starts + np.floor(np.array([rng.random(n) for rng in rngs]) * lengths).astype(int)
+        ]
 
 
 def _ranked(cand: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -633,7 +633,8 @@ def pseudo_truth(
     """Monte Carlo pseudo-true parameter (mean of QMLE fits over response
     redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation).
 
-    The redraws are fit from cold starts by `glm.refit_blocks`. More than 5%
+    The redraws are drawn a block at a time and fit from cold starts by
+    `glm.refit_blocks`. More than 5%
     failed fits raises TooManyFailures after the first block over the cap.
     The truth keeps its frozen draw, which `run_experiment` and `theorem1_ks`
     score against."""
@@ -644,8 +645,8 @@ def pseudo_truth(
     family = family_for(frame.scn.assumed)
     _check_rank(family, design)
 
-    def redraw(r):
-        return frame.response(_PURPOSE_PSEUDO, r), None
+    def redraw(first, stop):
+        return np.array([frame.response(_PURPOSE_PSEUDO, r) for r in range(first, stop)]), None
 
     coefs = []
     n_failed = n_fit = 0
@@ -913,7 +914,7 @@ def theorem1_ks(truth: PseudoTruth, l: int, rep: int = 0, seed: int = 0) -> floa
     fit = fit_qmle(ds, spec, design=frame.design)
     r_hat = surrogate_values(fit, ds.y, substream(seed, rep, 0))
     pick = build_neighborhoods(frame.data, l).picker()
-    r_star = r_hat[pick(substream(seed, rep, 1))]
+    r_star = r_hat[pick([substream(seed, rep, 1)])[0]]
 
     # oracle side: fresh truth draw, surrogate at the pseudo-true coefficients
     y_dagger = frame.response(_PURPOSE_ADHOC, 2000 + rep)

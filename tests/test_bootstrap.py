@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 import lrboot as lb
@@ -23,8 +24,8 @@ from lrboot.errors import (
     TooManyFailures,
     UnsupportedKind,
 )
-from lrboot import simlab
-from lrboot.neighborhood import build_neighborhoods
+from lrboot import residuals, simlab
+from lrboot.neighborhood import build_neighborhoods, select_size
 from lrboot.rng import substream
 
 RESIDUAL_KINDS_BINARY = ("pearson", "sbs", "surrogate")
@@ -141,10 +142,12 @@ def test_lrb_full_size_reduction_gaussian_raw():
 
 
 def test_thread_count_does_not_change_outcome():
+    # 218 rows a block at n=150: B=700 makes four blocks, the last one short
     ds, spec = _probit_data(n=150, seed=7)
+    assert lb.glm.family_for(spec).block_rows(ds.n) == 218
     m = BootstrapMethod.lrb("surrogate", 8)
-    a = run(ds, spec, m, B=30, seed=13, n_threads=1)
-    b = run(ds, spec, m, B=30, seed=13, n_threads=4)
+    a = run(ds, spec, m, B=700, seed=13, n_threads=1)
+    b = run(ds, spec, m, B=700, seed=13, n_threads=4)
     assert np.array_equal(a.replicates, b.replicates)
     assert np.array_equal(a.se_hat, b.se_hat)
 
@@ -213,11 +216,12 @@ def test_unequal_neighbor_sets_draw_as_per_observation_loop():
     for X, meta in inputs:
         nb, lengths, draw = _local_response_draw(X, meta, 7)
         assert np.unique(lengths).size > 1
+        Y, W = draw(0, 39)  # replicate b draws from substream(3, b + 1)
+        assert Y.shape == (39, n) and W is None
         for b in range(1, 40):
             k = np.floor(substream(3, b).random(n) * lengths).astype(int)
             expected = np.array([nb.sets[i][k[i]] for i in range(n)])
-            y_star, w_star = draw(substream(3, b))
-            assert np.array_equal(y_star, expected) and w_star is None
+            assert np.array_equal(Y[b - 1], expected)
 
 
 def test_equal_neighbor_sets_draw_as_per_observation_loop():
@@ -231,11 +235,12 @@ def test_equal_neighbor_sets_draw_as_per_observation_loop():
     for X, meta, k in inputs:
         nb, lengths, draw = _local_response_draw(X, meta, 7)
         assert (lengths == k).all()
+        Y, W = draw(0, 39)  # replicate b draws from substream(3, b + 1)
+        assert Y.shape == (39, n) and W is None
         for b in range(1, 40):
             j = substream(3, b).integers(0, k, size=n)
             expected = np.array([nb.sets[i][j[i]] for i in range(n)])
-            y_star, w_star = draw(substream(3, b))
-            assert np.array_equal(y_star, expected) and w_star is None
+            assert np.array_equal(Y[b - 1], expected)
 
 
 def test_pairwise_never_fabricates_rows():
@@ -442,3 +447,147 @@ def test_lrb_surrogate_close_to_parametric_under_correct_model():
     b = run(ds, spec, BootstrapMethod.parametric(), B=500, seed=31)
     ratio = a.se_hat[slope] / b.se_hat[slope]
     assert abs(ratio - 1.0) <= 0.15
+
+
+# -- block draws against the per-replicate draw -----------------------------------
+
+
+def _oracle_data(model, layout, n=60, seed=8):
+    """Binary probit, 4-category ordinal or gaussian responses on x, with a
+    categorical column of a 3-row cell (unequal neighbor sets at l=7) or
+    without one (equal sets)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, n)
+    z = 0.3 + 1.1 * x + rng.standard_normal(n)
+    if model == "binary":
+        y = (z > 0).astype(float)
+        spec = lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),))
+    elif model == "ordinal":
+        y = 1.0 + (z[:, None] > np.array([-0.8, 0.3, 1.2])).sum(axis=1)
+        spec = lb.ModelSpec("ordinal", "probit", (lb.Term("raw", 0),),
+                            include_intercept=False, n_categories=4)
+    else:
+        y = z
+        spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
+    if layout == "equal":
+        return lb.make_dataset(y, x[:, None]), spec
+    g = (np.arange(n) % 20 >= 1).astype(float)  # rows 0, 20 and 40 form one cell
+    return lb.make_dataset(y, np.column_stack([x, g]),
+                           column_meta=("continuous", "categorical")), spec
+
+
+def _inverse_one(fit, r, kind):
+    """One replicate's recreated responses, by the per-vector rules."""
+    family = fit.family
+    if kind == "surrogate":
+        codes = np.searchsorted(family.thresholds(fit), r + fit.eta, side="left") + 1
+        return family.from_codes(codes)
+    if kind == "sbs":
+        if family.n_cut == 0:
+            return family.from_codes((r > 0.0).astype(int) + 1)
+        probs = family.category_probs(fit.mu_hat)
+        cum = np.concatenate([np.zeros((len(r), 1)), np.cumsum(probs, axis=1)], axis=1)
+        grid = cum[:, :-1] + cum[:, 1:] - 1.0
+        return family.from_codes(np.argmin(np.abs(grid - r[:, None]), axis=1) + 1)
+    if kind == "pearson":
+        return family.clamp_response(fit.mu_hat + np.sqrt(fit.var_hat) * r)
+    return fit.eta + r  # raw
+
+
+def _replicate_draw(ds, method, fit, seed, nb, i):
+    """Replicate i's (y*, w*) drawn alone from substream(seed, i + 1)."""
+    rng = substream(seed, i + 1)
+    n, y, mu, family = ds.n, ds.y, fit.mu_hat, fit.family
+    kind = method.kind
+    if kind == "pairwise":
+        return y, np.bincount(rng.integers(0, n, size=n), minlength=n)
+    if kind == "multiplier":
+        return y, rng.standard_exponential(n)
+    if kind == "parametric":
+        if family.n_cut:
+            u = rng.random(n)
+            return (1 + (u[:, None] > np.cumsum(mu, axis=1)).sum(axis=1)).astype(float), None
+        if family.name == "binomial":
+            return (rng.random(n) < mu).astype(float), None
+        return mu + np.sqrt(family.dispersion(y, fit)) * rng.standard_normal(n), None
+    if kind == "wild":
+        w = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        return family.clamp_response(mu + w * (y - mu)), None
+    if kind == "classical_residual":
+        picks = rng.integers(0, n, size=n)
+    else:
+        lengths = np.array([len(s) for s in nb.sets])
+        if (lengths == lengths[0]).all():
+            k = rng.integers(0, lengths[0], size=n)
+        else:
+            k = np.floor(rng.random(n) * lengths).astype(int)
+        picks = np.array([nb.sets[j][k[j]] for j in range(n)])
+        if kind == "local_response":
+            return y[picks], None
+    pool = residuals.compute(fit, ds, method.residual_kind, rng=substream(seed, 0)).values
+    return _inverse_one(fit, pool[picks], method.residual_kind), None
+
+
+_ORACLE_KINDS = {
+    "binary": ("surrogate", "sbs", "pearson"),
+    "ordinal": ("surrogate", "sbs"),
+    "gaussian": ("pearson", "raw"),
+}
+
+
+@pytest.mark.parametrize("layout", ["equal", "unequal"])
+@pytest.mark.parametrize("model", ["binary", "ordinal", "gaussian"])
+def test_block_draw_equals_the_per_replicate_draw(model, layout):
+    # a full block of the refit size and a short last block after it
+    ds, spec = _oracle_data(model, layout)
+    fit = lb.fit_qmle(ds, spec)
+    nb = build_neighborhoods(ds, 7)
+    lengths = np.array([len(s) for s in nb.sets])
+    assert (np.unique(lengths).size > 1) == (layout == "unequal")
+    rows = fit.family.block_rows(ds.n)
+    methods = [BootstrapMethod.local_response(7), BootstrapMethod.parametric(),
+               BootstrapMethod.pairwise(), BootstrapMethod.multiplier()]
+    if model != "ordinal":
+        methods.append(BootstrapMethod.wild())
+    for kind in _ORACLE_KINDS[model]:
+        methods += [BootstrapMethod.lrb(kind, 7), BootstrapMethod.classical_residual(kind)]
+    for method in methods:
+        draw = _sampler(ds, method, fit, 5, nb)
+        for first, stop in ((0, rows), (rows, rows + 5)):
+            Y, W = draw(first, stop)
+            assert Y.shape == (stop - first, ds.n), method.label
+            for b, i in enumerate(range(first, stop)):
+                y_i, w_i = _replicate_draw(ds, method, fit, 5, nb, i)
+                assert np.array_equal(Y[b], y_i), (method.label, i)
+                assert (W is None) == (w_i is None), method.label
+                if w_i is not None:
+                    assert np.array_equal(W[b], w_i), (method.label, i)
+
+
+# -- intervals are computed when read ---------------------------------------------
+
+
+def test_select_size_computes_no_interval(monkeypatch):
+    ds, spec = _gaussian_data(n=120, seed=21)
+    kwargs = dict(grid=(2, 4), K=2, m=100, B_inner=20, seed=4)
+    plain = select_size(ds, spec, "raw", **kwargs)
+
+    def no_interval(*args, **kw):
+        raise AssertionError("an interval was computed")
+
+    monkeypatch.setattr("lrboot.bootstrap.ci_percentile", no_interval)
+    patched = select_size(ds, spec, "raw", **kwargs)
+    assert patched.to_json_dict() == plain.to_json_dict()
+
+
+def test_outcome_intervals_read_as_the_formulas():
+    ds, spec = _probit_data(n=120, seed=9)
+    alpha = 0.1
+    out = run(ds, spec, BootstrapMethod.lrb("surrogate", 8), B=40, alpha=alpha, seed=3)
+    r, est, se = out.replicates, out.estimate, out.se_hat
+    z = ndtri(1.0 - alpha / 2.0)
+    assert np.array_equal(out.ci_normal, np.column_stack([est - z * se, est + z * se]))
+    lo = np.quantile(r, alpha / 2.0, axis=0, method="linear")
+    hi = np.quantile(r, 1.0 - alpha / 2.0, axis=0, method="linear")
+    assert np.array_equal(out.ci_percentile, np.column_stack([lo, hi]))
+    assert out.ci_percentile is out.ci_percentile  # kept after the first read

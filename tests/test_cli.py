@@ -416,6 +416,7 @@ def test_simulate_command(tmp_path):
 
 
 def test_byte_identical_reruns_across_threads(tmp_path, binary_csv):
+    # 163 rows a block at n=200: B=600 makes four blocks, the last one short
     def run_once(out, threads):
         code = cli.main(
             [
@@ -425,7 +426,7 @@ def test_byte_identical_reruns_across_threads(tmp_path, binary_csv):
                 "--predictors", "x",
                 "--method", "lrb-surrogate",
                 "--l", "8",
-                "--B", "40",
+                "--B", "600",
                 "--seed", "7",
                 "--threads", str(threads),
                 "--keep-replicates",

@@ -904,10 +904,12 @@ def _probit_data(n=150, seed=7):
     ids=lambda m: m.label,
 )
 def test_blocks_are_thread_invariant_for_every_method(method):
-    # B=130 is not a multiple of the block size, so the last block is short
+    # 218 rows a block at n=150: B=700 makes four blocks, the last one short,
+    # so a second worker process draws and fits blocks
     ds, spec = _probit_data()
-    a = run(ds, spec, method, B=130, seed=17, n_threads=1)
-    b = run(ds, spec, method, B=130, seed=17, n_threads=2)
+    assert family_for(spec).block_rows(ds.n) == 218
+    a = run(ds, spec, method, B=700, seed=17, n_threads=1)
+    b = run(ds, spec, method, B=700, seed=17, n_threads=2)
     assert a.n_failed == b.n_failed
     assert np.array_equal(a.replicates, b.replicates)
 
@@ -923,8 +925,10 @@ def test_ordinal_blocks_are_thread_invariant():
         "ordinal", "probit", (lb.Term("raw", 0),), include_intercept=False, n_categories=3
     )
     m = BootstrapMethod.pairwise()
-    a = run(ds, spec, m, B=70, seed=3, n_threads=1)
-    b = run(ds, spec, m, B=70, seed=3, n_threads=2)
+    # 273 rows a block at n=120: B=900 makes four blocks, the last one short
+    assert family_for(spec).block_rows(n) == 273
+    a = run(ds, spec, m, B=900, seed=3, n_threads=1)
+    b = run(ds, spec, m, B=900, seed=3, n_threads=2)
     assert np.array_equal(a.replicates, b.replicates)
 
 

@@ -159,11 +159,16 @@ def test_kept_responses_come_back_from_the_children(two_cores, forks):
     _no_child_left()
 
 
+def _observed(ds, first, stop):
+    """A block of copies of the observed responses, rows first..stop-1."""
+    return np.tile(ds.y, (stop - first, 1)), None
+
+
 def _raising_draw(ds, bad_row):
-    def draw(i):
-        if i == bad_row:
-            raise InvalidSize(f"row {i} cannot be drawn")
-        return ds.y, None
+    def draw(first, stop):
+        if first <= bad_row < stop:
+            raise InvalidSize(f"row {bad_row} cannot be drawn")
+        return _observed(ds, first, stop)
 
     return draw
 
@@ -186,10 +191,10 @@ def test_a_child_that_dies_raises_in_the_caller(two_cores, forks):
     fit = lb.fit_qmle(ds, spec)
     parent = os.getpid()
 
-    def draw(i):
-        if i == 100 and os.getpid() != parent:
+    def draw(first, stop):
+        if first <= 100 < stop and os.getpid() != parent:
             os._exit(3)
-        return ds.y, None
+        return _observed(ds, first, stop)
 
     with pytest.raises(RuntimeError, match="no result"):
         list(glm.refit_blocks(fit.design, fit.family, draw, 300, beta0=fit.coef, n_threads=2))
@@ -199,7 +204,7 @@ def test_a_child_that_dies_raises_in_the_caller(two_cores, forks):
 def test_blocks_come_in_row_order(two_cores):
     ds, spec = _probit_data()
     fit = lb.fit_qmle(ds, spec)
-    out = list(glm.refit_blocks(fit.design, fit.family, lambda i: (ds.y, None), 300,
+    out = list(glm.refit_blocks(fit.design, fit.family, lambda a, b: _observed(ds, a, b), 300,
                                 beta0=fit.coef, n_threads=2, keep_responses=True))
     assert [len(b.beta) for b in out] == [81, 81, 81, 57]
     assert all(np.array_equal(b.responses, np.broadcast_to(ds.y, b.responses.shape))
