@@ -347,10 +347,9 @@ def run(
     Replicates are drawn a block at a time by the method's block draw and
     refit on the fitted design by `glm.refit_blocks`; up to n_threads
     worker processes (at most one per two blocks and one per core) take
-    whole blocks. Failed replicate fits
-    are dropped and counted; more than 20% failures aborts. Identical
-    inputs give bit-identical outcomes for any n_threads. B < 2 raises
-    TooFewReplicates before any draw or fit.
+    whole blocks. Failed replicate fits are dropped and counted; more than
+    20% failures aborts. Identical inputs give bit-identical outcomes for
+    any n_threads. B < 2 raises TooFewReplicates before any draw or fit.
     """
     require_replicates(B)
     _validate(data, spec, method)
