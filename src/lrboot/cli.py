@@ -28,6 +28,7 @@ from .bootstrap import BootstrapMethod, require_replicates, run
 from .data import Dataset, ModelSpec, Term, back_transform, make_dataset
 from .errors import (
     AllRowsDropped,
+    InvalidSize,
     LrbootError,
     MissingColumn,
     ParseError,
@@ -39,6 +40,7 @@ from .rng import substream
 from .selection import CandidateSet, rank_models
 from .simlab import (
     default_neighborhood_size,
+    get_scenario,
     pseudo_truth,
     report_to_csv,
     run_experiment,
@@ -91,8 +93,13 @@ def ingest(
             raise MissingColumn(f"column {name!r} not in header {header}")
     idx = {name: header.index(name) for name in [response, *base_columns]}
 
+    width = max(idx.values()) + 1
     kept, dropped = [], 0
-    for row in rows:
+    for r, row in enumerate(rows):
+        if len(row) < width:
+            raise ParseError(
+                f"{path}: row {r + 2} has {len(row)} of the header's {len(header)} cells"
+            )
         if any(_is_missing(row[idx[name]]) for name in idx):
             dropped += 1
             continue
@@ -554,15 +561,19 @@ def _cmd_simulate(args) -> int:
         except json.JSONDecodeError:
             params[k.strip()] = v.strip()
     n_threads = _threads(args)
+    if args.reps < 1:
+        raise InvalidSize(f"--reps must be at least 1, got {args.reps}")
+    l = _size_flag(args)
+    if l is None:
+        l = default_neighborhood_size(
+            args.scenario, args.n or get_scenario(args.scenario).default_n
+        )
+    methods = [BootstrapMethod.parse(tok, args.residual, l) for tok in args.methods.split(",")]
+    levels = _entries(args.levels, float)
     truth = pseudo_truth(
         args.scenario, n=args.n, reps=args.truth_reps, seed=args.seed,
         params=params or None,
     )
-    l = _size_flag(args)
-    if l is None:
-        l = default_neighborhood_size(args.scenario, truth.n)
-    methods = [BootstrapMethod.parse(tok, args.residual, l) for tok in args.methods.split(",")]
-    levels = _entries(args.levels, float)
     report = run_experiment(
         methods,
         truth,

@@ -42,7 +42,8 @@ class DegenerateTruncation(LrbootError):
 
 
 class InvalidSize(LrbootError):
-    """Neighborhood size outside [1, n]."""
+    """A size or count outside its range, such as a neighborhood size outside
+    [1, n] or fewer than 100 pseudo-truth redraws."""
 
 
 class IncompatibleResidual(LrbootError):

@@ -4,8 +4,11 @@ parameters and standard errors, and coverage/ratio experiments.
 Fixed-design semantics: for a given (scenario, n, seed, params) the
 covariates are frozen and only the response is redrawn across Monte Carlo
 replicates, so the pseudo-true standard error measures response randomness
-alone. The frozen draw (covariates, observed-column dataset and the assumed
-model's design) is made once, by `pseudo_truth`, and the `PseudoTruth` carries
+alone. A scenario is a mean plus a noise draw (`ScenarioDef`): a frozen draw
+computes the mean once, and a block of redraws is one `noise` call on the
+redraws' own substreams, as the parametric bootstrap draws its block. The
+frozen draw (covariates, observed-column dataset, the assumed model's design
+and the mean) is made once, by `pseudo_truth`, and the `PseudoTruth` carries
 it: `run_experiment` and `theorem1_ks` take the truth alone and fit on its
 design, so they cannot be scored against another scenario's truth. Nothing is
 cached on disk; a pseudo-truth is recomputed per process.
@@ -16,15 +19,16 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
 from .bootstrap import ci_percentile, run
 from .data import Dataset, DesignInfo, ModelSpec, Term, back_transform, build_design, make_dataset
-from .errors import TooManyFailures, UnknownScenario
-from .glm import FitResult, _check_rank, _coef_names, family_for, fit_qmle, refit_blocks
+from .errors import InvalidSize, TooManyFailures, UnknownScenario
+from .glm import BinomialProbit, FitResult, GammaInverse, GaussianIdentity, PoissonLog
+from .glm import _check_rank, _coef_names, family_for, fit_qmle, refit_blocks
 from .neighborhood import build_neighborhoods, default_size
 from .residuals import surrogate_values
 from .rng import derive_seed, stable_int, substream
@@ -59,14 +63,25 @@ def _terms(k):
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    """Registered data-generating process plus its (misspecified) assumed model."""
+    """Registered data-generating process plus its (misspecified) assumed model.
+
+    A scenario is a mean plus a noise draw. `mean(X_full, params)` is what a
+    response is drawn around, computed once per frozen draw; `noise(rngs,
+    mean)` draws one response row per generator, len(rngs) x n. The noise is
+    a family's `simulate` (binomial by default; SC8, SC9, SC12 and
+    GaussianCheck name theirs), except where no family draws the process:
+    SC1_ordinal (mean = the n x 3 cumulative probabilities), SC7
+    (beta-binomial), SC10 (a normal mixture) and SC11 (mean = the mean and
+    the noise scale as two columns). Unless stated, a scenario has n = 2000
+    and observes one continuous column `x`, the first of X_full."""
 
     id: str
-    default_n: int
     make_x: callable  # (rng, n, params) -> X_full
-    draw_y: callable  # (rng, X_full, params) -> y
+    mean: callable  # (X_full, params) -> mean
     assumed: ModelSpec
-    observed: tuple  # (col indices, meta, names) into X_full
+    noise: callable = BinomialProbit().simulate  # the link does not enter the draw
+    default_n: int = 2000
+    observed: tuple = ((0,), ("continuous",), ("x",))  # (col indices, meta, names) into X_full
     defaults: dict = field(default_factory=dict)
     x_param_names: tuple = ()  # params that alter the covariate draw
     paper_l: int | None = None  # neighborhood size when the source states one
@@ -103,8 +118,8 @@ def default_neighborhood_size(scenario_id: str, n: int) -> int:
 # scenario registry
 
 
-def _obs_all(k, names=None):
-    names = names or tuple(f"x{j + 1}" for j in range(k))
+def _obs_all(k):
+    names = tuple(f"x{j + 1}" for j in range(k))
     return list(range(k)), tuple("continuous" for _ in range(k)), names
 
 
@@ -122,11 +137,9 @@ def _sc1_index(X, params):
 _register(
     ScenarioDef(
         id="SC1_probit",
-        default_n=2000,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: (rng.random(X.shape[0]) < ndtr(_sc1_index(X, p))).astype(float),
+        mean=lambda X, p: ndtr(_sc1_index(X, p)),
         assumed=ModelSpec("binomial", "probit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
         defaults={"beta2": -2.0},
         paper_l=10,
     )
@@ -135,43 +148,47 @@ _register(
 _register(
     ScenarioDef(
         id="SC1_logit",
-        default_n=2000,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: (rng.random(X.shape[0]) < expit(_sc1_index(X, p))).astype(float),
+        mean=lambda X, p: expit(_sc1_index(X, p)),
         assumed=ModelSpec("binomial", "logit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
         defaults={"beta2": -2.0},
         paper_l=10,
     )
 )
 
 
-def _sc1_ordinal_draw(rng, X, params):
+def _sc1_ordinal_cum(X, params):
+    """P(Y <= j) for j = 1..3, n x 3."""
     x = X[:, 0]
     alphas = np.array([-16.0, -12.0, -8.0])
     index = 8.0 * x + params["beta2"] * x**2
-    cum = ndtr(alphas[None, :] + index[:, None])
-    u = rng.random(x.shape[0])
-    y = 1.0 + (u[:, None] > cum).sum(axis=1)
-    counts = np.bincount(y.astype(int), minlength=5)[1:]
-    if np.any(counts == 0):
-        warnings.warn(
-            f"SC1_ordinal draw left category {int(np.argmin(counts)) + 1} empty",
-            stacklevel=2,
-        )
+    return ndtr(alphas[None, :] + index[:, None])
+
+
+def _sc1_ordinal_noise(rngs, cum):
+    u = np.array([rng.random(cum.shape[0]) for rng in rngs])
+    y = np.ones(u.shape)
+    for c in cum.T:
+        y += u > c
+    for row in y:
+        counts = np.bincount(row.astype(int), minlength=5)[1:]
+        if np.any(counts == 0):
+            warnings.warn(
+                f"SC1_ordinal draw left category {int(np.argmin(counts)) + 1} empty",
+                stacklevel=2,
+            )
     return y
 
 
 _register(
     ScenarioDef(
         id="SC1_ordinal",
-        default_n=2000,
         make_x=lambda rng, n, p: rng.uniform(1.0, 7.0, size=(n, 1)),
-        draw_y=_sc1_ordinal_draw,
+        mean=_sc1_ordinal_cum,
+        noise=_sc1_ordinal_noise,
         assumed=ModelSpec(
             "ordinal", "probit", _terms(1), include_intercept=False, n_categories=4
         ),
-        observed=_obs_all(1, names=("x",)),
         defaults={"beta2": -1.0},
         paper_l=10,
     )
@@ -187,18 +204,16 @@ def _sc2_make_x(rng, n, params):
     return rng.standard_normal((n, p))
 
 
-def _sc2_draw_y(rng, X, params):
+def _sc2_mean(X, params):
     signs = np.array([(-1.0) ** j for j in range(1, 11)])
-    index = 1.0 + X @ signs - X[:, 0] * X[:, 9] + X[:, 1] * X[:, 8]
-    return (rng.random(X.shape[0]) < ndtr(index)).astype(float)
+    return ndtr(1.0 + X @ signs - X[:, 0] * X[:, 9] + X[:, 1] * X[:, 8])
 
 
 _register(
     ScenarioDef(
         id="SC2",
-        default_n=2000,
         make_x=_sc2_make_x,
-        draw_y=_sc2_draw_y,
+        mean=_sc2_mean,
         assumed=ModelSpec("binomial", "probit", _terms(10)),
         observed=_obs_all(10),
         defaults={"correlated": False},
@@ -218,11 +233,8 @@ def _sc3_make_x(rng, n, params):
 _register(
     ScenarioDef(
         id="SC3",
-        default_n=2000,
         make_x=_sc3_make_x,
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0]) < ndtr(-1.0 + 2.0 * X[:, 0] + 2.0 * X[:, 1])
-        ).astype(float),
+        mean=lambda X, p: ndtr(-1.0 + 2.0 * X[:, 0] + 2.0 * X[:, 1]),
         assumed=ModelSpec("binomial", "probit", _terms(1)),
         observed=([0], ("continuous",), ("x1",)),  # x2 unobserved
         defaults={"correlated": False},
@@ -233,26 +245,18 @@ _register(
 _register(
     ScenarioDef(
         id="SC4_exp",
-        default_n=2000,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0]) < ndtr(-2.0 + 4.0 * np.exp(X[:, 0]))
-        ).astype(float),
+        mean=lambda X, p: ndtr(-2.0 + 4.0 * np.exp(X[:, 0])),
         assumed=ModelSpec("binomial", "probit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
 _register(
     ScenarioDef(
         id="SC4_sine",
-        default_n=2000,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0]) < ndtr(5.0 * np.sin(X[:, 0]))
-        ).astype(float),
+        mean=lambda X, p: ndtr(5.0 * np.sin(X[:, 0])),
         assumed=ModelSpec("binomial", "probit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
@@ -263,21 +267,20 @@ def _sc5_make_x(rng, n, params):
     return np.column_stack([x, u])
 
 
-def _sc5_draw(rng, X, params):
+def _sc5_mean(X, params):
     x, u = X[:, 0], X[:, 1]
     if params["shift_intercept"]:
         index = np.where(u == 0.0, -1.0 + x, 1.0 - x)
     else:
         index = np.where(u == 0.0, -2.0 + x, -2.0 - x)
-    return (rng.random(X.shape[0]) < ndtr(index)).astype(float)
+    return ndtr(index)
 
 
 _register(
     ScenarioDef(
         id="SC5_slope",
-        default_n=2000,
         make_x=_sc5_make_x,
-        draw_y=_sc5_draw,
+        mean=_sc5_mean,
         assumed=ModelSpec("binomial", "probit", _terms(2)),
         observed=([0, 1], ("continuous", "categorical"), ("x", "u")),
         defaults={"shift_intercept": False},
@@ -287,9 +290,8 @@ _register(
 _register(
     ScenarioDef(
         id="SC5_both",
-        default_n=2000,
         make_x=_sc5_make_x,
-        draw_y=_sc5_draw,
+        mean=_sc5_mean,
         assumed=ModelSpec("binomial", "probit", _terms(2)),
         observed=([0, 1], ("continuous", "categorical"), ("x", "u")),
         defaults={"shift_intercept": True},
@@ -299,27 +301,23 @@ _register(
 _register(
     ScenarioDef(
         id="SC6",
-        default_n=2000,
         make_x=lambda rng, n, p: np.column_stack(
             [
                 (rng.random(n) < 0.2).astype(float),
                 (rng.random(n) < 0.8).astype(float),
             ]
         ),
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0])
-            < ndtr(1.0 + X[:, 0] - X[:, 1] - 4.0 * X[:, 0] * X[:, 1])
-        ).astype(float),
+        mean=lambda X, p: ndtr(1.0 + X[:, 0] - X[:, 1] - 4.0 * X[:, 0] * X[:, 1]),
         assumed=ModelSpec("binomial", "probit", _terms(2)),
         observed=([0, 1], ("categorical", "categorical"), ("x1", "x2")),
     )
 )
 
 
-def _sc7_draw(rng, X, params):
-    mu = expit(-2.0 + 2.0 * X[:, 0])
-    p_i = rng.beta(2.0 * mu, 2.0 * (1.0 - mu))
-    return rng.binomial(10, p_i) / 10.0
+def _sc7_noise(rngs, mu):
+    """Beta-binomial: a success probability per observation, then 10 trials."""
+    a, b = 2.0 * mu, 2.0 * (1.0 - mu)
+    return np.array([rng.binomial(10, rng.beta(a, b)) for rng in rngs]) / 10.0
 
 
 _register(
@@ -327,35 +325,29 @@ _register(
         id="SC7",
         default_n=200,
         make_x=lambda rng, n, p: rng.uniform(0.0, 2.0, size=(n, 1)),
-        draw_y=_sc7_draw,
+        mean=lambda X, p: expit(-2.0 + 2.0 * X[:, 0]),
+        noise=_sc7_noise,
         assumed=ModelSpec("binomial", "logit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
 _register(
     ScenarioDef(
         id="SC8",
-        default_n=2000,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: rng.poisson(
-            np.exp(4.0 + 2.0 * X[:, 0] - X[:, 0] ** 2)
-        ).astype(float),
+        mean=lambda X, p: np.exp(4.0 + 2.0 * X[:, 0] - X[:, 0] ** 2),
+        noise=PoissonLog().simulate,
         assumed=ModelSpec("poisson", "log", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
 _register(
     ScenarioDef(
         id="SC9",
-        default_n=2000,
         make_x=lambda rng, n, p: rng.uniform(0.0, 1.0, size=(n, 1)),
-        draw_y=lambda rng, X, p: rng.gamma(
-            1.0, np.exp(2.0 + X[:, 0] - X[:, 0] ** 2)
-        ),
+        mean=lambda X, p: np.exp(2.0 + X[:, 0] - X[:, 0] ** 2),
+        noise=GammaInverse().simulate,  # shape 1: exponential
         assumed=ModelSpec("gamma", "inverse", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
@@ -371,58 +363,63 @@ def _sc10_make_x(rng, n, params):
     return np.column_stack([x1, x2, x3])
 
 
-def _sc10_draw(rng, X, params):
-    eps_scale = np.where(rng.random(X.shape[0]) < 0.9, 1.0, 2.0)
-    eps_mean = np.where(eps_scale == 1.0, -1.0 / 9.0, 1.0)
-    eps = eps_mean + eps_scale * rng.standard_normal(X.shape[0])
-    return X[:, 0] + X[:, 1] + X[:, 2] + 0.5 * X[:, 0] * X[:, 1] + eps
+def _sc10_noise(rngs, mean):
+    """A zero-mean normal mixture: N(-1/9, 1) w.p. 0.9, N(1, 4) w.p. 0.1."""
+    n = mean.shape[0]
+    eps = []
+    for rng in rngs:
+        eps_scale = np.where(rng.random(n) < 0.9, 1.0, 2.0)
+        eps_mean = np.where(eps_scale == 1.0, -1.0 / 9.0, 1.0)
+        eps.append(eps_mean + eps_scale * rng.standard_normal(n))
+    return mean + np.array(eps)
 
 
 _register(
     ScenarioDef(
         id="SC10",
-        default_n=2000,
         make_x=_sc10_make_x,
-        draw_y=_sc10_draw,
+        mean=lambda X, p: X[:, 0] + X[:, 1] + X[:, 2] + 0.5 * X[:, 0] * X[:, 1],
+        noise=_sc10_noise,
         assumed=ModelSpec("gaussian", "identity", _terms(3)),
         observed=_obs_all(3),
     )
 )
 
 
+def _sc11_noise(rngs, m):
+    """Normal noise scaled by (x - 0.5)^2; m holds the mean and that scale."""
+    z = np.array([rng.standard_normal(m.shape[0]) for rng in rngs])
+    return m[:, 0] + m[:, 1] * z
+
+
 _register(
     ScenarioDef(
         id="SC11",
-        default_n=2000,
         make_x=lambda rng, n, p: rng.uniform(0.0, 1.0, size=(n, 1)),
-        draw_y=lambda rng, X, p: (
-            1.0
-            + X[:, 0]
-            + X[:, 0] ** 2
-            + (X[:, 0] - 0.5) ** 2 * rng.standard_normal(X.shape[0])
+        mean=lambda X, p: np.column_stack(
+            [1.0 + X[:, 0] + X[:, 0] ** 2, (X[:, 0] - 0.5) ** 2]
         ),
+        noise=_sc11_noise,
         assumed=ModelSpec(
             "gaussian", "identity", (Term("raw", 0), Term("power", 0, power=2))
         ),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
 
-def _sc12_draw(rng, X, params):
+def _sc12_mean(X, params):
     x, u = X[:, 0], X[:, 1]
-    eps = rng.standard_normal(X.shape[0])
-    return np.where(u == 0.0, -2.0 + 2.0 * x, -2.0 - 2.0 * x) + eps
+    return np.where(u == 0.0, -2.0 + 2.0 * x, -2.0 - 2.0 * x)
 
 
 _register(
     ScenarioDef(
         id="SC12",
-        default_n=2000,
         make_x=lambda rng, n, p: np.column_stack(
             [rng.standard_normal(n), (rng.random(n) < 0.5).astype(float)]
         ),
-        draw_y=_sc12_draw,
+        mean=_sc12_mean,
+        noise=GaussianIdentity().simulate,
         assumed=ModelSpec("gaussian", "identity", _terms(2)),
         observed=([0, 1], ("continuous", "categorical"), ("x", "u")),
     )
@@ -436,31 +433,23 @@ def _irregular_index(x):
 _register(
     ScenarioDef(
         id="CaseI",
-        default_n=2000,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0]) < ndtr(_irregular_index(X[:, 0]))
-        ).astype(float),
+        mean=lambda X, p: ndtr(_irregular_index(X[:, 0])),
         assumed=ModelSpec("binomial", "probit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
 _register(
     ScenarioDef(
         id="CaseII",
-        default_n=2000,
         make_x=lambda rng, n, p: rng.uniform(-6.0, 6.0, size=(n, 2)),
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0])
-            < ndtr(
-                1.0
-                + 2.0 * X[:, 0]
-                - 1.5 * X[:, 1]
-                + X[:, 0] * X[:, 1]
-                - (X[:, 0] - X[:, 1]) ** 2
-            )
-        ).astype(float),
+        mean=lambda X, p: ndtr(
+            1.0
+            + 2.0 * X[:, 0]
+            - 1.5 * X[:, 1]
+            + X[:, 0] * X[:, 1]
+            - (X[:, 0] - X[:, 1]) ** 2
+        ),
         assumed=ModelSpec("binomial", "probit", _terms(2)),
         observed=_obs_all(2),
     )
@@ -471,11 +460,8 @@ _register(
         id="Example1",
         default_n=500,
         make_x=_sc1_make_x,
-        draw_y=lambda rng, X, p: (
-            rng.random(X.shape[0]) < ndtr(_irregular_index(X[:, 0]))
-        ).astype(float),
+        mean=lambda X, p: ndtr(_irregular_index(X[:, 0])),
         assumed=ModelSpec("binomial", "probit", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
         paper_l=4,
     )
 )
@@ -487,11 +473,9 @@ _register(
         id="GaussianCheck",
         default_n=500,
         make_x=lambda rng, n, p: rng.uniform(0.0, 1.0, size=(n, 1)),
-        draw_y=lambda rng, X, p: 1.0
-        + 2.0 * X[:, 0]
-        + 0.5 * rng.standard_normal(X.shape[0]),
+        mean=lambda X, p: 1.0 + 2.0 * X[:, 0],
+        noise=partial(GaussianIdentity().simulate, dispersion=0.25),
         assumed=ModelSpec("gaussian", "identity", _terms(1)),
-        observed=_obs_all(1, names=("x",)),
     )
 )
 
@@ -536,8 +520,8 @@ def case2_candidates() -> tuple:
 class _Frame:
     """The frozen draw of one (scenario, n, seed, params): the covariates and
     everything built from them alone. `data` is the observed-column Dataset;
-    its response is a placeholder that nothing fits. A response redraw comes
-    from the substream (scenario, n, seed, 1, purpose, index)."""
+    its response is a placeholder that nothing fits. Response redraw i comes
+    from the substream (scenario, n, seed, 1, purpose, i)."""
 
     scn: ScenarioDef
     n: int
@@ -546,9 +530,19 @@ class _Frame:
     X_full: np.ndarray
     data: Dataset
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """The scenario's mean on the frozen X, shared by every redraw."""
+        return self.scn.mean(self.X_full, self.params)
+
+    def responses(self, purpose: int, first: int, stop: int) -> np.ndarray:
+        """Redraws first..stop - 1, one row each, drawn as one block."""
+        key = stable_int(self.scn.id)
+        rngs = [substream(key, self.n, self.seed, 1, purpose, i) for i in range(first, stop)]
+        return self.scn.noise(rngs, self.mean)
+
     def response(self, purpose: int, index: int) -> np.ndarray:
-        rng = substream(stable_int(self.scn.id), self.n, self.seed, 1, purpose, index)
-        return self.scn.draw_y(rng, self.X_full, self.params)
+        return self.responses(purpose, index, index + 1)[0]
 
     def dataset(self, purpose: int, index: int) -> Dataset:
         return self.data.with_response(self.response(purpose, index))
@@ -638,15 +632,15 @@ def pseudo_truth(
     failed fits raises TooManyFailures after the first block over the cap.
     The truth keeps its frozen draw, which `run_experiment` and `theorem1_ks`
     score against."""
-    frame = _frame(scenario_id, n, seed, params)
     if reps < 100:
-        raise TooManyFailures("pseudo_truth needs reps >= 100")
+        raise InvalidSize(f"pseudo_truth needs reps >= 100, got {reps}")
+    frame = _frame(scenario_id, n, seed, params)
     design = frame.design
     family = family_for(frame.scn.assumed)
     _check_rank(family, design)
 
     def redraw(first, stop):
-        return np.array([frame.response(_PURPOSE_PSEUDO, r) for r in range(first, stop)]), None
+        return frame.responses(_PURPOSE_PSEUDO, first, stop), None
 
     coefs = []
     n_failed = n_fit = 0
@@ -734,6 +728,8 @@ def run_experiment(
     coefficient and widths are recorded per level for both the normal and
     percentile intervals.
     """
+    if replications < 1:
+        raise InvalidSize(f"run_experiment needs replications >= 1, got {replications}")
     frame = truth.frame
     spec = frame.scn.assumed
     t = truth.first_slope

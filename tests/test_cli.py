@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lrboot import cli
+from lrboot import simlab as sl
 from lrboot.errors import AllRowsDropped, MissingColumn, ParseError, UsageError
 
 
@@ -56,6 +57,16 @@ def test_ingest_parse_error_located(tmp_path):
     with pytest.raises(ParseError) as err:
         cli.ingest(path, "resp", ["a"], set())
     assert "row 3" in str(err.value) and "'a'" in str(err.value)
+
+
+def test_ingest_short_row_is_a_located_parse_error(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    _write_csv(path, ["y", "x"], [["1", "0.5"], ["0"], ["1", "2.0"]])
+    with pytest.raises(ParseError) as err:
+        cli.ingest(path, "y", ["x"], set())
+    assert "row 3" in str(err.value)
+    assert cli.main(["fit", "--input", str(path), "--response", "y", "--predictors", "x"]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_ingest_listwise_deletion_and_all_dropped(tmp_path):
@@ -597,6 +608,24 @@ def test_too_few_replicates_fail_before_any_work(B, binary_csv, monkeypatch, cap
     assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
                      "--truth-reps", "100", "--B", B]) == 2
     assert capsys.readouterr().err.count("TooFewReplicates") == 2
+
+
+def test_simulate_checks_its_flags_before_the_pseudo_truth(monkeypatch, capsys):
+    # at n=200 the 2000 default pseudo-truth fits would run before any check
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking the flags")
+
+    monkeypatch.setattr(cli, "pseudo_truth", no_work)
+    sim = ["simulate", "--scenario", "SC1_probit", "--n", "200", "--B", "10"]
+    assert cli.main([*sim, "--reps", "0"]) == 2
+    assert "InvalidSize" in capsys.readouterr().err
+    assert cli.main([*sim, "--methods", "lrb-surrogate,bogus"]) == 1
+    assert cli.main([*sim, "--l", "ten"]) == 1
+    # too few pseudo-truth redraws: refused before the covariates are drawn
+    monkeypatch.setattr(cli, "pseudo_truth", sl.pseudo_truth)
+    monkeypatch.setattr(sl, "_frame", no_work)
+    assert cli.main([*sim, "--truth-reps", "50"]) == 2
+    assert "InvalidSize" in capsys.readouterr().err
 
 
 def test_error_stream_carries_module_error_name(tmp_path, binary_csv, capsys):

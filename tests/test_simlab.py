@@ -1,5 +1,6 @@
 """Scenario generators, pseudo-truth oracle values, and experiment plumbing."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from lrboot import glm
 from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod
 from lrboot.errors import (
+    InvalidSize,
     NonConvergence,
     SeparationDetected,
     TooManyFailures,
@@ -33,7 +35,7 @@ def _oracle(scenario_id, n, seed, params=None, purpose=ADHOC, y_index=0):
     x_key = stable_int(repr(sorted({k: merged[k] for k in scn.x_param_names}.items())))
     key = stable_int(scenario_id)
     X_full = scn.make_x(substream(key, n, seed, 0, x_key), n, merged)
-    y = scn.draw_y(substream(key, n, seed, 1, purpose, y_index), X_full, merged)
+    y = scn.noise([substream(key, n, seed, 1, purpose, y_index)], scn.mean(X_full, merged))[0]
     return X_full, y
 
 
@@ -86,6 +88,70 @@ def test_generate_follows_the_stream_layout(scenario_id, params):
             assert np.array_equal(getattr(ds, name), getattr(want, name)), name
         assert ds.column_names == want.column_names
         assert ds.column_meta == want.column_meta
+
+
+# sha256 prefixes of the y and X bytes of generate(id, n=50, seed=0,
+# y_index=0). `_oracle` calls the scenarios' own mean and noise, so only
+# pinned values catch a changed formula.
+_GOLDEN = {
+    "CaseI": ("4c3ce98a7ad5d59d", "e9ecbf401b9d9707"),
+    "CaseII": ("af7ef46a1833b09c", "9170a2abc47dd31f"),
+    "Example1": ("d53b84b729bbdb6a", "25dcbcc87f4e3366"),
+    "GaussianCheck": ("79c8bae9a1e57917", "5421c0bded70f12d"),
+    "SC10": ("6c71816ff1d1c877", "3b386cd5ab1bced8"),
+    "SC11": ("1d005b9fc0b34413", "c58ec045e88cc4bc"),
+    "SC12": ("927b5615e34d7643", "3e3ba4e1a7d146bc"),
+    "SC1_logit": ("17bec3f5ce2d29dc", "4fb1dd854e296de1"),
+    "SC1_ordinal": ("c81062efe9e1a265", "5546ada2ab431ffe"),
+    "SC1_probit": ("0c631d51648f6186", "ece1e2ae9ba064ee"),
+    "SC2": ("b9012f478fe78f8d", "8789c3f742027c72"),
+    "SC3": ("bcfe74cc06dbe569", "33757ee699e78117"),
+    "SC4_exp": ("73b83b0bfe21ae76", "46139ef4ed8b4a75"),
+    "SC4_sine": ("c6a4598822898d28", "08b9fdeaa5d0061c"),
+    "SC5_both": ("afad16d8bb5f8958", "0e3ad528fda7f402"),
+    "SC5_slope": ("f0bda8abbbdfe117", "57579b49bc3b1c5a"),
+    "SC6": ("66bb545d0b758bd3", "1901a21f82a382a1"),
+    "SC7": ("82d853dcbc167466", "18103ee038e1ca99"),
+    "SC8": ("805a663365d7e934", "39dc18177f8d173d"),
+    "SC9": ("160bf36a78be487a", "519f33e90ea45cb9"),
+}
+
+
+def test_generate_matches_pinned_digests():
+    assert set(_GOLDEN) == set(ALL_IDS)
+    for scenario_id, want in _GOLDEN.items():
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            ds = sl.generate(scenario_id, n=50, seed=0, y_index=0)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (ds.y, ds.X))
+        assert got == want, scenario_id
+
+
+@pytest.mark.parametrize("scenario_id", ALL_IDS)
+def test_block_draw_equals_one_row_draws(scenario_id):
+    frame = sl._frame(scenario_id, 40, 0, None)
+    for purpose in (PSEUDO, ADHOC):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            Y = frame.responses(purpose, 0, 5)
+            rows = np.array([frame.response(purpose, i) for i in range(5)])
+        assert Y.shape == (5, 40) and Y.dtype == rows.dtype == np.float64
+        assert Y.tobytes() == rows.tobytes()
+
+
+def test_sc1_ordinal_block_warns_once_per_row_with_an_empty_category():
+    frame = sl._frame("SC1_ordinal", 20, 3, None)
+    with warnings.catch_warnings(record=True) as block:
+        warnings.simplefilter("always")
+        Y = frame.responses(PSEUDO, 0, 5)
+    with warnings.catch_warnings(record=True) as one_row:
+        warnings.simplefilter("always")
+        for i in range(5):
+            frame.response(PSEUDO, i)
+    n_empty = sum(len(np.unique(row)) < 4 for row in Y)
+    assert 0 < n_empty < 5
+    assert len(block) == n_empty
+    assert [str(w.message) for w in block] == [str(w.message) for w in one_row]
 
 
 def test_sc1_probit_plugin_probability():
@@ -200,6 +266,21 @@ def test_pseudo_truth_constant_responses_fail_in_first_block():
         sl.pseudo_truth("SC1_probit", n=2000, reps=3000, seed=99, params={"beta2": 2.0})
     assert str(info.value) == "160 pseudo-truth fits failed out of 160"
     assert isinstance(info.value.__cause__, SeparationDetected)
+
+
+def test_pseudo_truth_checks_reps_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew the covariates before checking reps")
+
+    monkeypatch.setattr(sl, "_frame", no_draw)
+    with pytest.raises(InvalidSize):
+        sl.pseudo_truth("SC1_probit", n=200, reps=99)
+
+
+def test_run_experiment_needs_a_replication():
+    truth = sl.pseudo_truth("GaussianCheck", n=60, reps=100, seed=3)
+    with pytest.raises(InvalidSize):
+        sl.run_experiment([BootstrapMethod.parametric()], truth, B=10, replications=0)
 
 
 def test_run_experiment_degenerate_method():
