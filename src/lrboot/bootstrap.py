@@ -153,7 +153,8 @@ class BootstrapMethod:
 
 @dataclass
 class BootstrapOutcome:
-    """A run's replicates and summaries. The intervals `ci_normal` and
+    """A run's replicates and summaries, a plain record: the CLI turns its
+    fields and intervals into JSON. The intervals `ci_normal` and
     `ci_percentile` (q x 2) are computed on first read and kept, so a caller
     that reads only `se_hat` computes no quantile."""
 
@@ -177,21 +178,6 @@ class BootstrapOutcome:
     def ci_percentile(self) -> np.ndarray:
         """The replicates' alpha/2 and 1 - alpha/2 quantiles (`ci_percentile`)."""
         return ci_percentile(self.replicates, self.alpha)
-
-    def to_json_dict(self, include_replicates: bool = True) -> dict:
-        out = {
-            "estimate": [float(v) for v in self.estimate],
-            "coef_names": list(self.coef_names),
-            "se_hat": [float(v) for v in self.se_hat],
-            "ci_normal": [[float(a), float(b)] for a, b in self.ci_normal],
-            "ci_percentile": [[float(a), float(b)] for a, b in self.ci_percentile],
-            "alpha": self.alpha,
-            "n_failed": self.n_failed,
-            "provenance": self.provenance,
-        }
-        if include_replicates:
-            out["replicates"] = [[float(v) for v in row] for row in self.replicates]
-        return out
 
     def summary_rows(self) -> list:
         """(coefficient, estimate, se, ci_nor, ci_per, two-sided p vs 0) rows."""

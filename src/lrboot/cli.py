@@ -5,11 +5,15 @@ Method tokens are read by `BootstrapMethod.parse`, the owner of their grammar.
 A bad or empty `--grid` or `--levels` list, or a bad `--alpha`, is a usage
 error before any work, as argparse checks them.
 
-JSON artifacts embed the effective configuration, seed, and tool version.
-The CSV tables carry less: the `simulate` CSV has the seed as its last
-column but no version column yet, and the `bootstrap --format csv` summary
-has neither. No artifact holds anything volatile, so identical invocations
-produce byte-identical files regardless of --threads.
+One converter, `_json_data`, turns every result into the data of the JSON
+artifacts (a dataclass's fields, tuples as lists, numpy values through
+`tolist()`, nothing rounded), and one writer, `_write_json`, adds the
+effective configuration, seed, tool version and dropped-row count, and
+writes sorted, indented text ending in a newline. The CSV tables carry
+less: the `simulate` CSV has the seed as its last column but no version
+column yet, and the `bootstrap --format csv` summary has neither. No
+artifact holds anything volatile, so identical invocations produce
+byte-identical files regardless of --threads.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -68,7 +72,8 @@ def _read_csv(path):
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}: empty file")
-            rows = [row for row in reader if row]
+            # each non-empty row with its row number in the file, the header's 1
+            rows = [(line, row) for line, row in enumerate(reader, start=2) if row]
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return [h.strip() for h in header], rows
@@ -95,34 +100,32 @@ def ingest(
 
     width = max(idx.values()) + 1
     kept, dropped = [], 0
-    for r, row in enumerate(rows):
+    for line, row in rows:
         if len(row) < width:
             raise ParseError(
-                f"{path}: row {r + 2} has {len(row)} of the header's {len(header)} cells"
+                f"{path}: row {line} has {len(row)} of the header's {len(header)} cells"
             )
         if any(_is_missing(row[idx[name]]) for name in idx):
             dropped += 1
             continue
-        kept.append(row)
+        kept.append((line, row))
     if not kept:
         raise AllRowsDropped(f"{path}: every row had missing cells")
 
-    def parse_float(cell, r, name):
+    def parse_float(cell, line, name):
         try:
             return float(cell)
         except ValueError as exc:
             raise ParseError(
-                f"{path}: row {r + 2}, column {name!r}: cannot parse {cell!r}"
+                f"{path}: row {line}, column {name!r}: cannot parse {cell!r}"
             ) from exc
 
-    y = np.array(
-        [parse_float(row[idx[response]], r, response) for r, row in enumerate(kept)]
-    )
+    y = np.array([parse_float(row[idx[response]], line, response) for line, row in kept])
 
     cols, names, meta = [], [], []
     levels_map = {}
     for name in base_columns:
-        raw_cells = [row[idx[name]].strip() for row in kept]
+        raw_cells = [row[idx[name]].strip() for _, row in kept]
         if name in categorical:
             levels = sorted(set(raw_cells))
             levels_map[name] = levels
@@ -134,9 +137,7 @@ def ingest(
                 meta.append("categorical")
         else:
             cols.append(
-                np.array(
-                    [parse_float(c, r, name) for r, c in enumerate(raw_cells)]
-                )
+                np.array([parse_float(c, line, name) for c, (line, _) in zip(raw_cells, kept)])
             )
             names.append(name)
             meta.append("continuous")
@@ -371,7 +372,7 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _provenance(args, command: str) -> dict:
+def _provenance(args) -> dict:
     # threads and output location never change the numbers, so they stay out
     # of the echo and artifacts stay byte-identical across thread counts
     skip = ("config", "output", "threads")
@@ -380,7 +381,7 @@ def _provenance(args, command: str) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None and not k.startswith("_")
     }
-    return {"tool": "lrboot", "version": __version__, "command": command, "config": cfg}
+    return {"tool": "lrboot", "version": __version__, "command": args.command, "config": cfg}
 
 
 def _load_dataset(args):
@@ -402,41 +403,51 @@ def _load_dataset(args):
     return ds, spec, info
 
 
-def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None:
-        print(text)
+def _json_data(result):
+    """The JSON data of a result: a dataclass as a dict of its fields, a
+    tuple as a list, numpy arrays and scalars through `tolist()`, every value
+    as it is, nothing rounded or reordered."""
+    if is_dataclass(result):
+        result = {f.name: getattr(result, f.name) for f in fields(result)}
+    if isinstance(result, dict):
+        return {key: _json_data(value) for key, value in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [_json_data(value) for value in result]
+    if isinstance(result, (np.ndarray, np.generic)):
+        return result.tolist()
+    return result
+
+
+def _write_json(args, info, data: dict) -> None:
+    """Write a command's JSON artifact to --output, or to stdout: `data`
+    (from `_json_data`) with the command's provenance merged into its own
+    and the count of dropped rows; keys sorted, indented by 2, with a
+    trailing newline."""
+    data.setdefault("provenance", {}).update(_provenance(args))
+    data["n_rows_dropped"] = info.n_rows_dropped
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _fit_payload(fit, info, args, command):
-    raw = back_transform(fit.beta_hat.copy(), fit.design)
-    payload = {
-        "coefficients": {
-            name: float(v) for name, v in zip(fit.coef_names, fit.coef)
-        },
-        "coefficients_raw_scale": {
-            name: float(v)
-            for name, v in zip(fit.design.coef_names, raw)
-        },
-        "loglik": fit.loglik,
-        "iterations": fit.iterations,
-        "grad_norm": fit.grad_norm,
-        "converged": fit.converged,
-        "n_rows_dropped": info.n_rows_dropped,
-        "provenance": _provenance(args, command),
-    }
-    if fit.alpha_hat is not None:
-        payload["cutpoints"] = [float(a) for a in fit.alpha_hat]
-    return payload
+        with open(args.output, "w") as fh:
+            fh.write(text)
 
 
 def _cmd_fit(args) -> int:
     ds, spec, info = _load_dataset(args)
     fit = fit_qmle(ds, spec)
-    _write_json(args.output, _fit_payload(fit, info, args, "fit"))
+    raw = back_transform(fit.beta_hat, fit.design)
+    payload = {
+        "coefficients": dict(zip(fit.coef_names, fit.coef)),
+        "coefficients_raw_scale": dict(zip(fit.design.coef_names, raw)),
+        "loglik": fit.loglik,
+        "iterations": fit.iterations,
+        "grad_norm": fit.grad_norm,
+        "converged": fit.converged,
+    }
+    if fit.alpha_hat is not None:
+        payload["cutpoints"] = fit.alpha_hat
+    _write_json(args, info, _json_data(payload))
     return 0
 
 
@@ -467,12 +478,15 @@ def _cmd_bootstrap(args) -> int:
             for row in out.summary_rows():
                 w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
         return 0
-    payload = out.to_json_dict(include_replicates=args.keep_replicates)
-    payload["provenance"].update(_provenance(args, "bootstrap"))
-    payload["n_rows_dropped"] = info.n_rows_dropped
+    payload = _json_data(out)
+    del payload["responses"]  # the command keeps no recreated responses
+    if not args.keep_replicates:
+        del payload["replicates"]
+    payload["ci_normal"] = _json_data(out.ci_normal)
+    payload["ci_percentile"] = _json_data(out.ci_percentile)
     if trace is not None:
-        payload["size_selection"] = trace.to_json_dict()
-    _write_json(args.output, payload)
+        payload["size_selection"] = _json_data(trace)
+    _write_json(args, info, payload)
     return 0
 
 
@@ -493,10 +507,7 @@ def _cmd_select_l(args) -> int:
         seed=args.seed,
         n_threads=_threads(args),
     )
-    payload = trace.to_json_dict()
-    payload["provenance"] = _provenance(args, "select-l")
-    payload["n_rows_dropped"] = info.n_rows_dropped
-    _write_json(args.output, payload)
+    _write_json(args, info, _json_data(trace))
     return 0
 
 
@@ -534,15 +545,13 @@ def _cmd_select_model(args) -> int:
     method = BootstrapMethod.parse(args.method, args.residual, l)
     cands = CandidateSet(models, ds, method, B=args.B)
     report = rank_models(cands, args.criterion, seed=args.seed, n_threads=_threads(args))
-    payload = report.to_json_dict()
-    payload["provenance"].update(_provenance(args, "select-model"))
-    payload["n_rows_dropped"] = info.n_rows_dropped
-    if holdout is not None:
-        payload["holdout_rows"] = [int(i) + 1 for i in holdout]
     if args.format == "csv" or args.output is None:
         print(report.to_table())
     if args.output:
-        _write_json(args.output, payload)
+        payload = _json_data(report)
+        if holdout is not None:
+            payload["holdout_rows"] = _json_data(holdout + 1)
+        _write_json(args, info, payload)
     return 0
 
 

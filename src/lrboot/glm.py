@@ -38,7 +38,7 @@ evaluates log Phi(eta) and log Phi(-eta) once per observation and picks one
 per row by the response, instead of a `log_ndtr` per row and observation;
 other families take their `loglik_terms` on eta broadcast to the block.
 Every caller that fits many response vectors runs `refit_blocks`, which
-fits them in blocks of `family.block_rows(n)` rows, each drawn whole by
+fits them in blocks of `block_rows(n)` rows, each drawn whole by
 one call of the caller's draw: max(1, 2**15 // n) rows for every family
 (16 at n=2000), as every array of a block fit, the ordinal model's
 included, is b x n. Asked for more than one worker, it forks worker
@@ -95,6 +95,7 @@ __all__ = [
     "fit_qmle",
     "fit_design_batch",
     "refit_blocks",
+    "block_rows",
     "predict_mean",
     "family_for",
     "ordinal_probs",
@@ -110,6 +111,12 @@ _LOG_P_MIN = np.log(_P_MIN)
 # memory flat in n, while each block still spreads the driver's
 # per-iteration Python work over many rows (16 at n=2000).
 _REFIT_CELLS = 2**15
+
+
+def block_rows(n: int) -> int:
+    """Rows per refit block for n observations, within the cell budget: the
+    same for every family, as every array of a block fit is b x n."""
+    return max(1, _REFIT_CELLS // n)
 
 
 class Workspace:
@@ -261,11 +268,6 @@ class _BaseFamily:
     check_separation = False
     n_cut = 0  # cutpoints ahead of the slopes in a coefficient vector
     free_dispersion = False  # simulate with a Pearson dispersion estimate
-
-    def block_rows(self, n: int) -> int:
-        """Rows per refit block for n observations, within the cell budget:
-        the same for every family, as every array of a block fit is b x n."""
-        return max(1, _REFIT_CELLS // n)
 
     def for_block(self, Y):
         """The family object that fits the response block Y: this one, or a
@@ -1043,7 +1045,7 @@ def fit_design_batch(
 def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1,
                  keep_responses=False):
     """Fit `count` drawn response vectors on one design, in blocks of
-    `family.block_rows(n)` rows, the same for every family: yields each
+    `block_rows(n)` rows, the same for every family: yields each
     block's `BatchFit`, in row order, with the block's responses in
     `responses` when `keep_responses`.
 
@@ -1056,7 +1058,7 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
     On one worker a block is drawn and fit only when it is asked for, so a
     caller that stops early fits no further block.
     """
-    rows = family.block_rows(design.matrix.shape[0])
+    rows = block_rows(design.matrix.shape[0])
 
     def block(first):
         Y, W = draw(first, min(first + rows, count))

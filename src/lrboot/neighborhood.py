@@ -28,7 +28,6 @@ The map also owns the draw (`picker`), so no caller reads its layout.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -228,7 +227,8 @@ def build_neighborhoods(data: Dataset, l: int) -> NeighborhoodMap:
 
 @dataclass
 class SizeSelectionTrace:
-    """Full record of the iterative subsample-matching size search."""
+    """Full record of the iterative subsample-matching size search, a plain
+    record whose fields the CLI writes as JSON."""
 
     grid: tuple
     K: int
@@ -241,34 +241,6 @@ class SizeSelectionTrace:
     final_l: int
     converged: bool
     target_coef: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "K": self.K,
-            "m": self.m,
-            "B_inner": self.B_inner,
-            "delta": self.delta,
-            "seed": self.seed,
-            "subsample_se": [[float(v) for v in row] for row in self.subsample_se],
-            "per_iteration": [
-                {
-                    "l_hat": it["l_hat"],
-                    "psi_hat": float(it["psi_hat"]),
-                    "mse": [float(v) for v in it["mse"]],
-                    "chosen_grid": it["chosen_grid"],
-                    "l_next": it["l_next"],
-                }
-                for it in self.per_iteration
-            ],
-            "final_l": self.final_l,
-            "converged": self.converged,
-            "target_coef": self.target_coef,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
 def default_size(n: int) -> int:

@@ -4,7 +4,6 @@ rank-accuracy scores."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,26 +50,15 @@ class CandidateSet:
 
 @dataclass
 class SelectionReport:
+    """A ranking of candidate models, a plain record whose fields the CLI
+    writes as JSON; `to_table` prints it for a terminal."""
+
     criterion: str  # "L" or "Gamma"
     labels: tuple
     values: np.ndarray
     ranks: np.ndarray  # permutation of 1..M, rank 1 = smallest value
     chosen: str
     provenance: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "labels": list(self.labels),
-            "values": [float(v) for v in self.values],
-            "ranks": [int(r) for r in self.ranks],
-            "chosen": self.chosen,
-            "provenance": self.provenance,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         head = f"{'model':<32} {self.criterion:>12} {'rank':>5} {'chosen':>7}"

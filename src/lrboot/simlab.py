@@ -724,9 +724,11 @@ def run_experiment(
     """Coverage and SE-ratio experiment on the frozen draw of `truth`.
 
     Per replication: a fresh response draw, one fit on the truth's design,
-    one BootstrapOutcome per method; CI hits of the pseudo-true target
-    coefficient and widths are recorded per level for both the normal and
-    percentile intervals.
+    one BootstrapOutcome per method. Each method fills an array of the
+    target coefficient's SE per replication and, for the normal and the
+    percentile interval, one of its bounds (replications x levels x 2);
+    coverage of the pseudo-true target, mean width and the width's SE come
+    from those arrays.
     """
     if replications < 1:
         raise InvalidSize(f"run_experiment needs replications >= 1, got {replications}")
@@ -746,15 +748,13 @@ def run_experiment(
         return nb_cache[method.l]
 
     labels = [m.label for m in methods]
-    se_hats = {lab: [] for lab in labels}
-    hits = {lab: {} for lab in labels}
-    widths = {lab: {} for lab in labels}
+    z = ndtri(0.5 + np.asarray(levels) / 2.0)
+    # per method: the target's SE in each replication, and its normal and
+    # percentile bounds (lo, hi) at each level
+    se_hats = {lab: np.empty(replications) for lab in labels}
+    shape = (replications, len(levels), 2)
+    bounds = {lab: {"nor": np.empty(shape), "per": np.empty(shape)} for lab in labels}
     failed = dict.fromkeys(labels, 0)
-    for lab in labels:
-        for level in levels:
-            for ci in ("nor", "per"):
-                hits[lab][(ci, level)] = []
-                widths[lab][(ci, level)] = []
 
     for r in range(replications):
         ds = frame.dataset(_PURPOSE_EXPERIMENT, r)
@@ -771,31 +771,30 @@ def run_experiment(
                 neighborhoods=neighborhoods_for(method),
                 n_threads=n_threads,
             )
-            se_t = float(out.se_hat[t])
-            se_hats[lab].append(se_t)
+            se_t, est = out.se_hat[t], out.estimate[t]
+            se_hats[lab][r] = se_t
             failed[lab] += out.n_failed
-            est = float(out.estimate[t])
-            for level in levels:
-                z = ndtri(0.5 + level / 2.0)
-                lo, hi = est - z * se_t, est + z * se_t
-                hits[lab][("nor", level)].append(lo <= beta_target <= hi)
-                widths[lab][("nor", level)].append(hi - lo)
-                per = ci_percentile(out.replicates[:, [t]], 1.0 - level)[0]
-                hits[lab][("per", level)].append(per[0] <= beta_target <= per[1])
-                widths[lab][("per", level)].append(per[1] - per[0])
+            nor, per = bounds[lab]["nor"][r], bounds[lab]["per"][r]
+            nor[:, 0], nor[:, 1] = est - z * se_t, est + z * se_t
+            for k, level in enumerate(levels):
+                per[k] = ci_percentile(out.replicates[:, [t]], 1.0 - level)[0]
 
     stats = {}
     for lab in labels:
         coverage, wmean, wse = {}, {}, {}
-        for keypair in hits[lab]:
-            hv = np.array(hits[lab][keypair], dtype=float)
-            wv = np.array(widths[lab][keypair], dtype=float)
-            coverage[keypair] = float(hv.mean())
-            wmean[keypair] = float(wv.mean())
-            wse[keypair] = float(wv.std(ddof=1) / np.sqrt(len(wv)))
+        for k, level in enumerate(levels):
+            for ci in ("nor", "per"):
+                # each tally reduces one 1-D column, which numpy sums
+                # pairwise; a reduction over axis 0 of the whole array sums
+                # in another order, which can change the last bits
+                lo, hi = bounds[lab][ci][:, k].T
+                width = hi - lo
+                coverage[ci, level] = float(np.mean((lo <= beta_target) & (beta_target <= hi)))
+                wmean[ci, level] = float(width.mean())
+                wse[ci, level] = float(width.std(ddof=1) / np.sqrt(replications))
         stats[lab] = MethodStats(
             label=lab,
-            se_hats=np.array(se_hats[lab]),
+            se_hats=se_hats[lab],
             coverage=coverage,
             width_mean=wmean,
             width_se=wse,

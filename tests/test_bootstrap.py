@@ -24,7 +24,7 @@ from lrboot.errors import (
     TooManyFailures,
     UnsupportedKind,
 )
-from lrboot import residuals, simlab
+from lrboot import cli, residuals, simlab
 from lrboot.neighborhood import build_neighborhoods, select_size
 from lrboot.rng import substream
 
@@ -144,7 +144,7 @@ def test_lrb_full_size_reduction_gaussian_raw():
 def test_thread_count_does_not_change_outcome():
     # 218 rows a block at n=150: B=700 makes four blocks, the last one short
     ds, spec = _probit_data(n=150, seed=7)
-    assert lb.glm.family_for(spec).block_rows(ds.n) == 218
+    assert lb.glm.block_rows(ds.n) == 218
     m = BootstrapMethod.lrb("surrogate", 8)
     a = run(ds, spec, m, B=700, seed=13, n_threads=1)
     b = run(ds, spec, m, B=700, seed=13, n_threads=4)
@@ -544,7 +544,7 @@ def test_block_draw_equals_the_per_replicate_draw(model, layout):
     nb = build_neighborhoods(ds, 7)
     lengths = np.array([len(s) for s in nb.sets])
     assert (np.unique(lengths).size > 1) == (layout == "unequal")
-    rows = fit.family.block_rows(ds.n)
+    rows = lb.glm.block_rows(ds.n)
     methods = [BootstrapMethod.local_response(7), BootstrapMethod.parametric(),
                BootstrapMethod.pairwise(), BootstrapMethod.multiplier()]
     if model != "ordinal":
@@ -577,7 +577,7 @@ def test_select_size_computes_no_interval(monkeypatch):
 
     monkeypatch.setattr("lrboot.bootstrap.ci_percentile", no_interval)
     patched = select_size(ds, spec, "raw", **kwargs)
-    assert patched.to_json_dict() == plain.to_json_dict()
+    assert cli._json_data(patched) == cli._json_data(plain)
 
 
 def test_outcome_intervals_read_as_the_formulas():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ def test_ingest_parse_error_located(tmp_path):
     with pytest.raises(ParseError) as err:
         cli.ingest(path, "resp", ["a"], set())
     assert "row 3" in str(err.value) and "'a'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("y,x\n1,NA\n0,oops\n1,2\n", "row 3, column 'x'"),
+        ("y,x\nNA,1\n0,2\nbad,3\n", "row 4, column 'y'"),
+        ("y,x\n1,2\n\n0,oops\n", "row 4, column 'x'"),
+    ],
+    ids=["continuous-after-dropped", "response-after-dropped", "after-blank-line"],
+)
+def test_ingest_parse_error_names_the_row_in_the_file(tmp_path, text, where):
+    # a dropped row or a blank line above the bad cell does not shift its number
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        cli.ingest(path, "y", ["x"], set())
+    assert where in str(err.value)
 
 
 def test_ingest_short_row_is_a_located_parse_error(tmp_path, capsys):
@@ -273,7 +292,7 @@ def test_bootstrap_auto_l_tunes_the_method_it_runs(tmp_path, binary_csv):
         )
     )
     trace = select_size(ds, spec, "surrogate", seed=3, n_threads=1)
-    assert payload["size_selection"] == json.loads(json.dumps(trace.to_json_dict()))
+    assert payload["size_selection"] == json.loads(json.dumps(cli._json_data(trace)))
     assert payload["provenance"]["residual_kind"] == "surrogate"
 
 
@@ -451,6 +470,88 @@ def test_byte_identical_reruns_across_threads(tmp_path, binary_csv):
     b = run_once(tmp_path / "b.json", 4)
     c = run_once(tmp_path / "c.json", 1)
     assert a == b == c
+
+
+# -- the JSON text of hand-built results ------------------------------------------
+
+_ARTIFACT_CSV = "y,x\n1,0.5\n0,NA\n1,-1.25\n0,2.0\n1,0.75\n2,-0.5\n"
+_DATA = ["--input", "data.csv", "--response", "y", "--predictors", "x"]
+_ARTIFACT_CALLS = {
+    "fit": ["fit", *_DATA, "--ordinal-categories", "3"],
+    "bootstrap": ["bootstrap", *_DATA, "--method", "lrb-surrogate", "--l", "5", "--B", "4"],
+    "bootstrap-auto-keep": [
+        "bootstrap", *_DATA, "--method", "lrb-surrogate", "--l", "auto", "--B", "4",
+        "--seed", "3", "--keep-replicates",
+    ],
+    "select-l": ["select-l", *_DATA, "--residual", "surrogate", "--grid", "2,4", "--K", "2"],
+    "select-model": [
+        "select-model", *_DATA, "--model", "lin=binomial:probit:x",
+        "--model", "quad=binomial:probit:x,x^2", "--method", "lrb-surrogate", "--l", "5",
+        "--B", "4", "--split-half",
+    ],
+}
+
+
+def _patch_hand_built_results(monkeypatch):
+    """Put a hand-built result in place of each command's computation, so
+    the artifact depends on the converter and the writer alone, not on a fit."""
+    from lrboot.bootstrap import BootstrapOutcome
+    from lrboot.data import build_design
+    from lrboot.glm import FitResult
+    from lrboot.neighborhood import SizeSelectionTrace
+    from lrboot.selection import SelectionReport
+
+    trace = SizeSelectionTrace(
+        grid=(2, 4), K=2, m=4, B_inner=20, delta=0.5, seed=3,
+        subsample_se=np.array([[0.25, 0.1 + 0.2], [1e-17, 2.5]]),
+        per_iteration=[
+            {"l_hat": 2, "psi_hat": np.float64(0.3125), "mse": np.array([0.01, np.nan]),
+             "chosen_grid": 4, "l_next": 5},
+            {"l_hat": 5, "psi_hat": np.float64(-0.0), "mse": np.array([2e-5, 3.0]),
+             "chosen_grid": 2, "l_next": 5},
+        ],
+        final_l=5, converged=True, target_coef=1,
+    )
+    outcome = BootstrapOutcome(
+        replicates=np.array([[0.5, -1.25], [0.75, -1.0], [0.625, -0.875]]),
+        se_hat=np.array([0.1, 1 / 3]),
+        n_failed=1,
+        estimate=np.array([0.6, -1.1]),
+        coef_names=("intercept", "x"),
+        alpha=0.1,
+        provenance={"method": "lrb", "residual_kind": "surrogate", "l": 5, "B": 4,
+                    "alpha": 0.1, "seed": 3, "first_slope": 1},
+    )
+    report = SelectionReport(
+        criterion="L", labels=("lin", "quad"), values=np.array([0.75, 0.5]),
+        ranks=np.array([2, 1], dtype=np.int64), chosen="quad",
+        provenance={"method": "lrb-surrogate", "l": 5, "B": 4, "seed": 3},
+    )
+
+    def fit(ds, spec):
+        return FitResult(
+            beta_hat=np.array([0.8]), alpha_hat=np.array([-0.5, 0.25]), mu_hat=None,
+            var_hat=None, loglik=np.float64(-4.125), iterations=4, converged=True,
+            grad_norm=np.float64(3e-10), spec=spec, design=build_design(ds, spec),
+        )
+
+    monkeypatch.setattr(cli, "__version__", "0.0.0+test")
+    monkeypatch.setattr(cli, "fit_qmle", fit)
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: outcome)
+    monkeypatch.setattr(cli, "select_size", lambda *args, **kwargs: trace)
+    monkeypatch.setattr(cli, "rank_models", lambda *args, **kwargs: report)
+
+
+@pytest.mark.parametrize("name", list(_ARTIFACT_CALLS))
+def test_artifact_text_of_hand_built_results(name, tmp_path, monkeypatch):
+    # each file holds the command's artifact text for these results; no value
+    # in it comes from a fit, so another BLAS cannot move it
+    _patch_hand_built_results(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(_ARTIFACT_CSV)
+    assert cli.main([*_ARTIFACT_CALLS[name], "--output", "out.json"]) == 0
+    pinned = Path(__file__).parent / "pinned_artifacts" / f"{name}.json"
+    assert (tmp_path / "out.json").read_text() == pinned.read_text()
 
 
 def test_config_file_merge_and_flag_override(tmp_path, binary_csv):

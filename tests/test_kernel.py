@@ -30,6 +30,7 @@ from lrboot.errors import (
 from lrboot.glm import (
     CumulativeProbit,
     Workspace,
+    block_rows,
     family_for,
     fit_design_batch,
 )
@@ -553,9 +554,8 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
 
 @pytest.mark.parametrize("n", [400, 2000])
 def test_every_family_gets_the_same_block_rows(n):
-    rows = {_family(f, l).block_rows(n) for f, l in FAMILIES}
-    rows |= {CumulativeProbit(J).block_rows(n) for J in (4, 7)}
-    assert rows == {2**15 // n}
+    # one function of n sizes every family's blocks, the ordinal model's too
+    assert block_rows(n) == {400: 81, 2000: 16}[n] == 2**15 // n
 
 
 def test_ordinal_zero_weight_category_is_empty():
@@ -790,7 +790,7 @@ def test_warm_block_fit_allocates_no_block_sized_temporaries(scenario, rows, lim
     # every Newton step would peak above 3.4 MB (probit) and 3.4 MB (ordinal,
     # a fresh array for each workspace request)
     fit, Y = _lrb_block(scenario, B=rows)
-    assert rows == fit.family.block_rows(2000)
+    assert rows == block_rows(2000)
     fit_design_batch(fit.design, Y, fit.family, beta0=fit.coef)  # fills the workspace
     tracemalloc.start()
     try:
@@ -858,7 +858,7 @@ def test_each_design_builds_its_column_products_once(monkeypatch):
     monkeypatch.setattr(lrdata, "_column_products", counting)
     ds = sl.generate("SC2", n=2000, seed=6)
     spec = sl.get_scenario("SC2").assumed
-    assert -(-100 // _family("binomial", "probit").block_rows(ds.n)) == 7
+    assert -(-100 // block_rows(ds.n)) == 7
     outs = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
@@ -907,7 +907,7 @@ def test_blocks_are_thread_invariant_for_every_method(method):
     # 218 rows a block at n=150: B=700 makes four blocks, the last one short,
     # so a second worker process draws and fits blocks
     ds, spec = _probit_data()
-    assert family_for(spec).block_rows(ds.n) == 218
+    assert block_rows(ds.n) == 218
     a = run(ds, spec, method, B=700, seed=17, n_threads=1)
     b = run(ds, spec, method, B=700, seed=17, n_threads=2)
     assert a.n_failed == b.n_failed
@@ -926,7 +926,7 @@ def test_ordinal_blocks_are_thread_invariant():
     )
     m = BootstrapMethod.pairwise()
     # 273 rows a block at n=120: B=900 makes four blocks, the last one short
-    assert family_for(spec).block_rows(n) == 273
+    assert block_rows(n) == 273
     a = run(ds, spec, m, B=900, seed=3, n_threads=1)
     b = run(ds, spec, m, B=900, seed=3, n_threads=2)
     assert np.array_equal(a.replicates, b.replicates)

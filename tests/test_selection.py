@@ -1,11 +1,14 @@
 """Model-selection criteria, ranking, and rank-accuracy scores."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrboot as lb
+from lrboot import cli
 from lrboot import selection as sel
 from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod
@@ -220,7 +223,7 @@ def test_case1_prediction_error_mean_ranks():
     assert np.all(np.abs(means - want) <= 0.5)
 
 
-def test_selection_report_serialization(tmp_path):
+def test_selection_report_serialization():
     ds, spec = _saturated_gaussian()
     spec2 = lb.ModelSpec(
         "gaussian", "identity", (lb.Term("raw", 0), lb.Term("power", 0, power=2)),
@@ -233,11 +236,7 @@ def test_selection_report_serialization(tmp_path):
         B=30,
     )
     rep = sel.rank_models(cands, "L", seed=2)
-    path = tmp_path / "report.json"
-    rep.to_json(path)
-    import json
-
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(cli._json_data(rep)))
     assert loaded["criterion"] == "L"
     assert set(loaded["labels"]) == {"linear", "quadratic"}
     table = rep.to_table()

@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import lrboot as lb
 from lrboot import glm
 from lrboot import simlab as sl
-from lrboot.bootstrap import BootstrapMethod
+from lrboot.bootstrap import BootstrapMethod, ci_percentile, run
 from lrboot.errors import (
     InvalidSize,
     NonConvergence,
@@ -18,7 +18,7 @@ from lrboot.errors import (
     TooManyFailures,
     UnknownScenario,
 )
-from lrboot.rng import stable_int, substream
+from lrboot.rng import derive_seed, stable_int, substream
 
 ALL_IDS = sl.scenario_ids()
 
@@ -299,6 +299,44 @@ def test_run_experiment_degenerate_method():
     assert st.width_mean[("nor", 0.95)] == 0.0
     assert st.coverage[("nor", 0.95)] in (0.0, 1.0)
     assert st.mean_se == 0.0
+
+
+@pytest.mark.parametrize("replications", [3, 9])
+def test_experiment_tallies_equal_a_loop_over_run(replications):
+    # nine replications reach numpy's pairwise summation, whose order a
+    # reduction over the replication axis of a 2-D array would not keep
+    truth = sl.pseudo_truth("SC1_probit", n=150, reps=150, seed=5)
+    methods = [BootstrapMethod.lrb("surrogate", 6), BootstrapMethod.parametric()]
+    levels = (0.95, 0.8)
+    report = sl.run_experiment(
+        methods, truth, B=30, replications=replications, levels=levels, seed=11
+    )
+    frame, spec, t = truth.frame, truth.frame.scn.assumed, truth.first_slope
+    beta = float(truth.beta_dagger[t])
+    for method in methods:
+        lab = method.label
+        se_hats, failed, hits, widths = [], 0, {}, {}
+        for r in range(replications):
+            ds = frame.dataset(sl._PURPOSE_EXPERIMENT, r)
+            fit = lb.fit_qmle(ds, spec, design=frame.design)
+            out = run(ds, spec, method, 30, seed=derive_seed(11, r, lab), fit=fit)
+            se, est = float(out.se_hat[t]), float(out.estimate[t])
+            se_hats.append(se)
+            failed += out.n_failed
+            for level in levels:
+                z = ndtri(0.5 + level / 2.0)
+                lo, hi = est - z * se, est + z * se
+                per_lo, per_hi = ci_percentile(out.replicates[:, [t]], 1.0 - level)[0]
+                for key, (a, b) in ((("nor", level), (lo, hi)), (("per", level), (per_lo, per_hi))):
+                    hits.setdefault(key, []).append(a <= beta <= b)
+                    widths.setdefault(key, []).append(b - a)
+        st = report.methods[lab]
+        assert np.array_equal(st.se_hats, se_hats) and st.n_failed_total == failed
+        assert st.coverage == {k: float(np.mean(np.array(v, dtype=float))) for k, v in hits.items()}
+        assert st.width_mean == {k: float(np.mean(np.array(v))) for k, v in widths.items()}
+        assert st.width_se == {
+            k: float(np.array(v).std(ddof=1) / np.sqrt(replications)) for k, v in widths.items()
+        }
 
 
 def test_experiment_report_csv_layout(tmp_path):

@@ -133,7 +133,7 @@ def binary_csv_400(tmp_path):
 def test_forked_blocks_equal_serial_ones_for_every_method(method, two_cores, forks):
     # 81 rows a block at n=400: B=300 makes four blocks, the last one short
     ds, spec = _probit_data()
-    assert glm.family_for(spec).block_rows(ds.n) == 81
+    assert glm.block_rows(ds.n) == 81
     a = run(ds, spec, method, B=300, seed=17, n_threads=1)
     b = run(ds, spec, method, B=300, seed=17, n_threads=2)
     assert len(forks) == 1
