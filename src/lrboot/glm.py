@@ -30,16 +30,19 @@ information, from each observation's own two category edges and the
 accepted step's `loglik_terms`, each category probability taken on the
 nearer tail of its edges. A step whose cutpoints do not strictly increase
 leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
-Every row of a warm block starts at one coefficient vector, and the cold
-start of every family but gamma has zero slopes, so eta = 0 in every row.
-Where every row's start eta holds the same bits, the driver hands that one
-n-vector to the family's `shared_loglik_terms`: a binary probit block
-evaluates log Phi(eta) and log Phi(-eta) once per observation and picks one
-per row by the response, instead of a `log_ndtr` per row and observation;
-other families take their `loglik_terms` on eta broadcast to the block.
-Every caller that fits many response vectors runs `refit_blocks`, which
-fits them in blocks of `block_rows(n)` rows, each drawn whole by
-one call of the caller's draw: max(1, 2**15 // n) rows for every family
+Every block of a run starts at one coefficient vector, and so does a
+binary probit block at its zero cold start. A family whose block responses
+take finitely many values (0/1 for binary probit, the J codes for the
+ordinal model) then evaluates the start once per value and observation:
+its `start_table` holds the log-likelihood terms and the first score's
+per-observation factors, J x n each, and every row takes its own with
+`np.take`, at the bits of computing them itself. `refit_blocks` builds a
+run's table once, before it forks; a cold block builds its own. Families
+without a finite response set evaluate the start row by row, as any step.
+The ordinal information is built only on a score where some row steps, its
+category sums only for those rows. Every caller that fits many response
+vectors runs `refit_blocks`, which fits them in blocks of `block_rows(n)`
+rows, each drawn whole by one call of the caller's draw: max(1, 2**15 // n) rows for every family
 (16 at n=2000), as every array of a block fit, the ordinal model's
 included, is b x n. Asked for more than one worker, it forks worker
 processes, which inherit the design, its products and the draw, so
@@ -56,7 +59,7 @@ and reused by its later block fits on any design, and drops it when the
 thread ends; a forked worker starts from a copy of its parent's. It holds at
 most 17 slots of 256 KB (4.25 MB) per live thread, which a weighted ordinal
 block fills; at n=2000 a warm 16-row block uses 10 (2.5 MB) for binary
-probit responses and 14 (3.5 MB) for ordinal ones. A block above the
+probit responses and 16 (4 MB) for ordinal ones. A block above the
 budget, such as `fit_qmle` at n > 32,768, gets a workspace for its call
 alone.
 """
@@ -259,7 +262,10 @@ def _coef_names(design: DesignInfo, n_cut: int) -> tuple[str, ...]:
 class _BaseFamily:
     """A GLM family: mean, variance and log-likelihood per observation, and
     the hooks `fit_design_batch` calls for a block of rows, each row a
-    coefficient vector (cutpoints, then slopes). A family's
+    coefficient vector (cutpoints, then slopes): `for_block`, `screen`,
+    `start`, `valid`, `loglik_terms`, `score` and `start_table`. A family
+    with a finite set of response `values` also has `cells` and
+    `score_cells` (see `score`). A family's
     `simulate(rngs, mu, dispersion)` draws a len(rngs) x n block of
     responses at the means mu, row r from rngs[r] alone."""
 
@@ -267,6 +273,7 @@ class _BaseFamily:
     link = ""
     check_separation = False
     n_cut = 0  # cutpoints ahead of the slopes in a coefficient vector
+    values = None  # the finite response set, ascending consecutive integers
     free_dispersion = False  # simulate with a Pearson dispersion estimate
 
     def for_block(self, Y):
@@ -292,20 +299,26 @@ class _BaseFamily:
     def clamp_response(self, vals):
         return vals
 
-    def shared_loglik_terms(self, ws, y, eta, coef=None):
-        """`loglik_terms` of the b x n responses y, every row at the one
-        linear predictor eta (n,), as at a block's shared start; a family
-        that can evaluate eta once per observation overrides it."""
-        return self.loglik_terms(ws, y, np.broadcast_to(eta, np.shape(y)), coef)
+    def start_table(self, design, coef):
+        """The `_StartTable` at one coefficient vector for this family's
+        blocks whose responses all lie in a finite set, or None for a family
+        without one."""
+        return None
 
     def score(self, ws, design, Y, W, coef, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
         X' diag(w D^2 / V) X of the rows a mask selects. `terms` holds the
-        `loglik_terms` at eta, for a family that can reuse them.
+        `loglik_terms` at eta, for a family that can reuse them. The driver
+        calls the information function at most once, before its next hook
+        call, and only on a score where some row takes a step.
 
         Every hook writes its b x n arrays into the workspace `ws`: the
         scores into slots "s0", "s1", ..., `loglik_terms` its result into
-        slot "loglik", which no score writes."""
+        slot "loglik", which no score writes. A family with a finite set of
+        response `values` scores in two hooks: `cells` leaves its
+        per-observation factors in slots "s0", "s1", ... in order, and
+        `score_cells` sums them, so that a `_StartTable` can hold the cells
+        of a shared start."""
         shape = np.shape(eta)
         mu = self.mean(eta, out=ws.floats("s0", shape))
         D = self.mean_deriv(eta, out=ws.floats("s1", shape))
@@ -403,6 +416,10 @@ class BinomialProbit(_Binomial):
             return _BINARY_PROBIT
         return _FAMILIES["binomial", "probit"]
 
+    def start_table(self, design, coef):
+        # only blocks of 0/1 responses, which `_BinaryProbit` fits, have one
+        return _StartTable(_BINARY_PROBIT, design, coef)
+
     def loglik_terms(self, ws, y, eta, coef=None):
         t = ws.floats("loglik", np.shape(eta))
         t = np.multiply(y, log_ndtr(eta, out=t), out=t)
@@ -440,6 +457,8 @@ class _BinaryProbit(BinomialProbit):
     """The probit link on a block of 0/1 responses, where every term is one
     function of z = (2y - 1) eta."""
 
+    values = np.array([0.0, 1.0])
+
     def loglik_terms(self, ws, y, eta, coef=None):
         # one log_ndtr per observation, at (2y - 1) eta: eta where y = 1 and
         # -eta where y = 0, exactly; bit-identical to the two-term form
@@ -448,23 +467,13 @@ class _BinaryProbit(BinomialProbit):
         t *= eta
         return log_ndtr(t, out=t)
 
-    def shared_loglik_terms(self, ws, y, eta, coef=None):
-        # log Phi(-eta) and log Phi(eta) once per observation, then row r
-        # takes the first where y = 0 and the second where y = 1: the bits
-        # of `loglik_terms`, whose (2y - 1) eta is exactly -eta or eta
-        n = eta.shape[0]
-        table = ws.floats("s0", (2, n))
-        log_ndtr(np.negative(eta, out=table[0]), out=table[0])
-        log_ndtr(eta, out=table[1])
-        k = ws.ints("i0", np.shape(y))
-        np.copyto(k, y, casting="unsafe")
-        k *= n
-        k += np.arange(n)  # flat index of (y, observation) in table
-        return np.take(table.ravel(), k, out=ws.floats("loglik", k.shape), mode="clip")
-
     def score(self, ws, design, Y, W, coef, eta, terms):
-        """The score (2y - 1) lam(z) and the information lam(z) (lam(z) + z),
-        with `terms` already holding log Phi(z)."""
+        return self.score_cells(ws, design, Y, W, coef, self.cells(ws, Y, coef, eta, terms))
+
+    def cells(self, ws, Y, coef, eta, terms):
+        """The score factor (2y - 1) lam(z) and the information
+        lam(z) (lam(z) + z) per observation, with `terms` already holding
+        log Phi(z)."""
         shape = np.shape(eta)
         s = np.multiply(Y, 2.0, out=ws.floats("s0", shape))
         s -= 1.0
@@ -474,7 +483,10 @@ class _BinaryProbit(BinomialProbit):
         np.exp(lam, out=lam)
         u = np.multiply(s, lam, out=s)  # s lam
         h = np.multiply(np.add(z, lam, out=z), lam, out=z)  # lam (lam + z)
-        return _probit_score(design, W, u, h)
+        return u, h
+
+    def score_cells(self, ws, design, Y, W, coef, cells):
+        return _probit_score(design, W, *cells)
 
 
 _BINARY_PROBIT = _BinaryProbit()
@@ -619,6 +631,10 @@ class CumulativeProbit(_BaseFamily):
     def __init__(self, J: int):
         self.J = J  # categories
         self.n_cut = J - 1
+        self.values = np.arange(1.0, J + 1.0)
+
+    def start_table(self, design, coef):
+        return _StartTable(self, design, coef)
 
     def _counts(self, Y, W):
         """Weighted count of each category per row (b x J)."""
@@ -691,68 +707,99 @@ class CumulativeProbit(_BaseFamily):
         c (l + a - c) between them and eta. It is positive semi-definite, as
         the log-likelihood is concave in (alpha, beta) (Pratt 1981).
         """
-        K, J = self.n_cut, self.J
-        b, p = len(coef), design.q
+        return self.score_cells(ws, design, Y, W, coef, self.cells(ws, Y, coef, eta, terms))
+
+    def cells(self, ws, Y, coef, eta, terms):
+        """Each observation's edges u and l (0 where infinite), a, c and
+        d = a - c (see `score`)."""
         shape = np.shape(Y)
         u, l = self._edges(ws, Y, eta, coef)
         # the log-likelihood is flat where loglik_terms clips P at _P_MIN,
         # so those cells add nothing
-        inv = np.negative(terms, out=ws.floats("s2", shape))
+        inv = np.negative(terms, out=ws.floats("s4", shape))
         np.exp(inv, out=inv)
         inv[~(terms > _LOG_P_MIN)] = 0.0
-        a, c = ws.floats("s3", shape), ws.floats("s4", shape)
+        a, c = ws.floats("s2", shape), ws.floats("s3", shape)
         for v, edge in ((a, u), (c, l)):
             np.exp(_log_phi(edge, v), out=v)
             v *= inv  # phi(edge) / P
         # phi is 0 at an infinite edge, and so are u a and l c
         u[np.isinf(u)] = 0.0
         l[np.isinf(l)] = 0.0
-        d = np.subtract(a, c, out=inv)
+        return u, l, a, c, np.subtract(a, c, out=inv)
+
+    def score_cells(self, ws, design, Y, W, coef, cells):
+        """The gradient from the cells, and the information of the rows a
+        mask selects, built when asked for: its category sums and cross
+        terms for those rows alone, its gram on every row, as BLAS bits
+        depend on the row count. The information overwrites the cells."""
+        u, l, a, c, d = cells
+        K, J = self.n_cut, self.J
+        b, shape = len(coef), np.shape(Y)
         slot = ws.ints("i0", shape)
         np.copyto(slot, Y, casting="unsafe")
         slot += (J * np.arange(b) - 1)[:, None]
-        slot = slot.ravel()
         tmp, weighted = ws.floats("s5", shape), ws.floats("s6", shape)
 
-        def by_cat(v):
+        def by_cat(v, w=W):
             """Weighted sum of v over each row's observations in each
-            category (b x J). Category j + 1 (0-based j) has upper edge
-            alpha_j and lower edge alpha_{j-1}, so [:, :K] sums terms of
-            upper edges by cutpoint and [:, 1:] terms of lower edges."""
-            v = v if W is None else np.multiply(W, v, out=weighted)
-            return np.bincount(slot, weights=v.ravel(), minlength=b * J).reshape(b, J)
+            category (rows x J), for the leading rows of the cells that v
+            has. Category j + 1 (0-based j) has upper edge alpha_j and lower
+            edge alpha_{j-1}, so [:, :K] sums terms of upper edges by
+            cutpoint and [:, 1:] terms of lower edges."""
+            m = len(v)
+            v = v if w is None else np.multiply(w, v, out=weighted[:m])
+            return np.bincount(slot[:m].ravel(), weights=v.ravel(),
+                               minlength=m * J).reshape(m, J)
 
-        up_eta = np.add(u, d, out=ws.floats("s7", shape))
-        up_eta *= a
-        np.negative(up_eta, out=up_eta)  # -a (u + d)
-        low_eta = np.add(l, d, out=ws.floats("s8", shape))
-        low_eta *= c  # c (l + d)
-        h_cross = np.stack(
-            [
-                by_cat(np.multiply(up_eta, x, out=tmp))[:, :K]
-                + by_cat(np.multiply(low_eta, x, out=tmp))[:, 1:]
-                for x in design.transpose
-            ],
-            axis=2,
-        )
-        h_eta = np.multiply(u, a, out=up_eta)
-        h_eta -= np.multiply(l, c, out=tmp)
-        h_eta += np.multiply(d, d, out=tmp)  # u a - l c + d d
-        H = np.zeros((b, K + p, K + p))
-        H[:, K:, K:] = design.gram(h_eta if W is None else np.multiply(W, h_eta, out=h_eta))
-        H[:, :K, K:] = h_cross
-        H[:, K:, :K] = h_cross.transpose(0, 2, 1)
-        i = np.arange(K)
-        u += a
-        u *= a  # a (u + a)
-        np.subtract(c, l, out=l)
-        l *= c  # c (c - l)
-        H[:, i, i] = by_cat(u)[:, :K] + by_cat(l)[:, 1:]
-        H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = -by_cat(np.multiply(a, c, out=tmp))[:, 1:K]
         g_beta = np.subtract(c, a, out=tmp)
         g_beta = (g_beta if W is None else np.multiply(W, g_beta, out=g_beta)) @ design.matrix
         g = np.concatenate([by_cat(a)[:, :K] - by_cat(c)[:, 1:], g_beta], axis=1)
-        return g, lambda sel: H[sel]
+
+        def info(sel):
+            h_eta = np.multiply(u, a, out=ws.floats("s7", shape))
+            h_eta -= np.multiply(l, c, out=tmp)
+            h_eta += np.multiply(d, d, out=tmp)  # u a - l c + d d
+            gram = design.gram(h_eta if W is None else np.multiply(W, h_eta, out=h_eta))
+            rows = np.flatnonzero(sel)
+            m, n = rows.size, shape[1]
+            # the selected rows' cells move up to the first m rows, in order
+            for i, r in enumerate(rows):
+                if r > i:
+                    for v in (u, l, a, c, d):
+                        v[i] = v[r]
+                    np.subtract(slot[r], J * (r - i), out=slot[i])
+            cu, cl, ca, cc, cd = (v[:m] for v in (u, l, a, c, d))
+            w = W if W is None or m == b else np.take(
+                W, rows, axis=0, out=ws.floats("s7", (m, n)), mode="clip")
+            up_eta = np.add(cu, cd, out=ws.floats("s8", (m, n)))
+            up_eta *= ca
+            np.negative(up_eta, out=up_eta)  # -a (u + d)
+            xs = design.transpose
+            h_up = [by_cat(np.multiply(up_eta, x, out=tmp[:m]), w)[:, :K] for x in xs]
+            low_eta = np.add(cl, cd, out=up_eta)
+            low_eta *= cc  # c (l + d)
+            h_cross = np.stack(
+                [up + by_cat(np.multiply(low_eta, x, out=tmp[:m]), w)[:, 1:]
+                 for up, x in zip(h_up, xs)],
+                axis=2,
+            )
+            p = design.q
+            H = np.zeros((m, K + p, K + p))
+            H[:, K:, K:] = gram if m == b else gram[rows]
+            H[:, :K, K:] = h_cross
+            H[:, K:, :K] = h_cross.transpose(0, 2, 1)
+            i = np.arange(K)
+            cu += ca
+            cu *= ca  # a (u + a)
+            np.subtract(cc, cl, out=cl)
+            cl *= cc  # c (c - l)
+            H[:, i, i] = by_cat(cu, w)[:, :K] + by_cat(cl, w)[:, 1:]
+            H[:, i[:-1], i[1:]] = H[:, i[1:], i[:-1]] = -by_cat(
+                np.multiply(ca, cc, out=tmp[:m]), w)[:, 1:K]
+            return H
+
+        return g, info
 
     def fitted(self, Xd, coef):
         alpha, beta = coef[: self.n_cut], coef[self.n_cut :]
@@ -812,6 +859,56 @@ def ordinal_probs(alpha: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.diff(edges, axis=1)
 
 
+class _StartTable:
+    """What the rows of a block that start at one coefficient vector need
+    there: the log-likelihood terms and the first score's `cells` for each
+    of the family's response values (J of them) at each observation.
+
+    They come from the family's own hooks on a J x n block whose row j holds
+    values[j] at every observation, each row at `coef`. Every row's eta comes
+    from one matrix product, as a block's does, and the hooks act cell by
+    cell, so a row that takes its terms and cells from here with `np.take`
+    gets the bits of computing them itself. A one-row product may round
+    otherwise, so a one-row block takes no table."""
+
+    def __init__(self, family, design, coef):
+        values = family.values
+        J, n = len(values), design.matrix.shape[0]
+        V = np.repeat(values[:, None], n, axis=1)
+        C = np.tile(coef, (J, 1))
+        eta = np.matmul(C[:, family.n_cut:], design.transpose)
+        # the thread's workspace: no hook writes the "eta" slot, which holds
+        # a cold block's start when it builds its table
+        ws = _workspace(J * n)
+        terms = family.loglik_terms(ws, V, eta, C).copy()
+        self.cells = [v.ravel().copy() for v in family.cells(ws, V, C, eta, terms)]
+        self.terms = terms.ravel()
+        self.family = family
+        self.first = int(values[0])
+        self.observations = np.arange(n)
+
+    def _index(self, ws, Y):
+        """Each cell's flat index into a J x n table."""
+        k = ws.ints("i0", Y.shape)
+        np.copyto(k, Y, casting="unsafe")
+        k -= self.first
+        k *= Y.shape[1]
+        k += self.observations
+        return k
+
+    def loglik_terms(self, ws, Y):
+        """`family.loglik_terms` of the responses Y, every row at the start."""
+        k = self._index(ws, Y)
+        return np.take(self.terms, k, out=ws.floats("loglik", k.shape), mode="clip")
+
+    def score(self, ws, design, Y, W, coef):
+        """`family.score` of the responses Y, every row at the start."""
+        k = self._index(ws, Y)
+        cells = [np.take(v, k, out=ws.floats(f"s{i}", k.shape), mode="clip")
+                 for i, v in enumerate(self.cells)]
+        return self.family.score_cells(ws, design, Y, W, coef, cells)
+
+
 # ---------------------------------------------------------------------------
 # Newton driver
 
@@ -852,15 +949,6 @@ def _newton_steps(H: np.ndarray, g: np.ndarray):
         return steps, singular
 
 
-def _same_rows(A: np.ndarray) -> bool:
-    """Whether A has two or more rows and every row holds the bits of the
-    first (so 0.0 and -0.0 differ)."""
-    if len(A) < 2:
-        return False
-    bits = A.view(np.int64)
-    return bool(np.all(bits == bits[0]))
-
-
 def fit_design_batch(
     design: DesignInfo,
     Y: np.ndarray,
@@ -875,11 +963,13 @@ def fit_design_batch(
     observed information for probit and the ordinal model (exact Newton
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
-    `family.score`, which may reuse them. Where every active row's start
-    eta holds the same bits, the start's terms come from one call of
-    `family.shared_loglik_terms` on that eta. The hooks are those of
-    `family.for_block(Y)`. Every b x n array of the fit lives in the calling
-    thread's `Workspace` (see the module docstring).
+    `family.score`, which may reuse them. The hooks are those of
+    `family.for_block(Y)`. Where that family has a finite set of response
+    values and the block's rows (two or more) share one cold start, the
+    start's terms and first score come from its `start_table` (see
+    `_StartTable`), as they do for every block of a `refit_blocks` run.
+    Every b x n array of the fit lives in the calling thread's `Workspace`
+    (see the module docstring).
 
     `Y` is b x n with one response vector per row; `weights` is None or
     b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
@@ -901,6 +991,12 @@ def fit_design_batch(
     columns adds in sequence, and that rounding noise flips plateau
     acceptances.
     """
+    return _fit_block(design, Y, family, options, weights, beta0, None)
+
+
+def _fit_block(design, Y, family, options, weights, beta0, table) -> BatchFit:
+    """`fit_design_batch`, handed the start table of a run whose rows all
+    start at beta0 (see `refit_blocks`), or None."""
     opts = options or FitOptions()
     Y = np.ascontiguousarray(Y, dtype=float)
     n, q = design.matrix.shape
@@ -921,13 +1017,12 @@ def fit_design_batch(
             return A
         return np.take(A, rows, axis=0, out=ws.floats(name, (rows.size, n)), mode="clip")
 
-    def loglik(rows, coef, eta, shared=False):
+    def loglik(rows, coef, eta):
         """Summed log-likelihood per row, and its terms for `family.score`
-        (a workspace view, valid until the next hook call). With `shared`,
-        every row of eta holds the same bits and the family evaluates its
-        first row once."""
+        (a workspace view, valid until the next hook call); eta None takes
+        them from the start table."""
         y = gather("Y_rows", Y, rows)
-        terms = (family.shared_loglik_terms(ws, y, eta[0], coef) if shared
+        terms = (table.loglik_terms(ws, y) if eta is None
                  else family.loglik_terms(ws, y, eta, coef))
         if W is None:
             s = np.sum(terms, axis=1)
@@ -939,8 +1034,12 @@ def fit_design_batch(
         return s, terms
 
     def score(rows):
-        return family.score(ws, design, gather("Y_rows", Y, rows), gather("W_rows", W, rows),
-                            coef[rows], gather("eta_rows", eta, rows),
+        nonlocal table
+        y, w = gather("Y_rows", Y, rows), gather("W_rows", W, rows)
+        if table is not None:  # the first score, with every row at the start
+            first, table = table, None
+            return first.score(ws, design, y, w, coef[rows])
+        return family.score(ws, design, y, w, coef[rows], gather("eta_rows", eta, rows),
                             gather("terms_rows", terms, rows))
 
     def not_converged(r):
@@ -965,11 +1064,18 @@ def fit_design_batch(
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the model's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
+    # the rows of a run's blocks start at its beta0, and a cold block builds
+    # a table where its rows share a cold start (binary probit's zeros);
+    # compared bit for bit, as a -0.0 slope may give another eta than 0.0
+    bits = coef[act].view(np.int64)
+    if b < 2 or family.values is None or not act.size or np.any(bits != bits[0]):
+        table = None
+    elif beta0 is None:
+        table = family.start_table(design, coef[act[0]])
     ll = np.full(b, -np.inf)
     terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
-    # a warm start, and a cold start with zero slopes, give every row one eta
-    eta_act = gather("eta_rows", eta, act)
-    ll[act], terms[act] = loglik(act, coef[act], eta_act, shared=_same_rows(eta_act))
+    eta_act = None if table is not None else gather("eta_rows", eta, act)
+    ll[act], terms[act] = loglik(act, coef[act], eta_act)
     # every candidate would pass the ascent test against a start at -inf
     for r in act[ll[act] == -np.inf]:
         errors[r] = NonConvergence("log-likelihood is not finite at the starting point")
@@ -1059,10 +1165,12 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
     caller that stops early fits no further block.
     """
     rows = block_rows(design.matrix.shape[0])
+    # every block starts at beta0, so its table is made once, before any fork
+    table = None if beta0 is None else family.start_table(design, np.asarray(beta0, float))
 
     def block(first):
         Y, W = draw(first, min(first + rows, count))
-        out = fit_design_batch(design, Y, family, options, weights=W, beta0=beta0)
+        out = _fit_block(design, Y, family, options, W, beta0, table)
         if keep_responses:
             out.responses = Y
         return out

@@ -462,17 +462,20 @@ def test_binary_probit_score_equals_the_two_term_form():
              "ordinal"],
 )
 def test_shared_start_terms_equal_the_per_row_terms(kind):
-    # a block's shared start evaluates its one eta once per observation:
-    # the bits of `loglik_terms` on that eta copied into every row
+    # the rows of a block at one start take their terms from the start table:
+    # the bits of `loglik_terms` at that start in every row. A family without
+    # a finite response set computes them per row, at the bits of its terms
+    # on the start's eta broadcast to the block
     rng = np.random.default_rng(12)
     b, n = 6, 400
-    eta = rng.standard_normal(n) * 3.0
-    eta[:5] = [0.0, 8.0, -8.0, 38.0, -38.0]
-    coef = None
+    x = rng.standard_normal(n) * 3.0
+    x[:5] = [0.0, 8.0, -8.0, 38.0, -38.0]
+    design = _design_of(x[:, None])
+    coef = np.array([1.0])  # eta = x exactly
     if kind == "ordinal":
         family = CumulativeProbit(4)
         y = rng.integers(1, 5, size=(b, n)).astype(float)
-        coef = np.column_stack([np.tile([-1.0, 0.2, 1.3], (b, 1)), np.ones(b)])
+        coef = np.array([-1.0, 0.2, 1.3, 1.0])
     else:
         name, link = kind.split("-")
         probit = name in ("binary", "fractional")
@@ -483,15 +486,76 @@ def test_shared_start_terms_equal_the_per_row_terms(kind):
         y[0, 0] = 0.0  # y = 0 at eta = 0
         family = family.for_block(y)
         assert (type(family).__name__ == "_BinaryProbit") == (name == "binary")
+    coefs = np.tile(coef, (b, 1))
+    eta = np.matmul(coefs[:, family.n_cut:], design.transpose)
+    assert eta.tobytes() == np.tile(x, (b, 1)).tobytes()
+    finite = kind in ("binary-probit", "ordinal")
+    assert (family.values is not None) == finite
     with np.errstate(all="ignore"):
-        shared = family.shared_loglik_terms(Workspace(y.size), y, eta, coef)
-        per_row = family.loglik_terms(Workspace(y.size), y, np.tile(eta, (b, 1)), coef)
+        if finite:
+            table = family.start_table(design, coef)
+            assert table.family is family
+            shared = table.loglik_terms(Workspace(y.size), y)
+        else:
+            shared = family.loglik_terms(Workspace(y.size), y, np.broadcast_to(x, y.shape), coefs)
+        per_row = family.loglik_terms(Workspace(y.size), y, eta, coefs)
     assert shared.tobytes() == per_row.tobytes()
+
+
+def _score_bytes(g, info, sel):
+    return g.tobytes(), info(sel).tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("start", ["warm", "cold"])
+@pytest.mark.parametrize("kind", ["binary-probit", "ordinal-3", "ordinal-4", "ordinal-5"])
+def test_start_table_first_score_equals_the_per_row_score(kind, start, weighted):
+    # a start table's terms, gradient and information (of every row, and of
+    # a subset of rows) hold the bits of the per-row computation at the start
+    rng = np.random.default_rng(len(kind) + 7 * weighted)
+    b, n = 7, 300
+    if kind == "binary-probit":
+        Xd, Y, _ = _block("binomial", False, 5)
+        Xd, Y = np.tile(Xd, (4, 1))[:n], (rng.random((b, n)) < 0.4).astype(float)
+        family = _family("binomial", "probit").for_block(Y)
+        coef = np.zeros(3)
+        if start == "warm":
+            coef = _scalar_fit(Xd, Y[0], _family("binomial", "probit"))
+    else:
+        J = int(kind[-1])
+        Xd, Y = _ordinal_block(rng, J, n=n, b=b)
+        family = CumulativeProbit(J)
+        coef = family.start(_design_of(Xd), Y[0], None)  # zero slopes
+        if start == "warm":
+            alpha, beta = _fd_ordinal_fit(Xd, Y[0], J)
+            coef = np.concatenate([alpha, beta])
+    design = _design_of(Xd)
+    W = rng.standard_exponential(Y.shape) if weighted else None
+    coefs = np.tile(coef, (b, 1))
+    eta = np.matmul(coefs[:, family.n_cut:], design.transpose)
+    table = family.start_table(design, coef)
+    ws = Workspace(Y.size)
+    terms = family.loglik_terms(ws, Y, eta, coefs).copy()
+    assert table.loglik_terms(Workspace(Y.size), Y).tobytes() == terms.tobytes()
+    some = np.arange(b) % 3 == 1
+    for sel in (np.ones(b, dtype=bool), some):
+        per_row = _score_bytes(*family.score(Workspace(Y.size), design, Y, W, coefs, eta,
+                                             terms), sel)
+        shared = _score_bytes(*table.score(Workspace(Y.size), design, Y, W, coefs), sel)
+        assert shared == per_row
+    if kind != "binary-probit":
+        # the ordinal information of a subset of rows is those rows of every
+        # row's, as its gram runs on every row
+        g, info = family.score(Workspace(Y.size), design, Y, W, coefs, eta, terms)
+        full = info(np.ones(b, dtype=bool))
+        g, info = family.score(Workspace(Y.size), design, Y, W, coefs, eta, terms)
+        assert info(some).tobytes() == full[some].tobytes()
 
 
 def _binary_probit_blocks():
     """(name, design, Y, W, beta0) blocks of binary probit responses whose
-    rows start at one eta, with the rows the shared start must cope with."""
+    rows start at one coefficient vector, with the rows a start table must
+    cope with."""
     rng = np.random.default_rng(21)
     Xd, Y, _ = _block("binomial", False, 4)
     design = _design_of(Xd)
@@ -518,30 +582,31 @@ def _binary_probit_blocks():
     "per-row-starts",
 ])
 def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
-    # the binary probit override of the shared start, and the shared start
-    # itself, change no bit of a block fit; rows that start apart do not
-    # share a start
+    # a block fit with the start table of its rows' start (handed over, as
+    # `refit_blocks` does, or built for a cold start) changes no bit of the
+    # fit without one; rows that start apart take no table, and neither does
+    # a block with a NaN response, which the two-term family fits
     from lrboot import glm
 
     name, design, Y, W, beta0 = _binary_probit_blocks()[case]
     probit = _family("binomial", "probit")
-    same_rows = glm._same_rows
-    seen = []
+    table = None if beta0 is None else probit.start_table(design, np.atleast_2d(beta0)[0])
+    used = []
+    real = glm._StartTable.loglik_terms
 
-    def fit():
-        return _fit_bytes(fit_design_batch(design, Y, probit, weights=W, beta0=beta0))
+    def fit(table):
+        return _fit_bytes(glm._fit_block(design, Y, probit, None, W, beta0, table))
 
     with monkeypatch.context() as m:
-        m.setattr(glm, "_same_rows", lambda A: seen.append(same_rows(A)) or seen[-1])
-        got = fit()
-        assert seen == [name != "per-row-starts"]
-        m.setattr(glm._BinaryProbit, "shared_loglik_terms",
-                  glm._BaseFamily.shared_loglik_terms)
-        assert fit() == got
-        m.setattr(glm, "_same_rows", lambda A: False)
-        assert fit() == got
+        m.setattr(glm._StartTable, "loglik_terms",
+                  lambda self, ws, y: used.append(True) or real(self, ws, y))
+        got = fit(table)
+        assert used == ([True] if name not in ("per-row-starts", "nan-response-row") else [])
+        m.setattr(glm.BinomialProbit, "start_table", lambda self, design, coef: None)
+        assert fit(None) == got
+    assert fit_design_batch(design, Y, probit, weights=W, beta0=beta0).beta.tobytes() == got[0]
     # the screened row and the NaN row fail before any step, the others converge
-    out = fit_design_batch(design, Y, probit, weights=W, beta0=beta0)
+    out = glm._fit_block(design, Y, probit, None, W, beta0, table)
     failed = {"screened-constant-row": (2, SeparationDetected),
               "nan-response-row": (3, NonConvergence)}.get(name)
     ok = np.ones(len(Y), dtype=bool)
@@ -550,6 +615,89 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
         assert isinstance(out.errors[r], cls) and out.iterations[r] == 0
         ok[r] = False
     assert np.array_equal(out.ok, ok)
+
+
+def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
+    # a warm run builds its table once, before any worker forks; a cold
+    # binary probit run builds one per block of two or more rows, and a
+    # family without a finite response set builds none
+    from lrboot import glm
+
+    built = []
+    real = glm._StartTable.__init__
+
+    def counting(self, family, design, coef):
+        built.append(type(family).__name__)
+        real(self, family, design, coef)
+
+    monkeypatch.setattr(glm._StartTable, "__init__", counting)
+    ds, spec = _probit_data()
+    fit = lb.fit_qmle(ds, spec)
+    rows = block_rows(ds.n)
+    count = 3 * rows + 1  # a one-row last block
+    Y = (np.random.default_rng(3).random((count, ds.n)) < fit.mu_hat).astype(float)
+
+    def draw(first, stop):
+        return Y[first:stop], None
+
+    outs = []
+    for threads in (1, 2):
+        built.clear()
+        outs.append(list(glm.refit_blocks(fit.design, fit.family, draw, count,
+                                          beta0=fit.coef, n_threads=threads)))
+        assert built == ["_BinaryProbit"]
+    for a, b in zip(*outs):
+        assert _fit_bytes(a) == _fit_bytes(b)
+    built.clear()
+    list(glm.refit_blocks(fit.design, fit.family, draw, count))
+    assert built == ["_BinaryProbit"] * 3
+    built.clear()
+    logit = _family("binomial", "logit")
+    list(glm.refit_blocks(fit.design, logit, draw, count, beta0=fit.coef))
+    assert built == []
+
+
+def test_ordinal_information_sums_only_rows_that_step(monkeypatch):
+    # the gradient takes two category sums per score call; the information's
+    # 2p + 3 run only on a score where some row steps, over those rows alone
+    from lrboot import glm
+
+    with np.errstate(all="ignore"):
+        ds = sl.generate("SC1_ordinal", n=400, seed=3)
+    spec = sl.get_scenario("SC1_ordinal").assumed
+    fit = lb.fit_qmle(ds, spec)
+    J, p = spec.n_categories, fit.design.q
+    Y = np.array([fit.family.simulate([np.random.default_rng(s)], fit.mu_hat)[0]
+                  for s in range(6)])
+    sums = []
+    real_bincount = np.bincount
+
+    def counting(x, weights=None, minlength=0):
+        sums.append(minlength // J)
+        return real_bincount(x, weights=weights, minlength=minlength)
+
+    stepped = []
+    real_score = glm.CumulativeProbit.score_cells
+
+    def score_cells(self, *args):
+        g, info = real_score(self, *args)
+        return g, lambda sel: stepped.append(int(sel.sum())) or info(sel)
+
+    monkeypatch.setattr(glm.np, "bincount", counting)
+    monkeypatch.setattr(glm.CumulativeProbit, "score_cells", score_cells)
+    out = fit_design_batch(fit.design, Y, fit.family, beta0=fit.coef)
+    monkeypatch.undo()
+    assert out.ok.all() and len(set(out.iterations)) > 1
+    # a score call per iteration and a last one where no row steps
+    calls = int(out.iterations.max()) + 1
+    assert stepped == [int(np.sum(out.iterations > i)) for i in range(calls - 1)]
+    expected = []
+    for i in range(calls):
+        rows = int(np.sum(out.iterations >= i))
+        expected += [rows, rows]
+        if i < calls - 1:
+            expected += [stepped[i]] * (2 * p + 3)
+    assert sums == expected
 
 
 @pytest.mark.parametrize("n", [400, 2000])

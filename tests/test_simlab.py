@@ -241,7 +241,7 @@ def test_pseudo_truth_blocks_match_per_redraw_fits(scenario_id, reps):
 def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
     # three failures in each block: the 5% cap of 100 redraws is first
     # exceeded by the second block, which raises once it is fit
-    real = glm.fit_design_batch
+    real = glm._fit_block
     blocks = []
 
     def failing(*args, **kwargs):
@@ -251,7 +251,7 @@ def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
             out.errors[r] = NonConvergence("injected")
         return out
 
-    monkeypatch.setattr(glm, "fit_design_batch", failing)
+    monkeypatch.setattr(glm, "_fit_block", failing)
     with pytest.raises(TooManyFailures) as info:
         sl.pseudo_truth("GaussianCheck", n=2000, reps=100, seed=3)
     assert len(blocks) == 2 and blocks[0] < 50
