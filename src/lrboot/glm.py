@@ -303,7 +303,7 @@ class _BaseFamily:
         """The `_StartTable` at one coefficient vector for this family's
         blocks whose responses all lie in a finite set, or None for a family
         without one."""
-        return None
+        return None if self.values is None else _StartTable(self, design, coef)
 
     def score(self, ws, design, Y, W, coef, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
@@ -632,9 +632,6 @@ class CumulativeProbit(_BaseFamily):
         self.J = J  # categories
         self.n_cut = J - 1
         self.values = np.arange(1.0, J + 1.0)
-
-    def start_table(self, design, coef):
-        return _StartTable(self, design, coef)
 
     def _counts(self, Y, W):
         """Weighted count of each category per row (b x J)."""

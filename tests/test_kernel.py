@@ -515,8 +515,8 @@ def test_start_table_first_score_equals_the_per_row_score(kind, start, weighted)
     rng = np.random.default_rng(len(kind) + 7 * weighted)
     b, n = 7, 300
     if kind == "binary-probit":
-        Xd, Y, _ = _block("binomial", False, 5)
-        Xd, Y = np.tile(Xd, (4, 1))[:n], (rng.random((b, n)) < 0.4).astype(float)
+        Xd = _design(rng, n)
+        Y = (rng.random((b, n)) < norm.cdf(Xd @ np.array([0.2, 0.6, -0.4]))).astype(float)
         family = _family("binomial", "probit").for_block(Y)
         coef = np.zeros(3)
         if start == "warm":
