@@ -42,9 +42,9 @@ without a finite response set evaluate the start row by row, as any step.
 The ordinal information is built only on a score where some row steps, its
 category sums only for those rows. Every caller that fits many response
 vectors runs `refit_blocks`, which fits them in blocks of `block_rows(n)`
-rows, each drawn whole by one call of the caller's draw: max(1, 2**15 // n) rows for every family
-(16 at n=2000), as every array of a block fit, the ordinal model's
-included, is b x n. Asked for more than one worker, it forks worker
+rows, each drawn whole by one call of the caller's draw: max(1, 2**15 // n)
+rows for every family (16 at n=2000), as every array of a block fit, the
+ordinal model's included, is b x n. Asked for more than one worker, it forks worker
 processes, which inherit the design, its products and the draw, so
 nothing is shipped to them; each fits a fixed round-robin share of the
 blocks and pickles its `BatchFit`s back over a pipe. Workers number at most
