@@ -24,8 +24,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -81,10 +79,8 @@ def _read_csv(path):
     return [h.strip() for h in header], rows
 
 
-def _missing(cells: list) -> np.ndarray:
-    """Whether each cell, stripped and lowercased, is a missing token."""
-    keys = map(str.lower, map(str.strip, cells))
-    return np.fromiter(map(_MISSING_TOKENS.__contains__, keys), bool, len(cells))
+def _is_missing(cell: str) -> bool:
+    return cell.strip().lower() in _MISSING_TOKENS
 
 
 def ingest(
@@ -95,67 +91,60 @@ def ingest(
 ):
     """Load a CSV into a Dataset: continuous columns standardized, categorical
     tokens dummy-encoded (first level by sort order is the reference), rows
-    with any missing cell dropped and counted. Each column is read whole; a
-    cell that is not a number is reported by its row in the file."""
+    with any missing cell dropped and counted."""
     header, rows = _read_csv(path)
     for name in [response, *base_columns]:
         if name not in header:
             raise MissingColumn(f"column {name!r} not in header {header}")
     idx = {name: header.index(name) for name in [response, *base_columns]}
 
-    lines, cells = zip(*rows) if rows else ((), ())
     width = max(idx.values()) + 1
-    short = np.flatnonzero(np.fromiter(map(len, cells), int, len(cells)) < width)
-    if short.size:
-        r = short[0]
-        raise ParseError(
-            f"{path}: row {lines[r]} has {len(cells[r])} of the header's {len(header)} cells"
-        )
-    columns = {name: list(map(itemgetter(j), cells)) for name, j in idx.items()}
-    dropped = np.zeros(len(cells), dtype=bool)
-    for col in columns.values():
-        dropped |= _missing(col)
-    if dropped.all():
+    kept, dropped = [], 0
+    for line, row in rows:
+        if len(row) < width:
+            raise ParseError(
+                f"{path}: row {line} has {len(row)} of the header's {len(header)} cells"
+            )
+        if any(_is_missing(row[idx[name]]) for name in idx):
+            dropped += 1
+            continue
+        kept.append((line, row))
+    if not kept:
         raise AllRowsDropped(f"{path}: every row had missing cells")
-    keep = np.flatnonzero(~dropped)
-    kept = {name: list(compress(col, ~dropped)) for name, col in columns.items()}
 
-    def parse_floats(name, raw):
+    def parse_float(cell, line, name):
         try:
-            return np.fromiter(map(float, raw), float, len(raw))
-        except ValueError:
-            for r, cell in zip(keep, raw):
-                try:
-                    float(cell)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"{path}: row {lines[r]}, column {name!r}: cannot parse {cell!r}"
-                    ) from exc
-            raise
+            return float(cell)
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}: row {line}, column {name!r}: cannot parse {cell!r}"
+            ) from exc
 
-    y = parse_floats(response, kept[response])
+    y = np.array([parse_float(row[idx[response]], line, response) for line, row in kept])
 
     cols, names, meta = [], [], []
     levels_map = {}
     for name in base_columns:
-        raw_cells = list(map(str.strip, kept[name]))
+        raw_cells = [row[idx[name]].strip() for _, row in kept]
         if name in categorical:
             levels = sorted(set(raw_cells))
             levels_map[name] = levels
             if len(levels) < 2:
                 raise ParseError(f"categorical column {name!r} has one level")
             for level in levels[1:]:
-                cols.append(np.fromiter(map(level.__eq__, raw_cells), float, len(raw_cells)))
+                cols.append(np.array([1.0 if c == level else 0.0 for c in raw_cells]))
                 names.append(name if len(levels) == 2 else f"{name}={level}")
                 meta.append("categorical")
         else:
-            cols.append(parse_floats(name, raw_cells))
+            cols.append(
+                np.array([parse_float(c, line, name) for c, (line, _) in zip(raw_cells, kept)])
+            )
             names.append(name)
             meta.append("continuous")
     ds = make_dataset(y, np.column_stack(cols), column_meta=meta, column_names=names)
     info = IngestInfo(
         n_rows_read=len(rows),
-        n_rows_dropped=int(dropped.sum()),
+        n_rows_dropped=dropped,
         columns=tuple(names),
         categorical_levels=levels_map,
     )

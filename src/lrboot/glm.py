@@ -35,9 +35,11 @@ binary probit block at its zero cold start. A family whose block responses
 take finitely many values (0/1 for binary probit, the J codes for the
 ordinal model) then evaluates the start once per value and observation:
 its `start_table` holds the log-likelihood terms and the first score's
-per-observation factors, J x n each, and every row takes its own with
-`np.take`, at the bits of computing them itself. `refit_blocks` builds a
-run's table once, before it forks; a cold block builds its own. Families
+per-observation factors, J x n each, at the eta of a block's product.
+A block whose own eta holds those bits, as every block of two or more rows
+does on OpenBLAS, takes each row's with `np.take`, at the bits of
+computing them itself; any other starts row by row. `refit_blocks` builds
+a run's table once, before it forks; a cold block builds its own. Families
 without a finite response set evaluate the start row by row, as any step.
 The ordinal information is built only on a score where some row steps, its
 category sums only for those rows. Every caller that fits many response
@@ -299,11 +301,11 @@ class _BaseFamily:
     def clamp_response(self, vals):
         return vals
 
-    def start_table(self, design, coef):
+    def start_table(self, design, coef, rows):
         """The `_StartTable` at one coefficient vector for this family's
-        blocks whose responses all lie in a finite set, or None for a family
-        without one."""
-        return None if self.values is None else _StartTable(self, design, coef)
+        blocks of `rows` rows whose responses all lie in a finite set, or
+        None for a family without one."""
+        return None if self.values is None else _StartTable(self, design, coef, rows)
 
     def score(self, ws, design, Y, W, coef, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
@@ -416,9 +418,9 @@ class BinomialProbit(_Binomial):
             return _BINARY_PROBIT
         return _FAMILIES["binomial", "probit"]
 
-    def start_table(self, design, coef):
+    def start_table(self, design, coef, rows):
         # only blocks of 0/1 responses, which `_BinaryProbit` fits, have one
-        return _StartTable(_BINARY_PROBIT, design, coef)
+        return _StartTable(_BINARY_PROBIT, design, coef, rows)
 
     def loglik_terms(self, ws, y, eta, coef=None):
         t = ws.floats("loglik", np.shape(eta))
@@ -862,18 +864,23 @@ class _StartTable:
     of the family's response values (J of them) at each observation.
 
     They come from the family's own hooks on a J x n block whose row j holds
-    values[j] at every observation, each row at `coef`. Every row's eta comes
-    from one matrix product, as a block's does, and the hooks act cell by
-    cell, so a row that takes its terms and cells from here with `np.take`
-    gets the bits of computing them itself. A one-row product may round
-    otherwise, so a one-row block takes no table."""
+    values[j] at every observation, each row at `coef` and at one `eta`: the
+    first row of the product a block of `rows` rows at `coef` makes. The
+    hooks act cell by cell, so a row whose own eta holds these bits gets the
+    bits of computing its terms and cells itself when it takes them from
+    here with `np.take`. A block asks `holds` before it takes any: the rows
+    of one product may round otherwise on some BLAS, as a one-row product
+    (`gemv`) does against a larger one on OpenBLAS, and such a block
+    starts row by row."""
 
-    def __init__(self, family, design, coef):
+    def __init__(self, family, design, coef, rows):
         values = family.values
         J, n = len(values), design.matrix.shape[0]
+        eta = np.matmul(np.tile(coef, (rows, 1))[:, family.n_cut:], design.transpose)
+        self.eta = eta[0].copy()
         V = np.repeat(values[:, None], n, axis=1)
         C = np.tile(coef, (J, 1))
-        eta = np.matmul(C[:, family.n_cut:], design.transpose)
+        eta = np.tile(self.eta, (J, 1))
         # the thread's workspace: no hook writes the "eta" slot, which holds
         # a cold block's start when it builds its table
         ws = _workspace(J * n)
@@ -883,6 +890,10 @@ class _StartTable:
         self.family = family
         self.first = int(values[0])
         self.observations = np.arange(n)
+
+    def holds(self, eta):
+        """Whether every row of eta holds the table's eta, bit for bit."""
+        return bool(np.all(eta.view(np.int64) == self.eta.view(np.int64)))
 
     def _index(self, ws, Y):
         """Each cell's flat index into a J x n table."""
@@ -964,7 +975,8 @@ def fit_design_batch(
     `family.for_block(Y)`. Where that family has a finite set of response
     values and the block's rows (two or more) share one cold start, the
     start's terms and first score come from its `start_table` (see
-    `_StartTable`), as they do for every block of a `refit_blocks` run.
+    `_StartTable`), as they do for every block of a `refit_blocks` run
+    whose start eta holds the table's bits.
     Every b x n array of the fit lives in the calling thread's `Workspace`
     (see the module docstring).
 
@@ -1061,18 +1073,22 @@ def _fit_block(design, Y, family, options, weights, beta0, table) -> BatchFit:
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the model's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
-    # the rows of a run's blocks start at its beta0, and a cold block builds
-    # a table where its rows share a cold start (binary probit's zeros);
-    # compared bit for bit, as a -0.0 slope may give another eta than 0.0
+    # the rows of a run's blocks start at its beta0, and a cold block of two
+    # or more rows builds a table where they share a cold start (binary
+    # probit's zeros); compared bit for bit, as a -0.0 slope may give
+    # another eta than 0.0. A block whose eta rounds otherwise than the
+    # table's starts row by row
     bits = coef[act].view(np.int64)
-    if b < 2 or family.values is None or not act.size or np.any(bits != bits[0]):
+    if family.values is None or not act.size or np.any(bits != bits[0]):
         table = None
     elif beta0 is None:
-        table = family.start_table(design, coef[act[0]])
+        table = None if b < 2 else family.start_table(design, coef[act[0]], b)
     ll = np.full(b, -np.inf)
     terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
-    eta_act = None if table is not None else gather("eta_rows", eta, act)
-    ll[act], terms[act] = loglik(act, coef[act], eta_act)
+    eta_act = gather("eta_rows", eta, act)
+    if table is not None and not table.holds(eta_act):
+        table = None
+    ll[act], terms[act] = loglik(act, coef[act], None if table is not None else eta_act)
     # every candidate would pass the ascent test against a start at -inf
     for r in act[ll[act] == -np.inf]:
         errors[r] = NonConvergence("log-likelihood is not finite at the starting point")
@@ -1162,8 +1178,10 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
     caller that stops early fits no further block.
     """
     rows = block_rows(design.matrix.shape[0])
-    # every block starts at beta0, so its table is made once, before any fork
-    table = None if beta0 is None else family.start_table(design, np.asarray(beta0, float))
+    # every block starts at beta0, so its table is made once, before any
+    # fork, at the eta of a first block's product
+    table = (None if beta0 is None
+             else family.start_table(design, np.asarray(beta0, float), min(rows, count)))
 
     def block(first):
         Y, W = draw(first, min(first + rows, count))

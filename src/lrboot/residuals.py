@@ -145,20 +145,8 @@ def _sbs_inverse(fit, r):
     family = fit.family
     if _scalar(family):
         return family.from_codes((r > 0.0).astype(int) + 1)
-    # a running nearest code over the categories holds arrays of r's shape
-    # alone; a later category takes over only where it is strictly nearer,
-    # or where argmin would stop at its NaN, which keeps argmin's first
-    # nearest code on every tie
-    grid = np.ascontiguousarray(_sbs_grid(fit).T)
-    best = np.abs(grid[0] - r)
-    codes = np.ones(best.shape, dtype=np.min_scalar_type(len(grid)))
-    d = np.empty_like(best)
-    for j, values in enumerate(grid[1:], start=2):
-        np.abs(np.subtract(values, r, out=d), out=d)
-        nearer = ~(d >= best) & ~np.isnan(best)
-        np.copyto(best, d, where=nearer)
-        codes[nearer] = j
-    return family.from_codes(codes)
+    nearest = np.argmin(np.abs(_sbs_grid(fit) - r[..., None]), axis=-1)
+    return family.from_codes(nearest + 1)
 
 
 def _surrogate_inverse(fit, r):

@@ -12,7 +12,7 @@ import pytest
 
 from lrboot import cli
 from lrboot import simlab as sl
-from lrboot.errors import AllRowsDropped, InvalidData, MissingColumn, ParseError, UsageError
+from lrboot.errors import AllRowsDropped, MissingColumn, ParseError, UsageError
 
 
 def _write_csv(path, header, rows):
@@ -133,100 +133,6 @@ def test_emit_ingest_round_trip(tmp_path, binary_csv):
     assert np.array_equal(ds.y, ds2.y)
     assert np.array_equal(ds.X_raw, ds2.X_raw)
     assert np.array_equal(ds.X, ds2.X)
-
-
-def _ingest_per_cell(path, response, base_columns, categorical):
-    """The cell-by-cell ingest that the column-wise one replaced, kept as its
-    oracle."""
-    header, rows = cli._read_csv(path)
-    for name in [response, *base_columns]:
-        if name not in header:
-            raise MissingColumn(f"column {name!r} not in header {header}")
-    idx = {name: header.index(name) for name in [response, *base_columns]}
-    width = max(idx.values()) + 1
-    kept, dropped = [], 0
-    for line, row in rows:
-        if len(row) < width:
-            raise ParseError(
-                f"{path}: row {line} has {len(row)} of the header's {len(header)} cells"
-            )
-        if any(row[idx[name]].strip().lower() in cli._MISSING_TOKENS for name in idx):
-            dropped += 1
-            continue
-        kept.append((line, row))
-    if not kept:
-        raise AllRowsDropped(f"{path}: every row had missing cells")
-
-    def parse_float(cell, line, name):
-        try:
-            return float(cell)
-        except ValueError as exc:
-            raise ParseError(
-                f"{path}: row {line}, column {name!r}: cannot parse {cell!r}"
-            ) from exc
-
-    y = np.array([parse_float(row[idx[response]], line, response) for line, row in kept])
-    cols, names, meta, levels_map = [], [], [], {}
-    for name in base_columns:
-        raw_cells = [row[idx[name]].strip() for _, row in kept]
-        if name in categorical:
-            levels = sorted(set(raw_cells))
-            levels_map[name] = levels
-            if len(levels) < 2:
-                raise ParseError(f"categorical column {name!r} has one level")
-            for level in levels[1:]:
-                cols.append(np.array([1.0 if c == level else 0.0 for c in raw_cells]))
-                names.append(name if len(levels) == 2 else f"{name}={level}")
-                meta.append("categorical")
-        else:
-            cols.append(
-                np.array([parse_float(c, line, name) for c, (line, _) in zip(raw_cells, kept)])
-            )
-            names.append(name)
-            meta.append("continuous")
-    ds = cli.make_dataset(y, np.column_stack(cols), column_meta=meta, column_names=names)
-    return ds, cli.IngestInfo(len(rows), dropped, tuple(names), levels_map)
-
-
-def _ingested(fn, path, base_columns, categorical):
-    """What an ingest returns, as bytes and plain values, or its error."""
-    try:
-        ds, info = fn(path, "y", base_columns, categorical)
-    except (ParseError, AllRowsDropped, MissingColumn, InvalidData) as exc:
-        return type(exc).__name__, str(exc)
-    return (ds.y.tobytes(), ds.X.tobytes(), ds.X_raw.tobytes(), ds.column_names,
-            ds.column_meta, info)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "y,x,z\n1,1e-3,2.5E+10\n0, -0.0 ,1_000\n1,\t7.25e-300\t,-3\n0,1.5e150,4e-320\n",
-        "y,x,z\n1,NA,1\n0,na ,2\n1, NaN,3\n0,,4\n1,null,5\n0,None,6\n1,2,NULL\n"
-        "0,3,  \n1,4,7\n0,5,8\n1,6,9\n",
-        "y,x,z\n1,NA,1\n0,oops,2\n1,2,3\n",
-        "y,x,z\nNA,1,1\n0,2,2\n bad ,3,3\n",
-        "y,x,z\n1,2,3\n\n0,4,5\n1, 5 ,x\n0,1,2\n",
-        "y,x,z\n1,inf,3\n0,-Infinity,5\n1,2,6\n",
-        "y,x,z\n1,2,3\n0,0x1,4\n1,nan0,5\n",
-        "y,x,z\n1,2\n0,3,4\n",
-        "y,x,z\n1,2,\n0,NA,4\n",
-        "y,x,c\n1,0.5,red\n0,1.5, blue\n1,NA,red\n0,2.5,green \n1,3.5,blue\n",
-    ],
-    ids=["exponents-and-whitespace", "missing-tokens", "bad-cell-below-dropped-row",
-         "bad-response-below-dropped-row", "bad-cell-below-blank-line", "non-finite",
-         "hexadecimal",
-         "short-row", "all-dropped", "categorical"],
-)
-def test_ingest_equals_the_per_cell_parser(tmp_path, text):
-    # the column-wise ingest gives the per-cell parser's float bits, dropped
-    # rows, levels, and error texts naming the row in the file
-    path = tmp_path / "data.csv"
-    path.write_text(text)
-    categorical = {"c"} if "c" in text.split("\n")[0] else set()
-    columns = ["x", "c" if categorical else "z"]
-    want = _ingested(_ingest_per_cell, path, columns, categorical)
-    assert _ingested(cli.ingest, path, columns, categorical) == want
 
 
 def test_parse_terms_forms():

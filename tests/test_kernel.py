@@ -493,7 +493,7 @@ def test_shared_start_terms_equal_the_per_row_terms(kind):
     assert (family.values is not None) == finite
     with np.errstate(all="ignore"):
         if finite:
-            table = family.start_table(design, coef)
+            table = family.start_table(design, coef, b)
             assert table.family is family
             shared = table.loglik_terms(Workspace(y.size), y)
         else:
@@ -511,7 +511,8 @@ def _score_bytes(g, info, sel):
 @pytest.mark.parametrize("kind", ["binary-probit", "ordinal-3", "ordinal-4", "ordinal-5"])
 def test_start_table_first_score_equals_the_per_row_score(kind, start, weighted):
     # a start table's terms, gradient and information (of every row, and of
-    # a subset of rows) hold the bits of the per-row computation at the start
+    # a subset of rows) hold the bits of the per-row computation at the
+    # table's eta, the first row of a block's product at the start
     rng = np.random.default_rng(len(kind) + 7 * weighted)
     b, n = 7, 300
     if kind == "binary-probit":
@@ -532,8 +533,11 @@ def test_start_table_first_score_equals_the_per_row_score(kind, start, weighted)
     design = _design_of(Xd)
     W = rng.standard_exponential(Y.shape) if weighted else None
     coefs = np.tile(coef, (b, 1))
-    eta = np.matmul(coefs[:, family.n_cut:], design.transpose)
-    table = family.start_table(design, coef)
+    table = family.start_table(design, coef, b)
+    product = np.matmul(coefs[:, family.n_cut:], design.transpose)
+    assert table.eta.tobytes() == product[0].tobytes()
+    eta = np.tile(table.eta, (b, 1))
+    assert table.holds(eta)
     ws = Workspace(Y.size)
     terms = family.loglik_terms(ws, Y, eta, coefs).copy()
     assert table.loglik_terms(Workspace(Y.size), Y).tobytes() == terms.tobytes()
@@ -590,7 +594,8 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
 
     name, design, Y, W, beta0 = _binary_probit_blocks()[case]
     probit = _family("binomial", "probit")
-    table = None if beta0 is None else probit.start_table(design, np.atleast_2d(beta0)[0])
+    table = (None if beta0 is None
+             else probit.start_table(design, np.atleast_2d(beta0)[0], len(Y)))
     used = []
     real = glm._StartTable.loglik_terms
 
@@ -602,7 +607,7 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
                   lambda self, ws, y: used.append(True) or real(self, ws, y))
         got = fit(table)
         assert used == ([True] if name not in ("per-row-starts", "nan-response-row") else [])
-        m.setattr(glm.BinomialProbit, "start_table", lambda self, design, coef: None)
+        m.setattr(glm.BinomialProbit, "start_table", lambda self, design, coef, rows: None)
         assert fit(None) == got
     assert fit_design_batch(design, Y, probit, weights=W, beta0=beta0).beta.tobytes() == got[0]
     # the screened row and the NaN row fail before any step, the others converge
@@ -617,6 +622,28 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
     assert np.array_equal(out.ok, ok)
 
 
+def test_block_whose_eta_is_not_the_tables_starts_row_by_row(monkeypatch):
+    # a table is taken only by a block whose own start eta holds its bits: a
+    # table one ulp of a slope away is left, and the fit is the one without
+    from lrboot import glm
+
+    _, design, Y, _, beta0 = _binary_probit_blocks()[0]
+    probit = _family("binomial", "probit")
+    off = beta0.copy()
+    off[1] = np.nextafter(off[1], np.inf)
+    table = probit.start_table(design, off, len(Y))
+    eta = np.matmul(np.tile(beta0, (len(Y), 1)), design.transpose)
+    assert not table.holds(eta)
+    assert probit.start_table(design, beta0, len(Y)).holds(eta)
+    used = []
+    real = glm._StartTable.loglik_terms
+    monkeypatch.setattr(glm._StartTable, "loglik_terms",
+                        lambda self, ws, y: used.append(True) or real(self, ws, y))
+    got = _fit_bytes(glm._fit_block(design, Y, probit, None, None, beta0, table))
+    assert used == []
+    assert got == _fit_bytes(glm._fit_block(design, Y, probit, None, None, beta0, None))
+
+
 def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
     # a warm run builds its table once, before any worker forks; a cold
     # binary probit run builds one per block of two or more rows, and a
@@ -626,9 +653,9 @@ def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
     built = []
     real = glm._StartTable.__init__
 
-    def counting(self, family, design, coef):
-        built.append(type(family).__name__)
-        real(self, family, design, coef)
+    def counting(self, family, design, coef, rows):
+        built.append((type(family).__name__, rows))
+        real(self, family, design, coef, rows)
 
     monkeypatch.setattr(glm._StartTable, "__init__", counting)
     ds, spec = _probit_data()
@@ -645,12 +672,12 @@ def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
         built.clear()
         outs.append(list(glm.refit_blocks(fit.design, fit.family, draw, count,
                                           beta0=fit.coef, n_threads=threads)))
-        assert built == ["_BinaryProbit"]
+        assert built == [("_BinaryProbit", rows)]
     for a, b in zip(*outs):
         assert _fit_bytes(a) == _fit_bytes(b)
     built.clear()
     list(glm.refit_blocks(fit.design, fit.family, draw, count))
-    assert built == ["_BinaryProbit"] * 3
+    assert built == [("_BinaryProbit", rows)] * 3
     built.clear()
     logit = _family("binomial", "logit")
     list(glm.refit_blocks(fit.design, logit, draw, count, beta0=fit.coef))

@@ -352,33 +352,6 @@ def test_recreate_sbs_ordinal_monotone_pseudo_inverse():
     assert res.recreate(fit, np.array([-0.375, 0.0]), "sbs")[0] == 1.0
 
 
-@pytest.mark.parametrize("J", [3, 4, 5])
-def test_sbs_inverse_equals_the_argmin_oracle(J):
-    # the running nearest code over the categories gives argmin's first
-    # nearest code, on exact ties (dyadic probabilities make the grid and
-    # the midpoints between its values float-exact), at grid values, on NaN
-    # r*, and for one vector and a block of them
-    rng = np.random.default_rng(J)
-    n = 40
-    probs = rng.integers(1, 5, size=(n, J)).astype(float)
-    probs /= 2.0 ** np.ceil(np.log2(probs.sum(axis=1)))[:, None]
-    probs[:, -1] += 1.0 - probs.sum(axis=1)
-    fit = _manual_fit("ordinal", "probit", np.zeros(n), mu=probs,
-                      alpha=np.linspace(-1.0, 1.0, J - 1), J=J)
-    grid = res._sbs_grid(fit)
-    r = rng.uniform(-1.0, 1.0, size=(6, n))
-    cols = np.arange(n)
-    j = rng.integers(0, J - 1, size=n)
-    r[0] = (grid[cols, j] + grid[cols, j + 1]) / 2.0  # exact ties
-    assert np.all(np.abs(grid[cols, j] - r[0]) == np.abs(grid[cols, j + 1] - r[0]))
-    r[1] = grid[cols, j + 1]
-    r[2, ::3] = np.nan
-    for block in (r, r[3]):
-        oracle = np.argmin(np.abs(grid - block[..., None]), axis=-1) + 1.0
-        got = res.recreate(fit, block, "sbs")
-        assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
-
-
 def test_recreate_sbs_reduces_to_binary_rule():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(3), mu=np.full(3, 0.4), var=np.full(3, 0.24)
