@@ -581,7 +581,7 @@ def _cmd_simulate(args) -> int:
     levels = _entries(args.levels, float)
     truth = pseudo_truth(
         args.scenario, n=args.n, reps=args.truth_reps, seed=args.seed,
-        params=params or None,
+        params=params or None, n_threads=n_threads,
     )
     report = run_experiment(
         methods,

@@ -30,17 +30,18 @@ information, from each observation's own two category edges and the
 accepted step's `loglik_terms`, each category probability taken on the
 nearer tail of its edges. A step whose cutpoints do not strictly increase
 leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
-Every block of a run starts at one coefficient vector, and so does a
-binary probit block at its zero cold start. A family whose block responses
-take finitely many values (0/1 for binary probit, the J codes for the
-ordinal model) then evaluates the start once per value and observation:
-its `start_table` holds the log-likelihood terms and the first score's
-per-observation factors, J x n each, at the eta of a block's product.
-A block whose own eta holds those bits, as every block of two or more rows
-does on OpenBLAS, takes each row's with `np.take`, at the bits of
+Every block of a run that starts at one coefficient vector (a bootstrap's
+beta-hat, a pseudo-truth's pilot fit) shares its start. A family whose
+block responses take finitely many values (0/1 for binary probit, the J
+codes for the ordinal model) then evaluates the start once per value and
+observation: its `start_table` holds the log-likelihood terms and the first
+score's per-observation factors, J x n each, at the eta of a block's
+product. A block whose own eta holds those bits, as every block of two or
+more rows does on OpenBLAS, takes each row's with `np.take`, at the bits of
 computing them itself; any other starts row by row. `refit_blocks` builds
-a run's table once, before it forks; a cold block builds its own. Families
-without a finite response set evaluate the start row by row, as any step.
+a run's table once, before it forks; a run from cold starts, and a
+`fit_design_batch` call, has none. Families without a finite response set
+evaluate the start row by row, as any step.
 The ordinal information is built only on a score where some row steps, its
 category sums only for those rows. Every caller that fits many response
 vectors runs `refit_blocks`, which fits them in blocks of `block_rows(n)`
@@ -881,8 +882,8 @@ class _StartTable:
         V = np.repeat(values[:, None], n, axis=1)
         C = np.tile(coef, (J, 1))
         eta = np.tile(self.eta, (J, 1))
-        # the thread's workspace: no hook writes the "eta" slot, which holds
-        # a cold block's start when it builds its table
+        # the thread's workspace, between block fits: terms and cells are
+        # copied out of it
         ws = _workspace(J * n)
         terms = family.loglik_terms(ws, V, eta, C).copy()
         self.cells = [v.ravel().copy() for v in family.cells(ws, V, C, eta, terms)]
@@ -972,11 +973,10 @@ def fit_design_batch(
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
     `family.score`, which may reuse them. The hooks are those of
-    `family.for_block(Y)`. Where that family has a finite set of response
-    values and the block's rows (two or more) share one cold start, the
-    start's terms and first score come from its `start_table` (see
-    `_StartTable`), as they do for every block of a `refit_blocks` run
-    whose start eta holds the table's bits.
+    `family.for_block(Y)`. It evaluates the start row by row; only a block
+    of a `refit_blocks` run whose start eta holds the table's bits takes
+    its start's terms and first score from the run's `start_table` (see
+    `_StartTable`).
     Every b x n array of the fit lives in the calling thread's `Workspace`
     (see the module docstring).
 
@@ -1073,16 +1073,12 @@ def _fit_block(design, Y, family, options, weights, beta0, table) -> BatchFit:
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the model's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
-    # the rows of a run's blocks start at its beta0, and a cold block of two
-    # or more rows builds a table where they share a cold start (binary
-    # probit's zeros); compared bit for bit, as a -0.0 slope may give
-    # another eta than 0.0. A block whose eta rounds otherwise than the
-    # table's starts row by row
+    # the rows of a run's blocks start at its beta0; compared bit for bit, as
+    # a -0.0 slope may give another eta than 0.0. A block whose eta rounds
+    # otherwise than the table's starts row by row
     bits = coef[act].view(np.int64)
     if family.values is None or not act.size or np.any(bits != bits[0]):
         table = None
-    elif beta0 is None:
-        table = None if b < 2 else family.start_table(design, coef[act[0]], b)
     ll = np.full(b, -np.inf)
     terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
     eta_act = gather("eta_rows", eta, act)

@@ -8,7 +8,8 @@ alone. A scenario is a mean plus a noise draw (`ScenarioDef`): a frozen draw
 computes the mean once, and a block of redraws is one `noise` call on the
 redraws' own substreams, as the parametric bootstrap draws its block. The
 frozen draw (covariates, observed-column dataset, the assumed model's design
-and the mean) is made once, by `pseudo_truth`, and the `PseudoTruth` carries
+and the mean) is made once, by `pseudo_truth`, which fits its redraws from
+one pilot fit's coefficients, not from cold starts; the `PseudoTruth` carries
 it: `run_experiment` and `theorem1_ks` take the truth alone and fit on its
 design, so they cannot be scored against another scenario's truth. Nothing is
 cached on disk; a pseudo-truth is recomputed per process.
@@ -28,7 +29,7 @@ from .bootstrap import ci_percentile, run
 from .data import Dataset, DesignInfo, ModelSpec, Term, back_transform, build_design, make_dataset
 from .errors import InvalidSize, TooManyFailures, UnknownScenario
 from .glm import BinomialProbit, FitResult, GammaInverse, GaussianIdentity, PoissonLog
-from .glm import _check_rank, _coef_names, family_for, fit_qmle, refit_blocks
+from .glm import _check_rank, _coef_names, family_for, fit_design_batch, fit_qmle, refit_blocks
 from .neighborhood import build_neighborhoods, default_size
 from .residuals import surrogate_values
 from .rng import derive_seed, stable_int, substream
@@ -623,15 +624,18 @@ def pseudo_truth(
     reps: int = 10_000,
     seed: int = 0,
     params: dict | None = None,
+    n_threads: int = 1,
 ) -> PseudoTruth:
     """Monte Carlo pseudo-true parameter (mean of QMLE fits over response
     redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation).
 
-    The redraws are drawn a block at a time and fit from cold starts by
-    `glm.refit_blocks`. More than 5%
-    failed fits raises TooManyFailures after the first block over the cap.
-    The truth keeps its frozen draw, which `run_experiment` and `theorem1_ks`
-    score against."""
+    A pilot fits redraw 0 from its cold start. The redraws are then drawn a
+    block at a time and fit by `glm.refit_blocks` on `n_threads` workers,
+    every one from the pilot's coefficients, or from its own cold start
+    where the pilot failed. More than 5% failed fits raises TooManyFailures
+    after the first block over the cap, taken in block order; with workers,
+    every share is fit before that check. The truth keeps its frozen draw,
+    which `run_experiment` and `theorem1_ks` score against."""
     if reps < 100:
         raise InvalidSize(f"pseudo_truth needs reps >= 100, got {reps}")
     frame = _frame(scenario_id, n, seed, params)
@@ -642,9 +646,13 @@ def pseudo_truth(
     def redraw(first, stop):
         return frame.responses(_PURPOSE_PSEUDO, first, stop), None
 
+    # one start for every redraw lets the run share one start table, and a
+    # warm redraw converges in about half the steps of a cold one
+    pilot = fit_design_batch(design, redraw(0, 1)[0], family)
+    beta0 = pilot.beta[0] if pilot.ok[0] else None
     coefs = []
     n_failed = n_fit = 0
-    for out in refit_blocks(design, family, redraw, reps):
+    for out in refit_blocks(design, family, redraw, reps, beta0=beta0, n_threads=n_threads):
         ok = out.ok
         n_fit += ok.size
         n_failed += int(np.sum(~ok))
@@ -868,7 +876,8 @@ def sweep_param(
     for v in values:
         params = {param_name: v}
         truth = pseudo_truth(
-            scenario_id, n=n, reps=reps_truth, seed=seed, params=params
+            scenario_id, n=n, reps=reps_truth, seed=seed, params=params,
+            n_threads=n_threads,
         )
         report = run_experiment(
             methods,

@@ -586,10 +586,10 @@ def _binary_probit_blocks():
     "per-row-starts",
 ])
 def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
-    # a block fit with the start table of its rows' start (handed over, as
-    # `refit_blocks` does, or built for a cold start) changes no bit of the
-    # fit without one; rows that start apart take no table, and neither does
-    # a block with a NaN response, which the two-term family fits
+    # a block fit with the start table of its rows' start, handed over as
+    # `refit_blocks` does, changes no bit of the fit without one; a cold
+    # block builds none, rows that start apart take no table, and neither
+    # does a block with a NaN response, which the two-term family fits
     from lrboot import glm
 
     name, design, Y, W, beta0 = _binary_probit_blocks()[case]
@@ -606,7 +606,7 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
         m.setattr(glm._StartTable, "loglik_terms",
                   lambda self, ws, y: used.append(True) or real(self, ws, y))
         got = fit(table)
-        assert used == ([True] if name not in ("per-row-starts", "nan-response-row") else [])
+        assert used == ([] if name in ("cold", "per-row-starts", "nan-response-row") else [True])
         m.setattr(glm.BinomialProbit, "start_table", lambda self, design, coef, rows: None)
         assert fit(None) == got
     assert fit_design_batch(design, Y, probit, weights=W, beta0=beta0).beta.tobytes() == got[0]
@@ -646,8 +646,8 @@ def test_block_whose_eta_is_not_the_tables_starts_row_by_row(monkeypatch):
 
 def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
     # a warm run builds its table once, before any worker forks; a cold
-    # binary probit run builds one per block of two or more rows, and a
-    # family without a finite response set builds none
+    # run builds none, and neither does a family without a finite response
+    # set
     from lrboot import glm
 
     built = []
@@ -677,7 +677,7 @@ def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
         assert _fit_bytes(a) == _fit_bytes(b)
     built.clear()
     list(glm.refit_blocks(fit.design, fit.family, draw, count))
-    assert built == [("_BinaryProbit", rows)] * 3
+    assert built == []
     built.clear()
     logit = _family("binomial", "logit")
     list(glm.refit_blocks(fit.design, logit, draw, count, beta0=fit.coef))

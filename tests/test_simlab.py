@@ -218,13 +218,18 @@ def test_pseudo_truth_deterministic():
 
 
 def _per_redraw_truth(scenario_id, n, reps, seed):
-    """(beta_dagger, psi) from one fit_qmle per response redraw, each drawn
-    by the stream-layout oracle."""
+    """(beta_dagger, psi) from one fit per response redraw, each drawn by the
+    stream-layout oracle and fit alone from the pilot start: redraw 0's
+    `fit_qmle` from its cold start."""
     spec = sl.get_scenario(scenario_id).assumed
+    X_full, y = _oracle(scenario_id, n, seed, purpose=PSEUDO, y_index=0)
+    pilot = lb.fit_qmle(_oracle_dataset(scenario_id, X_full, y), spec)
     coefs = []
     for r in range(reps):
-        X_full, y = _oracle(scenario_id, n, seed, purpose=PSEUDO, y_index=r)
-        coefs.append(lb.fit_qmle(_oracle_dataset(scenario_id, X_full, y), spec).coef)
+        _, y = _oracle(scenario_id, n, seed, purpose=PSEUDO, y_index=r)
+        out = glm.fit_design_batch(pilot.design, y[None], pilot.family, beta0=pilot.coef)
+        assert out.ok[0]
+        coefs.append(out.beta[0])
     coefs = np.vstack(coefs)
     return coefs.mean(axis=0), coefs.std(axis=0)
 
@@ -238,14 +243,61 @@ def test_pseudo_truth_blocks_match_per_redraw_fits(scenario_id, reps):
     assert np.max(np.abs(truth.psi - psi)) <= 1e-12
 
 
+def _information(fit, y):
+    """The information matrix the fit's Newton step takes at `fit`, for the
+    responses y it was fit to."""
+    Y, coef = y[None], fit.coef[None]
+    family = fit.family.for_block(Y)
+    ws = glm.Workspace(Y.size)
+    eta = np.matmul(coef[:, family.n_cut:], fit.design.transpose)
+    terms = family.loglik_terms(ws, Y, eta, coef).copy()
+    _, info = family.score(ws, fit.design, Y, None, coef, eta, terms)
+    return info(np.ones(1, dtype=bool))[0]
+
+
+@pytest.mark.parametrize("scenario_id,reps", [("SC2", 200), ("SC1_ordinal", 300)])
+def test_pseudo_truth_warm_start_moves_the_truth_within_the_score_tolerance(
+        monkeypatch, scenario_id, reps):
+    # a fit stops where max|g| <= tol, within |H^-1 g| <= sqrt(m) tol /
+    # lambda_min(H) of its maximizer, so the warm and cold fits of one redraw
+    # lie within twice that, and so do the means and the SDs (ddof=0 SDs
+    # differ by at most the RMS of the differences)
+    warm = sl.pseudo_truth(scenario_id, n=2000, reps=reps, seed=5)
+    real = sl.fit_design_batch
+    pilots = []
+
+    def failing_pilot(*args, **kwargs):
+        out = real(*args, **kwargs)
+        pilots.append(out.beta[0].copy())
+        out.errors[0] = NonConvergence("injected")
+        return out
+
+    monkeypatch.setattr(sl, "fit_design_batch", failing_pilot)
+    cold = sl.pseudo_truth(scenario_id, n=2000, reps=reps, seed=5)
+    assert len(pilots) == 1
+    frame = cold.frame
+    ds = frame.dataset(PSEUDO, 0)
+    fit = lb.fit_qmle(ds, frame.scn.assumed, design=frame.design)
+    assert fit.coef.tobytes() == pilots[0].tobytes()
+    lam = np.linalg.eigvalsh(_information(fit, ds.y))[0]
+    bound = 2 * np.sqrt(fit.coef.size) * glm.FitOptions().tol / lam
+    assert warm.n_failed == cold.n_failed == 0
+    assert np.max(np.abs(warm.beta_dagger - cold.beta_dagger)) <= bound
+    assert np.max(np.abs(warm.psi - cold.psi)) <= bound
+    assert not np.array_equal(warm.beta_dagger, cold.beta_dagger)
+
+
 def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
     # three failures in each block: the 5% cap of 100 redraws is first
-    # exceeded by the second block, which raises once it is fit
+    # exceeded by the second block, which raises once it is fit; the pilot's
+    # one-row fit before the blocks passes through
     real = glm._fit_block
     blocks = []
 
     def failing(*args, **kwargs):
         out = real(*args, **kwargs)
+        if len(out.errors) == 1:
+            return out
         blocks.append(len(out.errors))
         for r in range(3):
             out.errors[r] = NonConvergence("injected")

@@ -212,6 +212,40 @@ def test_blocks_come_in_row_order(two_cores):
     _no_child_left()
 
 
+def test_pseudo_truth_blocks_equal_serial_ones(two_cores, forks):
+    # 81 rows a block at n=400: 400 redraws make five blocks. A truth that
+    # cannot be fit (every SC1 probit response is 1 at beta2 = +2) raises
+    # at the same block, though the child fits its whole share first
+    from lrboot import simlab as sl
+    from lrboot.errors import TooManyFailures
+
+    truths = [sl.pseudo_truth("SC1_probit", n=400, reps=400, seed=8, n_threads=k)
+              for k in (1, 2)]
+    assert len(forks) == 1
+    assert truths[0].n_failed == truths[1].n_failed
+    assert truths[0].beta_dagger.tobytes() == truths[1].beta_dagger.tobytes()
+    assert truths[0].psi.tobytes() == truths[1].psi.tobytes()
+    _no_child_left()
+    for k in (1, 2):
+        with pytest.raises(TooManyFailures, match="^81 pseudo-truth fits failed out of 81$"):
+            sl.pseudo_truth("SC1_probit", n=400, reps=400, seed=8, params={"beta2": 2.0},
+                            n_threads=k)
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_simulate_threads_reach_the_pseudo_truth(two_cores, forks, tmp_path):
+    # each experiment run is one block of 10 replicates, run serially, so
+    # the one fork is the truth's
+    argv = ["simulate", "--scenario", "SC1_probit", "--n", "400", "--truth-reps", "400",
+            "--methods", "parametric", "--B", "10", "--reps", "2", "--seed", "2"]
+    for k in (1, 2):
+        assert cli.main(argv + ["--threads", str(k), "--output", str(tmp_path / f"{k}.csv")]) == 0
+    assert len(forks) == 1
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    _no_child_left()
+
+
 def test_cli_at_two_threads_prints_its_stdout_once(binary_csv_400):
     # a line printed before the fork sits in the stdout buffer of a piped,
     # buffered process; a child must not write it out again
