@@ -30,18 +30,17 @@ information, from each observation's own two category edges and the
 accepted step's `loglik_terms`, each category probability taken on the
 nearer tail of its edges. A step whose cutpoints do not strictly increase
 leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
-Every block of a run that starts at one coefficient vector (a bootstrap's
-beta-hat, a pseudo-truth's pilot fit) shares its start. A family whose
-block responses take finitely many values (0/1 for binary probit, the J
-codes for the ordinal model) then evaluates the start once per value and
-observation: its `start_table` holds the log-likelihood terms and the first
-score's per-observation factors, J x n each, at the eta of a block's
-product. A block whose own eta holds those bits, as every block of two or
-more rows does on OpenBLAS, takes each row's with `np.take`, at the bits of
-computing them itself; any other starts row by row. `refit_blocks` builds
-a run's table once, before it forks; a run from cold starts, and a
-`fit_design_batch` call, has none. Families without a finite response set
-evaluate the start row by row, as any step.
+Every block of a warm `refit_blocks` run starts at one coefficient vector
+(a bootstrap's beta-hat, a pseudo-truth's pilot fit), and the run makes
+that start once, before it forks (`_Start`): the coefficients, their eta
+(one n-vector that every block copies into its rows) and, for a family
+whose block responses take finitely many values (0/1 for binary probit,
+the J codes for the ordinal model), a table of the log-likelihood terms
+and the first score's per-observation factors, J x n each, at that eta.
+Its blocks take each row's with `np.take`, at the bits of computing them
+itself. A run from cold starts and a `fit_design_batch` call form and
+evaluate each row's start row by row, as do families without a finite
+response set.
 The ordinal information is built only on a score where some row steps, its
 category sums only for those rows. Every caller that fits many response
 vectors runs `refit_blocks`, which fits them in blocks of `block_rows(n)`
@@ -266,7 +265,7 @@ class _BaseFamily:
     """A GLM family: mean, variance and log-likelihood per observation, and
     the hooks `fit_design_batch` calls for a block of rows, each row a
     coefficient vector (cutpoints, then slopes): `for_block`, `screen`,
-    `start`, `valid`, `loglik_terms`, `score` and `start_table`. A family
+    `start`, `valid`, `loglik_terms`, `score` and `table_family`. A family
     with a finite set of response `values` also has `cells` and
     `score_cells` (see `score`). A family's
     `simulate(rngs, mu, dispersion)` draws a len(rngs) x n block of
@@ -302,11 +301,11 @@ class _BaseFamily:
     def clamp_response(self, vals):
         return vals
 
-    def start_table(self, design, coef, rows):
-        """The `_StartTable` at one coefficient vector for this family's
-        blocks of `rows` rows whose responses all lie in a finite set, or
-        None for a family without one."""
-        return None if self.values is None else _StartTable(self, design, coef, rows)
+    def table_family(self):
+        """The family that fits this family's blocks whose responses lie in
+        a finite set of `values`, and so takes a run's start table (see
+        `_Start`), or None for a family without one."""
+        return None if self.values is None else self
 
     def score(self, ws, design, Y, W, coef, eta, terms):
         """Quasi-score per row, and a function giving the Fisher information
@@ -320,8 +319,8 @@ class _BaseFamily:
         slot "loglik", which no score writes. A family with a finite set of
         response `values` scores in two hooks: `cells` leaves its
         per-observation factors in slots "s0", "s1", ... in order, and
-        `score_cells` sums them, so that a `_StartTable` can hold the cells
-        of a shared start."""
+        `score_cells` sums them, so that a `_Start` can hold the cells of a
+        shared start."""
         shape = np.shape(eta)
         mu = self.mean(eta, out=ws.floats("s0", shape))
         D = self.mean_deriv(eta, out=ws.floats("s1", shape))
@@ -419,9 +418,8 @@ class BinomialProbit(_Binomial):
             return _BINARY_PROBIT
         return _FAMILIES["binomial", "probit"]
 
-    def start_table(self, design, coef, rows):
-        # only blocks of 0/1 responses, which `_BinaryProbit` fits, have one
-        return _StartTable(_BINARY_PROBIT, design, coef, rows)
+    def table_family(self):
+        return _BINARY_PROBIT
 
     def loglik_terms(self, ws, y, eta, coef=None):
         t = ws.floats("loglik", np.shape(eta))
@@ -859,28 +857,32 @@ def ordinal_probs(alpha: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.diff(edges, axis=1)
 
 
-class _StartTable:
-    """What the rows of a block that start at one coefficient vector need
-    there: the log-likelihood terms and the first score's `cells` for each
-    of the family's response values (J of them) at each observation.
+class _Start:
+    """The start every row of a `refit_blocks` run shares, made once per
+    run: the coefficients `coef`, their eta, and the start table of
+    `family` (the run family's `table_family`; None for a family without
+    finite response `values`). `eta` is the first row of a `rows`-row
+    product at `coef`. Every block copies it, so all blocks of a run, a
+    one-row block included, start from its bits on any BLAS.
 
-    They come from the family's own hooks on a J x n block whose row j holds
-    values[j] at every observation, each row at `coef` and at one `eta`: the
-    first row of the product a block of `rows` rows at `coef` makes. The
-    hooks act cell by cell, so a row whose own eta holds these bits gets the
-    bits of computing its terms and cells itself when it takes them from
-    here with `np.take`. A block asks `holds` before it takes any: the rows
-    of one product may round otherwise on some BLAS, as a one-row product
-    (`gemv`) does against a larger one on OpenBLAS, and such a block
-    starts row by row."""
+    The table holds the log-likelihood terms and the first score's `cells`
+    for each response value (J of them) at each observation, from the
+    family's own hooks on a J x n block whose row j holds values[j], each
+    row at `coef` and `eta`. The hooks act cell by cell, so a row that
+    takes its terms and cells from here with `np.take` gets the bits of
+    computing them itself."""
 
     def __init__(self, family, design, coef, rows):
+        self.coef = np.asarray(coef, dtype=float)
+        eta = np.matmul(np.tile(self.coef, (rows, 1))[:, family.n_cut:], design.transpose)
+        self.eta = eta[0].copy()
+        self.family = family = family.table_family()
+        if family is None:
+            return
         values = family.values
         J, n = len(values), design.matrix.shape[0]
-        eta = np.matmul(np.tile(coef, (rows, 1))[:, family.n_cut:], design.transpose)
-        self.eta = eta[0].copy()
         V = np.repeat(values[:, None], n, axis=1)
-        C = np.tile(coef, (J, 1))
+        C = np.tile(self.coef, (J, 1))
         eta = np.tile(self.eta, (J, 1))
         # the thread's workspace, between block fits: terms and cells are
         # copied out of it
@@ -888,13 +890,8 @@ class _StartTable:
         terms = family.loglik_terms(ws, V, eta, C).copy()
         self.cells = [v.ravel().copy() for v in family.cells(ws, V, C, eta, terms)]
         self.terms = terms.ravel()
-        self.family = family
         self.first = int(values[0])
         self.observations = np.arange(n)
-
-    def holds(self, eta):
-        """Whether every row of eta holds the table's eta, bit for bit."""
-        return bool(np.all(eta.view(np.int64) == self.eta.view(np.int64)))
 
     def _index(self, ws, Y):
         """Each cell's flat index into a J x n table."""
@@ -973,10 +970,10 @@ def fit_design_batch(
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
     `family.score`, which may reuse them. The hooks are those of
-    `family.for_block(Y)`. It evaluates the start row by row; only a block
-    of a `refit_blocks` run whose start eta holds the table's bits takes
-    its start's terms and first score from the run's `start_table` (see
-    `_StartTable`).
+    `family.for_block(Y)`. It forms each row's start eta and evaluates the
+    start row by row; a block of a `refit_blocks` run instead copies the
+    run's start eta and takes its start's terms and first score from the
+    run's table (see `_Start`).
     Every b x n array of the fit lives in the calling thread's `Workspace`
     (see the module docstring).
 
@@ -1000,12 +997,13 @@ def fit_design_batch(
     columns adds in sequence, and that rounding noise flips plateau
     acceptances.
     """
-    return _fit_block(design, Y, family, options, weights, beta0, None)
+    return _fit_block(design, Y, family, options, weights, beta0)
 
 
-def _fit_block(design, Y, family, options, weights, beta0, table) -> BatchFit:
-    """`fit_design_batch`, handed the start table of a run whose rows all
-    start at beta0 (see `refit_blocks`), or None."""
+def _fit_block(design, Y, family, options, weights, start) -> BatchFit:
+    """`fit_design_batch` from `start`: its `beta0`, or the `_Start` of a
+    `refit_blocks` run, whose coefficients and eta every row copies and
+    whose table a block of the table's family takes."""
     opts = options or FitOptions()
     Y = np.ascontiguousarray(Y, dtype=float)
     n, q = design.matrix.shape
@@ -1059,8 +1057,12 @@ def _fit_block(design, Y, family, options, weights, beta0, table) -> BatchFit:
 
     errors = family.screen(design, Y, W)
     coef = np.zeros((b, k + q))
-    if beta0 is not None:
-        coef[:] = beta0
+    eta = ws.floats("eta", Y.shape)
+    shared = isinstance(start, _Start)
+    if shared:
+        coef[:], eta[:] = start.coef, start.eta
+    elif start is not None:
+        coef[:] = start
     else:
         for r in range(b):
             if errors[r] is None:
@@ -1068,23 +1070,17 @@ def _fit_block(design, Y, family, options, weights, beta0, table) -> BatchFit:
                     coef[r] = family.start(design, Y[r], None if W is None else W[r])
                 except FitError as exc:
                     errors[r] = exc
-    eta = np.matmul(coef[:, k:], design.transpose, out=ws.floats("eta", Y.shape))
+    if not shared:
+        np.matmul(coef[:, k:], design.transpose, out=eta)
+    table = start if shared and start.family is family else None
     for r in np.flatnonzero(~family.valid(coef, eta)):
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the model's domain")
     act = np.array([r for r in range(b) if errors[r] is None], dtype=int)
-    # the rows of a run's blocks start at its beta0; compared bit for bit, as
-    # a -0.0 slope may give another eta than 0.0. A block whose eta rounds
-    # otherwise than the table's starts row by row
-    bits = coef[act].view(np.int64)
-    if family.values is None or not act.size or np.any(bits != bits[0]):
-        table = None
     ll = np.full(b, -np.inf)
     terms = ws.floats("terms", Y.shape)  # log-likelihood terms of each row's eta
-    eta_act = gather("eta_rows", eta, act)
-    if table is not None and not table.holds(eta_act):
-        table = None
-    ll[act], terms[act] = loglik(act, coef[act], None if table is not None else eta_act)
+    ll[act], terms[act] = loglik(act, coef[act],
+                                 None if table is not None else gather("eta_rows", eta, act))
     # every candidate would pass the ascent test against a start at -inf
     for r in act[ll[act] == -np.inf]:
         errors[r] = NonConvergence("log-likelihood is not finite at the starting point")
@@ -1162,26 +1158,28 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
     """Fit `count` drawn response vectors on one design, in blocks of
     `block_rows(n)` rows, the same for every family: yields each
     block's `BatchFit`, in row order, with the block's responses in
-    `responses` when `keep_responses`.
+    `responses` when `keep_responses`; a count below 1 yields none.
 
     `draw(first, stop) -> (Y, W or None)` draws rows first..stop-1 as
     (stop - first) x n blocks, called by the worker that fits them; every
-    row starts at `beta0` (None: the family's cold start). With
+    row starts at `beta0` (None: the family's cold start), whose `_Start`
+    the run makes once. With
     n_threads > 1 and at least four blocks, `_worker_count` worker processes
     fit the blocks (see `_fork_shares`). The rows of a block do not depend
     on the worker count, so the fits are bit-identical for any n_threads.
     On one worker a block is drawn and fit only when it is asked for, so a
     caller that stops early fits no further block.
     """
+    if count < 1:
+        return
     rows = block_rows(design.matrix.shape[0])
-    # every block starts at beta0, so its table is made once, before any
-    # fork, at the eta of a first block's product
-    table = (None if beta0 is None
-             else family.start_table(design, np.asarray(beta0, float), min(rows, count)))
+    # every block starts at beta0, so its eta and table are made once,
+    # before any fork
+    start = None if beta0 is None else _Start(family, design, beta0, min(rows, count))
 
     def block(first):
         Y, W = draw(first, min(first + rows, count))
-        out = _fit_block(design, Y, family, options, W, beta0, table)
+        out = _fit_block(design, Y, family, options, W, start)
         if keep_responses:
             out.responses = Y
         return out

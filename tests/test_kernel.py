@@ -464,8 +464,10 @@ def test_binary_probit_score_equals_the_two_term_form():
 def test_shared_start_terms_equal_the_per_row_terms(kind):
     # the rows of a block at one start take their terms from the start table:
     # the bits of `loglik_terms` at that start in every row. A family without
-    # a finite response set computes them per row, at the bits of its terms
-    # on the start's eta broadcast to the block
+    # a finite response set has no table and computes them per row, at the
+    # bits of its terms on the start's eta copied into the block
+    from lrboot import glm
+
     rng = np.random.default_rng(12)
     b, n = 6, 400
     x = rng.standard_normal(n) * 3.0
@@ -491,13 +493,15 @@ def test_shared_start_terms_equal_the_per_row_terms(kind):
     assert eta.tobytes() == np.tile(x, (b, 1)).tobytes()
     finite = kind in ("binary-probit", "ordinal")
     assert (family.values is not None) == finite
+    start = glm._Start(family, design, coef, b)
+    assert start.eta.tobytes() == x.tobytes()
+    assert (start.family is family) == finite
     with np.errstate(all="ignore"):
         if finite:
-            table = family.start_table(design, coef, b)
-            assert table.family is family
-            shared = table.loglik_terms(Workspace(y.size), y)
+            shared = start.loglik_terms(Workspace(y.size), y)
         else:
-            shared = family.loglik_terms(Workspace(y.size), y, np.broadcast_to(x, y.shape), coefs)
+            shared = family.loglik_terms(Workspace(y.size), y,
+                                         np.broadcast_to(start.eta, y.shape), coefs)
         per_row = family.loglik_terms(Workspace(y.size), y, eta, coefs)
     assert shared.tobytes() == per_row.tobytes()
 
@@ -513,6 +517,8 @@ def test_start_table_first_score_equals_the_per_row_score(kind, start, weighted)
     # a start table's terms, gradient and information (of every row, and of
     # a subset of rows) hold the bits of the per-row computation at the
     # table's eta, the first row of a block's product at the start
+    from lrboot import glm
+
     rng = np.random.default_rng(len(kind) + 7 * weighted)
     b, n = 7, 300
     if kind == "binary-probit":
@@ -533,11 +539,11 @@ def test_start_table_first_score_equals_the_per_row_score(kind, start, weighted)
     design = _design_of(Xd)
     W = rng.standard_exponential(Y.shape) if weighted else None
     coefs = np.tile(coef, (b, 1))
-    table = family.start_table(design, coef, b)
+    table = glm._Start(family, design, coef, b)
     product = np.matmul(coefs[:, family.n_cut:], design.transpose)
     assert table.eta.tobytes() == product[0].tobytes()
     eta = np.tile(table.eta, (b, 1))
-    assert table.holds(eta)
+    assert eta.tobytes() == product.tobytes()
     ws = Workspace(Y.size)
     terms = family.loglik_terms(ws, Y, eta, coefs).copy()
     assert table.loglik_terms(Workspace(Y.size), Y).tobytes() == terms.tobytes()
@@ -586,32 +592,35 @@ def _binary_probit_blocks():
     "per-row-starts",
 ])
 def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
-    # a block fit with the start table of its rows' start, handed over as
-    # `refit_blocks` does, changes no bit of the fit without one; a cold
-    # block builds none, rows that start apart take no table, and neither
-    # does a block with a NaN response, which the two-term family fits
+    # a block fit from its run's start, handed over as `refit_blocks` does,
+    # changes no bit of the fit from its own start product and terms; a
+    # cold block and rows that start apart have no run start, and a block
+    # with a NaN response, which the two-term family fits, takes no table
     from lrboot import glm
 
     name, design, Y, W, beta0 = _binary_probit_blocks()[case]
     probit = _family("binomial", "probit")
-    table = (None if beta0 is None
-             else probit.start_table(design, np.atleast_2d(beta0)[0], len(Y)))
+    shared = beta0 is not None and np.ndim(beta0) == 1
     used = []
-    real = glm._StartTable.loglik_terms
+    real = glm._Start.loglik_terms
 
-    def fit(table):
-        return _fit_bytes(glm._fit_block(design, Y, probit, None, W, beta0, table))
+    def fit(start):
+        return _fit_bytes(glm._fit_block(design, Y, probit, None, W, start))
+
+    def run_start():
+        return glm._Start(probit, design, beta0, len(Y)) if shared else beta0
 
     with monkeypatch.context() as m:
-        m.setattr(glm._StartTable, "loglik_terms",
+        m.setattr(glm._Start, "loglik_terms",
                   lambda self, ws, y: used.append(True) or real(self, ws, y))
-        got = fit(table)
+        got = fit(run_start())
         assert used == ([] if name in ("cold", "per-row-starts", "nan-response-row") else [True])
-        m.setattr(glm.BinomialProbit, "start_table", lambda self, design, coef, rows: None)
-        assert fit(None) == got
+        m.setattr(glm.BinomialProbit, "table_family", lambda self: None)
+        assert fit(run_start()) == got
+        assert fit(beta0) == got
     assert fit_design_batch(design, Y, probit, weights=W, beta0=beta0).beta.tobytes() == got[0]
     # the screened row and the NaN row fail before any step, the others converge
-    out = glm._fit_block(design, Y, probit, None, W, beta0, table)
+    out = glm._fit_block(design, Y, probit, None, W, run_start())
     failed = {"screened-constant-row": (2, SeparationDetected),
               "nan-response-row": (3, NonConvergence)}.get(name)
     ok = np.ones(len(Y), dtype=bool)
@@ -622,66 +631,114 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
     assert np.array_equal(out.ok, ok)
 
 
-def test_block_whose_eta_is_not_the_tables_starts_row_by_row(monkeypatch):
-    # a table is taken only by a block whose own start eta holds its bits: a
-    # table one ulp of a slope away is left, and the fit is the one without
-    from lrboot import glm
-
-    _, design, Y, _, beta0 = _binary_probit_blocks()[0]
-    probit = _family("binomial", "probit")
-    off = beta0.copy()
-    off[1] = np.nextafter(off[1], np.inf)
-    table = probit.start_table(design, off, len(Y))
-    eta = np.matmul(np.tile(beta0, (len(Y), 1)), design.transpose)
-    assert not table.holds(eta)
-    assert probit.start_table(design, beta0, len(Y)).holds(eta)
-    used = []
-    real = glm._StartTable.loglik_terms
-    monkeypatch.setattr(glm._StartTable, "loglik_terms",
-                        lambda self, ws, y: used.append(True) or real(self, ws, y))
-    got = _fit_bytes(glm._fit_block(design, Y, probit, None, None, beta0, table))
-    assert used == []
-    assert got == _fit_bytes(glm._fit_block(design, Y, probit, None, None, beta0, None))
-
-
-def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
-    # a warm run builds its table once, before any worker forks; a cold
-    # run builds none, and neither does a family without a finite response
-    # set
-    from lrboot import glm
-
-    built = []
-    real = glm._StartTable.__init__
-
-    def counting(self, family, design, coef, rows):
-        built.append((type(family).__name__, rows))
-        real(self, family, design, coef, rows)
-
-    monkeypatch.setattr(glm._StartTable, "__init__", counting)
+def _one_row_last_block_run():
+    """(fit, Y, draw, count, rows): binary probit responses drawn at a QMLE
+    for a warm run whose last block has one row."""
     ds, spec = _probit_data()
     fit = lb.fit_qmle(ds, spec)
     rows = block_rows(ds.n)
-    count = 3 * rows + 1  # a one-row last block
+    count = 3 * rows + 1
     Y = (np.random.default_rng(3).random((count, ds.n)) < fit.mu_hat).astype(float)
 
     def draw(first, stop):
         return Y[first:stop], None
 
+    return fit, Y, draw, count, rows
+
+
+def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
+    # a warm run makes its start once, before any worker forks, with a table
+    # for a family with a finite response set; a cold run makes none
+    from lrboot import glm
+
+    built = []
+    real = glm._Start.__init__
+
+    def counting(self, family, design, coef, rows):
+        real(self, family, design, coef, rows)
+        built.append((type(family).__name__, rows, type(self.family).__name__))
+
+    monkeypatch.setattr(glm._Start, "__init__", counting)
+    fit, Y, draw, count, rows = _one_row_last_block_run()
     outs = []
     for threads in (1, 2):
         built.clear()
         outs.append(list(glm.refit_blocks(fit.design, fit.family, draw, count,
                                           beta0=fit.coef, n_threads=threads)))
-        assert built == [("_BinaryProbit", rows)]
+        assert built == [("BinomialProbit", rows, "_BinaryProbit")]
+    assert [len(out.errors) for out in outs[0]] == [rows, rows, rows, 1]
     for a, b in zip(*outs):
         assert _fit_bytes(a) == _fit_bytes(b)
     built.clear()
     list(glm.refit_blocks(fit.design, fit.family, draw, count))
     assert built == []
-    built.clear()
     logit = _family("binomial", "logit")
     list(glm.refit_blocks(fit.design, logit, draw, count, beta0=fit.coef))
-    assert built == []
+    assert built == [("BinomialLogit", rows, "NoneType")]
+
+
+def test_one_row_last_block_starts_from_the_runs_table(monkeypatch):
+    # every block of a warm run, the one-row last block included, copies the
+    # run's start eta and reads the run's table. BLAS forms a one-row
+    # product with gemv, which may round otherwise than a larger product,
+    # so the one-row block's later steps may differ in the last bits: its
+    # fit matches row 0 of the same response fitted as a two-row block in
+    # iterations and error, and in coefficients to rounding
+    from lrboot import glm
+
+    fit, Y, draw, count, rows = _one_row_last_block_run()
+    starts, reads = [], []  # each block's start eta; the rows of each table read
+    real_fit, real_valid = glm._fit_block, glm._BaseFamily.valid
+    real_read = glm._Start.loglik_terms
+
+    def fit_block(*args):
+        starts.append(None)
+        return real_fit(*args)
+
+    def valid(self, coef, eta):
+        if starts[-1] is None:  # a block's first call: its start
+            starts[-1] = eta.copy()
+        return real_valid(self, coef, eta)
+
+    def read(self, ws, y):
+        reads.append((len(y), self))
+        return real_read(self, ws, y)
+
+    monkeypatch.setattr(glm, "_fit_block", fit_block)
+    monkeypatch.setattr(glm._BaseFamily, "valid", valid)
+    monkeypatch.setattr(glm._Start, "loglik_terms", read)
+    outs = list(glm.refit_blocks(fit.design, fit.family, draw, count, beta0=fit.coef))
+    assert [b for b, _ in reads] == [rows, rows, rows, 1]
+    start = reads[0][1]
+    assert all(table is start for _, table in reads)
+    assert [s.tobytes() for s in starts] == [
+        np.tile(start.eta, (b, 1)).tobytes() for b in (rows, rows, rows, 1)]
+    last = outs[-1]
+    two = fit_block(fit.design, Y[[-1, 0]], fit.family, None, None, start)
+    assert reads[-1] == (2, start) and starts[-1][0].tobytes() == starts[3][0].tobytes()
+    assert last.ok[0] and two.ok[0]
+    assert last.iterations[0] == two.iterations[0]
+    np.testing.assert_allclose(last.beta[0], two.beta[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("family", ["cold", "binomial-probit", "binomial-logit", "ordinal"])
+def test_refit_blocks_of_no_rows_yield_nothing(monkeypatch, family):
+    # a run asked for no rows draws nothing, fits nothing and makes no start
+    from lrboot import glm
+
+    monkeypatch.setattr(glm._Start, "__init__", lambda *args: pytest.fail("start made"))
+    fit, *_ = _one_row_last_block_run()
+    fam, beta0 = fit.family, None if family == "cold" else fit.coef
+    if family == "ordinal":
+        fam, beta0 = CumulativeProbit(3), np.concatenate([[-0.5, 0.5], fit.coef])
+    elif family != "cold":
+        fam = _family(*family.split("-"))
+
+    def draw(first, stop):
+        pytest.fail("drawn")
+
+    for count in (0, -1):
+        assert list(glm.refit_blocks(fit.design, fam, draw, count, beta0=beta0)) == []
 
 
 def test_ordinal_information_sums_only_rows_that_step(monkeypatch):
