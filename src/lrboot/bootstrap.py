@@ -38,7 +38,7 @@ from .errors import (
     UsageError,
 )
 from .glm import FitOptions, FitResult, family_for, fit_qmle, refit_blocks
-from .neighborhood import NeighborhoodMap, build_neighborhoods
+from .neighborhood import _dataset_map
 from .rng import substream
 
 __all__ = [
@@ -249,7 +249,7 @@ def _validate(data: Dataset, spec: ModelSpec, method: BootstrapMethod) -> None:
         raise IncompatibleResidual("wild bootstrap is not defined for ordinal models")
 
 
-def _sampler(data, method, fit, seed, neighborhoods):
+def _sampler(data, method, fit, seed):
     """The method's block draw, (first, stop) -> (Y*, W*): replicates
     first..stop-1 as (stop - first) x n arrays, replicate i drawn from the
     generator substream(seed, i + 1) alone.
@@ -304,9 +304,7 @@ def _sampler(data, method, fit, seed, neighborhoods):
         return blocks(lambda rngs: (res.recreate(fit, pool[rows(rngs)], method.residual_kind),
                                     None))
     # lrb and local_response pick one neighbor per observation
-    if neighborhoods is None:
-        neighborhoods = build_neighborhoods(data, method.l)
-    pick = neighborhoods.picker()
+    pick = _dataset_map(data, method.l).picker()
     if kind == "local_response":
         return blocks(lambda rngs: (y[pick(rngs)], None))
     pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
@@ -323,14 +321,14 @@ def run(
     *,
     n_threads: int = 1,
     fit: FitResult | None = None,
-    neighborhoods: NeighborhoodMap | None = None,
     options: FitOptions | None = None,
     keep_responses: bool = False,
 ) -> BootstrapOutcome:
     """Run B bootstrap replicates and assemble SE estimates; the outcome's
     intervals are computed when first read.
 
-    Replicates are drawn a block at a time by the method's block draw and
+    A local method draws from the data's own neighbor map of size l, built
+    by the first run that needs it. Replicates are drawn a block at a time by the method's block draw and
     refit on the fitted design by `glm.refit_blocks`; up to n_threads
     worker processes (at most one per two blocks and one per core) take
     whole blocks. Failed replicate fits are dropped and counted; more than
@@ -343,7 +341,7 @@ def run(
         raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")
     if fit is None:
         fit = fit_qmle(data, spec, options)
-    draw = _sampler(data, method, fit, seed, neighborhoods)
+    draw = _sampler(data, method, fit, seed)
     blocks = list(refit_blocks(fit.design, fit.family, draw, B, beta0=fit.coef,
                                options=options, n_threads=n_threads,
                                keep_responses=keep_responses))

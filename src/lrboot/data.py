@@ -15,7 +15,7 @@ single build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,7 +83,9 @@ class Term:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fixed-design data: response plus covariates (standardized and raw)."""
+    """Fixed-design data: response plus covariates (standardized and raw),
+    and the neighbor maps built on the covariates, {l: map}, which
+    `with_response` shares and `with_rows` and `make_dataset` start without."""
 
     y: np.ndarray
     X: np.ndarray  # standardized covariates, n x p
@@ -93,6 +95,7 @@ class Dataset:
     col_means: np.ndarray
     col_sds: np.ndarray
     standardized: bool = True
+    neighbor_maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -122,7 +125,9 @@ class Dataset:
             raise DimensionMismatch("response length does not match the design")
         if not np.all(np.isfinite(y)):
             raise InvalidData("responses contain non-finite entries")
-        return replace(self, y=y)
+        out = replace(self, y=y)
+        object.__setattr__(out, "neighbor_maps", self.neighbor_maps)  # same covariates
+        return out
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.X)):

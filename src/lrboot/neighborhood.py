@@ -24,6 +24,11 @@ row i's sorted set is `index[starts[i] : starts[i] + lengths[i]]`. A k-NN
 cell writes its s x l block; any other cell is every member's set, so it
 writes its rows once and they all start there. Memory is O(n·l) either way.
 The map also owns the draw (`picker`), so no caller reads its layout.
+
+A map depends only on the covariates and l, so it belongs to the data: every
+local draw reads `_dataset_map`, which builds a dataset's map of size l on
+first use and keeps it, and `Dataset.with_response` shares the maps. So each
+(covariates, l) map is built once, at O(n·l), and lives as long as the data.
 """
 
 from __future__ import annotations
@@ -221,8 +226,18 @@ def build_neighborhoods(data: Dataset, l: int) -> NeighborhoodMap:
     return _neighbor_sets(data, [l])[l]
 
 
+def _dataset_map(data: Dataset, l: int) -> NeighborhoodMap:
+    """The data's map of size l, built on first use and kept with it."""
+    # threads that race here build equal read-only maps; either may be kept
+    if l not in data.neighbor_maps:
+        data.neighbor_maps[l] = build_neighborhoods(data, l)
+    return data.neighbor_maps[l]
+
+
 # ---------------------------------------------------------------------------
 # neighborhood-size selection
+
+_MAX_ITERATIONS = 20
 
 
 @dataclass
@@ -262,18 +277,19 @@ def select_size(
     B_inner: int = 200,
     delta: float = 0.5,
     seed: int = 0,
-    max_iterations: int = 20,
-    target_coef: int | None = None,
     n_threads: int = 1,
 ) -> SizeSelectionTrace:
     """Pick the neighborhood size whose subsample standard-error estimates
-    best match the full-data estimate, iterating the n^(1/3) rescaling until
-    the selected size stabilizes (change <= delta) or the iteration cap.
+    of the first slope best match the full-data estimate, iterating the
+    n^(1/3) rescaling until the selected size stabilizes (change <= delta)
+    or 20 iterations.
 
-    Subsample and full-data runs use the neighborhoods `run` builds itself
-    (`build_neighborhoods`). Data without a continuous column is rejected:
-    its neighborhoods are whole categorical cells for every l. Hitting the
-    cap is not an error: the trace returns flagged unconverged.
+    Each subsample's maps for the whole grid come from one multi-size query
+    and are kept with the subsample; the full-data runs draw from the maps
+    of `data`, which stay with it, so a later run on `data` at the chosen
+    size builds nothing. Data without a continuous column is rejected: its
+    neighborhoods are whole categorical cells for every l. Hitting the cap
+    is not an error: the trace returns flagged unconverged.
     """
     from .bootstrap import BootstrapMethod, run  # local import to avoid a cycle
 
@@ -295,49 +311,35 @@ def select_size(
     Q = len(grid)
 
     fit0 = fit_qmle(data, spec)
-    if target_coef is None:
-        target_coef = fit0.first_slope
+    target_coef = fit0.first_slope
+
+    def se(d: Dataset, fit, l: int, run_seed: int) -> float:
+        method = BootstrapMethod.lrb(residual_kind, l)
+        out = run(d, spec, method, B=B_inner, seed=run_seed, fit=fit, n_threads=n_threads)
+        return float(out.se_hat[target_coef])
 
     subsample_se = np.empty((K, Q))
+    sizes = [min(l_q, m) for l_q in grid]
     for k in range(K):
         rows = substream(seed, k).choice(n, size=m, replace=False)
         rows.sort()
         sub = data.with_rows(rows)
         fit_k = fit_qmle(sub, spec)
-        nb_by_l = _neighbor_sets(sub, [min(l_q, m) for l_q in grid])
-        for q, l_q in enumerate(grid):
-            out = run(
-                sub,
-                spec,
-                BootstrapMethod.lrb(residual_kind, min(l_q, m)),
-                B=B_inner,
-                seed=derive_seed(seed, k, q),
-                fit=fit_k,
-                neighborhoods=nb_by_l[min(l_q, m)],
-                n_threads=n_threads,
-            )
-            subsample_se[k, q] = out.se_hat[target_coef]
+        sub.neighbor_maps.update(_neighbor_sets(sub, sizes))
+        for q, l_q in enumerate(sizes):
+            subsample_se[k, q] = se(sub, fit_k, l_q, derive_seed(seed, k, q))
 
     full_cache: dict[int, float] = {}
 
     def full_psi(l_val: int) -> float:
         if l_val not in full_cache:
-            out = run(
-                data,
-                spec,
-                BootstrapMethod.lrb(residual_kind, min(l_val, n)),
-                B=B_inner,
-                seed=derive_seed(seed, "full", l_val),
-                fit=fit0,
-                n_threads=n_threads,
-            )
-            full_cache[l_val] = float(out.se_hat[target_coef])
+            full_cache[l_val] = se(data, fit0, min(l_val, n), derive_seed(seed, "full", l_val))
         return full_cache[l_val]
 
     l_hat = default_size(n)
     per_iteration = []
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         psi_hat = full_psi(l_hat)
         mse = np.mean((subsample_se - psi_hat) ** 2, axis=0)
         q_star = int(np.argmin(mse))

@@ -17,7 +17,6 @@ from .errors import (
     UnsupportedKind,
 )
 from .glm import FitResult, fit_qmle
-from .neighborhood import build_neighborhoods
 from .rng import derive_seed
 
 __all__ = [
@@ -116,19 +115,16 @@ def in_sample_loss(
     seed: int = 0,
     *,
     fit: FitResult | None = None,
-    neighborhoods=None,
     n_threads: int = 1,
 ) -> float:
     """Bootstrap estimate of the in-sample average loss.
 
     Any bootstrap method qualifies: only the replicate coefficients enter.
+    A local method draws from the data's neighbor map of size l (see `run`).
     """
     _check_scalar_family(spec)
     fit = fit or fit_qmle(data, spec)
-    out = run(
-        data, spec, method, B, seed=seed,
-        fit=fit, neighborhoods=neighborhoods, n_threads=n_threads,
-    )
+    out = run(data, spec, method, B, seed=seed, fit=fit, n_threads=n_threads)
     return loss_from_replicates(data, fit, out.replicates)
 
 
@@ -140,13 +136,13 @@ def prediction_error(
     seed: int = 0,
     *,
     fit: FitResult | None = None,
-    neighborhoods=None,
     n_threads: int = 1,
 ) -> float:
     """Bootstrap estimate of the out-of-sample prediction error.
 
     Needs recreated responses, so only response-regenerating methods qualify;
-    terms 2 and 3 use the same replicate's (y*, beta*) in a single pass.
+    terms 2 and 3 use the same replicate's (y*, beta*) in a single pass. A
+    local method draws from the data's neighbor map of size l (see `run`).
     """
     _check_scalar_family(spec)
     if not method.recreates_responses:
@@ -156,8 +152,7 @@ def prediction_error(
         )
     fit = fit or fit_qmle(data, spec)
     out = run(
-        data, spec, method, B, seed=seed,
-        fit=fit, neighborhoods=neighborhoods, n_threads=n_threads,
+        data, spec, method, B, seed=seed, fit=fit, n_threads=n_threads,
         keep_responses=True,
     )
     return prediction_error_from_replicates(data, fit, out.replicates, out.responses)
@@ -181,14 +176,13 @@ def rank_models(
     n_threads: int = 1,
 ) -> SelectionReport:
     """Evaluate the criterion per model (substream keyed by label, so the
-    result is invariant to model order) and rank ascending, ties by label."""
+    result is invariant to model order) and rank ascending, ties by label.
+    Every model of a local method draws from the one neighbor map of the
+    candidates' data, built by the first model's run."""
     if criterion not in ("L", "Gamma"):
         raise UnsupportedKind(f"criterion must be 'L' or 'Gamma', got {criterion!r}")
     evaluate = in_sample_loss if criterion == "L" else prediction_error
     data, method = cands.data, cands.method
-    neighborhoods = None
-    if method.is_local:
-        neighborhoods = build_neighborhoods(data, method.l)
     labels, values = [], []
     for spec in cands.models:
         label = spec.display()
@@ -200,7 +194,6 @@ def rank_models(
                 method,
                 cands.B,
                 seed=derive_seed(seed, label),
-                neighborhoods=neighborhoods,
                 n_threads=n_threads,
             )
         )
@@ -227,6 +220,8 @@ def _check_ranks(true_ranks, est_ranks):
     e = np.asarray(est_ranks, dtype=int)
     if t.shape != e.shape:
         raise LengthMismatch("rank vectors differ in length")
+    if t.shape[0] < 2:
+        raise UnsupportedKind("need at least two ranked models")
     want = set(range(1, t.shape[0] + 1))
     if set(t.tolist()) != want or set(e.tolist()) != want:
         raise NotAPermutation("rank vectors must each be a permutation of 1..M")

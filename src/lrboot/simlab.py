@@ -30,7 +30,7 @@ from .data import Dataset, DesignInfo, ModelSpec, Term, back_transform, build_de
 from .errors import InvalidSize, TooManyFailures, UnknownScenario
 from .glm import BinomialProbit, FitResult, GammaInverse, GaussianIdentity, PoissonLog
 from .glm import _check_rank, _coef_names, family_for, fit_design_batch, fit_qmle, refit_blocks
-from .neighborhood import build_neighborhoods, default_size
+from .neighborhood import _dataset_map, default_size
 from .residuals import surrogate_values
 from .rng import derive_seed, stable_int, substream
 
@@ -736,7 +736,8 @@ def run_experiment(
     target coefficient's SE per replication and, for the normal and the
     percentile interval, one of its bounds (replications x levels x 2);
     coverage of the pseudo-true target, mean width and the width's SE come
-    from those arrays.
+    from those arrays (the SE is nan for one replication). Every draw has
+    the truth's covariates, so a local method builds its map once.
     """
     if replications < 1:
         raise InvalidSize(f"run_experiment needs replications >= 1, got {replications}")
@@ -745,15 +746,6 @@ def run_experiment(
     t = truth.first_slope
     beta_target = float(truth.beta_dagger[t])
     psi_target = float(truth.psi[t])
-
-    nb_cache: dict[int, object] = {}
-
-    def neighborhoods_for(method):
-        if not method.is_local:
-            return None
-        if method.l not in nb_cache:
-            nb_cache[method.l] = build_neighborhoods(frame.data, method.l)
-        return nb_cache[method.l]
 
     labels = [m.label for m in methods]
     z = ndtri(0.5 + np.asarray(levels) / 2.0)
@@ -776,7 +768,6 @@ def run_experiment(
                 B,
                 seed=derive_seed(seed, r, lab),
                 fit=fit,
-                neighborhoods=neighborhoods_for(method),
                 n_threads=n_threads,
             )
             se_t, est = out.se_hat[t], out.estimate[t]
@@ -799,7 +790,8 @@ def run_experiment(
                 width = hi - lo
                 coverage[ci, level] = float(np.mean((lo <= beta_target) & (beta_target <= hi)))
                 wmean[ci, level] = float(width.mean())
-                wse[ci, level] = float(width.std(ddof=1) / np.sqrt(replications))
+                wse[ci, level] = (float(width.std(ddof=1) / np.sqrt(replications))
+                                  if replications > 1 else np.nan)
         stats[lab] = MethodStats(
             label=lab,
             se_hats=se_hats[lab],
@@ -917,7 +909,7 @@ def theorem1_ks(truth: PseudoTruth, l: int, rep: int = 0, seed: int = 0) -> floa
     ds = frame.dataset(_PURPOSE_ADHOC, 1000 + rep)
     fit = fit_qmle(ds, spec, design=frame.design)
     r_hat = surrogate_values(fit, ds.y, substream(seed, rep, 0))
-    pick = build_neighborhoods(frame.data, l).picker()
+    pick = _dataset_map(frame.data, l).picker()
     r_star = r_hat[pick([substream(seed, rep, 1)])[0]]
 
     # oracle side: fresh truth draw, surrogate at the pseudo-true coefficients

@@ -196,7 +196,7 @@ def _local_response_draw(X, meta, l):
     ds = lb.make_dataset(np.arange(n, dtype=float), X, column_meta=meta)
     spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
     nb = build_neighborhoods(ds, l)
-    draw = _sampler(ds, BootstrapMethod.local_response(l), lb.fit_qmle(ds, spec), 3, nb)
+    draw = _sampler(ds, BootstrapMethod.local_response(l), lb.fit_qmle(ds, spec), 3)
     return nb, np.array([len(s) for s in nb.sets]), draw
 
 
@@ -552,7 +552,7 @@ def test_block_draw_equals_the_per_replicate_draw(model, layout):
     for kind in _ORACLE_KINDS[model]:
         methods += [BootstrapMethod.lrb(kind, 7), BootstrapMethod.classical_residual(kind)]
     for method in methods:
-        draw = _sampler(ds, method, fit, 5, nb)
+        draw = _sampler(ds, method, fit, 5)
         for first, stop in ((0, rows), (rows, rows + 5)):
             Y, W = draw(first, stop)
             assert Y.shape == (stop - first, ds.n), method.label

@@ -1,6 +1,7 @@
 """Neighbor sets under the one rule (categorical cells, then Euclidean k-NN
 with self-first/index tie-breaking), and size selection."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import lrboot as lb
 from lrboot.bootstrap import BootstrapMethod, run
 from lrboot.errors import InvalidSize
-from lrboot.neighborhood import _neighbor_sets, build_neighborhoods, select_size
+from lrboot.neighborhood import _dataset_map, _neighbor_sets, build_neighborhoods, select_size
 from lrboot.rng import derive_seed, substream
 from lrboot.simlab import default_neighborhood_size, generate
 
@@ -402,3 +403,95 @@ def test_select_size_needs_a_continuous_column():
     spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
     with pytest.raises(InvalidSize):
         select_size(ds, spec, "raw", grid=(2, 4), K=2, m=50, B_inner=20)
+
+
+# -- a dataset owns its maps --------------------------------------------------
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """(n, sizes, maps) of every `_neighbor_sets` query, in call order."""
+    from lrboot import neighborhood
+
+    seen = []
+
+    def counted(data, ls):
+        out = _neighbor_sets(data, ls)
+        seen.append((data.n, sorted(out), list(out.values())))
+        return out
+
+    monkeypatch.setattr(neighborhood, "_neighbor_sets", counted)
+    return seen
+
+
+def test_with_response_shares_maps_and_with_rows_and_make_dataset_do_not(builds):
+    ds = generate("SC1_probit", n=150, seed=2)
+    assert ds.neighbor_maps == {}
+    nb = _dataset_map(ds, 5)
+    assert _dataset_map(ds, 5) is nb and len(builds) == 1
+    assert [np.array_equal(a, b) for a, b in zip(nb.sets, build_neighborhoods(ds, 5).sets)] \
+        == [True] * ds.n
+    builds.clear()
+    redrawn = ds.with_response(1.0 - ds.y)
+    assert redrawn.neighbor_maps is ds.neighbor_maps
+    assert _dataset_map(redrawn, 5) is nb and builds == []
+    # a row subset has other covariates, a new dataset has its own
+    subset = ds.with_rows(np.arange(ds.n))
+    fresh = lb.make_dataset(ds.y, ds.X_raw)
+    for other in (subset, fresh):
+        assert other.neighbor_maps == {}
+        assert _dataset_map(other, 5) is not nb
+    assert len(builds) == 2 and ds.neighbor_maps.keys() == {5}
+
+
+def test_auto_l_builds_each_full_data_size_once(tmp_path, builds, monkeypatch):
+    from lrboot import bootstrap, cli
+
+    drawn = []
+
+    def recorded(data, l):
+        drawn.append(_dataset_map(data, l))
+        return drawn[-1]
+
+    monkeypatch.setattr(bootstrap, "_dataset_map", recorded)
+    ds = generate("SC1_probit", n=300, seed=3)
+    path, out = tmp_path / "sc1.csv", tmp_path / "auto.json"
+    cli.emit_csv(ds, "y", path)
+    assert cli.main(["bootstrap", "--input", str(path), "--response", "y", "--predictors", "x",
+                     "--method", "lrb-surrogate", "--l", "auto", "--B", "50", "--seed", "3",
+                     "--threads", "1", "--output", str(out)]) == 0
+    final_l = json.loads(out.read_text())["size_selection"]["final_l"]
+    full = [(ls, maps) for n, ls, maps in builds if n == ds.n]
+    sizes = [l for ls, _ in full for l in ls]
+    assert sorted(sizes) == sorted(set(sizes)) and final_l in sizes
+    # the final run draws from the very map the size search built
+    built = {ls[0]: maps[0] for ls, maps in full}
+    assert drawn[-1] is built[final_l]
+
+
+def test_run_experiment_builds_one_map_per_size(builds):
+    from lrboot import simlab as sl
+
+    truth = sl.pseudo_truth("GaussianCheck", n=60, reps=100, seed=3)
+    methods = [BootstrapMethod.lrb("raw", 5), BootstrapMethod.local_response(5)]
+    sl.run_experiment(methods, truth, B=10, replications=2, seed=1)
+    assert [(n, ls) for n, ls, _ in builds] == [(60, [5])]
+
+
+def test_rank_models_builds_one_map(builds):
+    from lrboot import selection as sel
+
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, 80)
+    ds = lb.make_dataset(1 + x + x**2 + rng.standard_normal(80), x[:, None])
+    models = tuple(
+        lb.ModelSpec("gaussian", "identity", terms, label=label)
+        for label, terms in (
+            ("x", (lb.Term("raw", 0),)),
+            ("x,x^2", (lb.Term("raw", 0), lb.Term("power", 0, 2))),
+            ("x,x^2,x^3", (lb.Term("raw", 0), lb.Term("power", 0, 2), lb.Term("power", 0, 3))),
+        )
+    )
+    cands = sel.CandidateSet(models, ds, BootstrapMethod.lrb("raw", 6), B=20)
+    sel.rank_models(cands, "Gamma", seed=2)
+    assert [(n, ls) for n, ls, _ in builds] == [(80, [6])]

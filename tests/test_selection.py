@@ -18,7 +18,6 @@ from lrboot.errors import (
     NotAPermutation,
     UnsupportedKind,
 )
-from lrboot.neighborhood import build_neighborhoods
 from lrboot.rng import derive_seed
 
 
@@ -61,15 +60,11 @@ def test_loss_monte_carlo_stability_across_seeds():
     assert abs(a - b) / a < 0.02
 
 
-def _three_terms(ds, spec, method, B, seed, l):
+def _three_terms(ds, spec, method, B, seed):
     from lrboot.bootstrap import run
 
     fit = lb.fit_qmle(ds, spec)
-    nb = build_neighborhoods(ds, l)
-    out = run(
-        ds, spec, method, B=B, seed=seed, fit=fit, neighborhoods=nb,
-        keep_responses=True,
-    )
+    out = run(ds, spec, method, B=B, seed=seed, fit=fit, keep_responses=True)
     fam = fit.family
     mu_star = fam.mean(fit.design.matrix @ out.replicates.T)
     denom = ds.n * fit.var_hat
@@ -82,7 +77,7 @@ def _three_terms(ds, spec, method, B, seed, l):
 def test_term2_dominates_term1_on_sc1():
     ds = sl.generate("SC1_probit", n=2000, seed=4)
     spec = lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),))
-    t1, t2, _ = _three_terms(ds, spec, BootstrapMethod.lrb("surrogate", 10), 2000, 9, 10)
+    t1, t2, _ = _three_terms(ds, spec, BootstrapMethod.lrb("surrogate", 10), 2000, 9)
     assert float((t2 - t1).mean()) > 0
 
 
@@ -91,7 +86,7 @@ def test_optimism_correction_positive_for_least_squares_refits():
     # optimism term2 - term3 is positive on average there
     ds = sl.generate("SC11", n=2000, seed=4)
     spec = sl.get_scenario("SC11").assumed
-    t1, t2, t3 = _three_terms(ds, spec, BootstrapMethod.lrb("raw", 13), 2000, 9, 13)
+    t1, t2, t3 = _three_terms(ds, spec, BootstrapMethod.lrb("raw", 13), 2000, 9)
     assert float((t2 - t3).mean()) > 0
     assert float((t2 - t1).mean()) > 0
 
@@ -171,6 +166,14 @@ def test_cr_metrics_validation():
         sel.cr1([1, 2], [1, 2, 3])
     with pytest.raises(NotAPermutation):
         sel.cr2([1, 1, 3], [1, 2, 3])
+
+
+@pytest.mark.parametrize("score", [sel.cr1, sel.cr2])
+@pytest.mark.parametrize("ranks", [[], [1]])
+def test_cr_metrics_need_two_models(score, ranks):
+    # as CandidateSet needs two candidates; no bare ZeroDivisionError or nan
+    with pytest.raises(UnsupportedKind):
+        score(ranks, ranks)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Scenario generators, pseudo-truth oracle values, and experiment plumbing."""
 
+import csv
 import hashlib
 import warnings
 
@@ -333,6 +334,20 @@ def test_run_experiment_needs_a_replication():
     truth = sl.pseudo_truth("GaussianCheck", n=60, reps=100, seed=3)
     with pytest.raises(InvalidSize):
         sl.run_experiment([BootstrapMethod.parametric()], truth, B=10, replications=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_experiment_one_replication_has_nan_width_se(tmp_path):
+    from lrboot import cli
+
+    out = tmp_path / "one.csv"
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60", "--B", "10",
+                     "--truth-reps", "100", "--reps", "1", "--methods", "lrb-raw,parametric",
+                     "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["width_se"] == "nan" for row in rows)
+    assert all(np.isfinite(float(row["width"])) for row in rows)
 
 
 def test_run_experiment_degenerate_method():
