@@ -3,9 +3,9 @@ classical residual bootstrap, and the parametric/pairwise/wild/multiplier
 comparison methods.
 
 Every method draws responses y* or weights w* on the one fitted design, so
-`run` only supplies the draw of each block of replicates:
-`glm.refit_blocks` asks for a block's rows at once and fits them, ordinal
-models included, on the column products the design builds once. Replicate
+`run` is a draw plus a summary of one `glm.refit_blocks` call, which asks
+for a block's rows at once and fits them, ordinal models included, on the
+column products the design builds once. Replicate
 i always consumes the substream (seed, i + 1), with its per-observation
 draws in observation order (the local methods take theirs from
 `NeighborhoodMap.picker`); a block stacks its replicates' draws and does
@@ -328,12 +328,13 @@ def run(
     intervals are computed when first read.
 
     A local method draws from the data's own neighbor map of size l, built
-    by the first run that needs it. Replicates are drawn a block at a time by the method's block draw and
-    refit on the fitted design by `glm.refit_blocks`; up to n_threads
-    worker processes (at most one per two blocks and one per core) take
-    whole blocks. Failed replicate fits are dropped and counted; more than
-    20% failures aborts. Identical inputs give bit-identical outcomes for
-    any n_threads. B < 2 raises TooFewReplicates before any draw or fit.
+    by the first run that needs it. Replicates are drawn a block at a time
+    and refit by one call of `glm.refit_blocks`, on up to n_threads worker
+    processes. Failed fits are dropped and counted; past 20% of B, the run
+    raises TooManyFailures at the first block, in replicate order, that
+    passes the cap, and on one worker draws no later block. Outcomes and
+    errors are bit-identical for any n_threads. B < 2 raises
+    TooFewReplicates before any draw or fit.
     """
     require_replicates(B)
     _validate(data, spec, method)
@@ -342,18 +343,16 @@ def run(
     if fit is None:
         fit = fit_qmle(data, spec, options)
     draw = _sampler(data, method, fit, seed)
-    blocks = list(refit_blocks(fit.design, fit.family, draw, B, beta0=fit.coef,
-                               options=options, n_threads=n_threads,
-                               keep_responses=keep_responses))
-    ok = np.concatenate([out.ok for out in blocks])
-    n_failed = B - int(ok.sum())
+    refits = refit_blocks(fit.design, fit.family, draw, B, beta0=fit.coef, options=options,
+                          n_threads=n_threads, keep_responses=keep_responses,
+                          max_failed=int(_FAILURE_SHARE * B))
+    ok = refits.ok
+    n_failed = ok.size - int(ok.sum())
     if n_failed > _FAILURE_SHARE * B:
-        raise TooManyFailures(
-            f"{n_failed}/{B} replicate fits failed "
-            f"(method={method.label}, family={spec.family})"
-        )
-    replicates = np.vstack([out.beta for out in blocks])[ok]
-    responses = np.vstack([out.responses for out in blocks])[ok] if keep_responses else None
+        raise TooManyFailures(f"{n_failed} of the first {ok.size} replicate fits failed, over "
+                              f"20% of B={B} (method={method.label}, family={spec.family})")
+    replicates = refits.beta[ok]
+    responses = refits.responses[ok] if keep_responses else None
 
     provenance = {
         "method": method.kind,

@@ -392,13 +392,15 @@ def _load_dataset(args):
     base = base_names_of(args.predictors)
     ds, info = ingest(args.input, args.response, base, categorical)
     terms = parse_terms(args.predictors, ds.column_names)
-    ordinal = args.ordinal_categories and args.ordinal_categories >= 3
+    J = args.ordinal_categories  # 0: not ordinal
+    if J and J < 3:
+        raise UsageError(f"--ordinal-categories must be 0 (not ordinal) or at least 3, got {J}")
     spec = ModelSpec(
-        family="ordinal" if ordinal else args.family,
+        family="ordinal" if J else args.family,
         link=args.link,
         predictor_terms=terms,
-        include_intercept=not args.no_intercept and not ordinal,
-        n_categories=args.ordinal_categories if ordinal else 0,
+        include_intercept=not args.no_intercept and not J,
+        n_categories=J,
     )
     return ds, spec, info
 

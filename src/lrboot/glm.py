@@ -1,9 +1,10 @@
 """GLM families, the cumulative-link ordinal model, and QMLE fitting.
 
 A family object owns what a (family, link) pair means: mean, variance,
-log-likelihood, unit deviance, dispersion and response simulation, and for
-binary and ordinal models the categorical view that SBS and surrogate
-residuals use. `family_for(spec)` and `FitResult.family` return it.
+log-likelihood, unit deviance, dispersion, response simulation and the
+responses it admits, and for binary and ordinal models the categorical view
+that SBS and surrogate residuals use. `family_for(spec)` and
+`FitResult.family` return it.
 
 Every fit runs one driver, `fit_design_batch`: Newton-type steps for a block
 of response vectors on one `DesignInfo`, with step-halving, convergence
@@ -11,59 +12,36 @@ declared on the max-abs score component, and a failure class recorded per
 row. `fit_qmle`, which fits every model, is a one-row call of it, and
 `FitResult.at` builds the fit at any coefficient vector. The design owns
 what fits derive from its matrix (the transpose, the column products of
-X' diag(w) X, the constant-column flags and the rank), built once per design,
-so every block fit on one design shares them. A family supplies what the
-driver needs for a block: per-row screens and cold starts, log-likelihood
-terms, and the score with a positive semi-definite information; its
-`for_block` may hand a block to a variant that relies on what the block's
-responses share, tested once per block. The probit family gives the exact
-gradient and the observed information, so its steps are Newton's and
-converge quadratically (McCullagh & Nelder 1989, sec. 2.5); on a block of
-0/1 responses it reuses the log-likelihood terms of the accepted step, so an
-iteration costs one `log_ndtr` pass. Every other GLM family has its
-canonical link, where the Fisher information equals the observed one, so its
-Fisher-scoring steps are Newton's too. The cumulative-probit model
-(`CumulativeProbit`, McCullagh 1980, JRSS-B) is maximized over its own
-coefficients (alpha, beta), where its log-likelihood is concave (Pratt
-1981). It takes Newton steps too: the exact gradient and the observed
-information, from each observation's own two category edges and the
-accepted step's `loglik_terms`, each category probability taken on the
-nearer tail of its edges. A step whose cutpoints do not strictly increase
-leaves the model's domain and is halved, as a gamma step to eta <= 0 is.
-Every block of a warm `refit_blocks` run starts at one coefficient vector
-(a bootstrap's beta-hat, a pseudo-truth's pilot fit), and the run makes
-that start once, before it forks (`_Start`): the coefficients, their eta
-(one n-vector that every block copies into its rows) and, for a family
-whose block responses take finitely many values (0/1 for binary probit,
-the J codes for the ordinal model), a table of the log-likelihood terms
-and the first score's per-observation factors, J x n each, at that eta.
-Its blocks take each row's with `np.take`, at the bits of computing them
-itself. A run from cold starts and a `fit_design_batch` call form and
-evaluate each row's start row by row, as do families without a finite
-response set.
-The ordinal information is built only on a score where some row steps, its
-category sums only for those rows. Every caller that fits many response
-vectors runs `refit_blocks`, which fits them in blocks of `block_rows(n)`
-rows, each drawn whole by one call of the caller's draw: max(1, 2**15 // n)
-rows for every family (16 at n=2000), as every array of a block fit, the
-ordinal model's included, is b x n. Asked for more than one worker, it forks worker
-processes, which inherit the design, its products and the draw, so
-nothing is shipped to them; each fits a fixed round-robin share of the
-blocks and pickles its `BatchFit`s back over a pipe. Workers number at most
-one per two blocks and one per core the process may run on; where
-`os.fork` does not exist, the blocks run serially.
+X' diag(w) X, the constant-column flags and the rank), built once. A family
+supplies per-row screens and cold starts, log-likelihood terms, and the
+score with a positive semi-definite information; its `for_block` may hand a
+block to a variant that relies on what the block's responses share. Probit
+takes exact Newton steps with the observed information (McCullagh & Nelder
+1989, sec. 2.5), and on 0/1 responses an iteration costs one `log_ndtr`
+pass. Every other GLM family has its canonical link, where Fisher scoring
+is Newton's method. The cumulative-probit model (`CumulativeProbit`,
+McCullagh 1980, JRSS-B) takes Newton steps in its own coefficients
+(alpha, beta), where its log-likelihood is concave (Pratt 1981); a step
+whose cutpoints do not strictly increase leaves its domain and is halved,
+as a gamma step to eta <= 0 is.
 
-A block fit writes every b x n array (the gathered rows of Y, W, eta and the
-log-likelihood terms, the candidate eta, the terms, and each family's score
-temporaries) into a `Workspace` of named buffers, so its Newton loop
-allocates no fresh pages. Each thread keeps one, sized by the cell budget
-and reused by its later block fits on any design, and drops it when the
-thread ends; a forked worker starts from a copy of its parent's. It holds at
-most 17 slots of 256 KB (4.25 MB) per live thread, which a weighted ordinal
-block fills; at n=2000 a warm 16-row block uses 10 (2.5 MB) for binary
-probit responses and 16 (4 MB) for ordinal ones. A block above the
-budget, such as `fit_qmle` at n > 32,768, gets a workspace for its call
-alone.
+A refit run, such as a bootstrap's replicates or a pseudo-truth's redraws,
+is one call of `refit_blocks`, which returns every row's fit as one
+`BatchFit` in row order. It fits the rows in blocks of `block_rows(n)` =
+max(1, 2**15 // n) rows for every family (16 at n=2000), each drawn whole
+by one call of the caller's draw, and ends with the first block at which
+more rows than the caller's cap have failed. A warm run makes its start
+once (`_Start`): every block copies its eta and, for a family with finitely
+many response values, takes its start terms from one table. Asked for more
+than one worker, it forks worker processes, which inherit the design, its
+products and the draw; each fits a fixed round-robin share of the blocks
+and pickles its `BatchFit`s back over a pipe. Where `os.fork` does not
+exist, the blocks run serially.
+
+A block fit writes every b x n array into the calling thread's `Workspace`
+of named buffers, at most 17 slots of 256 KB (4.25 MB), kept until the
+thread ends, so its Newton loop allocates no fresh pages. A block above the
+budget, such as `fit_qmle` at n > 32,768, gets a workspace for its call alone.
 """
 
 from __future__ import annotations
@@ -85,6 +63,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCategory,
     FitError,
+    InvalidData,
     NonConvergence,
     RankDeficient,
     SeparationDetected,
@@ -277,6 +256,7 @@ class _BaseFamily:
     n_cut = 0  # cutpoints ahead of the slopes in a coefficient vector
     values = None  # the finite response set, ascending consecutive integers
     free_dispersion = False  # simulate with a Pearson dispersion estimate
+    support = None  # (text, least, greatest) response fit_qmle admits; None: any
 
     def for_block(self, Y):
         """The family object that fits the response block Y: this one, or a
@@ -352,6 +332,7 @@ class _Binomial(_BaseFamily):
 
     name = "binomial"
     check_separation = True
+    support = ("in [0, 1]", 0.0, 1.0)
 
     def variance(self, mu, out=None):
         return np.multiply(mu, np.subtract(1.0, mu, out=out), out=out)
@@ -512,6 +493,7 @@ class BinomialLogit(_Binomial):
 
 class PoissonLog(_BaseFamily):
     name, link = "poisson", "log"
+    support = (">= 0", 0.0, np.inf)
 
     def mean(self, eta, out=None):
         with np.errstate(over="ignore"):
@@ -541,6 +523,7 @@ class PoissonLog(_BaseFamily):
 class GammaInverse(_BaseFamily):
     name, link = "gamma", "inverse"
     free_dispersion = True
+    support = ("> 0", np.nextafter(0.0, 1.0), np.inf)  # the least positive float
 
     def mean(self, eta, out=None):
         return np.divide(1.0, np.maximum(eta, _MU_EPS, out=out), out=out)
@@ -921,7 +904,7 @@ class _Start:
 
 @dataclass
 class BatchFit:
-    """Row-wise result of `fit_design_batch`.
+    """Row-wise result of `fit_design_batch`, and of a `refit_blocks` run.
 
     `beta[r]` holds row r's coefficients (ordinal: cutpoints, then slopes).
     `errors[r]` is the FitError that row r failed with, or None when it
@@ -961,7 +944,7 @@ def fit_design_batch(
     family,
     options: FitOptions | None = None,
     weights: np.ndarray | None = None,
-    beta0: np.ndarray | None = None,
+    beta0: np.ndarray | _Start | None = None,
 ) -> BatchFit:
     """Newton-type fits of a block of response vectors on one design.
 
@@ -970,40 +953,30 @@ def fit_design_batch(
     steps), the Fisher information for every other family. The driver keeps
     each row's log-likelihood terms at its accepted step and passes them to
     `family.score`, which may reuse them. The hooks are those of
-    `family.for_block(Y)`. It forms each row's start eta and evaluates the
-    start row by row; a block of a `refit_blocks` run instead copies the
-    run's start eta and takes its start's terms and first score from the
-    run's table (see `_Start`).
-    Every b x n array of the fit lives in the calling thread's `Workspace`
-    (see the module docstring).
+    `family.for_block(Y)`. Every b x n array of the fit lives in the calling
+    thread's `Workspace`.
 
     `Y` is b x n with one response vector per row; `weights` is None or
     b x n. `beta0` is one start for every row (m,) or one per row (b x m), in
-    the family's coefficients; None starts each row at the family's cold
-    start. Rows the family screens out (constant binary responses, an empty
-    ordinal category) fail before any step, and so do rows whose start lies
-    outside the model's domain (`family.valid`) or has a log-likelihood that
-    is not finite (a NaN response). Every other row follows the same rules:
-    the score test max|g| <= tol, step-halving with a few-ulp plateau slack,
-    the domain check and, after each accepted step, the separation bound. A
-    row that fails records its error (NonConvergence, SeparationDetected,
-    EmptyCategory, or RankDeficient for a singular information matrix) and
-    the other rows carry on. The design rank is not checked. The design's
-    transpose and column products are built on its first fit and reused by
-    every later one.
+    the family's coefficients, whose eta and terms are evaluated row by row;
+    or a `refit_blocks` run's `_Start`, whose eta every row copies and whose
+    table gives the start terms and first score of a block of the table's
+    family; or None, each row's cold start. Rows the family screens out
+    (constant binary responses, an empty ordinal category) fail before any
+    step, and so do rows whose start lies outside the model's domain
+    (`family.valid`) or has a log-likelihood that is not finite. Every other
+    row follows the same rules: the score test max|g| <= tol, step-halving
+    with a few-ulp plateau slack, the domain check and, after each accepted
+    step, the separation bound. A row that fails records its error
+    (NonConvergence, SeparationDetected, EmptyCategory, or RankDeficient for
+    a singular information matrix) and the other rows carry on. The design
+    rank is not checked.
 
     The block stays row-major so that each row's log-likelihood is summed in
     the same pairwise order as a 1-D sum; summing an n x b block down its
     columns adds in sequence, and that rounding noise flips plateau
     acceptances.
     """
-    return _fit_block(design, Y, family, options, weights, beta0)
-
-
-def _fit_block(design, Y, family, options, weights, start) -> BatchFit:
-    """`fit_design_batch` from `start`: its `beta0`, or the `_Start` of a
-    `refit_blocks` run, whose coefficients and eta every row copies and
-    whose table a block of the table's family takes."""
     opts = options or FitOptions()
     Y = np.ascontiguousarray(Y, dtype=float)
     n, q = design.matrix.shape
@@ -1058,11 +1031,11 @@ def _fit_block(design, Y, family, options, weights, start) -> BatchFit:
     errors = family.screen(design, Y, W)
     coef = np.zeros((b, k + q))
     eta = ws.floats("eta", Y.shape)
-    shared = isinstance(start, _Start)
+    shared = isinstance(beta0, _Start)
     if shared:
-        coef[:], eta[:] = start.coef, start.eta
-    elif start is not None:
-        coef[:] = start
+        coef[:], eta[:] = beta0.coef, beta0.eta
+    elif beta0 is not None:
+        coef[:] = beta0
     else:
         for r in range(b):
             if errors[r] is None:
@@ -1072,7 +1045,7 @@ def _fit_block(design, Y, family, options, weights, start) -> BatchFit:
                     errors[r] = exc
     if not shared:
         np.matmul(coef[:, k:], design.transpose, out=eta)
-    table = start if shared and start.family is family else None
+    table = beta0 if shared and beta0.family is family else None
     for r in np.flatnonzero(~family.valid(coef, eta)):
         if errors[r] is None:
             errors[r] = NonConvergence("starting point outside the model's domain")
@@ -1154,49 +1127,60 @@ def _fit_block(design, Y, family, options, weights, start) -> BatchFit:
 
 
 def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1,
-                 keep_responses=False):
-    """Fit `count` drawn response vectors on one design, in blocks of
-    `block_rows(n)` rows, the same for every family: yields each
-    block's `BatchFit`, in row order, with the block's responses in
-    `responses` when `keep_responses`; a count below 1 yields none.
+                 keep_responses=False, max_failed=None) -> BatchFit:
+    """Fit `count` drawn response vectors on one design: one `BatchFit` of
+    every row in row order, with the drawn responses when `keep_responses`.
+    A count below 1 gives a 0-row fit and draws nothing.
 
-    `draw(first, stop) -> (Y, W or None)` draws rows first..stop-1 as
-    (stop - first) x n blocks, called by the worker that fits them; every
-    row starts at `beta0` (None: the family's cold start), whose `_Start`
-    the run makes once. With
-    n_threads > 1 and at least four blocks, `_worker_count` worker processes
-    fit the blocks (see `_fork_shares`). The rows of a block do not depend
-    on the worker count, so the fits are bit-identical for any n_threads.
-    On one worker a block is drawn and fit only when it is asked for, so a
-    caller that stops early fits no further block.
+    `draw(first, stop) -> (Y, W or None)` draws rows first..stop-1 as a
+    block of `block_rows(n)` rows or fewer, in the worker that fits it.
+    Every row starts at `beta0` (None: the family's cold start), whose
+    `_Start` the run makes once. With n_threads > 1 and at least four
+    blocks, `_worker_count` worker processes fit the blocks (see
+    `_fork_shares`); the fits are bit-identical for any n_threads. The run
+    ends with the first block, in row order, at which more than
+    `max_failed` rows have failed in all (None: no cap), and the caller
+    judges its cap on the fit; on one worker no later block is drawn. A
+    draw or block fit that raises ends the run with its exception.
     """
-    if count < 1:
-        return
-    rows = block_rows(design.matrix.shape[0])
-    # every block starts at beta0, so its eta and table are made once,
-    # before any fork
-    start = None if beta0 is None else _Start(family, design, beta0, min(rows, count))
+    n = design.matrix.shape[0]
+    rows = block_rows(n)
+    starts = range(0, count, rows)
+    # the run's one start, made before any fork
+    start = None if beta0 is None or not starts else _Start(family, design, beta0,
+                                                            min(rows, count))
 
     def block(first):
         Y, W = draw(first, min(first + rows, count))
-        out = _fit_block(design, Y, family, options, W, start)
+        out = fit_design_batch(design, Y, family, options, W, start)
         if keep_responses:
             out.responses = Y
         return out
 
-    starts = range(0, count, rows)
+    def share(firsts):
+        return _capped(_outcomes(block, firsts), max_failed)
+
     workers = _worker_count(n_threads, len(starts))
     if workers == 1:
-        yield from map(block, starts)
-        return
-    # built here, once, so that every worker inherits them
-    design.transpose, design.column_products, design.constant_columns
-    shares = _fork_shares(block, starts, workers)
-    for i in range(len(starts)):
-        outcome = shares[i % workers][i // workers]
-        if isinstance(outcome, BaseException):
-            raise outcome
-        yield outcome
+        outcomes = share(starts)
+    else:
+        # built here, once, so that every worker inherits them
+        design.transpose, design.column_products, design.constant_columns
+        shares = _fork_shares(share, starts, workers)
+        outcomes = _capped((shares[i % workers][i // workers] for i in range(len(starts))),
+                           max_failed)
+    if outcomes and isinstance(outcomes[-1], BaseException):
+        raise outcomes[-1]
+    fits = [BatchFit(np.empty((0, family.n_cut + design.q)), np.empty(0, dtype=int),
+                     np.empty(0), [], np.empty(0), np.empty((0, n)) if keep_responses else None),
+            *outcomes]
+
+    def stacked(name):
+        return np.concatenate([getattr(fit, name) for fit in fits])
+
+    return BatchFit(stacked("beta"), stacked("iterations"), stacked("grad_norm"),
+                    [e for fit in fits for e in fit.errors], stacked("loglik"),
+                    stacked("responses") if keep_responses else None)
 
 
 def _worker_count(n_threads: int, blocks: int) -> int:
@@ -1214,28 +1198,40 @@ def _worker_count(n_threads: int, blocks: int) -> int:
     return max(1, min(n_threads, blocks // 2, cores))
 
 
-def _share(block, starts) -> list:
-    """`block(first)` for each of `starts` in turn, stopping at the first
-    block that raises: its exception ends the list."""
-    outcomes = []
+def _outcomes(block, starts):
+    """`block(first)` for each of `starts` in turn, when asked for; a block
+    that raises gives its exception, which ends them."""
     for first in starts:
         try:
-            outcomes.append(block(first))
+            yield block(first)
         except Exception as exc:
-            outcomes.append(exc)
+            yield exc
+            return
+
+
+def _capped(outcomes, max_failed) -> list:
+    """The block outcomes up to the first exception, or to the first block
+    at which more than `max_failed` rows have failed in all (None: no cap)."""
+    kept, failed = [], 0
+    for out in outcomes:
+        kept.append(out)
+        if isinstance(out, BaseException):
             break
-    return outcomes
+        failed += sum(e is not None for e in out.errors)
+        if max_failed is not None and failed > max_failed:
+            break
+    return kept
 
 
-def _fork_shares(block, starts, workers) -> list:
-    """Each worker's `_share` of the blocks at `starts`: worker k takes
-    every `workers`-th block from the k-th. The caller is worker 0 and forks
-    the others, which inherit everything `block` reads. A child pickles its
-    share back over a pipe and ends with `os._exit`, so it runs none of the
-    parent's exit handlers; the standard streams are flushed before the
-    fork, so no buffered output is written twice. Every child is reaped
-    before this returns or raises, and one still running when the caller
-    fails is killed."""
+def _fork_shares(share, starts, workers) -> list:
+    """Each worker's `share(its starts)` of the blocks at `starts`: worker k
+    takes every `workers`-th block from the k-th. The caller is worker 0 and
+    forks the others, which inherit everything `share` reads. A child
+    pickles its share back over a pipe and ends with `os._exit`, so it runs
+    none of the parent's exit handlers; the standard streams are flushed
+    before the fork, so no buffered output is written twice. Every child is
+    reaped before this returns or raises, and one still running when the
+    caller fails is killed."""
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
@@ -1248,10 +1244,10 @@ def _fork_shares(block, starts, workers) -> list:
                 os.close(read)
                 for fd in children.values():
                     os.close(fd)
-                _child(block, starts[k::workers], write)
+                _child(share, starts[k::workers], write)
             os.close(write)
             children[pid] = read
-        shares = [_share(block, starts[::workers])]
+        shares = [share(starts[::workers])]
         for pid in list(children):
             with open(children[pid], "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -1269,13 +1265,13 @@ def _fork_shares(block, starts, workers) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(block, starts, fd) -> None:
+def _child(share, starts, fd) -> None:
     """A forked worker: fit its share, write it pickled to the pipe `fd`
     and end the process. A share that cannot be written ends it with status
     1 and no result, which the parent raises."""
     code = 1
     try:
-        payload = pickle.dumps(_share(block, starts), pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(share(starts), pickle.HIGHEST_PROTOCOL)
         with open(fd, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -1304,9 +1300,16 @@ def fit_qmle(
     design rank check; the row's fit error is raised.
 
     Accepts any response the quasi-score admits: binomial y in [0,1],
-    poisson y >= 0, gamma y > 0, ordinal codes 1..J.
+    poisson y >= 0, gamma y > 0, ordinal codes 1..J. A response outside its
+    family's range raises InvalidData, naming the first such row, before
+    any step.
     """
     family = family_for(spec)
+    text, least, greatest = family.support or ("", -np.inf, np.inf)
+    bad = np.flatnonzero((data.y < least) | (data.y > greatest))
+    if bad.size:
+        raise InvalidData(f"{spec.family} responses must be {text}, "
+                          f"but row {bad[0]} is {data.y[bad[0]]:g}")
     design = design or build_design(data, spec)
     _check_rank(family, design)
     out = fit_design_batch(design, data.y[None, :], family, options)

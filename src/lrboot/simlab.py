@@ -8,8 +8,8 @@ alone. A scenario is a mean plus a noise draw (`ScenarioDef`): a frozen draw
 computes the mean once, and a block of redraws is one `noise` call on the
 redraws' own substreams, as the parametric bootstrap draws its block. The
 frozen draw (covariates, observed-column dataset, the assumed model's design
-and the mean) is made once, by `pseudo_truth`, which fits its redraws from
-one pilot fit's coefficients, not from cold starts; the `PseudoTruth` carries
+and the mean) is made once, by `pseudo_truth`, which fits its redraws in one
+`refit_blocks` run from one pilot fit's coefficients; the `PseudoTruth` carries
 it: `run_experiment` and `theorem1_ks` take the truth alone and fit on its
 design, so they cannot be scored against another scenario's truth. Nothing is
 cached on disk; a pseudo-truth is recomputed per process.
@@ -630,12 +630,12 @@ def pseudo_truth(
     redraws on frozen X) and pseudo-true SE (divisor-reps standard deviation).
 
     A pilot fits redraw 0 from its cold start. The redraws are then drawn a
-    block at a time and fit by `glm.refit_blocks` on `n_threads` workers,
-    every one from the pilot's coefficients, or from its own cold start
-    where the pilot failed. More than 5% failed fits raises TooManyFailures
-    after the first block over the cap, taken in block order; with workers,
-    every share is fit before that check. The truth keeps its frozen draw,
-    which `run_experiment` and `theorem1_ks` score against."""
+    block at a time and fit by one `glm.refit_blocks` call on `n_threads`
+    workers, every one from the pilot's coefficients, or from its own cold
+    start where the pilot failed. More than 5% failed fits raises
+    TooManyFailures at the first block over the cap, in block order, from
+    the run's first fit error. The truth keeps its frozen draw, which
+    `run_experiment` and `theorem1_ks` score against."""
     if reps < 100:
         raise InvalidSize(f"pseudo_truth needs reps >= 100, got {reps}")
     frame = _frame(scenario_id, n, seed, params)
@@ -650,19 +650,14 @@ def pseudo_truth(
     # warm redraw converges in about half the steps of a cold one
     pilot = fit_design_batch(design, redraw(0, 1)[0], family)
     beta0 = pilot.beta[0] if pilot.ok[0] else None
-    coefs = []
-    n_failed = n_fit = 0
-    for out in refit_blocks(design, family, redraw, reps, beta0=beta0, n_threads=n_threads):
-        ok = out.ok
-        n_fit += ok.size
-        n_failed += int(np.sum(~ok))
-        if n_failed > 0.05 * reps:
-            cause = next(e for e in out.errors if e is not None)
-            raise TooManyFailures(
-                f"{n_failed} pseudo-truth fits failed out of {n_fit}"
-            ) from cause
-        coefs.append(out.beta[ok])
-    coefs = np.vstack(coefs)
+    fits = refit_blocks(design, family, redraw, reps, beta0=beta0, n_threads=n_threads,
+                        max_failed=int(0.05 * reps))
+    ok = fits.ok
+    n_failed = ok.size - int(ok.sum())
+    if n_failed > 0.05 * reps:
+        cause = next(e for e in fits.errors if e is not None)
+        raise TooManyFailures(f"{n_failed} pseudo-truth fits failed out of {ok.size}") from cause
+    coefs = fits.beta[ok]
     n_cut = family.n_cut
     coefs_raw = _raw_coefs(coefs, design, n_cut)
     return PseudoTruth(

@@ -141,6 +141,40 @@ def test_lrb_full_size_reduction_gaussian_raw():
     assert np.array_equal(a.replicates, b.replicates)
 
 
+@pytest.mark.parametrize("l", [10, 40, 400])
+def test_gaussian_raw_lrb_covariance_matches_its_exact_oracle(l):
+    # with the identity link a replicate is linear in y*: beta* = A y* with
+    # A = (X'X)^-1 X', where y*_i = eta_i + r_J, J uniform on N_i and drawn
+    # independently over i. So Cov*(beta*) = A D A' exactly, D_ii the
+    # divisor-|N_i| variance of the raw residuals r over N_i. A categorical
+    # column splits the rows into two cells of unequal size, which cap l at
+    # each cell's size at l = n
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(3)
+    n, B = 400, 4000
+    x = rng.uniform(-2, 2, n)
+    g = (rng.random(n) < 0.3).astype(float)
+    y = 1 + x + 0.5 * x**2 + 0.8 * g + (0.3 + 0.4 * np.abs(x)) * rng.standard_normal(n)
+    ds = lb.make_dataset(y, np.column_stack([x, g]),
+                         column_meta=("continuous", "categorical"))
+    spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0), lb.Term("raw", 1)))
+    fit = lb.fit_qmle(ds, spec)
+    out = run(ds, spec, BootstrapMethod.lrb("raw", l), B=B, seed=3, fit=fit)
+    assert out.n_failed == 0
+    r = ds.y - fit.mu_hat
+    D = np.array([np.var(r[s]) for s in build_neighborhoods(ds, l).sets])
+    X = fit.design.matrix
+    A = np.linalg.solve(X.T @ X, X.T)
+    exact = np.sqrt(np.einsum("ji,i,ji->j", A, D, A))
+    # B se_hat^2 / sigma^2 is near chi-square with B - 1 degrees of freedom,
+    # as each beta* is a sum of n independent draws; each of the 9 ratios
+    # (3 coefficients, 3 sizes) lies in its two-sided 1e-4 / 9 band
+    lo, hi = np.sqrt(chi2.ppf([0.5e-4 / 9, 1 - 0.5e-4 / 9], B - 1) / B)
+    assert np.all((lo < out.se_hat / exact) & (out.se_hat / exact < hi)), (
+        out.se_hat / exact, lo, hi)
+
+
 def test_thread_count_does_not_change_outcome():
     # 218 rows a block at n=150: B=700 makes four blocks, the last one short
     ds, spec = _probit_data(n=150, seed=7)

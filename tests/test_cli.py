@@ -612,6 +612,23 @@ def test_fit_command_ordinal(tmp_path):
     assert payload["cutpoints"][0] < payload["cutpoints"][1]
 
 
+@pytest.mark.parametrize("J", ["1", "2", "-1"])
+def test_ordinal_categories_below_three_are_a_usage_error(J, tmp_path, capsys):
+    # codes 1/2 with J=2 were once fit as a binomial model, and failed to converge
+    path = tmp_path / "ord.csv"
+    _write_csv(path, ["grade", "x"], [[1 + i % 2, i / 10] for i in range(40)])
+    argv = ["fit", "--input", str(path), "--response", "grade", "--predictors", "x",
+            "--output", str(tmp_path / "fit.json")]
+    assert cli.main(argv + ["--ordinal-categories", J]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: --ordinal-categories must be 0 (not ordinal) or at least 3, got {J}\n")
+    assert not (tmp_path / "fit.json").exists()
+    # 0 means not ordinal: the binomial family, where codes 1/2 lie outside [0, 1]
+    assert cli.main(argv + ["--ordinal-categories", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error[InvalidData]: binomial responses must be in [0, 1], but row 1 is 2\n")
+
+
 def test_threads_env_fallback(monkeypatch, binary_csv, tmp_path):
     monkeypatch.setenv("LRB_THREADS", "2")
     out = tmp_path / "o.json"

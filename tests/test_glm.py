@@ -9,8 +9,10 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 import lrboot as lb
+from lrboot import glm
 from lrboot.errors import (
     EmptyCategory,
+    InvalidData,
     NonConvergence,
     RankDeficient,
     SeparationDetected,
@@ -203,6 +205,30 @@ def test_constant_binary_responses_have_no_mle():
     ds = lb.make_dataset(np.ones(60), x[:, None])
     with pytest.raises(SeparationDetected):
         lb.fit_qmle(ds, _spec("binomial", "probit"))
+
+
+@pytest.mark.parametrize(
+    "family, link, valid, bad, text",
+    [
+        ("binomial", "probit", 1.0, 2.0, "in [0, 1]"),  # codes 1/2, not 0/1
+        ("binomial", "logit", 1.0, 2.0, "in [0, 1]"),
+        ("binomial", "probit", 0.5, -0.25, "in [0, 1]"),
+        ("poisson", "log", 3.0, -1.0, ">= 0"),
+        ("gamma", "inverse", 2.0, -1.0, "> 0"),
+        ("gamma", "inverse", 2.0, 0.0, "> 0"),
+    ],
+)
+def test_response_outside_the_family_range_is_invalid_data(family, link, valid, bad, text,
+                                                           monkeypatch):
+    # each once took Newton steps and failed as NonConvergence,
+    # SeparationDetected or RankDeficient; now no step is taken
+    x = np.random.default_rng(43).uniform(-1, 1, 200)
+    y = np.full(200, valid)
+    y[[7, 30]] = bad
+    monkeypatch.setattr(glm, "fit_design_batch", lambda *a, **k: pytest.fail("fitted"))
+    with pytest.raises(InvalidData) as info:
+        lb.fit_qmle(lb.make_dataset(y, x[:, None]), _spec(family, link))
+    assert str(info.value) == f"{family} responses must be {text}, but row 7 is {bad:g}"
 
 
 def test_nonconvergence_when_iteration_cap_hits():

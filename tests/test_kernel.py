@@ -605,7 +605,7 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
     real = glm._Start.loglik_terms
 
     def fit(start):
-        return _fit_bytes(glm._fit_block(design, Y, probit, None, W, start))
+        return _fit_bytes(glm.fit_design_batch(design, Y, probit, None, W, start))
 
     def run_start():
         return glm._Start(probit, design, beta0, len(Y)) if shared else beta0
@@ -620,7 +620,7 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
         assert fit(beta0) == got
     assert fit_design_batch(design, Y, probit, weights=W, beta0=beta0).beta.tobytes() == got[0]
     # the screened row and the NaN row fail before any step, the others converge
-    out = glm._fit_block(design, Y, probit, None, W, run_start())
+    out = glm.fit_design_batch(design, Y, probit, None, W, run_start())
     failed = {"screened-constant-row": (2, SeparationDetected),
               "nan-response-row": (3, NonConvergence)}.get(name)
     ok = np.ones(len(Y), dtype=bool)
@@ -651,29 +651,36 @@ def test_refit_blocks_builds_one_start_table_per_run(monkeypatch):
     # for a family with a finite response set; a cold run makes none
     from lrboot import glm
 
-    built = []
-    real = glm._Start.__init__
+    built, blocks = [], []  # the starts made; the rows of each block this process fits
+    real, real_fit = glm._Start.__init__, glm.fit_design_batch
 
     def counting(self, family, design, coef, rows):
         real(self, family, design, coef, rows)
         built.append((type(family).__name__, rows, type(self.family).__name__))
 
+    def fit_block(design, Y, *args):
+        blocks.append(len(Y))
+        return real_fit(design, Y, *args)
+
     monkeypatch.setattr(glm._Start, "__init__", counting)
     fit, Y, draw, count, rows = _one_row_last_block_run()
+    monkeypatch.setattr(glm, "fit_design_batch", fit_block)
     outs = []
     for threads in (1, 2):
         built.clear()
-        outs.append(list(glm.refit_blocks(fit.design, fit.family, draw, count,
-                                          beta0=fit.coef, n_threads=threads)))
+        blocks.clear()
+        outs.append(glm.refit_blocks(fit.design, fit.family, draw, count,
+                                     beta0=fit.coef, n_threads=threads))
         assert built == [("BinomialProbit", rows, "_BinaryProbit")]
-    assert [len(out.errors) for out in outs[0]] == [rows, rows, rows, 1]
-    for a, b in zip(*outs):
-        assert _fit_bytes(a) == _fit_bytes(b)
+        if threads == 1:
+            assert blocks == [rows, rows, rows, 1]
+    assert len(outs[0].errors) == count
+    assert _fit_bytes(outs[0]) == _fit_bytes(outs[1])
     built.clear()
-    list(glm.refit_blocks(fit.design, fit.family, draw, count))
+    glm.refit_blocks(fit.design, fit.family, draw, count)
     assert built == []
     logit = _family("binomial", "logit")
-    list(glm.refit_blocks(fit.design, logit, draw, count, beta0=fit.coef))
+    glm.refit_blocks(fit.design, logit, draw, count, beta0=fit.coef)
     assert built == [("BinomialLogit", rows, "NoneType")]
 
 
@@ -688,7 +695,7 @@ def test_one_row_last_block_starts_from_the_runs_table(monkeypatch):
 
     fit, Y, draw, count, rows = _one_row_last_block_run()
     starts, reads = [], []  # each block's start eta; the rows of each table read
-    real_fit, real_valid = glm._fit_block, glm._BaseFamily.valid
+    real_fit, real_valid = glm.fit_design_batch, glm._BaseFamily.valid
     real_read = glm._Start.loglik_terms
 
     def fit_block(*args):
@@ -704,26 +711,26 @@ def test_one_row_last_block_starts_from_the_runs_table(monkeypatch):
         reads.append((len(y), self))
         return real_read(self, ws, y)
 
-    monkeypatch.setattr(glm, "_fit_block", fit_block)
+    monkeypatch.setattr(glm, "fit_design_batch", fit_block)
     monkeypatch.setattr(glm._BaseFamily, "valid", valid)
     monkeypatch.setattr(glm._Start, "loglik_terms", read)
-    outs = list(glm.refit_blocks(fit.design, fit.family, draw, count, beta0=fit.coef))
+    out = glm.refit_blocks(fit.design, fit.family, draw, count, beta0=fit.coef)
     assert [b for b, _ in reads] == [rows, rows, rows, 1]
     start = reads[0][1]
     assert all(table is start for _, table in reads)
     assert [s.tobytes() for s in starts] == [
         np.tile(start.eta, (b, 1)).tobytes() for b in (rows, rows, rows, 1)]
-    last = outs[-1]
     two = fit_block(fit.design, Y[[-1, 0]], fit.family, None, None, start)
     assert reads[-1] == (2, start) and starts[-1][0].tobytes() == starts[3][0].tobytes()
-    assert last.ok[0] and two.ok[0]
-    assert last.iterations[0] == two.iterations[0]
-    np.testing.assert_allclose(last.beta[0], two.beta[0], rtol=1e-12, atol=0.0)
+    assert out.ok[-1] and two.ok[0]
+    assert out.iterations[-1] == two.iterations[0]
+    np.testing.assert_allclose(out.beta[-1], two.beta[0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["cold", "binomial-probit", "binomial-logit", "ordinal"])
 def test_refit_blocks_of_no_rows_yield_nothing(monkeypatch, family):
-    # a run asked for no rows draws nothing, fits nothing and makes no start
+    # a run asked for no rows draws nothing, fits nothing and makes no start:
+    # its fit has no rows
     from lrboot import glm
 
     monkeypatch.setattr(glm._Start, "__init__", lambda *args: pytest.fail("start made"))
@@ -737,8 +744,15 @@ def test_refit_blocks_of_no_rows_yield_nothing(monkeypatch, family):
     def draw(first, stop):
         pytest.fail("drawn")
 
+    monkeypatch.setattr(glm, "fit_design_batch", lambda *args: pytest.fail("fitted"))
     for count in (0, -1):
-        assert list(glm.refit_blocks(fit.design, fam, draw, count, beta0=beta0)) == []
+        for keep in (False, True):
+            out = glm.refit_blocks(fit.design, fam, draw, count, beta0=beta0,
+                                   keep_responses=keep)
+            assert out.errors == [] and out.beta.shape == (0, fam.n_cut + fit.design.q)
+            assert out.iterations.shape == out.grad_norm.shape == out.loglik.shape == (0,)
+            n = fit.design.matrix.shape[0]
+            assert out.responses is None if not keep else out.responses.shape == (0, n)
 
 
 def test_ordinal_information_sums_only_rows_that_step(monkeypatch):

@@ -292,7 +292,7 @@ def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
     # three failures in each block: the 5% cap of 100 redraws is first
     # exceeded by the second block, which raises once it is fit; the pilot's
     # one-row fit before the blocks passes through
-    real = glm._fit_block
+    real = glm.fit_design_batch
     blocks = []
 
     def failing(*args, **kwargs):
@@ -304,7 +304,7 @@ def test_pseudo_truth_failure_cap_checked_after_each_block(monkeypatch):
             out.errors[r] = NonConvergence("injected")
         return out
 
-    monkeypatch.setattr(glm, "_fit_block", failing)
+    monkeypatch.setattr(glm, "fit_design_batch", failing)
     with pytest.raises(TooManyFailures) as info:
         sl.pseudo_truth("GaussianCheck", n=2000, reps=100, seed=3)
     assert len(blocks) == 2 and blocks[0] < 50

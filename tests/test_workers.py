@@ -11,10 +11,10 @@ import pytest
 from scipy.stats import norm
 
 import lrboot as lb
-from lrboot import cli, glm
+from lrboot import bootstrap, cli, glm
 from lrboot import selection as sel
 from lrboot.bootstrap import BootstrapMethod, run
-from lrboot.errors import InvalidSize
+from lrboot.errors import InvalidSize, NonConvergence, TooManyFailures
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
@@ -178,10 +178,9 @@ def test_a_failing_draw_raises_in_the_caller(bad_row, two_cores, forks):
     # rows 0-80 are the caller's block 0, rows 81-161 the child's block 1
     ds, spec = _probit_data()
     fit = lb.fit_qmle(ds, spec)
-    blocks = glm.refit_blocks(fit.design, fit.family, _raising_draw(ds, bad_row), 300,
-                              beta0=fit.coef, n_threads=2)
     with pytest.raises(InvalidSize, match=f"row {bad_row} "):
-        list(blocks)
+        glm.refit_blocks(fit.design, fit.family, _raising_draw(ds, bad_row), 300,
+                         beta0=fit.coef, n_threads=2)
     assert len(forks) == 1
     _no_child_left()
 
@@ -197,18 +196,61 @@ def test_a_child_that_dies_raises_in_the_caller(two_cores, forks):
         return _observed(ds, first, stop)
 
     with pytest.raises(RuntimeError, match="no result"):
-        list(glm.refit_blocks(fit.design, fit.family, draw, 300, beta0=fit.coef, n_threads=2))
+        glm.refit_blocks(fit.design, fit.family, draw, 300, beta0=fit.coef, n_threads=2)
     _no_child_left()
 
 
-def test_blocks_come_in_row_order(two_cores):
+def test_blocks_come_in_row_order(two_cores, monkeypatch):
+    # a spy marks each row with its block's row count, in whichever process
+    # fits the block
     ds, spec = _probit_data()
     fit = lb.fit_qmle(ds, spec)
-    out = list(glm.refit_blocks(fit.design, fit.family, lambda a, b: _observed(ds, a, b), 300,
-                                beta0=fit.coef, n_threads=2, keep_responses=True))
-    assert [len(b.beta) for b in out] == [81, 81, 81, 57]
-    assert all(np.array_equal(b.responses, np.broadcast_to(ds.y, b.responses.shape))
-               for b in out)
+    real = glm.fit_design_batch
+
+    def fit_block(design, Y, *args):
+        out = real(design, Y, *args)
+        out.iterations[:] = len(Y)
+        return out
+
+    monkeypatch.setattr(glm, "fit_design_batch", fit_block)
+    out = glm.refit_blocks(fit.design, fit.family, lambda a, b: _observed(ds, a, b), 300,
+                           beta0=fit.coef, n_threads=2, keep_responses=True)
+    assert out.iterations.tolist() == [81] * 243 + [57] * 57
+    assert np.array_equal(out.responses, np.broadcast_to(ds.y, (300, ds.n)))
+    _no_child_left()
+
+
+def test_a_run_past_its_failure_cap_stops_at_the_crossing_block(two_cores, forks, monkeypatch):
+    # 30 failed rows in each block of 81: the 20% cap of 300 replicates (60)
+    # is first passed at the third block (90 failures), whichever process
+    # fits it; on one worker the fourth block is never drawn
+    ds, spec = _probit_data()
+    fit = lb.fit_qmle(ds, spec)
+    real_fit, real_sampler = glm.fit_design_batch, bootstrap._sampler
+    drawn = []  # the first row of each block the calling process draws
+
+    def fit_block(*args):
+        out = real_fit(*args)
+        out.errors[:30] = [NonConvergence("injected")] * 30
+        return out
+
+    def sampler(*args):
+        draw = real_sampler(*args)
+        return lambda first, stop: drawn.append(first) or draw(first, stop)
+
+    monkeypatch.setattr(glm, "fit_design_batch", fit_block)
+    monkeypatch.setattr(bootstrap, "_sampler", sampler)
+    texts = []
+    for k in (1, 2):
+        drawn.clear()
+        with pytest.raises(TooManyFailures) as info:
+            run(ds, spec, BootstrapMethod.parametric(), B=300, seed=5, fit=fit, n_threads=k)
+        texts.append(str(info.value))
+        if k == 1:
+            assert drawn == [0, 81, 162]
+    assert len(forks) == 1
+    assert texts == ["90 of the first 243 replicate fits failed, over 20% of B=300 "
+                     "(method=parametric, family=binomial)"] * 2
     _no_child_left()
 
 
