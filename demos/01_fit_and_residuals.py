@@ -25,14 +25,14 @@ sur = residuals.compute(fit, ds, "surrogate", rng=substream(7))
 pea = residuals.compute(fit, ds, "pearson")
 sbs = residuals.compute(fit, ds, "sbs")
 
-for res in (sur, pea, sbs):
-    path = f"example1_{res.kind}_residuals.csv"
-    residuals.to_csv(res, path)
-    print(f"wrote {path}  (range {res.values.min():.2f} .. {res.values.max():.2f})")
+for kind, values in (("surrogate", sur), ("pearson", pea), ("sbs", sbs)):
+    path = f"example1_{kind}_residuals.csv"
+    residuals.to_csv(values, kind, path)
+    print(f"wrote {path}  (range {values.min():.2f} .. {values.max():.2f})")
 
 # a well-specified model would leave surrogate residuals looking N(0,1);
 # here the gaps and skew betray the misspecification
-hist, edges = np.histogram(sur.values, bins=12, range=(-3, 3))
+hist, edges = np.histogram(sur, bins=12, range=(-3, 3))
 print("\nsurrogate residual histogram (-3..3):")
 for count, lo, hi in zip(hist, edges[:-1], edges[1:]):
     print(f"  [{lo: .1f},{hi: .1f}) {'#' * int(60 * count / max(hist.max(), 1))}")

@@ -12,16 +12,10 @@ from lrboot.bootstrap import BootstrapMethod, p_value, run
 ds = simlab.generate("SC1_probit", n=2000, seed=3)
 spec = simlab.get_scenario("SC1_probit").assumed
 
-methods = [
-    BootstrapMethod.lrb("surrogate", 10),
-    BootstrapMethod.lrb("sbs", 10),
-    BootstrapMethod.lrb("pearson", 10),
-    BootstrapMethod.classical_residual("surrogate"),
-    BootstrapMethod.parametric(),
-    BootstrapMethod.pairwise(),
-    BootstrapMethod.wild(),
-    BootstrapMethod.multiplier(),
-]
+# the CLI's method tokens; only the local methods keep l
+tokens = ("lrb-surrogate", "lrb-sbs", "lrb-pearson", "classical-surrogate", "parametric",
+          "pairwise", "wild", "multiplier")
+methods = [BootstrapMethod.parse(token, l=10) for token in tokens]
 
 print(f"{'method':<22} {'se(slope)':>10} {'95% CI (normal)':>24} {'p (b1=0)':>9}")
 for method in methods:

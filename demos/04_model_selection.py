@@ -11,7 +11,7 @@ from lrboot.selection import CandidateSet, cr1, cr2, rank_models
 
 ds = simlab.generate("CaseII", seed=3)
 cands = CandidateSet(
-    simlab.case2_candidates(), ds, BootstrapMethod.lrb("surrogate", 13), B=500
+    simlab.case2_candidates(), ds, BootstrapMethod.parse("lrb-surrogate", l=13), B=500
 )
 
 true_ranks = {

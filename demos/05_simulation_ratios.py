@@ -18,7 +18,7 @@ print(
 )
 
 report = simlab.run_experiment(
-    [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()],
+    [BootstrapMethod.parse(token, l=10) for token in ("lrb-surrogate", "parametric")],
     truth,
     B=200,
     replications=30,
@@ -41,7 +41,7 @@ print("\nwrote sc1_coverage_demo.csv")
 # values push the success probability to 1 everywhere, so sweep downward
 sweep = simlab.sweep_param(
     "SC1_probit", "beta2", (-2.0, -1.0, -0.5),
-    [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()],
+    [BootstrapMethod.parse(token, l=10) for token in ("lrb-surrogate", "parametric")],
     n=500, B=100, replications=10, reps_truth=800, seed=3,
 )
 simlab.sweep_to_csv(sweep, "beta2", "sc1_ratio_sweep_demo.csv")

@@ -14,9 +14,11 @@ the bits it would have drawn alone. The blocks do not depend on how many
 worker processes run them, so outcomes are bit-identical for any thread
 count.
 
-The residual methods (lrb, classical) take their kind's values and inverse
-from `residuals.KINDS`: a method needs a kind with an inverse, and `run`
-checks that the kind applies to the model's family before it fits.
+A method comes from `BootstrapMethod.parse`, which reads the CLI's method
+tokens, or from its constructor. The residual methods (lrb, classical) take
+their kind's values and inverse from `residuals.KINDS`: a method needs a
+kind with an inverse, and `run` checks that the kind applies to the model's
+family, and a local method's size, before it fits.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     UnsupportedKind,
     UsageError,
 )
-from .glm import FitOptions, FitResult, family_for, fit_qmle, refit_blocks
+from .glm import FitResult, family_for, fit_qmle, refit_blocks
 from .neighborhood import _dataset_map
 from .rng import substream
 
@@ -101,40 +103,6 @@ class BootstrapMethod:
             if kind is None:
                 raise UsageError(f"unknown bootstrap method {token!r}")
         return cls(kind, residual, l if kind in cls._LOCAL else None)
-
-    @staticmethod
-    def _size(l) -> int:
-        if l is None:
-            raise InvalidSize("local methods need a neighborhood size l")
-        return int(l)
-
-    @classmethod
-    def lrb(cls, residual_kind: str, l: int) -> "BootstrapMethod":
-        return cls("lrb", residual_kind, cls._size(l))
-
-    @classmethod
-    def local_response(cls, l: int) -> "BootstrapMethod":
-        return cls("local_response", l=cls._size(l))
-
-    @classmethod
-    def classical_residual(cls, residual_kind: str) -> "BootstrapMethod":
-        return cls("classical_residual", residual_kind)
-
-    @classmethod
-    def parametric(cls) -> "BootstrapMethod":
-        return cls("parametric")
-
-    @classmethod
-    def pairwise(cls) -> "BootstrapMethod":
-        return cls("pairwise")
-
-    @classmethod
-    def wild(cls) -> "BootstrapMethod":
-        return cls("wild")
-
-    @classmethod
-    def multiplier(cls) -> "BootstrapMethod":
-        return cls("multiplier")
 
     @property
     def is_local(self) -> bool:
@@ -300,14 +268,14 @@ def _sampler(data, method, fit, seed):
 
         return blocks(draw)
     if kind == "classical_residual":
-        pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
+        pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0))
         return blocks(lambda rngs: (res.recreate(fit, pool[rows(rngs)], method.residual_kind),
                                     None))
     # lrb and local_response pick one neighbor per observation
     pick = _dataset_map(data, method.l).picker()
     if kind == "local_response":
         return blocks(lambda rngs: (y[pick(rngs)], None))
-    pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0)).values
+    pool = res.compute(fit, data, method.residual_kind, rng=substream(seed, 0))
     return blocks(lambda rngs: (res.recreate(fit, pool[pick(rngs)], method.residual_kind), None))
 
 
@@ -321,7 +289,6 @@ def run(
     *,
     n_threads: int = 1,
     fit: FitResult | None = None,
-    options: FitOptions | None = None,
     keep_responses: bool = False,
 ) -> BootstrapOutcome:
     """Run B bootstrap replicates and assemble SE estimates; the outcome's
@@ -334,18 +301,20 @@ def run(
     raises TooManyFailures at the first block, in replicate order, that
     passes the cap, and on one worker draws no later block. Outcomes and
     errors are bit-identical for any n_threads. B < 2 raises
-    TooFewReplicates before any draw or fit.
+    TooFewReplicates, and an alpha outside (0, 1) InvalidSize, before any
+    draw or fit.
     """
     require_replicates(B)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidSize(f"alpha must lie in (0, 1), got {alpha}")
     _validate(data, spec, method)
     if keep_responses and not method.recreates_responses:
         raise UnsupportedKind(f"{method.label} does not recreate responses; none to keep")
     if fit is None:
-        fit = fit_qmle(data, spec, options)
+        fit = fit_qmle(data, spec)
     draw = _sampler(data, method, fit, seed)
-    refits = refit_blocks(fit.design, fit.family, draw, B, beta0=fit.coef, options=options,
-                          n_threads=n_threads, keep_responses=keep_responses,
-                          max_failed=int(_FAILURE_SHARE * B))
+    refits = refit_blocks(fit.design, fit.family, draw, B, beta0=fit.coef, n_threads=n_threads,
+                          keep_responses=keep_responses, max_failed=int(_FAILURE_SHARE * B))
     ok = refits.ok
     n_failed = ok.size - int(ok.sum())
     if n_failed > _FAILURE_SHARE * B:

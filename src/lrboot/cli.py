@@ -2,8 +2,9 @@
 select-model / simulate pipelines with machine-readable, re-runnable outputs.
 
 Method tokens are read by `BootstrapMethod.parse`, the owner of their grammar.
-A bad or empty `--grid` or `--levels` list, or a bad `--alpha`, is a usage
-error before any work, as argparse checks them.
+A bad or empty `--grid` or `--levels` list, a bad `--alpha`, or a
+`--format` the command does not write, is a usage error before any work, as
+argparse checks them.
 
 One converter, `_json_data`, turns every result into the data of the JSON
 artifacts (a dataclass's fields, tuples as lists, numpy values through
@@ -59,9 +60,7 @@ _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
 @dataclass
 class IngestInfo:
-    n_rows_read: int
     n_rows_dropped: int
-    columns: tuple
     categorical_levels: dict
 
 
@@ -142,12 +141,7 @@ def ingest(
             names.append(name)
             meta.append("continuous")
     ds = make_dataset(y, np.column_stack(cols), column_meta=meta, column_names=names)
-    info = IngestInfo(
-        n_rows_read=len(rows),
-        n_rows_dropped=dropped,
-        columns=tuple(names),
-        categorical_levels=levels_map,
-    )
+    info = IngestInfo(n_rows_dropped=dropped, categorical_levels=levels_map)
     return ds, info
 
 
@@ -284,12 +278,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lrboot", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, data=True):
+    def common(p, formats=("json", "csv"), data=True):
+        # --format takes only what the command writes; the first is the default
         p.add_argument("--config", help="key=value config file; flags override")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default=formats[0])
         if data:
             p.add_argument("--input", help="CSV file with a header row")
             p.add_argument("--response", help="response column name")
@@ -308,7 +303,7 @@ def _build_parser() -> _Parser:
             )
 
     p_fit = sub.add_parser("fit", help="QMLE fit")
-    common(p_fit)
+    common(p_fit, ("json",))
 
     p_boot = sub.add_parser("bootstrap", help="bootstrap SE/CI/p-values")
     common(p_boot)
@@ -320,7 +315,7 @@ def _build_parser() -> _Parser:
     p_boot.add_argument("--keep-replicates", action="store_true")
 
     p_sel_l = sub.add_parser("select-l", help="neighborhood-size selection")
-    common(p_sel_l)
+    common(p_sel_l, ("json",))
     p_sel_l.add_argument("--residual", default=None)
     p_sel_l.add_argument("--grid", type=_comma_list(int), default="2,4,6,8,10,12,14,16")
     p_sel_l.add_argument("--K", type=int, default=20)
@@ -344,7 +339,7 @@ def _build_parser() -> _Parser:
     p_sel_m.add_argument("--split-half", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="scenario experiments")
-    common(p_sim, data=False)
+    common(p_sim, ("csv",), data=False)
     p_sim.add_argument("--scenario", required=False)
     p_sim.add_argument("--methods", default="lrb-surrogate,parametric")
     p_sim.add_argument("--residual", default=None)

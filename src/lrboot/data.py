@@ -92,8 +92,6 @@ class Dataset:
     X_raw: np.ndarray
     column_names: tuple[str, ...]
     column_meta: tuple[str, ...]  # continuous | categorical per column
-    col_means: np.ndarray
-    col_sds: np.ndarray
     standardized: bool = True
     neighbor_maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -170,8 +168,6 @@ def make_dataset(
         column_meta = tuple(CONTINUOUS for _ in range(p))
     if column_names is None:
         column_names = tuple(f"x{j + 1}" for j in range(p))
-    means = np.zeros(p)
-    sds = np.ones(p)
     X = X_raw.copy()
     if standardize:
         for j, meta in enumerate(column_meta):
@@ -181,7 +177,6 @@ def make_dataset(
             s = X_raw[:, j].std()
             if s < _STD_TOL:
                 s = 1.0
-            means[j], sds[j] = m, s
             X[:, j] = (X_raw[:, j] - m) / s
     ds = Dataset(
         y=y,
@@ -189,8 +184,6 @@ def make_dataset(
         X_raw=X_raw,
         column_names=tuple(column_names),
         column_meta=tuple(column_meta),
-        col_means=means,
-        col_sds=sds,
         standardized=standardize,
     )
     ds.validate()

@@ -42,8 +42,9 @@ class DegenerateTruncation(LrbootError):
 
 
 class InvalidSize(LrbootError):
-    """A size or count outside its range, such as a neighborhood size outside
-    [1, n] or fewer than 100 pseudo-truth redraws."""
+    """A size, count or level outside its range, such as a neighborhood size
+    outside [1, n], fewer than 100 pseudo-truth redraws or an alpha outside
+    (0, 1)."""
 
 
 class IncompatibleResidual(LrbootError):

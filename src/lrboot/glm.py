@@ -9,8 +9,10 @@ that SBS and surrogate residuals use. `family_for(spec)` and
 Every fit runs one driver, `fit_design_batch`: Newton-type steps for a block
 of response vectors on one `DesignInfo`, with step-halving, convergence
 declared on the max-abs score component, and a failure class recorded per
-row. `fit_qmle`, which fits every model, is a one-row call of it, and
-`FitResult.at` builds the fit at any coefficient vector. The design owns
+row, under one set of settings: the module constants `_TOL`, `_MAX_ITER`,
+`_MAX_HALVINGS` and `_SEPARATION_BOUND`. `fit_qmle`, which fits every
+model, is a one-row call of it, and `FitResult.at` builds the fit at any
+coefficient vector. The design owns
 what fits derive from its matrix (the transpose, the column products of
 X' diag(w) X, the constant-column flags and the rank), built once. A family
 supplies per-row screens and cold starts, log-likelihood terms, and the
@@ -71,7 +73,6 @@ from .errors import (
 )
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "BatchFit",
     "Workspace",
@@ -95,6 +96,13 @@ _LOG_P_MIN = np.log(_P_MIN)
 # memory flat in n, while each block still spreads the driver's
 # per-iteration Python work over many rows (16 at n=2000).
 _REFIT_CELLS = 2**15
+
+# The Newton loop's settings: the score tolerance, the step and halving
+# caps, and the |coef| past which a binomial row fails as separated.
+_TOL = 1e-8
+_MAX_ITER = 100
+_MAX_HALVINGS = 30
+_SEPARATION_BOUND = 1e4
 
 
 def block_rows(n: int) -> int:
@@ -164,14 +172,6 @@ def _xlogy(x, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x * np.log(y)
     return np.where(x == 0.0, 0.0, out)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    tol: float = 1e-8
-    max_iter: int = 100
-    max_halvings: int = 30
-    separation_bound: float = 1e4
 
 
 @dataclass
@@ -616,6 +616,7 @@ class CumulativeProbit(_BaseFamily):
         self.J = J  # categories
         self.n_cut = J - 1
         self.values = np.arange(1.0, J + 1.0)
+        self.support = (f"integer codes in 1..{J}", 1.0, float(J))
 
     def _counts(self, Y, W):
         """Weighted count of each category per row (b x J)."""
@@ -942,7 +943,6 @@ def fit_design_batch(
     design: DesignInfo,
     Y: np.ndarray,
     family,
-    options: FitOptions | None = None,
     weights: np.ndarray | None = None,
     beta0: np.ndarray | _Start | None = None,
 ) -> BatchFit:
@@ -977,7 +977,6 @@ def fit_design_batch(
     columns adds in sequence, and that rounding noise flips plateau
     acceptances.
     """
-    opts = options or FitOptions()
     Y = np.ascontiguousarray(Y, dtype=float)
     n, q = design.matrix.shape
     if Y.ndim != 2 or Y.shape[1] != n:
@@ -1061,12 +1060,12 @@ def fit_design_batch(
     iterations = np.zeros(b, dtype=int)
     grad_norm = np.full(b, np.nan)
     eps4 = 4.0 * np.finfo(float).eps
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         if not act.size:
             break
         g, info = score(act)
         grad_norm[act] = np.max(np.abs(g), axis=1)
-        go = ~(grad_norm[act] <= opts.tol)
+        go = ~(grad_norm[act] <= _TOL)
         act, g = act[go], g[go]
         if not act.size:
             break
@@ -1081,7 +1080,7 @@ def fit_design_batch(
         plateau = eps4 * (1.0 + np.abs(ll0))
         t = np.ones(act.size)
         pend = np.arange(act.size)
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             ts = t[pend, None] * step[pend]
             cand = base[pend] + ts
             # the score's gathered eta and terms are dead in the step search,
@@ -1109,25 +1108,25 @@ def fit_design_batch(
         act = np.delete(act, pend)
         iterations[act] += 1
         if family.check_separation:
-            sep = np.max(np.abs(coef[act]), axis=1) > opts.separation_bound
+            sep = np.max(np.abs(coef[act]), axis=1) > _SEPARATION_BOUND
             for r in act[sep]:
                 errors[r] = SeparationDetected(
-                    f"|beta| exceeded {opts.separation_bound:g}; data may be separated"
+                    f"|beta| exceeded {_SEPARATION_BOUND:g}; data may be separated"
                 )
             act = act[~sep]
     if act.size:
         # the iteration cap was reached: a final score test decides
         g, _ = score(act)
         grad_norm[act] = np.max(np.abs(g), axis=1)
-        for r in act[~(grad_norm[act] <= opts.tol)]:
+        for r in act[~(grad_norm[act] <= _TOL)]:
             errors[r] = not_converged(r)
     out = BatchFit(coef, iterations, grad_norm, errors, ll)
     out.beta[~out.ok] = np.nan
     return out
 
 
-def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_threads=1,
-                 keep_responses=False, max_failed=None) -> BatchFit:
+def refit_blocks(design, family, draw, count, *, beta0=None, n_threads=1, keep_responses=False,
+                 max_failed=None) -> BatchFit:
     """Fit `count` drawn response vectors on one design: one `BatchFit` of
     every row in row order, with the drawn responses when `keep_responses`.
     A count below 1 gives a 0-row fit and draws nothing.
@@ -1152,7 +1151,7 @@ def refit_blocks(design, family, draw, count, *, beta0=None, options=None, n_thr
 
     def block(first):
         Y, W = draw(first, min(first + rows, count))
-        out = fit_design_batch(design, Y, family, options, W, start)
+        out = fit_design_batch(design, Y, family, W, start)
         if keep_responses:
             out.responses = Y
         return out
@@ -1293,7 +1292,6 @@ def _check_rank(family, design: DesignInfo) -> None:
 def fit_qmle(
     data: Dataset,
     spec: ModelSpec,
-    options: FitOptions | None = None,
     design: DesignInfo | None = None,
 ) -> FitResult:
     """QMLE of any supported model: one row of `fit_design_batch` after the
@@ -1306,13 +1304,16 @@ def fit_qmle(
     """
     family = family_for(spec)
     text, least, greatest = family.support or ("", -np.inf, np.inf)
-    bad = np.flatnonzero((data.y < least) | (data.y > greatest))
+    outside = (data.y < least) | (data.y > greatest)
+    if family.values is not None:  # a finite response set admits its values alone
+        outside |= ~np.isin(data.y, family.values)
+    bad = np.flatnonzero(outside)
     if bad.size:
         raise InvalidData(f"{spec.family} responses must be {text}, "
                           f"but row {bad[0]} is {data.y[bad[0]]:g}")
     design = design or build_design(data, spec)
     _check_rank(family, design)
-    out = fit_design_batch(design, data.y[None, :], family, options)
+    out = fit_design_batch(design, data.y[None, :], family)
     if out.errors[0] is not None:
         raise out.errors[0]
     return FitResult.at(

@@ -314,7 +314,7 @@ def select_size(
     target_coef = fit0.first_slope
 
     def se(d: Dataset, fit, l: int, run_seed: int) -> float:
-        method = BootstrapMethod.lrb(residual_kind, l)
+        method = BootstrapMethod("lrb", residual_kind, l)
         out = run(d, spec, method, B=B_inner, seed=run_seed, fit=fit, n_threads=n_threads)
         return float(out.se_hat[target_coef])
 

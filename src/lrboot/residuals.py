@@ -1,11 +1,11 @@
 """Residual kinds and their inversion back into responses.
 
 Each kind is one entry of `KINDS`: the families it applies to, its values
-(fit, y, rng) -> r, and its inverse (fit, r*) -> y*, which recreates
-responses from resampled residuals (deviance residuals have none). An
-inverse takes one vector r* (n,) or a block of them (b x n), a row per
-replicate, and works element by element, so a block gives each row the
-bits that row alone would. An entry asks the family for a capability, not
+(fit, y, rng) -> r, which `compute` returns as one array, and its inverse
+(fit, r*) -> y*, which recreates responses from resampled residuals
+(deviance residuals have none). An inverse takes one vector r* (n,) or a
+block of them (b x n), a row per replicate, and works element by element,
+so a block gives each row the bits that row alone would. An entry asks the family for a capability, not
 for its name: a scalar mean and variance (Pearson, deviance), the
 categorical view `latent` (SBS, surrogate), or the identity link (raw).
 Every family rule comes from `fit.family`. Surrogate residuals draw a
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,10 +25,8 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateTruncation, UnsupportedKind
 from .glm import FitResult
-from .rng import substream
 
 __all__ = [
-    "ResidualSet",
     "KINDS",
     "supports",
     "compute",
@@ -39,12 +36,6 @@ __all__ = [
 ]
 
 _MIN_MASS = 1e-300
-
-
-@dataclass
-class ResidualSet:
-    values: np.ndarray
-    kind: str
 
 
 # -- truncated latent sampling ------------------------------------------------
@@ -90,7 +81,7 @@ def surrogate_values(fit: FitResult, y: np.ndarray, rng: np.random.Generator):
     """Surrogate residuals s - eta: one latent draw s per observation from
     the link's latent distribution, truncated to the observed category."""
     if rng is None:
-        raise UnsupportedKind("surrogate residuals need an RNG or seed")
+        raise UnsupportedKind("surrogate residuals need an RNG")
     lo, hi = latent_intervals(fit, y)
     cdf, ppf = fit.family.latent
     u = rng.random(y.shape[0])
@@ -197,12 +188,10 @@ def _entry(family, kind: str) -> Kind:
     return KINDS[kind]
 
 
-def compute(fit: FitResult, data: Dataset, kind: str, rng=None) -> ResidualSet:
-    """Residuals of `kind` at `fit`; surrogate residuals need `rng`, a
-    Generator or an integer seed."""
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng))
-    return ResidualSet(values=_entry(fit.family, kind).values(fit, data.y, rng), kind=kind)
+def compute(fit: FitResult, data: Dataset, kind: str, rng=None) -> np.ndarray:
+    """Residuals of `kind` at `fit`, one per observation; surrogate
+    residuals need `rng`, a Generator."""
+    return _entry(fit.family, kind).values(fit, data.y, rng)
 
 
 def recreate(fit: FitResult, r_star: np.ndarray, kind: str) -> np.ndarray:
@@ -214,10 +203,10 @@ def recreate(fit: FitResult, r_star: np.ndarray, kind: str) -> np.ndarray:
     return inverse(fit, np.asarray(r_star, dtype=float))
 
 
-def to_csv(res: ResidualSet, path) -> None:
+def to_csv(values: np.ndarray, kind: str, path) -> None:
     """Export (index, residual, kind) rows for external plotting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "residual", "kind"])
-        for i, v in enumerate(res.values, start=1):
-            writer.writerow([i, repr(float(v)), res.kind])
+        for i, v in enumerate(values, start=1):
+            writer.writerow([i, repr(float(v)), kind])

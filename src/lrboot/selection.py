@@ -114,7 +114,6 @@ def in_sample_loss(
     B: int,
     seed: int = 0,
     *,
-    fit: FitResult | None = None,
     n_threads: int = 1,
 ) -> float:
     """Bootstrap estimate of the in-sample average loss.
@@ -123,7 +122,7 @@ def in_sample_loss(
     A local method draws from the data's neighbor map of size l (see `run`).
     """
     _check_scalar_family(spec)
-    fit = fit or fit_qmle(data, spec)
+    fit = fit_qmle(data, spec)
     out = run(data, spec, method, B, seed=seed, fit=fit, n_threads=n_threads)
     return loss_from_replicates(data, fit, out.replicates)
 
@@ -135,7 +134,6 @@ def prediction_error(
     B: int,
     seed: int = 0,
     *,
-    fit: FitResult | None = None,
     n_threads: int = 1,
 ) -> float:
     """Bootstrap estimate of the out-of-sample prediction error.
@@ -150,7 +148,7 @@ def prediction_error(
             f"{method.label} does not recreate responses; "
             "the prediction-error criterion requires y*"
         )
-    fit = fit or fit_qmle(data, spec)
+    fit = fit_qmle(data, spec)
     out = run(
         data, spec, method, B, seed=seed, fit=fit, n_threads=n_threads,
         keep_responses=True,

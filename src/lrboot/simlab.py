@@ -196,12 +196,35 @@ _register(
 )
 
 
+def _correlated_normals(rng, n, cov):
+    """n draws of N(0, cov) (n x p): standard normals z times the lower
+    Cholesky factor L of cov. L and each column, the sum of L[i, j] z_j
+    over j <= i, are formed by scalar and elementwise arithmetic in a fixed
+    order, not by LAPACK or a BLAS product, so their bits do not depend on
+    the BLAS kernel."""
+    p = len(cov)
+    z = rng.standard_normal((n, p))
+    L = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1):
+            s = cov[i][j]
+            for k in range(j):
+                s -= L[i][k] * L[j][k]
+            L[i][j] = np.sqrt(s) if i == j else s / L[j][j]
+    out = np.empty_like(z)
+    for i in range(p):
+        col = L[i][0] * z[:, 0]
+        for j in range(1, i + 1):
+            col += L[i][j] * z[:, j]
+        out[:, i] = col
+    return out
+
+
 def _sc2_make_x(rng, n, params):
     p = 10
     if params["correlated"]:
         cov = 0.5 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-        L = np.linalg.cholesky(cov)
-        return rng.standard_normal((n, p)) @ L.T
+        return _correlated_normals(rng, n, cov)
     return rng.standard_normal((n, p))
 
 
@@ -356,8 +379,7 @@ _register(
 def _sc10_make_x(rng, n, params):
     cov = np.full((3, 3), 0.2)
     np.fill_diagonal(cov, 1.0)
-    L = np.linalg.cholesky(cov)
-    vxx = rng.standard_normal((n, 3)) @ L.T
+    vxx = _correlated_normals(rng, n, cov)
     v, x2, x3 = vxx[:, 0], vxx[:, 1], vxx[:, 2]
     # lognormal moments in closed form
     x1 = (np.exp(v) - np.exp(0.5)) / np.sqrt((np.e - 1.0) * np.e)
@@ -732,10 +754,13 @@ def run_experiment(
     percentile interval, one of its bounds (replications x levels x 2);
     coverage of the pseudo-true target, mean width and the width's SE come
     from those arrays (the SE is nan for one replication). Every draw has
-    the truth's covariates, so a local method builds its map once.
+    the truth's covariates, so a local method builds its map once. A level
+    outside (0, 1) raises InvalidSize before any fit.
     """
     if replications < 1:
         raise InvalidSize(f"run_experiment needs replications >= 1, got {replications}")
+    if not all(0.0 < level < 1.0 for level in levels):
+        raise InvalidSize(f"run_experiment needs levels in (0, 1), got {tuple(levels)}")
     frame = truth.frame
     spec = frame.scn.assumed
     t = truth.first_slope

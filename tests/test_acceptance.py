@@ -33,7 +33,7 @@ def sc1_experiment(sc1_probit_truth):
     """SC1 probit experiment shared by criteria 1 and 2: 100 replications,
     B=200, LRB-surrogate (paper's l=10) vs parametric."""
     return sl.run_experiment(
-        [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()],
+        [BootstrapMethod("lrb", "surrogate", 10), BootstrapMethod("parametric")],
         sc1_probit_truth,
         B=200,
         replications=100,
@@ -61,7 +61,7 @@ def test_criterion_02_sc1_coverage(sc1_experiment):
 
 
 def test_criterion_03_beta2_sweep(sc1_probit_truth, sc1_experiment):
-    methods = [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()]
+    methods = [BootstrapMethod("lrb", "surrogate", 10), BootstrapMethod("parametric")]
     ratios = {}
     # beta2 = -2 is the default generator: reuse the 50-replication slice
     psi = sc1_experiment.psi
@@ -92,7 +92,7 @@ def test_criterion_03_beta2_sweep(sc1_probit_truth, sc1_experiment):
     "are constant and the estimator, pseudo-true SE, and ratios do not exist",
 )
 def test_criterion_03_beta2_sweep_positive_branch(sc1_probit_truth):
-    methods = [BootstrapMethod.lrb("surrogate", 10), BootstrapMethod.parametric()]
+    methods = [BootstrapMethod("lrb", "surrogate", 10), BootstrapMethod("parametric")]
     try:
         swept = sl.sweep_param(
             "SC1_probit", "beta2", (1.0, 2.0), methods,
@@ -108,7 +108,7 @@ def test_criterion_03_beta2_sweep_positive_branch(sc1_probit_truth):
 
 def test_criterion_04_sc11_heteroscedastic(sc11_truth):
     report = sl.run_experiment(
-        [BootstrapMethod.lrb("raw", 13), BootstrapMethod.parametric()],
+        [BootstrapMethod("lrb", "raw", 13), BootstrapMethod("parametric")],
         sc11_truth,
         B=200,
         replications=50,
@@ -135,7 +135,7 @@ def case2_reports():
     for r in range(20):
         ds = sl.generate("CaseII", seed=500 + r)
         cands = sel.CandidateSet(
-            sl.case2_candidates(), ds, BootstrapMethod.lrb("surrogate", 13), B=500
+            sl.case2_candidates(), ds, BootstrapMethod("lrb", "surrogate", 13), B=500
         )
         reports.append(rank_models_cached(cands, r))
     return reports
@@ -223,8 +223,8 @@ def test_criterion_07_reduction_property():
     ]
     oks = []
     for ds, spec, kind in cases:
-        a = run(ds, spec, BootstrapMethod.lrb(kind, ds.n), B=40, seed=21)
-        b = run(ds, spec, BootstrapMethod.classical_residual(kind), B=40, seed=21)
+        a = run(ds, spec, BootstrapMethod("lrb", kind, ds.n), B=40, seed=21)
+        b = run(ds, spec, BootstrapMethod("classical_residual", kind), B=40, seed=21)
         oks.append(np.array_equal(a.replicates, b.replicates))
     ok = all(oks)
     _note(7, "l=n reduces to classical (bit-identical)", ok, f"kinds ok: {oks}")
@@ -404,8 +404,8 @@ def test_criterion_11_titanic_external_data():
     got = np.array([raw[0], raw[1], raw[2], raw[3]])
     coef_ok = np.abs(got - table5).max() < 0.05
     age_ix = 2
-    lrb_out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=500, seed=11)
-    par_out = run(ds, spec, BootstrapMethod.parametric(), B=500, seed=11)
+    lrb_out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 10), B=500, seed=11)
+    par_out = run(ds, spec, BootstrapMethod("parametric"), B=500, seed=11)
     p_lrb = p_value(lrb_out.replicates[:, age_ix], 0.0, "two_sided")
     p_par = p_value(par_out.replicates[:, age_ix], 0.0, "two_sided")
     ok = coef_ok and p_lrb < 0.05 and p_par > 0.10

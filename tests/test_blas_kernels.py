@@ -5,8 +5,10 @@ numpy's bundled OpenBLAS picks its kernel at run time, and
 machine and kernel, not across kernels, so each contract is checked again in
 a process of its own under another kernel: thread invariance of a warm run
 with a one-row last block, which reads the run's start table in every
-block; the start table's first score against the per-row score; and a toy
-`lrboot bootstrap` call rerun.
+block; the start table's first score against the per-row score; a toy
+`lrboot bootstrap` call rerun; and the scenario draws' pinned digests, SC10
+and correlated SC2 among them, which correlate their covariates without a
+BLAS product.
 """
 
 import os
@@ -24,6 +26,7 @@ _CHECKS = [
     "test_kernel.py::test_one_row_last_block_starts_from_the_runs_table",
     "test_kernel.py::test_start_table_first_score_equals_the_per_row_score",
     "test_cli.py::test_byte_identical_reruns_across_threads",
+    "test_simlab.py::test_generate_matches_pinned_digests",
 ]
 
 
@@ -48,4 +51,4 @@ def test_bit_contracts_hold_under_a_second_blas_kernel():
         capture_output=True, text=True, env=env, cwd=TESTS.parent, timeout=600,
     )
     assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-2000:]
-    assert re.search(r"\b19 passed\b", out.stdout), out.stdout[-2000:]
+    assert re.search(r"\b20 passed\b", out.stdout), out.stdout[-2000:]

@@ -19,12 +19,13 @@ from lrboot.bootstrap import (
 )
 from lrboot.errors import (
     IncompatibleResidual,
+    InvalidSize,
     MethodCannotRecreate,
     TooFewReplicates,
     TooManyFailures,
     UnsupportedKind,
 )
-from lrboot import cli, residuals, simlab
+from lrboot import cli, glm, residuals, simlab
 from lrboot.neighborhood import build_neighborhoods, select_size
 from lrboot.rng import substream
 
@@ -81,7 +82,7 @@ def test_run_needs_two_replicates_before_fitting(B, monkeypatch):
 
     monkeypatch.setattr("lrboot.bootstrap.fit_qmle", no_fit)
     with pytest.raises(TooFewReplicates):
-        run(ds, spec, BootstrapMethod.parametric(), B)
+        run(ds, spec, BootstrapMethod("parametric"), B)
 
 
 def test_ci_percentile_type7_interpolation():
@@ -129,15 +130,15 @@ def test_p_value_bounds_and_duality(values, null):
 @pytest.mark.parametrize("kind", RESIDUAL_KINDS_BINARY)
 def test_lrb_full_size_reduces_to_classical(kind):
     ds, spec = _probit_data(n=120, seed=5)
-    a = run(ds, spec, BootstrapMethod.lrb(kind, ds.n), B=40, seed=9)
-    b = run(ds, spec, BootstrapMethod.classical_residual(kind), B=40, seed=9)
+    a = run(ds, spec, BootstrapMethod("lrb", kind, ds.n), B=40, seed=9)
+    b = run(ds, spec, BootstrapMethod("classical_residual", kind), B=40, seed=9)
     assert np.array_equal(a.replicates, b.replicates)
 
 
 def test_lrb_full_size_reduction_gaussian_raw():
     ds, spec = _gaussian_data(n=100, seed=6)
-    a = run(ds, spec, BootstrapMethod.lrb("raw", ds.n), B=30, seed=4)
-    b = run(ds, spec, BootstrapMethod.classical_residual("raw"), B=30, seed=4)
+    a = run(ds, spec, BootstrapMethod("lrb", "raw", ds.n), B=30, seed=4)
+    b = run(ds, spec, BootstrapMethod("classical_residual", "raw"), B=30, seed=4)
     assert np.array_equal(a.replicates, b.replicates)
 
 
@@ -160,7 +161,7 @@ def test_gaussian_raw_lrb_covariance_matches_its_exact_oracle(l):
                          column_meta=("continuous", "categorical"))
     spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0), lb.Term("raw", 1)))
     fit = lb.fit_qmle(ds, spec)
-    out = run(ds, spec, BootstrapMethod.lrb("raw", l), B=B, seed=3, fit=fit)
+    out = run(ds, spec, BootstrapMethod("lrb", "raw", l), B=B, seed=3, fit=fit)
     assert out.n_failed == 0
     r = ds.y - fit.mu_hat
     D = np.array([np.var(r[s]) for s in build_neighborhoods(ds, l).sets])
@@ -179,7 +180,7 @@ def test_thread_count_does_not_change_outcome():
     # 218 rows a block at n=150: B=700 makes four blocks, the last one short
     ds, spec = _probit_data(n=150, seed=7)
     assert lb.glm.block_rows(ds.n) == 218
-    m = BootstrapMethod.lrb("surrogate", 8)
+    m = BootstrapMethod("lrb", "surrogate", 8)
     a = run(ds, spec, m, B=700, seed=13, n_threads=1)
     b = run(ds, spec, m, B=700, seed=13, n_threads=4)
     assert np.array_equal(a.replicates, b.replicates)
@@ -188,7 +189,7 @@ def test_thread_count_does_not_change_outcome():
 
 def test_identical_inputs_identical_outcome():
     ds, spec = _gaussian_data()
-    m = BootstrapMethod.wild()
+    m = BootstrapMethod("wild")
     a = run(ds, spec, m, B=25, seed=3)
     b = run(ds, spec, m, B=25, seed=3)
     assert np.array_equal(a.replicates, b.replicates)
@@ -202,20 +203,20 @@ def test_zero_residuals_give_zero_se():
     y = 1.0 + 2.0 * x  # exactly linear
     ds = lb.make_dataset(y, x[:, None])
     spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
-    out = run(ds, spec, BootstrapMethod.lrb("raw", 10), B=25, seed=1)
+    out = run(ds, spec, BootstrapMethod("lrb", "raw", 10), B=25, seed=1)
     assert np.allclose(out.se_hat, 0.0, atol=1e-10)
     assert np.allclose(out.replicates - out.estimate, 0.0, atol=1e-9)
 
 
 def test_lrb_size_one_reproduces_original_fit():
     ds, spec = _probit_data(n=100, seed=8)
-    out = run(ds, spec, BootstrapMethod.lrb("surrogate", 1), B=10, seed=2)
+    out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 1), B=10, seed=2)
     assert np.allclose(out.replicates, out.estimate[None, :], atol=1e-7)
 
 
 def test_ci_normal_midpoint_and_width_exact():
     ds, spec = _probit_data(n=150, seed=9)
-    out = run(ds, spec, BootstrapMethod.lrb("sbs", 10), B=60, seed=5, alpha=0.10)
+    out = run(ds, spec, BootstrapMethod("lrb", "sbs", 10), B=60, seed=5, alpha=0.10)
     mid = out.ci_normal.mean(axis=1)
     assert np.allclose(mid, out.estimate, atol=1e-14)
     width = out.ci_normal[:, 1] - out.ci_normal[:, 0]
@@ -230,7 +231,7 @@ def _local_response_draw(X, meta, l):
     ds = lb.make_dataset(np.arange(n, dtype=float), X, column_meta=meta)
     spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
     nb = build_neighborhoods(ds, l)
-    draw = _sampler(ds, BootstrapMethod.local_response(l), lb.fit_qmle(ds, spec), 3)
+    draw = _sampler(ds, BootstrapMethod("local_response", l=l), lb.fit_qmle(ds, spec), 3)
     return nb, np.array([len(s) for s in nb.sets]), draw
 
 
@@ -306,13 +307,13 @@ def test_wild_bootstrap_mean_matches_fit():
 def test_local_response_resamples_observed_responses():
     ds, spec = _gaussian_data(n=80, seed=20)
     out = run(
-        ds, spec, BootstrapMethod.local_response(6), B=15, seed=5,
+        ds, spec, BootstrapMethod("local_response", l=6), B=15, seed=5,
         keep_responses=True,
     )
     observed = set(ds.y.tolist())
     assert all(v in observed for v in out.responses.ravel())
     # l=1 degenerates to the original sample exactly
-    out1 = run(ds, spec, BootstrapMethod.local_response(1), B=5, seed=5,
+    out1 = run(ds, spec, BootstrapMethod("local_response", l=1), B=5, seed=5,
                keep_responses=True)
     assert np.array_equal(out1.responses, np.tile(ds.y, (5, 1)))
     assert np.allclose(out1.replicates, out1.estimate[None, :], atol=1e-12)
@@ -324,7 +325,7 @@ def test_multiplier_and_parametric_run_on_poisson():
     y = rng.poisson(np.exp(1.0 + 0.4 * x)).astype(float)
     ds = lb.make_dataset(y, x[:, None])
     spec = lb.ModelSpec("poisson", "log", (lb.Term("raw", 0),))
-    for m in (BootstrapMethod.multiplier(), BootstrapMethod.parametric()):
+    for m in (BootstrapMethod("multiplier"), BootstrapMethod("parametric")):
         out = run(ds, spec, m, B=40, seed=6)
         assert out.replicates.shape == (40, 2)
         assert np.all(out.se_hat > 0)
@@ -342,10 +343,10 @@ def test_ordinal_lrb_and_parametric():
         "ordinal", "probit", (lb.Term("raw", 0),), include_intercept=False, n_categories=3
     )
     for m in (
-        BootstrapMethod.lrb("surrogate", 12),
-        BootstrapMethod.lrb("sbs", 12),
-        BootstrapMethod.parametric(),
-        BootstrapMethod.multiplier(),
+        BootstrapMethod("lrb", "surrogate", 12),
+        BootstrapMethod("lrb", "sbs", 12),
+        BootstrapMethod("parametric"),
+        BootstrapMethod("multiplier"),
     ):
         out = run(ds, spec, m, B=25, seed=8)
         assert out.replicates.shape[1] == 3  # two cutpoints + slope
@@ -355,12 +356,12 @@ def test_ordinal_lrb_and_parametric():
 def test_incompatibilities_rejected():
     ds, spec = _probit_data(n=80, seed=16)
     with pytest.raises(IncompatibleResidual):
-        run(ds, spec, BootstrapMethod.lrb("raw", 5), B=10, seed=1)
+        run(ds, spec, BootstrapMethod("lrb", "raw", 5), B=10, seed=1)
     with pytest.raises(IncompatibleResidual):
-        run(ds, spec, BootstrapMethod.lrb("deviance", 5), B=10, seed=1)
+        run(ds, spec, BootstrapMethod("lrb", "deviance", 5), B=10, seed=1)
     dso, speco = _gaussian_data()
     with pytest.raises(IncompatibleResidual):
-        run(dso, speco, BootstrapMethod.lrb("surrogate", 5), B=10, seed=1)
+        run(dso, speco, BootstrapMethod("lrb", "surrogate", 5), B=10, seed=1)
 
     rng = np.random.default_rng(1)
     n = 150
@@ -372,9 +373,9 @@ def test_incompatibilities_rejected():
         "ordinal", "probit", (lb.Term("raw", 0),), include_intercept=False, n_categories=3
     )
     with pytest.raises(IncompatibleResidual):
-        run(dso2, spec_o, BootstrapMethod.wild(), B=10, seed=1)
+        run(dso2, spec_o, BootstrapMethod("wild"), B=10, seed=1)
     with pytest.raises(IncompatibleResidual):
-        run(dso2, spec_o, BootstrapMethod.lrb("pearson", 5), B=10, seed=1)
+        run(dso2, spec_o, BootstrapMethod("lrb", "pearson", 5), B=10, seed=1)
 
 
 
@@ -401,20 +402,23 @@ def test_run_rejects_unsupported_kind_before_fitting(family, link, token, monkey
     with pytest.raises(IncompatibleResidual):
         run(ds, spec, BootstrapMethod.parse(token, l=5), B=10, seed=1)
 
-def test_too_many_failures_aborts():
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_run_rejects_an_alpha_outside_the_unit_interval_before_fitting(alpha, monkeypatch):
+    # alpha=1.5 gave reversed intervals, alpha=0 normal bounds of -/+inf and
+    # alpha=-0.1 a bare numpy ValueError at the first read of ci_percentile
+    ds, spec = _probit_data(n=80, seed=16)
+    monkeypatch.setattr("lrboot.bootstrap.fit_qmle", lambda *a, **k: pytest.fail("fitted"))
+    with pytest.raises(InvalidSize):
+        run(ds, spec, BootstrapMethod("parametric"), B=10, alpha=alpha)
+
+
+def test_too_many_failures_aborts(monkeypatch):
     ds, spec = _probit_data(n=80, seed=33)
     fit = lb.fit_qmle(ds, spec)
+    # a zero-iteration cap fails every replicate refit
+    monkeypatch.setattr(glm, "_MAX_ITER", 0)
     with pytest.raises(TooManyFailures):
-        # a zero-iteration cap fails every replicate refit
-        run(
-            ds,
-            spec,
-            BootstrapMethod.parametric(),
-            B=20,
-            seed=3,
-            fit=fit,
-            options=lb.FitOptions(max_iter=0),
-        )
+        run(ds, spec, BootstrapMethod("parametric"), B=20, seed=3, fit=fit)
 
 
 @pytest.mark.parametrize("scenario", ["SC10", "SC9", "SC1_ordinal"])
@@ -424,7 +428,7 @@ def test_parametric_draws_match_per_replicate_loop(scenario):
     ds = simlab.generate(scenario, n=300, seed=4)
     spec = simlab.get_scenario(scenario).assumed
     fit = lb.fit_qmle(ds, spec)
-    out = run(ds, spec, BootstrapMethod.parametric(), B=24, seed=6, fit=fit,
+    out = run(ds, spec, BootstrapMethod("parametric"), B=24, seed=6, fit=fit,
               keep_responses=True)
     assert out.n_failed == 0
     n, mu = ds.n, fit.mu_hat
@@ -445,15 +449,15 @@ def test_parametric_draws_match_per_replicate_loop(scenario):
 
 def test_keep_responses_only_for_recreating_methods():
     ds, spec = _gaussian_data(n=60, seed=17)
-    out = run(ds, spec, BootstrapMethod.lrb("raw", 8), B=15, seed=2, keep_responses=True)
+    out = run(ds, spec, BootstrapMethod("lrb", "raw", 8), B=15, seed=2, keep_responses=True)
     assert out.responses.shape == (15, 60)
     with pytest.raises(UnsupportedKind):
-        run(ds, spec, BootstrapMethod.multiplier(), B=15, seed=2, keep_responses=True)
+        run(ds, spec, BootstrapMethod("multiplier"), B=15, seed=2, keep_responses=True)
 
 
 def test_summary_rows_layout():
     ds, spec = _gaussian_data(n=60, seed=18)
-    out = run(ds, spec, BootstrapMethod.lrb("raw", 8), B=20, seed=2)
+    out = run(ds, spec, BootstrapMethod("lrb", "raw", 8), B=20, seed=2)
     rows = out.summary_rows()
     assert [r["coefficient"] for r in rows] == ["intercept", "x1"]
     assert set(rows[0]) == {
@@ -477,8 +481,8 @@ def test_lrb_surrogate_close_to_parametric_under_correct_model():
     ds = lb.make_dataset(y, x[:, None])
     spec = lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),))
     slope = 1
-    a = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=500, seed=29)
-    b = run(ds, spec, BootstrapMethod.parametric(), B=500, seed=31)
+    a = run(ds, spec, BootstrapMethod("lrb", "surrogate", 10), B=500, seed=29)
+    b = run(ds, spec, BootstrapMethod("parametric"), B=500, seed=31)
     ratio = a.se_hat[slope] / b.se_hat[slope]
     assert abs(ratio - 1.0) <= 0.15
 
@@ -558,7 +562,7 @@ def _replicate_draw(ds, method, fit, seed, nb, i):
         picks = np.array([nb.sets[j][k[j]] for j in range(n)])
         if kind == "local_response":
             return y[picks], None
-    pool = residuals.compute(fit, ds, method.residual_kind, rng=substream(seed, 0)).values
+    pool = residuals.compute(fit, ds, method.residual_kind, rng=substream(seed, 0))
     return _inverse_one(fit, pool[picks], method.residual_kind), None
 
 
@@ -579,12 +583,12 @@ def test_block_draw_equals_the_per_replicate_draw(model, layout):
     lengths = np.array([len(s) for s in nb.sets])
     assert (np.unique(lengths).size > 1) == (layout == "unequal")
     rows = lb.glm.block_rows(ds.n)
-    methods = [BootstrapMethod.local_response(7), BootstrapMethod.parametric(),
-               BootstrapMethod.pairwise(), BootstrapMethod.multiplier()]
+    methods = [BootstrapMethod("local_response", l=7), BootstrapMethod("parametric"),
+               BootstrapMethod("pairwise"), BootstrapMethod("multiplier")]
     if model != "ordinal":
-        methods.append(BootstrapMethod.wild())
+        methods.append(BootstrapMethod("wild"))
     for kind in _ORACLE_KINDS[model]:
-        methods += [BootstrapMethod.lrb(kind, 7), BootstrapMethod.classical_residual(kind)]
+        methods += [BootstrapMethod("lrb", kind, 7), BootstrapMethod("classical_residual", kind)]
     for method in methods:
         draw = _sampler(ds, method, fit, 5)
         for first, stop in ((0, rows), (rows, rows + 5)):
@@ -617,7 +621,7 @@ def test_select_size_computes_no_interval(monkeypatch):
 def test_outcome_intervals_read_as_the_formulas():
     ds, spec = _probit_data(n=120, seed=9)
     alpha = 0.1
-    out = run(ds, spec, BootstrapMethod.lrb("surrogate", 8), B=40, alpha=alpha, seed=3)
+    out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 8), B=40, alpha=alpha, seed=3)
     r, est, se = out.replicates, out.estimate, out.se_hat
     z = ndtri(1.0 - alpha / 2.0)
     assert np.array_equal(out.ci_normal, np.column_stack([est - z * se, est + z * se]))

@@ -325,13 +325,13 @@ def test_method_labels_parse_back():
     from lrboot.bootstrap import BootstrapMethod
 
     methods = [
-        BootstrapMethod.lrb("surrogate", 7),
-        BootstrapMethod.local_response(4),
-        BootstrapMethod.classical_residual("sbs"),
-        BootstrapMethod.parametric(),
-        BootstrapMethod.pairwise(),
-        BootstrapMethod.wild(),
-        BootstrapMethod.multiplier(),
+        BootstrapMethod("lrb", "surrogate", 7),
+        BootstrapMethod("local_response", l=4),
+        BootstrapMethod("classical_residual", "sbs"),
+        BootstrapMethod("parametric"),
+        BootstrapMethod("pairwise"),
+        BootstrapMethod("wild"),
+        BootstrapMethod("multiplier"),
     ]
     assert len({m.kind for m in methods}) == 7
     for m in methods:
@@ -339,13 +339,15 @@ def test_method_labels_parse_back():
 
 
 def test_local_methods_reject_a_missing_size():
-    from lrboot.bootstrap import BootstrapMethod
+    from lrboot.bootstrap import BootstrapMethod, run
     from lrboot.errors import InvalidSize
 
+    ds = sl.generate("SC1_probit", n=60, seed=1)
+    spec = sl.get_scenario("SC1_probit").assumed
     with pytest.raises(InvalidSize):
-        BootstrapMethod.lrb("surrogate", None)
+        run(ds, spec, BootstrapMethod("lrb", "surrogate", None), B=10)
     with pytest.raises(InvalidSize):
-        BootstrapMethod.local_response(None)
+        run(ds, spec, BootstrapMethod("local_response", l=None), B=10)
 
 
 def test_select_l_command(tmp_path, binary_csv):
@@ -684,6 +686,13 @@ def test_exit_codes(tmp_path, binary_csv):
     empty_cfg.write_text("grid = ,\n")
     assert cli.main(["select-l", *data, "--residual", "surrogate",
                      "--config", str(empty_cfg)]) == 1
+    # usage error: a --format the command does not write
+    assert cli.main(["fit", *data, "--format", "csv"]) == 1
+    assert cli.main(["select-l", *data, "--residual", "surrogate", "--grid", "2", "--K", "2",
+                     "--B-inner", "2", "--format", "csv"]) == 1
+    assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",
+                     "--truth-reps", "100", "--B", "2", "--reps", "1", "--format", "json",
+                     "--output", str(tmp_path / "sim.csv")]) == 1
     # computational error: fewer than two replicates, before any fit
     assert cli.main(["bootstrap", *data, "--method", "parametric", "--B", "0"]) == 2
     assert cli.main(["simulate", "--scenario", "GaussianCheck", "--n", "60",

@@ -113,17 +113,18 @@ def test_score_zero_at_solution_every_family():
         assert fit.grad_norm <= 1e-8, (family, link)
 
 
-def test_loglik_nondecreasing_with_step_halving():
+def test_loglik_nondecreasing_with_step_halving(monkeypatch):
     rng = np.random.default_rng(23)
     x = rng.uniform(-4, 4, 300)
     y = (rng.random(300) < norm.cdf(1.5 * x)).astype(float)
     ds = lb.make_dataset(y, x[:, None])
     fit = lb.fit_qmle(ds, _spec("binomial", "probit"))
     # the log-likelihood after k accepted steps is that of a fit capped at k
-    path = np.array([
-        fit_design_batch(fit.design, y[None], fit.family, lb.FitOptions(max_iter=k)).loglik[0]
-        for k in range(fit.iterations + 1)
-    ])
+    path = []
+    for k in range(fit.iterations + 1):
+        monkeypatch.setattr(glm, "_MAX_ITER", k)
+        path.append(fit_design_batch(fit.design, y[None], fit.family).loglik[0])
+    path = np.array(path)
     # non-decreasing up to float plateau resolution near the optimum
     assert np.all(np.diff(path) >= -8 * np.finfo(float).eps * (1 + np.abs(path[:-1])))
 
@@ -185,16 +186,14 @@ def test_rank_deficient_raises():
         lb.fit_qmle(ds, _spec("binomial", "probit", 2))
 
 
-def test_separation_detected():
+def test_separation_detected(monkeypatch):
     x = np.linspace(-2, 2, 40)
     y = (x > 0).astype(float)  # perfectly separated
     ds = lb.make_dataset(y, x[:, None])
+    monkeypatch.setattr(glm, "_MAX_ITER", 500)
+    monkeypatch.setattr(glm, "_SEPARATION_BOUND", 50.0)
     with pytest.raises(SeparationDetected):
-        lb.fit_qmle(
-            ds,
-            _spec("binomial", "logit"),
-            lb.FitOptions(max_iter=500, separation_bound=50.0),
-        )
+        lb.fit_qmle(ds, _spec("binomial", "logit"))
 
 
 def test_constant_binary_responses_have_no_mle():
@@ -216,6 +215,8 @@ def test_constant_binary_responses_have_no_mle():
         ("poisson", "log", 3.0, -1.0, ">= 0"),
         ("gamma", "inverse", 2.0, -1.0, "> 0"),
         ("gamma", "inverse", 2.0, 0.0, "> 0"),
+        ("ordinal", "probit", 1.0, 5.0, "integer codes in 1..4"),
+        ("ordinal", "probit", 1.0, 2.5, "integer codes in 1..4"),
     ],
 )
 def test_response_outside_the_family_range_is_invalid_data(family, link, valid, bad, text,
@@ -226,18 +227,21 @@ def test_response_outside_the_family_range_is_invalid_data(family, link, valid, 
     y = np.full(200, valid)
     y[[7, 30]] = bad
     monkeypatch.setattr(glm, "fit_design_batch", lambda *a, **k: pytest.fail("fitted"))
+    ordinal = family == "ordinal"
+    spec = _spec(family, link, intercept=not ordinal, J=4 if ordinal else 0)
     with pytest.raises(InvalidData) as info:
-        lb.fit_qmle(lb.make_dataset(y, x[:, None]), _spec(family, link))
+        lb.fit_qmle(lb.make_dataset(y, x[:, None]), spec)
     assert str(info.value) == f"{family} responses must be {text}, but row 7 is {bad:g}"
 
 
-def test_nonconvergence_when_iteration_cap_hits():
+def test_nonconvergence_when_iteration_cap_hits(monkeypatch):
     rng = np.random.default_rng(41)
     x = rng.uniform(-2, 2, 80)
     y = (rng.random(80) < norm.cdf(x)).astype(float)
     ds = lb.make_dataset(y, x[:, None])
+    monkeypatch.setattr(glm, "_MAX_ITER", 0)
     with pytest.raises(NonConvergence):
-        lb.fit_qmle(ds, _spec("binomial", "probit"), lb.FitOptions(max_iter=0))
+        lb.fit_qmle(ds, _spec("binomial", "probit"))
 
 
 # -- ordinal ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from scipy.stats import norm
 
 import lrboot as lb
 from lrboot import data as lrdata
+from lrboot import glm
 from lrboot import simlab as sl
 from lrboot.bootstrap import BootstrapMethod, run
 from lrboot.errors import (
@@ -76,10 +77,10 @@ def _unit_score_info(family, y, eta):
     return D / V * (y - mu), D * D / V
 
 
-def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
+def _scalar_fit(Xd, y, family, weights=None, beta0=None):
     """Scalar Newton with step-halving, on the information of
-    `_unit_score_info`; returns the coefficients."""
-    opts = options or lb.FitOptions()
+    `_unit_score_info`, under the `glm` settings; returns the
+    coefficients."""
     w = weights
 
     def total_ll(eta):
@@ -95,10 +96,10 @@ def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
     if not family.valid(beta, eta):
         raise NonConvergence("starting point outside the model's domain")
     ll = total_ll(eta)
-    for _ in range(opts.max_iter):
+    for _ in range(glm._MAX_ITER):
         u, h = _unit_score_info(family, y, eta)
         g = Xd.T @ (u if w is None else w * u)
-        if np.max(np.abs(g)) <= opts.tol:
+        if np.max(np.abs(g)) <= glm._TOL:
             break
         wk = h if w is None else w * h
         H = (Xd * wk[:, None]).T @ Xd
@@ -108,7 +109,7 @@ def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
             raise RankDeficient("singular information matrix") from exc
         t = 1.0
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(glm._MAX_HALVINGS + 1):
             cand = beta + t * step
             eta_c = Xd @ cand
             if family.valid(cand, eta_c):
@@ -122,11 +123,11 @@ def _scalar_fit(Xd, y, family, options=None, weights=None, beta0=None):
         if not accepted:
             break
         beta, eta, ll = cand, eta_c, ll_c
-        if family.check_separation and np.max(np.abs(beta)) > opts.separation_bound:
+        if family.check_separation and np.max(np.abs(beta)) > glm._SEPARATION_BOUND:
             raise SeparationDetected("|beta| exceeded the separation bound")
     u, _ = _unit_score_info(family, y, eta)
     g = Xd.T @ (u if w is None else w * u)
-    if np.max(np.abs(g)) > opts.tol:
+    if np.max(np.abs(g)) > glm._TOL:
         raise NonConvergence("score norm above tolerance")
     return beta
 
@@ -167,10 +168,10 @@ def _ordinal_ll_grad(phi, Xd, y_idx, J, w):
     return ll, grad_phi
 
 
-def _fd_ordinal_fit(Xd, y, J, options=None, weights=None, phi0=None):
+def _fd_ordinal_fit(Xd, y, J, weights=None, phi0=None):
     """Newton on a central-difference Hessian of the analytic gradient, with
-    a ridge loop and a gradient-ascent fallback: returns (alpha, beta)."""
-    opts = options or lb.FitOptions()
+    a ridge loop and a gradient-ascent fallback, under the `glm`
+    settings: returns (alpha, beta)."""
     y_idx = y.astype(int) - 1
     counts = np.bincount(y_idx, weights=weights, minlength=J)
     if np.any(counts == 0):
@@ -186,8 +187,8 @@ def _fd_ordinal_fit(Xd, y, J, options=None, weights=None, phi0=None):
         return _ordinal_ll_grad(ph, Xd, y_idx, J, weights)
 
     ll, grad = ll_grad(phi)
-    for _ in range(opts.max_iter):
-        if np.max(np.abs(grad)) <= opts.tol:
+    for _ in range(glm._MAX_ITER):
+        if np.max(np.abs(grad)) <= glm._TOL:
             break
         H = np.empty((m, m))
         for k in range(m):
@@ -211,7 +212,7 @@ def _fd_ordinal_fit(Xd, y, J, options=None, weights=None, phi0=None):
             step = grad
         t = 1.0
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(glm._MAX_HALVINGS + 1):
             cand = phi + t * step
             ll_c, grad_c = ll_grad(cand)
             tiny = np.max(np.abs(t * step)) <= 1e-6 * (1.0 + np.max(np.abs(phi)))
@@ -223,7 +224,7 @@ def _fd_ordinal_fit(Xd, y, J, options=None, weights=None, phi0=None):
         if not accepted:
             break
         phi, ll, grad = cand, ll_c, grad_c
-    if np.max(np.abs(grad)) > opts.tol:
+    if np.max(np.abs(grad)) > glm._TOL:
         raise NonConvergence("ordinal score norm above tolerance")
     return _ordinal_unpack(phi, J)
 
@@ -244,14 +245,14 @@ def _design(rng, n):
     return np.column_stack([np.ones(n), x])
 
 
-def _scalar_rows(Xd, Y, family, options=None, W=None, beta0=None):
+def _scalar_rows(Xd, Y, family, W=None, beta0=None):
     """Per-row scalar oracle: (coefficients or None, error class or None)."""
     starts = None if beta0 is None else np.broadcast_to(beta0, (Y.shape[0], Xd.shape[1]))
     out = []
     for r in range(Y.shape[0]):
         try:
             beta = _scalar_fit(
-                Xd, Y[r], family, options,
+                Xd, Y[r], family,
                 weights=None if W is None else W[r],
                 beta0=None if starts is None else starts[r],
             )
@@ -294,7 +295,7 @@ def test_batch_matches_scalar_per_row(family_name, link, weighted, warm, seed):
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_probit_estimates_match_a_tight_tolerance_fit(weighted):
+def test_probit_estimates_match_a_tight_tolerance_fit(weighted, monkeypatch):
     # Newton steps converge quadratically, so the step that passes the score
     # test mostly lands next to the optimum; the median gap under Fisher
     # scoring was about 1e-10. A last score just under the tolerance still
@@ -306,9 +307,9 @@ def test_probit_estimates_match_a_tight_tolerance_fit(weighted):
         for beta0 in (None, _scalar_fit(Xd, Y[0], probit)):
             design = _design_of(Xd)
             out = fit_design_batch(design, Y, probit, weights=W, beta0=beta0)
-            tight = fit_design_batch(
-                design, Y, probit, lb.FitOptions(tol=1e-13), weights=W, beta0=beta0
-            )
+            with monkeypatch.context() as m:
+                m.setattr(glm, "_TOL", 1e-13)
+                tight = fit_design_batch(design, Y, probit, weights=W, beta0=beta0)
             assert out.ok.all() and tight.ok.all()
             gaps.extend(np.max(np.abs(out.beta - tight.beta), axis=1))
     assert np.max(gaps) <= 1e-9
@@ -356,7 +357,7 @@ def test_probit_score_and_information_are_exact_derivatives():
             assert np.max(np.abs(H - fd_H)) <= 1e-6 * np.max(np.abs(fd_H))
 
 
-def test_batch_failure_class_per_row():
+def test_batch_failure_class_per_row(monkeypatch):
     rng = np.random.default_rng(5)
     n = 60
     x = np.concatenate([np.zeros(20), np.linspace(-2.0, 2.0, 40)])
@@ -369,10 +370,12 @@ def test_batch_failure_class_per_row():
     W = np.ones_like(Y)
     # only the rows with x == 0 carry weight: the information matrix is singular
     W[2, 20:] = 0.0
-    opts = lb.FitOptions(max_iter=500, separation_bound=50.0)
     beta0 = np.array([0.1, 0.1])
-    out = fit_design_batch(_design_of(Xd), Y, probit, opts, weights=W, beta0=beta0)
-    ref = _scalar_rows(Xd, Y, probit, opts, W=W, beta0=beta0)
+    with monkeypatch.context() as m:
+        m.setattr(glm, "_MAX_ITER", 500)
+        m.setattr(glm, "_SEPARATION_BOUND", 50.0)
+        out = fit_design_batch(_design_of(Xd), Y, probit, weights=W, beta0=beta0)
+        ref = _scalar_rows(Xd, Y, probit, W=W, beta0=beta0)
     assert [type(e) if e else None for e in out.errors] == [e for _, e in ref]
     assert [type(e) if e else None for e in out.errors] == [
         None, SeparationDetected, RankDeficient, None,
@@ -381,12 +384,12 @@ def test_batch_failure_class_per_row():
     assert np.max(np.abs(out.beta[0] - ref[0][0])) <= 1e-10
 
     # an iteration cap fails the rows that start away from their optimum
-    capped = lb.FitOptions(max_iter=1)
+    monkeypatch.setattr(glm, "_MAX_ITER", 1)
     starts = np.vstack([ref[0][0], beta0, beta0])
     Yc = np.vstack([good, good, separated])
-    out = fit_design_batch(_design_of(Xd), Yc, probit, capped, beta0=starts)
+    out = fit_design_batch(_design_of(Xd), Yc, probit, beta0=starts)
     errors = [type(e) if e else None for e in out.errors]
-    assert errors == [e for _, e in _scalar_rows(Xd, Yc, probit, capped, beta0=starts)]
+    assert errors == [e for _, e in _scalar_rows(Xd, Yc, probit, beta0=starts)]
     assert errors == [None, NonConvergence, NonConvergence]
     assert out.iterations[0] == 0
 
@@ -404,7 +407,7 @@ def test_row_with_a_nan_response_fails_before_any_step(family_name, link):
     assert [e is None for e in out.errors] == [r != 1 for r in range(len(Y))]
 
 
-def test_iteration_cap_fails_a_row_whose_final_score_is_nan():
+def test_iteration_cap_fails_a_row_whose_final_score_is_nan(monkeypatch):
     # the final score test must read a NaN score norm as above tolerance
     class NaNScore(type(_family("gaussian", "identity"))):
         def score(self, *args):
@@ -412,7 +415,8 @@ def test_iteration_cap_fails_a_row_whose_final_score_is_nan():
             return np.full_like(g, np.nan), info
 
     Xd, Y, _ = _block("gaussian", False, 3)
-    out = fit_design_batch(_design_of(Xd), Y[:2], NaNScore(), lb.FitOptions(max_iter=0))
+    monkeypatch.setattr(glm, "_MAX_ITER", 0)
+    out = fit_design_batch(_design_of(Xd), Y[:2], NaNScore())
     assert all(isinstance(e, NonConvergence) for e in out.errors)
 
 
@@ -605,7 +609,7 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
     real = glm._Start.loglik_terms
 
     def fit(start):
-        return _fit_bytes(glm.fit_design_batch(design, Y, probit, None, W, start))
+        return _fit_bytes(glm.fit_design_batch(design, Y, probit, W, start))
 
     def run_start():
         return glm._Start(probit, design, beta0, len(Y)) if shared else beta0
@@ -620,7 +624,7 @@ def test_shared_start_leaves_every_block_fit_unchanged(monkeypatch, case):
         assert fit(beta0) == got
     assert fit_design_batch(design, Y, probit, weights=W, beta0=beta0).beta.tobytes() == got[0]
     # the screened row and the NaN row fail before any step, the others converge
-    out = glm.fit_design_batch(design, Y, probit, None, W, run_start())
+    out = glm.fit_design_batch(design, Y, probit, W, run_start())
     failed = {"screened-constant-row": (2, SeparationDetected),
               "nan-response-row": (3, NonConvergence)}.get(name)
     ok = np.ones(len(Y), dtype=bool)
@@ -720,7 +724,7 @@ def test_one_row_last_block_starts_from_the_runs_table(monkeypatch):
     assert all(table is start for _, table in reads)
     assert [s.tobytes() for s in starts] == [
         np.tile(start.eta, (b, 1)).tobytes() for b in (rows, rows, rows, 1)]
-    two = fit_block(fit.design, Y[[-1, 0]], fit.family, None, None, start)
+    two = fit_block(fit.design, Y[[-1, 0]], fit.family, None, start)
     assert reads[-1] == (2, start) and starts[-1][0].tobytes() == starts[3][0].tobytes()
     assert out.ok[-1] and two.ok[0]
     assert out.iterations[-1] == two.iterations[0]
@@ -989,7 +993,7 @@ def test_ordinal_block_refit_memory_is_bounded():
     spec = sl.get_scenario("SC1_ordinal").assumed
     tracemalloc.start()
     try:
-        out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=100, seed=1)
+        out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 10), B=100, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1021,7 +1025,7 @@ def _lrb_block(scenario, B):
         ds = sl.generate(scenario, n=2000, seed=4)
     spec = sl.get_scenario(scenario).assumed
     fit = lb.fit_qmle(ds, spec)
-    out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=B, seed=2, fit=fit,
+    out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 10), B=B, seed=2, fit=fit,
               keep_responses=True)
     return fit, out.responses
 
@@ -1111,7 +1115,7 @@ def test_each_design_builds_its_column_products_once(monkeypatch):
     try:
         for threads in (1, 2, 4):
             builds.clear()
-            outs.append(run(ds, spec, BootstrapMethod.parametric(), B=100, seed=4,
+            outs.append(run(ds, spec, BootstrapMethod("parametric"), B=100, seed=4,
                             n_threads=threads))
             assert builds == [(2000, 11)]
     finally:
@@ -1123,7 +1127,7 @@ def test_each_design_builds_its_column_products_once(monkeypatch):
     truth = sl.pseudo_truth("SC2", n=2000, reps=100, seed=6)
     assert builds == [(2000, 11)]
     builds.clear()
-    methods = [BootstrapMethod.parametric(), BootstrapMethod.pairwise()]
+    methods = [BootstrapMethod("parametric"), BootstrapMethod("pairwise")]
     sl.run_experiment(methods, truth, B=20, replications=2, seed=1)
     assert builds == []
 
@@ -1139,13 +1143,13 @@ def _probit_data(n=150, seed=7):
 @pytest.mark.parametrize(
     "method",
     [
-        BootstrapMethod.lrb("surrogate", 8),
-        BootstrapMethod.local_response(8),
-        BootstrapMethod.classical_residual("pearson"),
-        BootstrapMethod.parametric(),
-        BootstrapMethod.pairwise(),
-        BootstrapMethod.wild(),
-        BootstrapMethod.multiplier(),
+        BootstrapMethod("lrb", "surrogate", 8),
+        BootstrapMethod("local_response", l=8),
+        BootstrapMethod("classical_residual", "pearson"),
+        BootstrapMethod("parametric"),
+        BootstrapMethod("pairwise"),
+        BootstrapMethod("wild"),
+        BootstrapMethod("multiplier"),
     ],
     ids=lambda m: m.label,
 )
@@ -1170,7 +1174,7 @@ def test_ordinal_blocks_are_thread_invariant():
     spec = lb.ModelSpec(
         "ordinal", "probit", (lb.Term("raw", 0),), include_intercept=False, n_categories=3
     )
-    m = BootstrapMethod.pairwise()
+    m = BootstrapMethod("pairwise")
     # 273 rows a block at n=120: B=900 makes four blocks, the last one short
     assert block_rows(n) == 273
     a = run(ds, spec, m, B=900, seed=3, n_threads=1)
@@ -1184,7 +1188,7 @@ def test_warm_probit_refits_converge_in_a_few_newton_steps():
     ds = sl.generate("SC1_probit", n=2000, seed=4)
     spec = sl.get_scenario("SC1_probit").assumed
     fit = lb.fit_qmle(ds, spec)
-    out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=64, seed=2,
+    out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 10), B=64, seed=2,
               fit=fit, keep_responses=True)
     assert out.n_failed == 0
     refit = fit_design_batch(fit.design, out.responses, fit.family, beta0=fit.coef)
@@ -1201,7 +1205,7 @@ def test_warm_ordinal_refits_converge_in_a_few_newton_steps():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = lb.fit_qmle(ds, spec)
-        out = run(ds, spec, BootstrapMethod.lrb("surrogate", 10), B=100, seed=1,
+        out = run(ds, spec, BootstrapMethod("lrb", "surrogate", 10), B=100, seed=1,
                   fit=fit, keep_responses=True)
         refit = fit_design_batch(fit.design, out.responses, fit.family, beta0=fit.coef)
     assert fit.iterations <= 4

@@ -390,7 +390,7 @@ def test_select_size_uses_the_neighborhoods_run_builds():
         fit_k = lb.fit_qmle(sub, spec)
         for q, l_q in enumerate(grid):
             out = run(
-                sub, spec, BootstrapMethod.lrb("raw", l_q), B=B_inner,
+                sub, spec, BootstrapMethod("lrb", "raw", l_q), B=B_inner,
                 seed=derive_seed(seed, k, q), fit=fit_k,
             )
             assert trace.subsample_se[k, q] == out.se_hat[trace.target_coef]
@@ -473,7 +473,7 @@ def test_run_experiment_builds_one_map_per_size(builds):
     from lrboot import simlab as sl
 
     truth = sl.pseudo_truth("GaussianCheck", n=60, reps=100, seed=3)
-    methods = [BootstrapMethod.lrb("raw", 5), BootstrapMethod.local_response(5)]
+    methods = [BootstrapMethod("lrb", "raw", 5), BootstrapMethod("local_response", l=5)]
     sl.run_experiment(methods, truth, B=10, replications=2, seed=1)
     assert [(n, ls) for n, ls, _ in builds] == [(60, [5])]
 
@@ -492,6 +492,6 @@ def test_rank_models_builds_one_map(builds):
             ("x,x^2,x^3", (lb.Term("raw", 0), lb.Term("power", 0, 2), lb.Term("power", 0, 3))),
         )
     )
-    cands = sel.CandidateSet(models, ds, BootstrapMethod.lrb("raw", 6), B=20)
+    cands = sel.CandidateSet(models, ds, BootstrapMethod("lrb", "raw", 6), B=20)
     sel.rank_models(cands, "Gamma", seed=2)
     assert [(n, ls) for n, ls, _ in builds] == [(80, [6])]

@@ -60,24 +60,24 @@ def test_pearson_pointwise():
         mu=np.array([0.5, 0.5, 0.5]),
         var=np.array([0.25, 0.25, 0.25]),
     )
-    r = res.compute(fit, _ds([0.5, 1.0, 0.0]), "pearson").values
+    r = res.compute(fit, _ds([0.5, 1.0, 0.0]), "pearson")
     assert np.allclose(r, [0.0, 1.0, -1.0])
 
     fit_p = _manual_fit(
         "poisson", "log", np.zeros(2), mu=np.array([4.0, 4.0]), var=np.array([4.0, 4.0])
     )
-    assert np.allclose(res.compute(fit_p, _ds([6.0, 4.0]), "pearson").values, [1.0, 0.0])
+    assert np.allclose(res.compute(fit_p, _ds([6.0, 4.0]), "pearson"), [1.0, 0.0])
 
 
 def test_deviance_pointwise():
     fit_p = _manual_fit("poisson", "log", np.zeros(2), mu=np.array([2.0, 3.0]))
-    r = res.compute(fit_p, _ds([0.0, 3.0]), "deviance").values
+    r = res.compute(fit_p, _ds([0.0, 3.0]), "deviance")
     assert np.isclose(r[0], -2.0)  # y=0, mu=2 with the 0*log0 = 0 convention
     assert r[1] == 0.0
 
     fit_g = _manual_fit("gaussian", "identity", np.array([1.0, 2.0]))
-    dev = res.compute(fit_g, _ds([1.5, 1.0]), "deviance").values
-    rawr = res.compute(fit_g, _ds([1.5, 1.0]), "raw").values
+    dev = res.compute(fit_g, _ds([1.5, 1.0]), "deviance")
+    rawr = res.compute(fit_g, _ds([1.5, 1.0]), "raw")
     assert np.allclose(dev, rawr)
 
 
@@ -85,14 +85,14 @@ def test_sbs_binary_and_ordinal():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(2), mu=np.array([0.3, 0.3]), var=np.array([0.21, 0.21])
     )
-    r = res.compute(fit, _ds([1.0, 0.0]), "sbs").values
+    r = res.compute(fit, _ds([1.0, 0.0]), "sbs")
     assert np.allclose(r, [0.7, -0.3])
 
     probs = np.array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
     fit_o = _manual_fit(
         "ordinal", "probit", np.zeros(2), mu=probs, alpha=np.array([-0.5, 0.5]), J=3
     )
-    r_o = res.compute(fit_o, _ds([2.0, 1.0]), "sbs").values
+    r_o = res.compute(fit_o, _ds([2.0, 1.0]), "sbs")
     assert np.isclose(r_o[0], -0.1)
 
 
@@ -101,7 +101,7 @@ def test_sbs_strictly_increasing_in_category():
     fit = _manual_fit(
         "ordinal", "probit", np.zeros(2), mu=probs, alpha=np.array([-1.0, 0.0, 1.0]), J=4
     )
-    vals = [res.compute(fit, _ds([float(j), 1.0]), "sbs").values[0] for j in (1, 2, 3, 4)]
+    vals = [res.compute(fit, _ds([float(j), 1.0]), "sbs")[0] for j in (1, 2, 3, 4)]
     assert np.all(np.diff(vals) > 0)
     assert all(-1 < v < 1 for v in vals)
 
@@ -111,7 +111,7 @@ def test_surrogate_half_normal_mean():
     fit = _manual_fit(
         "binomial", "probit", np.zeros(n), mu=np.full(n, 0.5), var=np.full(n, 0.25)
     )
-    r = res.compute(fit, _ds(np.ones(n)), "surrogate", rng=substream(123)).values
+    r = res.compute(fit, _ds(np.ones(n)), "surrogate", rng=substream(123))
     assert np.all(r > 0)
     assert abs(r.mean() - np.sqrt(2 / np.pi)) < 0.01
 
@@ -125,7 +125,7 @@ def test_surrogate_respects_truncation_bounds_ordinal():
     y = 1.0 + (z[:, None] > alpha[None, :]).sum(axis=1)
     probs = np.ones((n, 4)) / 4
     fit = _manual_fit("ordinal", "probit", eta, mu=probs, alpha=alpha, J=4)
-    rs = res.compute(fit, _ds(y), "surrogate", rng=substream(9)).values
+    rs = res.compute(fit, _ds(y), "surrogate", rng=substream(9))
     lo, hi = res.latent_intervals(fit, y)
     assert np.all(rs > lo) and np.all(rs <= hi)
 
@@ -138,7 +138,7 @@ def test_surrogate_standard_normal_under_correct_model():
     ds = lb.make_dataset(y, x[:, None])
     spec = lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),))
     fit = lb.fit_qmle(ds, spec)
-    r = res.compute(fit, ds, "surrogate", rng=substream(11)).values
+    r = res.compute(fit, ds, "surrogate", rng=substream(11))
     stat = kstest(r, "norm").statistic
     assert stat < 1.6276 / np.sqrt(n)  # 1% KS critical value
 
@@ -153,7 +153,7 @@ def test_surrogate_distribution_converges_with_n():
             y = (rng.random(n) < norm.cdf(0.4 + 0.8 * x)).astype(float)
             ds = lb.make_dataset(y, x[:, None])
             fit = lb.fit_qmle(ds, lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),)))
-            r = res.compute(fit, ds, "surrogate", rng=substream(500 + rep)).values
+            r = res.compute(fit, ds, "surrogate", rng=substream(500 + rep))
             stats.append(kstest(r, "norm").statistic)
         med.append(np.median(stats))
     assert med[0] > med[1] > med[2]
@@ -164,7 +164,7 @@ def test_logit_surrogate_uses_logistic_latent():
     fit = _manual_fit(
         "binomial", "logit", np.zeros(n), mu=np.full(n, 0.5), var=np.full(n, 0.25)
     )
-    r = res.compute(fit, _ds(np.ones(n)), "surrogate", rng=substream(21)).values
+    r = res.compute(fit, _ds(np.ones(n)), "surrogate", rng=substream(21))
     # half-logistic mean is 2 log 2
     assert abs(r.mean() - 2 * np.log(2.0)) < 0.02
 
@@ -210,11 +210,11 @@ def test_supported_kind_matrix():
             assert res.supports(fit.family, kind) is supported, cell
             if not supported:
                 with pytest.raises(UnsupportedKind):
-                    res.compute(fit, ds, kind, rng=1)
+                    res.compute(fit, ds, kind, rng=substream(1))
                 with pytest.raises(UnsupportedKind):
                     res.recreate(fit, np.zeros(ds.n), kind)
                 continue
-            r = res.compute(fit, ds, kind, rng=1).values
+            r = res.compute(fit, ds, kind, rng=substream(1))
             assert r.shape == (ds.n,) and np.all(np.isfinite(r)), cell
             if res.KINDS[kind].inverse is None:
                 with pytest.raises(UnsupportedKind):
@@ -255,10 +255,10 @@ def test_recreate_raw_round_trip_exact():
     y = 1 + 2 * x + rng.standard_normal(100)
     ds = lb.make_dataset(y, x[:, None])
     fit = lb.fit_qmle(ds, lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),)))
-    r = res.compute(fit, ds, "raw").values
+    r = res.compute(fit, ds, "raw")
     assert np.allclose(res.recreate(fit, r, "raw"), y, atol=1e-12)
     # pearson coincides for the gaussian family
-    rp = res.compute(fit, ds, "pearson").values
+    rp = res.compute(fit, ds, "pearson")
     assert np.allclose(res.recreate(fit, rp, "pearson"), y, atol=1e-12)
 
 
@@ -268,7 +268,7 @@ def test_recreate_pearson_round_trip_where_no_clamp():
     y = rng.poisson(np.exp(0.5 + 0.4 * x)).astype(float)
     ds = lb.make_dataset(y, x[:, None])
     fit = lb.fit_qmle(ds, lb.ModelSpec("poisson", "log", (lb.Term("raw", 0),)))
-    r = res.compute(fit, ds, "pearson").values
+    r = res.compute(fit, ds, "pearson")
     back = res.recreate(fit, r, "pearson")
     no_clamp = back > 0
     assert np.allclose(back[no_clamp], y[no_clamp], atol=1e-10)
@@ -302,7 +302,7 @@ def test_recreate_inverts_categorical_residuals(kind, link_J, scale, seed):
     rng = np.random.default_rng(seed)
     fit, y = _random_categorical_fit(rng, link, J, 200, scale)
     ds = _ds(y)
-    r = res.compute(fit, ds, kind, rng=substream(seed)).values
+    r = res.compute(fit, ds, kind, rng=substream(seed))
     back = res.recreate(fit, r, kind)
     keep = np.ones(y.shape[0], dtype=bool)
     if kind == "sbs" and J:
@@ -334,7 +334,7 @@ def test_recreate_inverts_pearson_where_no_clamp(family, seed):
     link = {"binomial": "probit", "poisson": "log", "gamma": "inverse"}.get(family, "identity")
     fit = _manual_fit(family, link, np.zeros(n), mu=mu, var=var)
     ds = _ds(y)
-    back = res.recreate(fit, res.compute(fit, ds, "pearson").values, "pearson")
+    back = res.recreate(fit, res.compute(fit, ds, "pearson"), "pearson")
     # mu + sqrt(V) (y - mu) / sqrt(V) rounds twice; no clamp moves a value here
     assert np.allclose(back, y, rtol=1e-13, atol=1e-13)
 
@@ -370,7 +370,7 @@ def test_residual_csv_export(tmp_path):
     fit = _manual_fit("gaussian", "identity", np.array([1.0, 2.0]))
     r = res.compute(fit, _ds([1.5, 1.0]), "raw")
     path = tmp_path / "resid.csv"
-    res.to_csv(r, path)
+    res.to_csv(r, "raw", path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,residual,kind"
     assert lines[1].startswith("1,0.5,raw")

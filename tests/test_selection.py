@@ -31,7 +31,7 @@ def _saturated_gaussian(n=40):
 
 def test_saturated_gaussian_zero_loss_and_error():
     ds, spec = _saturated_gaussian()
-    m = BootstrapMethod.lrb("raw", 5)
+    m = BootstrapMethod("lrb", "raw", 5)
     assert sel.in_sample_loss(ds, spec, m, B=20, seed=1) < 1e-20
     assert abs(sel.prediction_error(ds, spec, m, B=20, seed=1)) < 1e-20
 
@@ -54,7 +54,7 @@ def test_loss_monte_carlo_stability_across_seeds():
     y = 1 + x + rng.standard_normal(100)
     ds = lb.make_dataset(y, x[:, None])
     spec = lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),))
-    m = BootstrapMethod.lrb("raw", 10)
+    m = BootstrapMethod("lrb", "raw", 10)
     a = sel.in_sample_loss(ds, spec, m, B=2000, seed=1)
     b = sel.in_sample_loss(ds, spec, m, B=2000, seed=2)
     assert abs(a - b) / a < 0.02
@@ -77,7 +77,7 @@ def _three_terms(ds, spec, method, B, seed):
 def test_term2_dominates_term1_on_sc1():
     ds = sl.generate("SC1_probit", n=2000, seed=4)
     spec = lb.ModelSpec("binomial", "probit", (lb.Term("raw", 0),))
-    t1, t2, _ = _three_terms(ds, spec, BootstrapMethod.lrb("surrogate", 10), 2000, 9)
+    t1, t2, _ = _three_terms(ds, spec, BootstrapMethod("lrb", "surrogate", 10), 2000, 9)
     assert float((t2 - t1).mean()) > 0
 
 
@@ -86,18 +86,18 @@ def test_optimism_correction_positive_for_least_squares_refits():
     # optimism term2 - term3 is positive on average there
     ds = sl.generate("SC11", n=2000, seed=4)
     spec = sl.get_scenario("SC11").assumed
-    t1, t2, t3 = _three_terms(ds, spec, BootstrapMethod.lrb("raw", 13), 2000, 9)
+    t1, t2, t3 = _three_terms(ds, spec, BootstrapMethod("lrb", "raw", 13), 2000, 9)
     assert float((t2 - t3).mean()) > 0
     assert float((t2 - t1).mean()) > 0
 
 
 def test_prediction_error_rejects_non_recreating_methods():
     ds, spec = _saturated_gaussian()
-    for m in (BootstrapMethod.pairwise(), BootstrapMethod.wild(), BootstrapMethod.multiplier()):
+    for m in (BootstrapMethod("pairwise"), BootstrapMethod("wild"), BootstrapMethod("multiplier")):
         with pytest.raises(MethodCannotRecreate):
             sel.prediction_error(ds, spec, m, B=10, seed=1)
     # but the in-sample loss accepts them
-    val = sel.in_sample_loss(ds, spec, BootstrapMethod.multiplier(), B=10, seed=1)
+    val = sel.in_sample_loss(ds, spec, BootstrapMethod("multiplier"), B=10, seed=1)
     assert np.isfinite(val)
 
 
@@ -111,7 +111,7 @@ def test_ordinal_models_excluded():
         "ordinal", "probit", (lb.Term("raw", 0),), include_intercept=False, n_categories=3
     )
     with pytest.raises(UnsupportedKind):
-        sel.in_sample_loss(ds, spec, BootstrapMethod.lrb("surrogate", 5), B=10)
+        sel.in_sample_loss(ds, spec, BootstrapMethod("lrb", "surrogate", 5), B=10)
 
 
 def test_tie_break_by_label_order():
@@ -132,10 +132,10 @@ def test_rank_models_order_invariance_noisy_data():
         label="quadratic",
     )
     r1 = sel.rank_models(
-        sel.CandidateSet((a, b), ds, BootstrapMethod.lrb("raw", 8), B=80), "L", seed=3
+        sel.CandidateSet((a, b), ds, BootstrapMethod("lrb", "raw", 8), B=80), "L", seed=3
     )
     r2 = sel.rank_models(
-        sel.CandidateSet((b, a), ds, BootstrapMethod.lrb("raw", 8), B=80), "L", seed=3
+        sel.CandidateSet((b, a), ds, BootstrapMethod("lrb", "raw", 8), B=80), "L", seed=3
     )
     v1 = dict(zip(r1.labels, r1.values))
     v2 = dict(zip(r2.labels, r2.values))
@@ -189,7 +189,7 @@ def test_cr2_invariant_to_common_relabeling(t, e):
 def test_case2_in_sample_rank_recovers_truth():
     ds = sl.generate("CaseII", seed=3)
     cands = sel.CandidateSet(
-        sl.case2_candidates(), ds, BootstrapMethod.lrb("surrogate", 13), B=500
+        sl.case2_candidates(), ds, BootstrapMethod("lrb", "surrogate", 13), B=500
     )
     rep = sel.rank_models(cands, "L", seed=11)
     true_ranks = {
@@ -217,7 +217,7 @@ def test_case1_prediction_error_mean_ranks():
     for r in range(20):
         ds = sl.generate("CaseI", seed=100 + r)
         cands = sel.CandidateSet(
-            sl.case1_candidates(), ds, BootstrapMethod.lrb("surrogate", 6), B=500
+            sl.case1_candidates(), ds, BootstrapMethod("lrb", "surrogate", 6), B=500
         )
         rep = sel.rank_models(cands, "Gamma", seed=derive_seed(50, r))
         d = dict(zip(rep.labels, rep.ranks))
@@ -235,7 +235,7 @@ def test_selection_report_serialization():
     cands = sel.CandidateSet(
         (lb.ModelSpec("gaussian", "identity", (lb.Term("raw", 0),), label="linear"), spec2),
         ds,
-        BootstrapMethod.lrb("raw", 5),
+        BootstrapMethod("lrb", "raw", 5),
         B=30,
     )
     rep = sel.rank_models(cands, "L", seed=2)

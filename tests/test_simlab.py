@@ -85,7 +85,7 @@ def test_generate_follows_the_stream_layout(scenario_id, params):
             X_full, y = _oracle(scenario_id, 60, 1, params, ADHOC, y_index)
             ds = sl.generate(scenario_id, n=60, seed=1, params=params, y_index=y_index)
         want = _oracle_dataset(scenario_id, X_full, y)
-        for name in ("y", "X", "X_raw", "col_means", "col_sds"):
+        for name in ("y", "X", "X_raw"):
             assert np.array_equal(getattr(ds, name), getattr(want, name)), name
         assert ds.column_names == want.column_names
         assert ds.column_meta == want.column_meta
@@ -99,7 +99,7 @@ _GOLDEN = {
     "CaseII": ("af7ef46a1833b09c", "9170a2abc47dd31f"),
     "Example1": ("d53b84b729bbdb6a", "25dcbcc87f4e3366"),
     "GaussianCheck": ("79c8bae9a1e57917", "5421c0bded70f12d"),
-    "SC10": ("6c71816ff1d1c877", "3b386cd5ab1bced8"),
+    "SC10": ("3ad79336e5d232ec", "d8198038196e0a38"),
     "SC11": ("1d005b9fc0b34413", "c58ec045e88cc4bc"),
     "SC12": ("927b5615e34d7643", "3e3ba4e1a7d146bc"),
     "SC1_logit": ("17bec3f5ce2d29dc", "4fb1dd854e296de1"),
@@ -116,16 +116,20 @@ _GOLDEN = {
     "SC8": ("805a663365d7e934", "39dc18177f8d173d"),
     "SC9": ("160bf36a78be487a", "519f33e90ea45cb9"),
 }
+# the same for correlated SC2, whose covariates are correlated as SC10's are
+_GOLDEN_SC2_CORRELATED = ("06ca5c270078d704", "6ec4056500a89fe9")
 
 
 def test_generate_matches_pinned_digests():
     assert set(_GOLDEN) == set(ALL_IDS)
-    for scenario_id, want in _GOLDEN.items():
+    cases = [(scenario_id, None, want) for scenario_id, want in _GOLDEN.items()]
+    cases.append(("SC2", {"correlated": True}, _GOLDEN_SC2_CORRELATED))
+    for scenario_id, params, want in cases:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            ds = sl.generate(scenario_id, n=50, seed=0, y_index=0)
+            ds = sl.generate(scenario_id, n=50, seed=0, params=params, y_index=0)
         got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (ds.y, ds.X))
-        assert got == want, scenario_id
+        assert got == want, (scenario_id, params)
 
 
 @pytest.mark.parametrize("scenario_id", ALL_IDS)
@@ -281,7 +285,7 @@ def test_pseudo_truth_warm_start_moves_the_truth_within_the_score_tolerance(
     fit = lb.fit_qmle(ds, frame.scn.assumed, design=frame.design)
     assert fit.coef.tobytes() == pilots[0].tobytes()
     lam = np.linalg.eigvalsh(_information(fit, ds.y))[0]
-    bound = 2 * np.sqrt(fit.coef.size) * glm.FitOptions().tol / lam
+    bound = 2 * np.sqrt(fit.coef.size) * glm._TOL / lam
     assert warm.n_failed == cold.n_failed == 0
     assert np.max(np.abs(warm.beta_dagger - cold.beta_dagger)) <= bound
     assert np.max(np.abs(warm.psi - cold.psi)) <= bound
@@ -333,7 +337,17 @@ def test_pseudo_truth_checks_reps_before_drawing(monkeypatch):
 def test_run_experiment_needs_a_replication():
     truth = sl.pseudo_truth("GaussianCheck", n=60, reps=100, seed=3)
     with pytest.raises(InvalidSize):
-        sl.run_experiment([BootstrapMethod.parametric()], truth, B=10, replications=0)
+        sl.run_experiment([BootstrapMethod("parametric")], truth, B=10, replications=0)
+
+
+@pytest.mark.parametrize("levels", [(1.0,), (0.0,), (0.95, 1.5), (-0.1,)])
+def test_run_experiment_rejects_a_level_outside_the_unit_interval(levels, monkeypatch):
+    # level 1.0 once reported coverage 1.0 with infinite widths
+    truth = sl.pseudo_truth("GaussianCheck", n=60, reps=100, seed=3)
+    monkeypatch.setattr(sl, "fit_qmle", lambda *a, **k: pytest.fail("fitted"))
+    with pytest.raises(InvalidSize):
+        sl.run_experiment([BootstrapMethod("parametric")], truth, B=10, replications=1,
+                          levels=levels)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -355,7 +369,7 @@ def test_run_experiment_degenerate_method():
     # equals the original fit: zero width, coverage exactly 0 or 1
     truth = sl.pseudo_truth("SC1_probit", n=300, reps=150, seed=3)
     report = sl.run_experiment(
-        [BootstrapMethod.lrb("surrogate", 1)],
+        [BootstrapMethod("lrb", "surrogate", 1)],
         truth,
         B=10,
         replications=4,
@@ -373,7 +387,7 @@ def test_experiment_tallies_equal_a_loop_over_run(replications):
     # nine replications reach numpy's pairwise summation, whose order a
     # reduction over the replication axis of a 2-D array would not keep
     truth = sl.pseudo_truth("SC1_probit", n=150, reps=150, seed=5)
-    methods = [BootstrapMethod.lrb("surrogate", 6), BootstrapMethod.parametric()]
+    methods = [BootstrapMethod("lrb", "surrogate", 6), BootstrapMethod("parametric")]
     levels = (0.95, 0.8)
     report = sl.run_experiment(
         methods, truth, B=30, replications=replications, levels=levels, seed=11
@@ -409,7 +423,7 @@ def test_experiment_tallies_equal_a_loop_over_run(replications):
 def test_experiment_report_csv_layout(tmp_path):
     truth = sl.pseudo_truth("GaussianCheck", n=200, reps=150, seed=3)
     report = sl.run_experiment(
-        [BootstrapMethod.lrb("raw", 6), BootstrapMethod.parametric()],
+        [BootstrapMethod("lrb", "raw", 6), BootstrapMethod("parametric")],
         truth,
         B=30,
         replications=5,

@@ -77,7 +77,7 @@ def test_worker_count_is_capped_by_blocks_and_cores(monkeypatch):
 
 def test_no_fork_runs_the_blocks_serially(monkeypatch):
     ds, spec = _probit_data()
-    m = BootstrapMethod.lrb("surrogate", 8)
+    m = BootstrapMethod("lrb", "surrogate", 8)
     a = run(ds, spec, m, B=300, seed=17, n_threads=1)
     monkeypatch.delattr(os, "fork")
     b = run(ds, spec, m, B=300, seed=17, n_threads=2)
@@ -86,9 +86,9 @@ def test_no_fork_runs_the_blocks_serially(monkeypatch):
 
 def test_runs_of_fewer_than_four_blocks_do_not_fork(two_cores, forks):
     ds, spec = _probit_data()
-    run(ds, spec, BootstrapMethod.parametric(), B=243, seed=1, n_threads=2)
+    run(ds, spec, BootstrapMethod("parametric"), B=243, seed=1, n_threads=2)
     assert forks == []
-    run(ds, spec, BootstrapMethod.parametric(), B=244, seed=1, n_threads=2)
+    run(ds, spec, BootstrapMethod("parametric"), B=244, seed=1, n_threads=2)
     assert len(forks) == 1
 
 
@@ -120,13 +120,13 @@ def binary_csv_400(tmp_path):
 @pytest.mark.parametrize(
     "method",
     [
-        BootstrapMethod.lrb("surrogate", 8),
-        BootstrapMethod.local_response(8),
-        BootstrapMethod.classical_residual("pearson"),
-        BootstrapMethod.parametric(),
-        BootstrapMethod.pairwise(),
-        BootstrapMethod.wild(),
-        BootstrapMethod.multiplier(),
+        BootstrapMethod("lrb", "surrogate", 8),
+        BootstrapMethod("local_response", l=8),
+        BootstrapMethod("classical_residual", "pearson"),
+        BootstrapMethod("parametric"),
+        BootstrapMethod("pairwise"),
+        BootstrapMethod("wild"),
+        BootstrapMethod("multiplier"),
     ],
     ids=lambda m: m.label,
 )
@@ -145,15 +145,15 @@ def test_forked_blocks_equal_serial_ones_for_every_method(method, two_cores, for
 def test_kept_responses_come_back_from_the_children(two_cores, forks):
     ds, spec = _gaussian_data()
     fit = lb.fit_qmle(ds, spec)
-    m = BootstrapMethod.lrb("raw", 10)
+    m = BootstrapMethod("lrb", "raw", 10)
     a = run(ds, spec, m, B=330, seed=4, fit=fit, keep_responses=True, n_threads=1)
     b = run(ds, spec, m, B=330, seed=4, fit=fit, keep_responses=True, n_threads=2)
     assert len(forks) == 1
     assert a.responses.shape == (330, ds.n)
     assert np.array_equal(a.replicates, b.replicates)
     assert np.array_equal(a.responses, b.responses)
-    one = sel.prediction_error(ds, spec, m, B=330, seed=4, fit=fit, n_threads=1)
-    two = sel.prediction_error(ds, spec, m, B=330, seed=4, fit=fit, n_threads=2)
+    one = sel.prediction_error(ds, spec, m, B=330, seed=4, n_threads=1)
+    two = sel.prediction_error(ds, spec, m, B=330, seed=4, n_threads=2)
     assert len(forks) == 2
     assert one == two
     _no_child_left()
@@ -244,7 +244,7 @@ def test_a_run_past_its_failure_cap_stops_at_the_crossing_block(two_cores, forks
     for k in (1, 2):
         drawn.clear()
         with pytest.raises(TooManyFailures) as info:
-            run(ds, spec, BootstrapMethod.parametric(), B=300, seed=5, fit=fit, n_threads=k)
+            run(ds, spec, BootstrapMethod("parametric"), B=300, seed=5, fit=fit, n_threads=k)
         texts.append(str(info.value))
         if k == 1:
             assert drawn == [0, 81, 162]
